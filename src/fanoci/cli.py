@@ -7,15 +7,13 @@ pass / regular verdict, 1 failed check, 2 argument or input-file problem,
 3 exceeded resource budget.
 
 Runs are bit-reproducible: the same invocation (including --seed) writes
-byte-identical output.  FANO_AUDIT_THREADS caps worker threads for the
-audit sweep; the output is canonically ordered regardless of parallelism.
+byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from typing import List, Optional, Sequence
@@ -55,17 +53,6 @@ def _parse_degrees(text: str) -> DegreeTuple:
     except ValueError as exc:
         raise InputError(f"bad degree list {text!r}") from exc
     return degree_tuple(values)  # sorts with a notice if given out of order
-
-
-def _audit_threads() -> int:
-    raw = os.environ.get("FANO_AUDIT_THREADS", "1")
-    try:
-        threads = int(raw)
-    except ValueError as exc:
-        raise InputError(f"FANO_AUDIT_THREADS must be an integer, got {raw!r}") from exc
-    if threads < 1:
-        raise InputError("FANO_AUDIT_THREADS must be >= 1")
-    return threads
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +139,6 @@ def _cmd_audit(args, out) -> int:
         args.m_max,
         tuple_k_max=args.tuple_k_max,
         tuple_M_max=args.tuple_m_max,
-        threads=_audit_threads(),
     )
     _emit_audit(report, args.format, out)
     return EXIT_OK if report.aggregate_pass else EXIT_CHECK_FAILED
@@ -186,6 +172,8 @@ def _cmd_regcheck(args, out) -> int:
 
 
 def _cmd_randomci(args, out) -> int:
+    if args.trials < 0:
+        raise InputError(f"--trials must be >= 0, got {args.trials}")
     degrees = _parse_degrees(args.degrees)
     field = FieldSpec.from_json_tag(args.field)
     stats = {"trials": args.trials, "smooth": 0, "singular": 0, "regular": 0, "irregular": 0}

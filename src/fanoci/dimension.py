@@ -16,19 +16,22 @@ the local ring at the origin the two notions agree.)
 The probabilistic oracle estimates the cone dimension by slicing with
 random linear subspaces over GF(p^e), e <= 2, and testing by point
 enumeration whether anything beyond the origin survives (the default e = 2
-scan covers the GF(p)-points inside GF(p^2)).  It exists to cross-validate
-the exact kernel, never to replace it.
+scan covers the GF(p)-points inside GF(p^2)).  The forms are restricted
+once to each slice, by composing them with its parametrization, and the
+scan evaluates the restricted forms.  It exists to cross-validate the exact
+kernel, never to replace it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from random import Random
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import InputError, ResourceBudgetError, UnsupportedModeError
-from .fields import FieldSpec
+from .fields import Element, FieldSpec, nullspace, rref
 from .groebner import GroebnerBasis, TermOrder, groebner_basis, staircase_dimension
 from .polynomials import MultiPoly
 from .rationals import format_rational
@@ -241,213 +244,56 @@ def is_regular_sequence(
 # ---------------------------------------------------------------------------
 
 
-class _ExtField:
-    """GF(p^e) for e in {1, 2}, with elements as tuples of residues.
-
-    For odd p the quadratic extension is GF(p)[t]/(t^2 - r) with r the
-    smallest non-residue; for p = 2 it is GF(2)[t]/(t^2 + t + 1).
-    """
-
-    def __init__(self, p: int, degree: int):
-        if degree not in (1, 2):
-            raise InputError("only extension degrees 1 and 2 are supported")
-        self.p = p
-        self.degree = degree
-        self.size = p**degree
-        if degree == 2 and p > 2:
-            self.nonresidue = next(
-                r for r in range(2, p) if pow(r, (p - 1) // 2, p) == p - 1
-            )
-        else:
-            self.nonresidue = 0
-
-    def embed(self, a: int) -> Tuple[int, ...]:
-        return (a % self.p,) if self.degree == 1 else (a % self.p, 0)
-
-    def zero(self) -> Tuple[int, ...]:
-        return (0,) * self.degree
-
-    def one(self) -> Tuple[int, ...]:
-        return self.embed(1)
-
-    def elements(self):
-        if self.degree == 1:
-            return [(a,) for a in range(self.p)]
-        return [(a, b) for a in range(self.p) for b in range(self.p)]
-
-    def add(self, x, y):
-        if self.degree == 1:
-            return ((x[0] + y[0]) % self.p,)
-        return ((x[0] + y[0]) % self.p, (x[1] + y[1]) % self.p)
-
-    def sub(self, x, y):
-        if self.degree == 1:
-            return ((x[0] - y[0]) % self.p,)
-        return ((x[0] - y[0]) % self.p, (x[1] - y[1]) % self.p)
-
-    def mul(self, x, y):
-        p = self.p
-        if self.degree == 1:
-            return ((x[0] * y[0]) % p,)
-        a, b = x
-        c, d = y
-        if p == 2:
-            # t^2 = t + 1
-            bd = b * d
-            return ((a * c + bd) % 2, (a * d + b * c + bd) % 2)
-        return ((a * c + self.nonresidue * b * d) % p, (a * d + b * c) % p)
-
-    def inv(self, x):
-        p = self.p
-        if self.degree == 1:
-            if x[0] % p == 0:
-                raise ZeroDivisionError("inverse of zero")
-            return (pow(x[0], p - 2, p),)
-        a, b = x
-        if a % p == 0 and b % p == 0:
-            raise ZeroDivisionError("inverse of zero")
-        if p == 2:
-            one = self.one()
-            return next(y for y in self.elements() if self.mul(x, y) == one)
-        # (a + bt)^-1 = (a - bt) / (a^2 - r b^2) for t^2 = r
-        norm = (a * a - self.nonresidue * b * b) % p
-        norm_inv = pow(norm, p - 2, p)
-        return ((a * norm_inv) % p, (-b * norm_inv) % p)
-
-    def power(self, x, e: int):
-        result = self.embed(1)
-        base = x
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
-
-    def random_element(self, rng: Random):
-        if self.degree == 1:
-            return (rng.randrange(self.p),)
-        return (rng.randrange(self.p), rng.randrange(self.p))
-
-
 def _poly_vanishes_on_subspace(
     polys: Sequence[MultiPoly],
-    kernel_basis: Sequence[Sequence[Tuple[int, ...]]],
-    ext: _ExtField,
+    kernel_basis: Sequence[Sequence[Element]],
+    ext: FieldSpec,
     budget: int,
 ) -> bool:
     """True iff the given forms have a common zero, other than the origin,
-    on the subspace of GF(p^e)^n spanned by ``kernel_basis`` (vectors with
-    GF(p^e) entries).  Scans projective representatives only."""
+    on the subspace of ext^n spanned by ``kernel_basis``.
+
+    Each form is composed once with the parametrization t -> sum t_i v_i of
+    the subspace; the scan then evaluates the composed forms at projective
+    representatives of ext^m only.
+    """
     m = len(kernel_basis)
     if m == 0:
         return False
-    n = len(kernel_basis[0])
-    count = (ext.size**m - 1) // (ext.size - 1)
+    elements = ext.elements()
+    q = len(elements)
+    count = (q**m - 1) // (q - 1)
     if count > budget:
         raise ResourceBudgetError(
             f"enumeration of {count} projective points exceeds the budget {budget}"
         )
-    elements = ext.elements()
-    zero = ext.zero()
-    term_data = [
-        [(ext.embed(c), exps) for exps, c in poly.terms.items()] for poly in polys
+    params = tuple(f"t{i}" for i in range(1, m + 1))
+    units = [tuple(int(i == j) for j in range(m)) for i in range(m)]
+    images = [
+        MultiPoly.from_terms(ext, params, zip(units, coords))
+        for coords in zip(*kernel_basis)
     ]
-
-    def point_is_common_zero(coords: Tuple[Tuple[int, ...], ...]) -> bool:
-        ambient = [zero] * n
-        for coord, basis_vec in zip(coords, kernel_basis):
-            if coord == zero:
-                continue
-            for i, entry in enumerate(basis_vec):
-                if entry != zero:
-                    ambient[i] = ext.add(ambient[i], ext.mul(entry, coord))
-        for terms in term_data:
-            total = zero
-            for coeff, exps in terms:
-                value = coeff
-                for x, e in zip(ambient, exps):
-                    if e:
-                        value = ext.mul(value, ext.power(x, e))
-                total = ext.add(total, value)
-            if total != zero:
-                return False
-        return True
-
-    one = ext.one()
-
-    def scan(prefix: List[Tuple[int, ...]], position: int) -> bool:
-        if position == m:
-            return point_is_common_zero(tuple(prefix))
-        for value in elements:
-            prefix.append(value)
-            if scan(prefix, position + 1):
-                return True
-            prefix.pop()
-        return False
-
+    restricted = [poly.substitute(images) for poly in polys]
     for lead in range(m):
         # projective representative: zeros, then 1, then free coordinates
-        prefix = [zero] * lead + [one]
-        if scan(prefix, lead + 1):
-            return True
+        head = (ext.zero(),) * lead + (ext.one(),)
+        for tail in product(elements, repeat=m - lead - 1):
+            point = head + tail
+            if not any(g.evaluate(point) for g in restricted):
+                return True
     return False
 
 
 def _random_full_rank_forms(
-    rng: Random, ext: _ExtField, n: int, j: int, max_tries: int = 64
-) -> List[List[Tuple[int, ...]]]:
+    rng: Random, ext: FieldSpec, n: int, j: int, max_tries: int = 64
+) -> List[List[Element]]:
     for _ in range(max_tries):
         rows = [[ext.random_element(rng) for _ in range(n)] for _ in range(j)]
-        if len(_ext_rref(rows, ext)[1]) == j:
+        if len(rref(rows, ext)[1]) == j:
             return rows
     raise ResourceBudgetError(
-        f"failed to draw {j} independent forms over GF({ext.size})"
+        f"failed to draw {j} independent forms over GF({len(ext.elements())})"
     )
-
-
-def _ext_rref(
-    rows: List[List[Tuple[int, ...]]], ext: _ExtField
-) -> Tuple[List[List[Tuple[int, ...]]], List[int]]:
-    work = [row[:] for row in rows]
-    zero = ext.zero()
-    pivots: List[int] = []
-    rank = 0
-    n_cols = len(work[0]) if work else 0
-    for col in range(n_cols):
-        pivot = next((r for r in range(rank, len(work)) if work[r][col] != zero), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        inv = ext.inv(work[rank][col])
-        work[rank] = [ext.mul(x, inv) for x in work[rank]]
-        for r in range(len(work)):
-            if r != rank and work[r][col] != zero:
-                factor = work[r][col]
-                work[r] = [
-                    ext.sub(a, ext.mul(factor, b))
-                    for a, b in zip(work[r], work[rank])
-                ]
-        pivots.append(col)
-        rank += 1
-    return work, pivots
-
-
-def _ext_nullspace(
-    rows: List[List[Tuple[int, ...]]], ext: _ExtField, n: int
-) -> List[List[Tuple[int, ...]]]:
-    """Basis of the common kernel of GF(p^e) linear forms (row vectors)."""
-    work, pivots = _ext_rref(rows, ext)
-    zero = ext.zero()
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [zero] * n
-        vec[f] = ext.one()
-        for r, c in enumerate(pivots):
-            vec[c] = ext.sub(zero, work[r][f])
-        basis.append(vec)
-    return basis
 
 
 def codim_probabilistic(
@@ -488,24 +334,16 @@ def codim_probabilistic(
     _validate_homogeneous(generators, allow_zero=False)
     if extension_degree not in (1, 2):
         raise InputError("extension_degree must be 1 or 2")
-    p = fieldspec.characteristic
     n = len(variables)
     rng = Random(seed)
-    ext = _ExtField(p, extension_degree)
-    identity = [
-        [ext.one() if c == r else ext.zero() for c in range(n)] for r in range(n)
-    ]
+    ext = FieldSpec.quadratic(fieldspec.characteristic) if extension_degree == 2 else fieldspec
 
     for j in range(n + 1):
         # slicing with 0 forms is deterministic, so one attempt suffices
         attempts = 1 if j == 0 else trials
         found_empty = False
         for _ in range(attempts):
-            if j == 0:
-                kernel = identity
-            else:
-                forms = _random_full_rank_forms(rng, ext, n, j)
-                kernel = _ext_nullspace(forms, ext, n)
+            kernel = nullspace(_random_full_rank_forms(rng, ext, n, j), ext, n)
             if not _poly_vanishes_on_subspace(
                 generators, kernel, ext, enumeration_budget
             ):

@@ -1,14 +1,20 @@
-"""Coefficient fields: exact rationals and prime fields GF(p).
+"""Coefficient fields: exact rationals, prime fields GF(p), and GF(p^2).
 
 A ``FieldSpec`` names the field and provides the arithmetic on raw element
-values.  Elements are kept as plain Python values rather than wrapper
-objects, so polynomial arithmetic stays cheap:
+values; each kind of field is a subclass.  Elements are kept as plain
+Python values rather than wrapper objects, so polynomial arithmetic stays
+cheap:
 
   * rational field    -> ``fractions.Fraction``
   * prime field GF(p) -> ``int`` in ``[0, p)``
+  * GF(p^2)           -> ``int`` ``a + b*p`` in ``[0, p^2)`` for a + b*t, so
+    zero is falsy and a GF(p) residue is its own image in GF(p^2)
 
+GF(p^2) only serves the probabilistic slicing oracle and has no JSON form.
 JSON tag format: ``"rational"`` or ``"gf:<p>"``.  Element strings are the
 "num/den" rational format resp. the canonical decimal residue.
+
+``rref`` and ``nullspace`` are the exact linear algebra over any of them.
 """
 
 from __future__ import annotations
@@ -16,15 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
-from typing import Union
+from typing import ClassVar, List, Sequence, Tuple, Union
 
 from .errors import InputError
 from .rationals import format_rational, parse_rational
 
 Element = Union[Fraction, int]
-
-RATIONAL = "rational"
-PRIME_FIELD = "prime-field"
 
 # Deterministic Miller-Rabin witnesses, valid for all n < 3.3 * 10**24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -58,30 +61,30 @@ def is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """An exact coefficient field: the rationals or GF(p) for prime p."""
+    """An exact coefficient field: the rationals, GF(p), or GF(p^2).
 
-    kind: str
+    Build one with ``rationals()``, ``prime(p)`` or ``from_json_tag``.  Each
+    kind is a subclass implementing ``coerce``, ``add``, ``sub``, ``mul``,
+    ``inv`` and ``random_element``; the other operations fall back on those.
+    """
+
     characteristic: int = 0
-
-    def __post_init__(self) -> None:
-        if self.kind == RATIONAL:
-            if self.characteristic != 0:
-                raise InputError("rational field has characteristic 0")
-        elif self.kind == PRIME_FIELD:
-            if not is_prime(self.characteristic):
-                raise InputError(f"{self.characteristic} is not prime")
-        else:
-            raise InputError(f"unknown field kind: {self.kind!r}")
+    is_prime_field: ClassVar[bool] = False
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def rationals(cls) -> "FieldSpec":
-        return cls(RATIONAL)
+        return _Rationals()
 
     @classmethod
     def prime(cls, p: int) -> "FieldSpec":
-        return cls(PRIME_FIELD, p)
+        return _PrimeField(p)
+
+    @classmethod
+    def quadratic(cls, p: int) -> "FieldSpec":
+        """GF(p^2), internal to the slicing oracle (no JSON tag accepts it)."""
+        return _QuadraticField(p)
 
     @classmethod
     def from_json_tag(cls, tag: str) -> "FieldSpec":
@@ -95,60 +98,28 @@ class FieldSpec:
             return cls.prime(p)
         raise InputError(f"bad field tag: {tag!r}")
 
-    # -- properties --------------------------------------------------------
-
-    @property
-    def is_prime_field(self) -> bool:
-        return self.kind == PRIME_FIELD
-
-    @property
-    def json_tag(self) -> str:
-        return "rational" if self.kind == RATIONAL else f"gf:{self.characteristic}"
-
     # -- element arithmetic -------------------------------------------------
 
     def zero(self) -> Element:
-        return Fraction(0) if self.kind == RATIONAL else 0
+        return 0
 
     def one(self) -> Element:
-        return Fraction(1) if self.kind == RATIONAL else 1
-
-    def coerce(self, value) -> Element:
-        """Normalize an int/Fraction into a canonical field element."""
-        if self.kind == RATIONAL:
-            if isinstance(value, (int, Fraction)):
-                return Fraction(value)
-            raise InputError(f"cannot coerce {value!r} into the rational field")
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise InputError(f"cannot coerce {value!r} into GF({self.characteristic})")
-        return value % self.characteristic
+        return 1
 
     def add(self, a: Element, b: Element) -> Element:
-        if self.kind == RATIONAL:
-            return a + b
-        return (a + b) % self.characteristic
+        raise NotImplementedError
 
     def sub(self, a: Element, b: Element) -> Element:
-        if self.kind == RATIONAL:
-            return a - b
-        return (a - b) % self.characteristic
+        raise NotImplementedError
 
     def mul(self, a: Element, b: Element) -> Element:
-        if self.kind == RATIONAL:
-            return a * b
-        return (a * b) % self.characteristic
-
-    def neg(self, a: Element) -> Element:
-        if self.kind == RATIONAL:
-            return -a
-        return (-a) % self.characteristic
+        raise NotImplementedError
 
     def inv(self, a: Element) -> Element:
-        if not a:
-            raise ZeroDivisionError("inverse of zero field element")
-        if self.kind == RATIONAL:
-            return 1 / Fraction(a)
-        return pow(a, self.characteristic - 2, self.characteristic)
+        raise NotImplementedError
+
+    def neg(self, a: Element) -> Element:
+        return self.sub(self.zero(), a)
 
     def div(self, a: Element, b: Element) -> Element:
         return self.mul(a, self.inv(b))
@@ -156,25 +127,232 @@ class FieldSpec:
     def pow(self, a: Element, e: int) -> Element:
         if e < 0:
             return self.inv(self.pow(a, -e))
-        if self.kind == RATIONAL:
-            return Fraction(a) ** e
-        return pow(a, e, self.characteristic)
-
-    # -- serialization and randomness ---------------------------------------
+        result = self.one()
+        for bit in bin(e)[2:]:
+            result = self.mul(result, result)
+            if bit == "1":
+                result = self.mul(result, a)
+        return result
 
     def format_element(self, a: Element) -> str:
-        return format_rational(a) if self.kind == RATIONAL else str(a)
+        return str(a)
 
-    def parse_element(self, text: str) -> Element:
-        if self.kind == RATIONAL:
-            return parse_rational(text)
-        try:
-            return int(text) % self.characteristic
-        except ValueError as exc:
-            raise InputError(f"bad GF({self.characteristic}) element: {text!r}") from exc
+    def parse_element(self, value) -> Element:
+        """Read a JSON coefficient: a string or an integer, never a bool."""
+        if isinstance(value, bool) or not isinstance(value, (str, int)):
+            raise InputError(f"bad {self.json_tag} coefficient: {value!r}")
+        return self._parse(value)
+
+
+@dataclass(frozen=True)
+class _Rationals(FieldSpec):
+    json_tag = "rational"
+
+    def zero(self) -> Element:
+        return Fraction(0)
+
+    def one(self) -> Element:
+        return Fraction(1)
+
+    def coerce(self, value) -> Element:
+        """Normalize an int/Fraction into a canonical field element."""
+        if isinstance(value, (int, Fraction)):
+            return Fraction(value)
+        raise InputError(f"cannot coerce {value!r} into the rational field")
+
+    def add(self, a: Element, b: Element) -> Element:
+        return a + b
+
+    def sub(self, a: Element, b: Element) -> Element:
+        return a - b
+
+    def mul(self, a: Element, b: Element) -> Element:
+        return a * b
+
+    def neg(self, a: Element) -> Element:
+        return -a
+
+    def inv(self, a: Element) -> Element:
+        if not a:
+            raise ZeroDivisionError("inverse of zero field element")
+        return 1 / Fraction(a)
+
+    def pow(self, a: Element, e: int) -> Element:
+        return Fraction(a) ** e
+
+    def format_element(self, a: Element) -> str:
+        return format_rational(a)
+
+    def _parse(self, value) -> Element:
+        return parse_rational(value) if isinstance(value, str) else Fraction(value)
 
     def random_element(self, rng: Random) -> Element:
-        """Uniform over GF(p) (zero included); small integers over Q."""
-        if self.kind == RATIONAL:
-            return Fraction(rng.randint(-9, 9))
+        """Small integers."""
+        return Fraction(rng.randint(-9, 9))
+
+
+@dataclass(frozen=True)
+class _PrimeField(FieldSpec):
+    is_prime_field = True
+
+    def __post_init__(self) -> None:
+        if not is_prime(self.characteristic):
+            raise InputError(f"{self.characteristic} is not prime")
+
+    @property
+    def json_tag(self) -> str:
+        return f"gf:{self.characteristic}"
+
+    def coerce(self, value) -> Element:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise InputError(f"cannot coerce {value!r} into GF({self.characteristic})")
+        return value % self.characteristic
+
+    def add(self, a: Element, b: Element) -> Element:
+        return (a + b) % self.characteristic
+
+    def sub(self, a: Element, b: Element) -> Element:
+        return (a - b) % self.characteristic
+
+    def mul(self, a: Element, b: Element) -> Element:
+        return (a * b) % self.characteristic
+
+    def neg(self, a: Element) -> Element:
+        return (-a) % self.characteristic
+
+    def inv(self, a: Element) -> Element:
+        if not a:
+            raise ZeroDivisionError("inverse of zero field element")
+        return pow(a, self.characteristic - 2, self.characteristic)
+
+    def pow(self, a: Element, e: int) -> Element:
+        if e < 0:
+            return self.inv(pow(a, -e, self.characteristic))
+        return pow(a, e, self.characteristic)
+
+    def _parse(self, value) -> Element:
+        try:
+            return int(value) % self.characteristic
+        except ValueError as exc:
+            raise InputError(f"bad GF({self.characteristic}) element: {value!r}") from exc
+
+    def elements(self) -> List[Element]:
+        return list(range(self.characteristic))
+
+    def random_element(self, rng: Random) -> Element:
+        """Uniform over GF(p), zero included."""
         return rng.randrange(self.characteristic)
+
+
+@dataclass(frozen=True)
+class _QuadraticField(FieldSpec):
+    """GF(p)[t]/(t^2 - s*t - r): s = 0 and r the smallest non-residue for
+    odd p, s = r = 1 (t^2 = t + 1) for p = 2."""
+
+    def __post_init__(self) -> None:
+        p = self.characteristic
+        if not is_prime(p):
+            raise InputError(f"{p} is not prime")
+        if p == 2:
+            s = r = 1
+        else:
+            s = 0
+            r = next(r for r in range(2, p) if pow(r, (p - 1) // 2, p) == p - 1)
+        object.__setattr__(self, "_s", s)
+        object.__setattr__(self, "_r", r)
+
+    def coerce(self, value) -> Element:
+        """Accept an element already encoded as ``a + b*p``."""
+        if isinstance(value, bool) or not isinstance(value, int) or not (
+            0 <= value < self.characteristic * self.characteristic
+        ):
+            raise InputError(f"cannot coerce {value!r} into GF({self.characteristic}^2)")
+        return value
+
+    def add(self, x: Element, y: Element) -> Element:
+        p = self.characteristic
+        b, a = divmod(x, p)
+        d, c = divmod(y, p)
+        return (a + c) % p + (b + d) % p * p
+
+    def sub(self, x: Element, y: Element) -> Element:
+        p = self.characteristic
+        b, a = divmod(x, p)
+        d, c = divmod(y, p)
+        return (a - c) % p + (b - d) % p * p
+
+    def mul(self, x: Element, y: Element) -> Element:
+        p = self.characteristic
+        b, a = divmod(x, p)
+        d, c = divmod(y, p)
+        bd = b * d
+        return (a * c + self._r * bd) % p + (a * d + b * c + self._s * bd) % p * p
+
+    def inv(self, x: Element) -> Element:
+        if not x:
+            raise ZeroDivisionError("inverse of zero field element")
+        p = self.characteristic
+        b, a = divmod(x, p)
+        # the conjugate of a + b*t is (a + s*b) - b*t; their product is the norm
+        conj = (a + self._s * b) % p
+        norm_inv = pow((a * conj - self._r * b * b) % p, p - 2, p)
+        return conj * norm_inv % p + (-b * norm_inv) % p * p
+
+    def elements(self) -> List[Element]:
+        """Every element, real part major (the oracle's scan order)."""
+        p = self.characteristic
+        return [a + b * p for a in range(p) for b in range(p)]
+
+    def random_element(self, rng: Random) -> Element:
+        """Uniform: the real part is drawn first, then the t-coefficient."""
+        p = self.characteristic
+        a = rng.randrange(p)
+        return a + rng.randrange(p) * p
+
+
+# ---------------------------------------------------------------------------
+# Exact linear algebra over a FieldSpec
+# ---------------------------------------------------------------------------
+
+
+def rref(
+    rows: Sequence[Sequence[Element]], field: FieldSpec
+) -> Tuple[List[List[Element]], List[int]]:
+    """Reduced row echelon form of ``rows`` and its pivot columns."""
+    work = [list(row) for row in rows]
+    n_cols = len(work[0]) if work else 0
+    pivots: List[int] = []
+    rank = 0
+    for col in range(n_cols):
+        pivot = next((r for r in range(rank, len(work)) if work[r][col]), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        inv = field.inv(work[rank][col])
+        work[rank] = [field.mul(x, inv) for x in work[rank]]
+        for r in range(len(work)):
+            if r != rank and work[r][col]:
+                factor = work[r][col]
+                work[r] = [
+                    field.sub(a, field.mul(factor, b))
+                    for a, b in zip(work[r], work[rank])
+                ]
+        pivots.append(col)
+        rank += 1
+    return work, pivots
+
+
+def nullspace(
+    rows: Sequence[Sequence[Element]], field: FieldSpec, n: int
+) -> List[Tuple[Element, ...]]:
+    """Basis of the common kernel in ``field^n`` of the linear forms ``rows``."""
+    work, pivots = rref(rows, field)
+    free = [c for c in range(n) if c not in pivots]
+    basis = []
+    for f in free:
+        vec = [field.zero()] * n
+        vec[f] = field.one()
+        for r, c in enumerate(pivots):
+            vec[c] = field.neg(work[r][f])
+        basis.append(tuple(vec))
+    return basis

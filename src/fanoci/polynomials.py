@@ -189,19 +189,24 @@ class MultiPoly:
     # -- the operations used by the dimension and regularity machinery ------
 
     def evaluate(self, point: Sequence[Element]) -> Element:
-        """Exact evaluation by substitution."""
-        values = [self.field.coerce(v) for v in point]
+        """Exact evaluation by substitution; each power is computed once."""
+        field = self.field
+        values = [field.coerce(v) for v in point]
         if len(values) != len(self.variables):
             raise InputError(
                 f"point has {len(values)} coordinates, expected {len(self.variables)}"
             )
-        total = self.field.zero()
+        mul, add = field.mul, field.add
+        powers = [[v] for v in values]  # powers[i][e - 1] = values[i]^e
+        total = field.zero()
         for exps, coeff in self.terms.items():
             term = coeff
-            for value, e in zip(values, exps):
+            for table, e in zip(powers, exps):
                 if e:
-                    term = self.field.mul(term, self.field.pow(value, e))
-            total = self.field.add(total, term)
+                    while len(table) < e:
+                        table.append(mul(table[-1], table[0]))
+                    term = mul(term, table[e - 1])
+            total = add(total, term)
         return total
 
     def homogeneous_components(self) -> Dict[int, "MultiPoly"]:
@@ -246,14 +251,29 @@ class MultiPoly:
             else MultiPoly.variable(self.field, reduced_vars, v)
             for i, v in enumerate(self.variables)
         ]
-        result = MultiPoly.zero(self.field, reduced_vars)
+        return self.substitute(images)
+
+    def substitute(self, images: Sequence["MultiPoly"]) -> "MultiPoly":
+        """Compose with the substitution of ``images[i]`` for variable i.
+
+        The images share one ring, and the result lives in it; coefficients
+        are coerced into its field, so a form over GF(p) composes with
+        images over GF(p^2).
+        """
+        if len(images) != len(self.variables):
+            raise InputError(
+                f"substitution needs {len(self.variables)} images, got {len(images)}"
+            )
+        fieldspec, variables = images[0].field, images[0].variables
+        total: Dict[Exponents, Element] = {}
         for exps, coeff in self.terms.items():
-            term = MultiPoly.constant(self.field, reduced_vars, coeff)
+            term = MultiPoly.constant(fieldspec, variables, coeff)
             for image, e in zip(images, exps):
                 if e:
                     term = term * image**e
-            result = result + term
-        return result
+            for key, value in term.terms.items():
+                total[key] = fieldspec.add(total[key], value) if key in total else value
+        return MultiPoly.from_terms(fieldspec, variables, total)
 
     # -- serialization -------------------------------------------------------
 

@@ -649,7 +649,6 @@ def audit_range(
     tuple_k_max: int = 5,
     tuple_M_max: int = 60,
     max_records: int = 2_000_000,
-    threads: int = 1,
 ) -> AuditReport:
     """Run every check over 2 <= k <= k_max, 3k+4 <= M <= M_max.
 
@@ -659,14 +658,9 @@ def audit_range(
     (capped by the outer box).  Empty hypothesis ranges are reported as
     vacuous rather than silently skipped.  If the record budget is hit the
     report is returned truncated, with an explicit marker record.
-
-    ``threads`` caps worker threads for the (k, M) sweep; results are merged
-    in grid order, so the report does not depend on the thread count.
     """
     if k_max < 2 or M_max < 1:
         raise InputError(f"need k_max >= 2 and M_max >= 1, got ({k_max}, {M_max})")
-    if threads < 1:
-        raise InputError(f"threads must be >= 1, got {threads}")
     records: List[CheckRecord] = []
     truncated = False
 
@@ -708,14 +702,7 @@ def audit_range(
         else:
             pair_jobs.extend((k, M) for M in range(lo, M_max + 1))
 
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            batches: Iterable[List[CheckRecord]] = list(pool.map(_pair_records, pair_jobs))
-    else:
-        batches = map(_pair_records, pair_jobs)
-    for batch in batches:
+    for batch in map(_pair_records, pair_jobs):
         if not push(batch):
             break
 

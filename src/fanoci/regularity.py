@@ -42,7 +42,7 @@ from .dimension import (
 )
 from .errors import InputError, ResourceBudgetError
 from .families import DegreeTuple
-from .fields import Element, FieldSpec
+from .fields import Element, FieldSpec, nullspace, rref
 from .polynomials import MultiPoly, random_poly
 
 REGULAR = "regular"
@@ -89,51 +89,8 @@ def index_set(degrees: DegreeTuple) -> IndexSet:
 
 
 # ---------------------------------------------------------------------------
-# Exact linear algebra over a FieldSpec
+# Linear forms as coefficient rows
 # ---------------------------------------------------------------------------
-
-
-def _rref(rows: List[List[Element]], field: FieldSpec) -> Tuple[List[List[Element]], List[int]]:
-    work = [row[:] for row in rows]
-    n_cols = len(work[0]) if work else 0
-    pivots: List[int] = []
-    rank = 0
-    for col in range(n_cols):
-        pivot = next((r for r in range(rank, len(work)) if work[r][col]), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        inv = field.inv(work[rank][col])
-        work[rank] = [field.mul(x, inv) for x in work[rank]]
-        for r in range(len(work)):
-            if r != rank and work[r][col]:
-                factor = work[r][col]
-                work[r] = [
-                    field.sub(a, field.mul(factor, b))
-                    for a, b in zip(work[r], work[rank])
-                ]
-        pivots.append(col)
-        rank += 1
-    return work, pivots
-
-
-def _nullspace(rows: List[List[Element]], field: FieldSpec, n: int) -> List[Tuple[Element, ...]]:
-    work, pivots = _rref(rows, field)
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [field.zero()] * n
-        vec[f] = field.one()
-        for r, c in enumerate(pivots):
-            vec[c] = field.neg(work[r][f])
-        basis.append(tuple(vec))
-    return basis
-
-
-def _in_row_span(rows: List[List[Element]], vec: List[Element], field: FieldSpec) -> bool:
-    _, pivots = _rref(rows, field)
-    _, pivots_ext = _rref(rows + [vec], field)
-    return len(pivots_ext) == len(pivots)
 
 
 def _linear_coefficients(form: MultiPoly) -> List[Element]:
@@ -144,6 +101,13 @@ def _linear_coefficients(form: MultiPoly) -> List[Element]:
             raise InputError("expected a homogeneous linear form")
         coeffs[exps.index(1)] = coeff
     return coeffs
+
+
+def _in_row_span(
+    rows: List[List[Element]], rank: int, vec: List[Element], field: FieldSpec
+) -> bool:
+    """Whether ``vec`` lies in the span of ``rows``, whose rank is ``rank``."""
+    return len(rref(rows + [vec], field)[1]) == rank
 
 
 # ---------------------------------------------------------------------------
@@ -164,18 +128,13 @@ def tangent_space(linear_parts: Sequence[MultiPoly]) -> TangentSpace:
     """Kernel of the linear parts; singular when they are dependent."""
     if not linear_parts:
         raise InputError("need at least one linear form")
-    field = linear_parts[0].field
     n = len(linear_parts[0].variables)
-    rows = []
-    for form in linear_parts:
-        if form.is_zero():
-            rows.append([field.zero()] * n)
-        else:
-            rows.append(_linear_coefficients(form))
-    _, pivots = _rref(rows, field)
-    rank = len(pivots)
+    basis = nullspace(
+        [_linear_coefficients(form) for form in linear_parts], linear_parts[0].field, n
+    )
+    rank = n - len(basis)
     return TangentSpace(
-        basis=tuple(_nullspace(rows, field, n)),
+        basis=tuple(basis),
         codimension=rank,
         is_singular=rank < len(linear_parts),
     )
@@ -299,19 +258,13 @@ def assemble_sequence(ci: PointedCI, linear_form: MultiPoly) -> List[MultiPoly]:
     ]
 
 
-def _validate_linear_form(ci: PointedCI, linear_form: MultiPoly) -> None:
+def _validate_linear_form(ci: PointedCI, linear_form: MultiPoly, rank: int) -> None:
     if linear_form.field != ci.field or linear_form.variables != ci.variables:
         raise InputError("linear form must live in the ambient ring")
     if linear_form.is_zero() or linear_form.total_degree() != 1 or not linear_form.is_homogeneous():
         raise InputError("l must be a nonzero homogeneous linear form")
-    rows = []
-    for form in ci.linear_parts():
-        rows.append(
-            _linear_coefficients(form)
-            if not form.is_zero()
-            else [ci.field.zero()] * ci.degrees.ambient
-        )
-    if _in_row_span(rows, _linear_coefficients(linear_form), ci.field):
+    rows = [_linear_coefficients(form) for form in ci.linear_parts()]
+    if _in_row_span(rows, rank, _linear_coefficients(linear_form), ci.field):
         raise InputError(
             "l vanishes identically on the tangent space at the origin; "
             "the regularity condition only quantifies over forms that do not"
@@ -346,7 +299,7 @@ def regularity_check(
             target_codimension=len(index_set(ci.degrees)) + 1,
             note="dependent linear parts: the intersection is singular at the origin",
         )
-    _validate_linear_form(ci, linear_form)
+    _validate_linear_form(ci, linear_form, tangent.codimension)
     pairs = index_set(ci.degrees)
     target = len(pairs) + 1
 
@@ -439,19 +392,16 @@ class SampledRegularityReport:
 
 
 def _random_admissible_form(
-    ci: PointedCI, rng: Random, max_tries: int = 200
+    ci: PointedCI, rng: Random, rank: int, max_tries: int = 200
 ) -> MultiPoly:
     field = ci.field
     n = ci.degrees.ambient
-    rows = [
-        _linear_coefficients(f) if not f.is_zero() else [field.zero()] * n
-        for f in ci.linear_parts()
-    ]
+    rows = [_linear_coefficients(f) for f in ci.linear_parts()]
     for _ in range(max_tries):
         coeffs = [field.random_element(rng) for _ in range(n)]
         if not any(coeffs):
             continue
-        if _in_row_span(rows, coeffs, field):
+        if _in_row_span(rows, rank, coeffs, field):
             continue
         terms = {
             tuple(1 if i == j else 0 for j in range(n)): c
@@ -473,7 +423,8 @@ def sampled_regularity_check(
     """Run ``regularity_check`` against ``samples`` random admissible forms."""
     if samples < 1:
         raise InputError("samples must be >= 1")
-    if ci.tangent().is_singular:
+    tangent = ci.tangent()
+    if tangent.is_singular:
         report = RegularityReport(
             SINGULAR,
             (),
@@ -485,7 +436,7 @@ def sampled_regularity_check(
     rng = Random(seed)
     reports = []
     for _ in range(samples):
-        form = _random_admissible_form(ci, rng)
+        form = _random_admissible_form(ci, rng, tangent.codimension)
         reports.append(regularity_check(ci, form, **check_kwargs))
     return SampledRegularityReport(tuple(reports), samples)
 

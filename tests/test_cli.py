@@ -185,11 +185,47 @@ def test_randomci_statistics_schema():
     assert "/" in payload["pass_rate"] or payload["pass_rate"].isdigit()
 
 
-def test_audit_threads_env_var(monkeypatch):
-    baseline = invoke(["audit", "--k-max", "2", "--m-max", "12"])
-    monkeypatch.setenv("FANO_AUDIT_THREADS", "3")
-    threaded = invoke(["audit", "--k-max", "2", "--m-max", "12"])
-    assert baseline == threaded
-    monkeypatch.setenv("FANO_AUDIT_THREADS", "zero")
-    code, _ = invoke(["audit", "--k-max", "2", "--m-max", "12"])
+def test_randomci_rejects_negative_trials():
+    code, _ = invoke(["randomci", "--degrees", "2,3", "--field", "gf:101", "--trials", "-1"])
     assert code == 2
+    code, output = invoke(["randomci", "--degrees", "2,3", "--field", "gf:101", "--trials", "0"])
+    assert code == 0
+    assert json.loads(output)["trials"] == 0
+
+
+def _with_coefficients(data, convert):
+    for equation in data["equations"]:
+        for term in equation["terms"]:
+            term["coeff"] = convert(term["coeff"])
+    return data
+
+
+def test_regcheck_integer_coefficients_over_the_rationals(tmp_path):
+    from fanoci.polynomials import MultiPoly
+    from fanoci.regularity import PointedCI, ambient_variables
+
+    Q = FieldSpec.rationals()
+    names = ambient_variables(5)
+    v = {n: MultiPoly.variable(Q, names, n) for n in names}
+    ci = PointedCI(
+        DegreeTuple((2, 3)), Q, (v["z1"] - 2 * v["z4"] ** 2, v["z2"] + 3 * v["z5"] ** 3)
+    )
+    outputs = []
+    for convert in (str, int):
+        path = tmp_path / f"ci_{convert.__name__}.json"
+        path.write_text(json.dumps(_with_coefficients(ci.to_json(), convert)))
+        outputs.append(invoke(["regcheck", "--input", str(path), "--samples", "1"]))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] in (0, 1)
+
+
+@pytest.mark.parametrize("bad", [2.5, True, None, [1]])
+def test_regcheck_non_integer_coefficient_exit_2(tmp_path, bad):
+    ci = random_complete_intersection(DegreeTuple((2, 3)), FieldSpec.prime(7), seed=1)
+    data = ci.to_json()
+    data["equations"][0]["terms"][0]["coeff"] = bad
+    path = tmp_path / "ci.json"
+    path.write_text(json.dumps(data))
+    code, output = invoke(["regcheck", "--input", str(path), "--samples", "1"])
+    assert code == 2
+    assert output == ""

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 from fractions import Fraction
 from random import Random
 
@@ -219,6 +221,34 @@ def test_probabilistic_deterministic_in_seed():
     a = codim_probabilistic(gens, trials=4, seed=9)
     b = codim_probabilistic(gens, trials=4, seed=9)
     assert a == b
+
+
+# sha256 of the estimates over extension degrees 1, 2 and seeds 0-5 with one
+# trial each; any change to how the oracle draws its slices changes them.
+PINNED_ESTIMATES = {
+    (5, (2, 2)): "17ed0fc657d7434d6f6f2acb2a5f70a82f79ab38ba7e25461920c976c03675dc",
+    (2, (2, 3)): "c5a66647b38fed5239c10d6643edeb8eb51c331d244a3d2e28e2804048440f67",
+    (2, (2,)): "768d8cfce8e810576a4d493d082cfc77632712899586e480a3efd540caaf0dc1",
+}
+
+
+@pytest.mark.parametrize("p, degrees", list(PINNED_ESTIMATES))
+def test_probabilistic_estimates_pinned(p, degrees):
+    field = FieldSpec.prime(p)
+    names = ("x", "y", "z", "w")
+    forms = [
+        random_poly(d, names, field, homogeneous=True, seed=10 * p + i)
+        for i, d in enumerate(degrees)
+    ]
+    rows = []
+    for extension_degree in (1, 2):
+        for seed in range(6):
+            result = codim_probabilistic(
+                forms, trials=1, seed=seed, extension_degree=extension_degree
+            )
+            rows.append([extension_degree, seed, result.codimension, result.note])
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == PINNED_ESTIMATES[(p, degrees)]
 
 
 def _random_systems(master_seed, count):

@@ -1,0 +1,78 @@
+import itertools
+from random import Random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from fanoci.errors import InputError
+from fanoci.fields import FieldSpec, nullspace
+from fanoci.polynomials import MultiPoly, random_poly
+
+QUADRATIC = [FieldSpec.quadratic(p) for p in (2, 3, 5)]
+
+
+@pytest.mark.parametrize("field", QUADRATIC, ids=lambda f: f"GF({f.characteristic}^2)")
+def test_quadratic_field_axioms(field):
+    p = field.characteristic
+    elements = field.elements()
+    assert sorted(elements) == list(range(p * p))
+    for x in elements:
+        assert field.add(x, field.neg(x)) == 0
+        assert field.mul(x, 1) == x
+        if x:
+            assert field.mul(x, field.inv(x)) == 1
+            assert field.pow(x, p * p - 1) == 1
+    for x, y, z in itertools.product(elements, repeat=3):
+        assert field.mul(field.mul(x, y), z) == field.mul(x, field.mul(y, z))
+        assert field.add(field.add(x, y), z) == field.add(x, field.add(y, z))
+        assert field.mul(x, field.add(y, z)) == field.add(
+            field.mul(x, y), field.mul(x, z)
+        )
+    # GF(p) sits inside as the residues [0, p), closed under both operations
+    for a, b in itertools.product(range(p), repeat=2):
+        assert field.add(a, b) == (a + b) % p
+        assert field.mul(a, b) == (a * b) % p
+
+
+def test_quadratic_field_is_internal():
+    assert FieldSpec.quadratic(5) != FieldSpec.prime(5)
+    assert not FieldSpec.quadratic(5).is_prime_field
+    with pytest.raises(InputError):
+        FieldSpec.quadratic(9)
+    with pytest.raises(InputError):
+        FieldSpec.quadratic(5).coerce(25)
+
+
+@pytest.mark.parametrize("field", QUADRATIC, ids=lambda f: f"GF({f.characteristic}^2)")
+def test_nullspace_over_quadratic_field(field):
+    rng = Random(field.characteristic)
+    for _ in range(20):
+        n = rng.randint(1, 5)
+        rows = [[field.random_element(rng) for _ in range(n)] for _ in range(rng.randint(0, n))]
+        basis = nullspace(rows, field, n)
+        for vec in basis:
+            for row in rows:
+                total = 0
+                for a, b in zip(row, vec):
+                    total = field.add(total, field.mul(a, b))
+                assert total == 0
+
+
+@given(st.integers(min_value=0, max_value=10**9), st.sampled_from([2, 5]))
+@settings(max_examples=30, deadline=None)
+def test_substitution_then_evaluation_is_evaluation_at_the_image(seed, p):
+    rng = Random(seed)
+    base = FieldSpec.prime(p)
+    ext = FieldSpec.quadratic(p)
+    form = random_poly(3, ("x", "y", "z"), base, homogeneous=True, seed=seed)
+    params = ("s", "t")
+    images = [
+        MultiPoly.from_terms(
+            ext, params, {(1, 0): ext.random_element(rng), (0, 1): ext.random_element(rng)}
+        )
+        for _ in form.variables
+    ]
+    point = [ext.random_element(rng) for _ in params]
+    image_point = [image.evaluate(point) for image in images]
+    lifted = MultiPoly.from_terms(ext, form.variables, form.terms)
+    assert form.substitute(images).evaluate(point) == lifted.evaluate(image_point)

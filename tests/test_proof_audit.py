@@ -347,8 +347,3 @@ def test_audit_records_sorted_and_json_schema():
         assert isinstance(record["lhs"], str) and isinstance(record["rhs"], str)
         assert record["verdict"] in (PASS, FAIL, OUT_OF_HYPOTHESIS, VACUOUS)
 
-
-def test_audit_threads_do_not_change_the_report():
-    sequential = audit_range(3, 16)
-    threaded = audit_range(3, 16, threads=4)
-    assert sequential.to_json() == threaded.to_json()
