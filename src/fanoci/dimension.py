@@ -260,13 +260,13 @@ def _poly_vanishes_on_subspace(
     m = len(kernel_basis)
     if m == 0:
         return False
-    elements = ext.elements()
-    q = len(elements)
+    q = ext.size
     count = (q**m - 1) // (q - 1)
     if count > budget:
         raise ResourceBudgetError(
             f"enumeration of {count} projective points exceeds the budget {budget}"
         )
+    elements = ext.elements()
     params = tuple(f"t{i}" for i in range(1, m + 1))
     units = [tuple(int(i == j) for j in range(m)) for i in range(m)]
     images = [
@@ -292,7 +292,7 @@ def _random_full_rank_forms(
         if len(rref(rows, ext)[1]) == j:
             return rows
     raise ResourceBudgetError(
-        f"failed to draw {j} independent forms over GF({len(ext.elements())})"
+        f"failed to draw {j} independent forms over GF({ext.size})"
     )
 
 

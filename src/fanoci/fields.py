@@ -236,6 +236,10 @@ class _PrimeField(FieldSpec):
         except ValueError as exc:
             raise InputError(f"bad GF({self.characteristic}) element: {value!r}") from exc
 
+    @property
+    def size(self) -> int:
+        return self.characteristic
+
     def elements(self) -> List[Element]:
         return list(range(self.characteristic))
 
@@ -297,6 +301,10 @@ class _QuadraticField(FieldSpec):
         conj = (a + self._s * b) % p
         norm_inv = pow((a * conj - self._r * b * b) % p, p - 2, p)
         return conj * norm_inv % p + (-b * norm_inv) % p * p
+
+    @property
+    def size(self) -> int:
+        return self.characteristic * self.characteristic
 
     def elements(self) -> List[Element]:
         """Every element, real part major (the oracle's scan order)."""

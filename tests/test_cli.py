@@ -126,6 +126,19 @@ def test_regcheck_exit_codes(tmp_path):
     assert code == 3
 
 
+def test_regcheck_probabilistic_over_a_large_prime_exit_3(tmp_path):
+    # the GF(p^2) scan for p = 32003 is far over the enumeration budget
+    ci = random_complete_intersection(
+        DegreeTuple((2, 3)), FieldSpec.prime(32003), seed=0
+    )
+    path = tmp_path / "ci.json"
+    path.write_text(json.dumps(ci.to_json()))
+    code, _ = invoke(
+        ["regcheck", "--input", str(path), "--mode", "probabilistic", "--samples", "1"]
+    )
+    assert code == 3
+
+
 def test_regcheck_irregular_exit_1(tmp_path):
     # deterministically irregular: the quadratic part of f1 is z4^2, so the
     # prefix (l, z4, z4^2) never reaches codimension 3, whatever l is

@@ -215,6 +215,21 @@ def test_probabilistic_budget_error_names_size():
     assert "exceeds the budget" in str(err.value)
 
 
+def test_probabilistic_budget_is_checked_before_listing_the_field(monkeypatch):
+    # GF(32003^2) has about 1.02e9 elements: listing them first would exhaust
+    # memory, so an oversized scan must be refused from the field size alone
+    def refuse(self):
+        raise AssertionError("elements listed before the budget check")
+
+    ext_type = type(FieldSpec.quadratic(32003))
+    monkeypatch.setattr(ext_type, "elements", refuse)
+    names = tuple(f"x{i}" for i in range(4))
+    x0 = MultiPoly.variable(FieldSpec.prime(32003), names, "x0")
+    with pytest.raises(ResourceBudgetError) as err:
+        codim_probabilistic([x0 * x0], trials=1, seed=0)
+    assert "exceeds the budget" in str(err.value)
+
+
 def test_probabilistic_deterministic_in_seed():
     x, y, z = fv()
     gens = [x * y + z * z]
