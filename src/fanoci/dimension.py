@@ -17,9 +17,10 @@ The probabilistic oracle estimates the cone dimension by slicing with
 random linear subspaces over GF(p^e), e <= 2, and testing by point
 enumeration whether anything beyond the origin survives (the default e = 2
 scan covers the GF(p)-points inside GF(p^2)).  The forms are restricted
-once to each slice, by composing them with its parametrization, and the
-scan evaluates the restricted forms.  It exists to cross-validate the exact
-kernel, never to replace it.
+once to each slice, by composing them with its parametrization
+(``polynomials.parametrize_span``, which the reduced regularity check
+shares), and the scan evaluates the restricted forms.  It exists to
+cross-validate the exact kernel, never to replace it.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import List, Optional, Sequence, Tuple
 from .errors import InputError, ResourceBudgetError, UnsupportedModeError
 from .fields import Element, FieldSpec, nullspace, rref
 from .groebner import GroebnerBasis, TermOrder, groebner_basis, staircase_dimension
-from .polynomials import MultiPoly
+from .polynomials import MultiPoly, parametrize_span
 from .rationals import format_rational
 
 EXACT = "exact"
@@ -268,11 +269,7 @@ def _poly_vanishes_on_subspace(
         )
     elements = ext.elements()
     params = tuple(f"t{i}" for i in range(1, m + 1))
-    units = [tuple(int(i == j) for j in range(m)) for i in range(m)]
-    images = [
-        MultiPoly.from_terms(ext, params, zip(units, coords))
-        for coords in zip(*kernel_basis)
-    ]
+    images = parametrize_span(ext, kernel_basis, params, len(kernel_basis[0]))
     restricted = [poly.substitute(images) for poly in polys]
     for lead in range(m):
         # projective representative: zeros, then 1, then free coordinates

@@ -249,19 +249,17 @@ def groebner_basis(
         if not any(_divides(lead[k], lead[i]) for k in keep):
             keep.append(i)
     minimal = [basis[i] for i in keep]
-    # inter-reduce tails until stable
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(minimal)):
-            others = minimal[:i] + minimal[i + 1 :]
-            reduced = normal_form(minimal[i], others, resolved)
-            if reduced.terms != minimal[i].terms:
-                if reduced.is_zero():
-                    raise AssertionError("minimal generator reduced to zero")
-                _, lc = leading_term(reduced, resolved)
-                minimal[i] = reduced.scale(fld.inv(lc))
-                changed = True
+    # inter-reduce tails; one pass suffices because reduction never changes
+    # a leading term, so a generator reduced against the others' leading
+    # terms stays reduced when their tails change later
+    for i in range(len(minimal)):
+        others = minimal[:i] + minimal[i + 1 :]
+        reduced = normal_form(minimal[i], others, resolved)
+        if reduced.terms != minimal[i].terms:
+            if reduced.is_zero():
+                raise AssertionError("minimal generator reduced to zero")
+            _, lc = leading_term(reduced, resolved)
+            minimal[i] = reduced.scale(fld.inv(lc))
     minimal.sort(key=lambda g: resolved.key(leading_term(g, resolved)[0]), reverse=True)
     return GroebnerBasis(tuple(minimal), order, fld, variables)
 

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from random import Random
-from typing import Dict, Iterable, Iterator, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 from .errors import InputError
-from .fields import Element, FieldSpec
+from .fields import Element, FieldSpec, nullspace
 
 Exponents = Tuple[int, ...]
 
@@ -95,6 +95,17 @@ class MultiPoly:
         exps = tuple(1 if v == name else 0 for v in variables)
         return cls.from_terms(fieldspec, variables, {exps: 1})
 
+    @classmethod
+    def linear(
+        cls, fieldspec: FieldSpec, variables: Sequence[str], row: Sequence[Element]
+    ) -> "MultiPoly":
+        """The linear form sum_i row[i] * variables[i]."""
+        n = len(variables)
+        if len(row) != n:
+            raise InputError(f"coefficient row has length {len(row)}, expected {n}")
+        units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        return cls.from_terms(fieldspec, variables, zip(units, row))
+
     # -- basic queries -----------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -112,6 +123,15 @@ class MultiPoly:
 
     def coefficient(self, exponents: Exponents) -> Element:
         return self.terms.get(tuple(exponents), self.field.zero())
+
+    def linear_row(self) -> List[Element]:
+        """Coefficient row of a homogeneous linear form (zero allowed)."""
+        row = [self.field.zero()] * len(self.variables)
+        for exps, coeff in self.terms.items():
+            if sum(exps) != 1:
+                raise InputError("expected a homogeneous linear form")
+            row[exps.index(1)] = coeff
+        return row
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -232,26 +252,7 @@ class MultiPoly:
         linear = self._coerce_operand(linear)
         if linear.is_zero() or not linear.is_homogeneous() or linear.total_degree() != 1:
             raise InputError("restriction requires a nonzero homogeneous linear form")
-        coeffs = [linear.coefficient(_unit(len(self.variables), i)) for i in range(len(self.variables))]
-        pivot = max(i for i, c in enumerate(coeffs) if c)
-        reduced_vars = self.variables[:pivot] + self.variables[pivot + 1 :]
-        # x_pivot = -(sum of the other terms) / c_pivot on the hyperplane
-        substitution = MultiPoly.zero(self.field, reduced_vars)
-        inv_pivot = self.field.inv(coeffs[pivot])
-        for i, c in enumerate(coeffs):
-            if i == pivot or not c:
-                continue
-            factor = self.field.neg(self.field.mul(c, inv_pivot))
-            substitution = substitution + MultiPoly.variable(
-                self.field, reduced_vars, self.variables[i]
-            ).scale(factor)
-        images = [
-            substitution
-            if i == pivot
-            else MultiPoly.variable(self.field, reduced_vars, v)
-            for i, v in enumerate(self.variables)
-        ]
-        return self.substitute(images)
+        return restrict_to_common_zeros([self], [linear])[0]
 
     def substitute(self, images: Sequence["MultiPoly"]) -> "MultiPoly":
         """Compose with the substitution of ``images[i]`` for variable i.
@@ -325,8 +326,50 @@ class MultiPoly:
         return " + ".join(pieces)
 
 
-def _unit(n: int, i: int) -> Exponents:
-    return tuple(1 if j == i else 0 for j in range(n))
+def parametrize_span(
+    fieldspec: FieldSpec,
+    basis: Sequence[Sequence[Element]],
+    params: Sequence[str],
+    n: int,
+) -> List[MultiPoly]:
+    """Images of the n ambient variables under t -> sum_i t_i * basis[i].
+
+    ``params`` names the t_i.  Composing a polynomial with the images
+    (``MultiPoly.substitute``) restricts it to the span of ``basis``.
+    """
+    return [
+        MultiPoly.linear(fieldspec, params, [vec[i] for vec in basis]) for i in range(n)
+    ]
+
+
+def restrict_to_common_zeros(
+    polys: Sequence[MultiPoly], forms: Sequence[MultiPoly]
+) -> List[MultiPoly]:
+    """Restrict ``polys`` to the common zeros of independent linear ``forms``.
+
+    Each form eliminates one variable: the eliminated ones are the pivots
+    of the forms' coefficient rows reduced from the last column backwards,
+    i.e. the highest-index independent columns.  The subspace is then the
+    graph of a linear map over the surviving variables, and the result lives
+    in those variables.  That graph is unique, so restricting to one
+    hyperplane after another, each time eliminating the highest-index
+    variable the restricted form carries, gives the same polynomials.
+    """
+    fieldspec, variables = forms[0].field, forms[0].variables
+    for g in [*polys, *forms]:
+        if g.field != fieldspec or g.variables != variables:
+            raise InputError("polynomials over different rings")
+    n = len(variables)
+    backwards = nullspace([form.linear_row()[::-1] for form in forms], fieldspec, n)
+    if len(backwards) != n - len(forms):
+        raise InputError("the linear forms are dependent")
+    basis = [vec[::-1] for vec in reversed(backwards)]
+    # a kernel vector is 1 at its surviving variable, 0 at the other
+    # survivors and nonzero elsewhere only at eliminated variables of higher
+    # index, so its first nonzero entry names the survivor
+    survivors = [variables[next(i for i, c in enumerate(vec) if c)] for vec in basis]
+    images = parametrize_span(fieldspec, basis, survivors, n)
+    return [poly.substitute(images) for poly in polys]
 
 
 def monomials_of_degree(n_vars: int, degree: int) -> Iterator[Exponents]:

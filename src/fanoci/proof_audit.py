@@ -297,7 +297,6 @@ class TailCase:
     independent_subtraction: int
     independent_bound: int
     printed_closed_form: Fraction
-    recomputed_closed_form: Fraction
     test_lhs: int
     test_rhs: int
 
@@ -395,7 +394,6 @@ def check_tail_bounds(degrees: DegreeTuple) -> TailBoundReport:
                 independent_subtraction=indep_sub,
                 independent_bound=total - indep_sub,
                 printed_closed_form=closed_form,
-                recomputed_closed_form=Fraction(paper_bound),
                 test_lhs=(paper_bound - b) * (M - b - 2),
                 test_rhs=2 * M,
             )
@@ -520,41 +518,18 @@ def _printed_bracket_m3(k: int, M: int) -> Fraction:
     )
 
 
-def _largest_k_satisfying(predicate, hi_start: int) -> int:
-    """Largest integer k >= 1 with predicate(k) true, by exact binary search.
-
-    The bracket expressions are strictly decreasing in k for k >= 1 (their
-    only k-dependence is a positive multiple of 1/k plus constants), so a
-    binary search over a verified bracket is exact.
-    """
-    if not predicate(1):
-        return 0
-    hi = hi_start
-    while predicate(hi):
-        hi *= 2
-    lo = 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if predicate(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
 def check_threshold_equivalences(k: int, M: int) -> ThresholdReport:
-    """The printed bracket tests, their claimed closed forms, and derived caps."""
+    """The printed bracket tests, their claimed closed forms, and derived caps.
+
+    The printed m4 bracket simplifies to (M-3)^2/k + M + 3, which is >= 2M
+    iff k <= M-3; the printed m3 bracket to (M-2)^2/(2k) + M/2, which is
+    >= 2M iff k <= (M-2)^2/(3M).  The derived caps are those bounds.
+    """
     if k < 2 or M < 7:
         raise InputError(f"need k >= 2 and M >= 7, got ({k}, {M})")
     two_m = Fraction(2 * M)
     claimed_m4_rhs = Fraction((M - 3) ** 2, M)
     claimed_m3_rhs = Fraction((M - 2) ** 2, 3 * M - 2)
-    derived_m4 = _largest_k_satisfying(
-        lambda x: _printed_bracket_m4(x, M) >= two_m, max(4, M)
-    )
-    derived_m3 = _largest_k_satisfying(
-        lambda x: _printed_bracket_m3(x, M) >= two_m, max(4, M)
-    )
     return ThresholdReport(
         k=k,
         M=M,
@@ -562,8 +537,8 @@ def check_threshold_equivalences(k: int, M: int) -> ThresholdReport:
         printed_m3=(_printed_bracket_m3(k, M), two_m),
         claimed_m4=(Fraction(k), claimed_m4_rhs),
         claimed_m3=(Fraction(k), claimed_m3_rhs),
-        derived_m4_cap=derived_m4,
-        derived_m3_cap=derived_m3,
+        derived_m4_cap=M - 3,
+        derived_m3_cap=(M - 2) ** 2 // (3 * M),
         claimed_m4_cap=int(claimed_m4_rhs),
         claimed_m3_cap=int(claimed_m3_rhs),
     )

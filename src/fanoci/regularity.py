@@ -14,6 +14,14 @@ the sequence {l} together with {q_{i,j} : (i,j) in I} cuts the origin's
 local ring down by codimension #I + 1, i.e. forms a regular sequence.
 This module assembles that sequence (pairs ordered by (i, j), l first)
 and delegates the prefix codimension decisions to the dimension kernel.
+A form l is admissible when it does not vanish on T_oV, i.e. l . v != 0
+for some vector v of the tangent basis.
+
+The reduced check removes the k+1 independent linear members (l and the
+q_{i,1}) in one substitution: the other members are composed with the
+parametrization of their common zeros as a graph over the M-1 surviving
+variables (``polynomials.restrict_to_common_zeros``), leaving M-2 forms in
+M-1 variables.
 
 A full check over all admissible l is impossible; ``sampled_regularity_check``
 draws a fixed number of random forms and reports the conjunction, labelled
@@ -42,8 +50,8 @@ from .dimension import (
 )
 from .errors import InputError, ResourceBudgetError
 from .families import DegreeTuple
-from .fields import Element, FieldSpec, nullspace, rref
-from .polynomials import MultiPoly, random_poly
+from .fields import Element, FieldSpec, nullspace
+from .polynomials import MultiPoly, random_poly, restrict_to_common_zeros
 
 REGULAR = "regular"
 IRREGULAR = "irregular"
@@ -89,28 +97,6 @@ def index_set(degrees: DegreeTuple) -> IndexSet:
 
 
 # ---------------------------------------------------------------------------
-# Linear forms as coefficient rows
-# ---------------------------------------------------------------------------
-
-
-def _linear_coefficients(form: MultiPoly) -> List[Element]:
-    n = len(form.variables)
-    coeffs = [form.field.zero()] * n
-    for exps, coeff in form.terms.items():
-        if sum(exps) != 1:
-            raise InputError("expected a homogeneous linear form")
-        coeffs[exps.index(1)] = coeff
-    return coeffs
-
-
-def _in_row_span(
-    rows: List[List[Element]], rank: int, vec: List[Element], field: FieldSpec
-) -> bool:
-    """Whether ``vec`` lies in the span of ``rows``, whose rank is ``rank``."""
-    return len(rref(rows + [vec], field)[1]) == rank
-
-
-# ---------------------------------------------------------------------------
 # Tangent space
 # ---------------------------------------------------------------------------
 
@@ -123,6 +109,20 @@ class TangentSpace:
     codimension: int
     is_singular: bool  # the forms were dependent (kernel larger than expected)
 
+    def is_annihilated_by(self, row: Sequence[Element], field: FieldSpec) -> bool:
+        """Whether the linear form with coefficient ``row`` vanishes on the space.
+
+        The annihilator of the kernel of the linear parts is their span, so
+        this is membership of ``row`` in that span.
+        """
+        for vec in self.basis:
+            total = field.zero()
+            for a, b in zip(row, vec):
+                total = field.add(total, field.mul(a, b))
+            if total:
+                return False
+        return True
+
 
 def tangent_space(linear_parts: Sequence[MultiPoly]) -> TangentSpace:
     """Kernel of the linear parts; singular when they are dependent."""
@@ -130,7 +130,7 @@ def tangent_space(linear_parts: Sequence[MultiPoly]) -> TangentSpace:
         raise InputError("need at least one linear form")
     n = len(linear_parts[0].variables)
     basis = nullspace(
-        [_linear_coefficients(form) for form in linear_parts], linear_parts[0].field, n
+        [form.linear_row() for form in linear_parts], linear_parts[0].field, n
     )
     rank = n - len(basis)
     return TangentSpace(
@@ -258,13 +258,24 @@ def assemble_sequence(ci: PointedCI, linear_form: MultiPoly) -> List[MultiPoly]:
     ]
 
 
-def _validate_linear_form(ci: PointedCI, linear_form: MultiPoly, rank: int) -> None:
+def _singular_report(ci: PointedCI, linear_form: Optional[MultiPoly]) -> RegularityReport:
+    return RegularityReport(
+        SINGULAR,
+        (),
+        linear_form,
+        target_codimension=len(index_set(ci.degrees)) + 1,
+        note="dependent linear parts: the intersection is singular at the origin",
+    )
+
+
+def _validate_linear_form(
+    ci: PointedCI, linear_form: MultiPoly, tangent: TangentSpace
+) -> None:
     if linear_form.field != ci.field or linear_form.variables != ci.variables:
         raise InputError("linear form must live in the ambient ring")
     if linear_form.is_zero() or linear_form.total_degree() != 1 or not linear_form.is_homogeneous():
         raise InputError("l must be a nonzero homogeneous linear form")
-    rows = [_linear_coefficients(form) for form in ci.linear_parts()]
-    if _in_row_span(rows, rank, _linear_coefficients(linear_form), ci.field):
+    if tangent.is_annihilated_by(linear_form.linear_row(), ci.field):
         raise InputError(
             "l vanishes identically on the tangent space at the origin; "
             "the regularity condition only quantifies over forms that do not"
@@ -285,53 +296,31 @@ def regularity_check(
     """Decide regularity of ``ci`` at the origin for one linear form.
 
     With ``reduce=True`` the k+1 independent linear members (l and the
-    tangent parts q_{i,1}) are eliminated first by restricting everything
-    to their common zero hyperplanes, and only the remaining M-2 forms in
-    M-1 variables are fed to the dimension kernel.  The verdict is the
-    same either way; the trace then refers to the shortened sequence.
+    tangent parts q_{i,1}) are eliminated first: the other members are
+    restricted in one substitution to the common zeros of those k+1 forms,
+    a subspace parametrized by the M-1 surviving variables, and only the
+    remaining M-2 forms are fed to the dimension kernel.  The verdict is
+    the same either way; the trace then refers to the shortened sequence.
     """
     tangent = ci.tangent()
     if tangent.is_singular:
-        return RegularityReport(
-            SINGULAR,
-            (),
-            linear_form,
-            target_codimension=len(index_set(ci.degrees)) + 1,
-            note="dependent linear parts: the intersection is singular at the origin",
-        )
-    _validate_linear_form(ci, linear_form, tangent.codimension)
+        return _singular_report(ci, linear_form)
+    _validate_linear_form(ci, linear_form, tangent)
     pairs = index_set(ci.degrees)
-    target = len(pairs) + 1
-
-    if not reduce:
+    if reduce:
+        tail = [ci.part(i, j) for i, j in pairs.sorted_pairs if j >= 2]
+        sequence = restrict_to_common_zeros(tail, [linear_form] + ci.linear_parts())
+    else:
         sequence = assemble_sequence(ci, linear_form)
-        result = is_regular_sequence(
-            sequence,
-            kernel=kernel,
-            max_variables=max_variables,
-            max_generators=max_generators,
-            trials=trials,
-            seed=seed,
-        )
-        return _report_from_result(result, linear_form, target, reduced=False)
-
-    remaining = [linear_form] + ci.linear_parts()
-    tail = [ci.part(i, j) for i, j in pairs.sorted_pairs if j >= 2]
-    while remaining:
-        form = remaining.pop(0)
-        if form.is_zero():
-            raise AssertionError("independent linear member restricted to zero")
-        remaining = [g.restrict_to_hyperplane(form) for g in remaining]
-        tail = [g.restrict_to_hyperplane(form) for g in tail]
     result = is_regular_sequence(
-        tail,
+        sequence,
         kernel=kernel,
         max_variables=max_variables,
         max_generators=max_generators,
         trials=trials,
         seed=seed,
     )
-    return _report_from_result(result, linear_form, target, reduced=True)
+    return _report_from_result(result, linear_form, len(pairs) + 1, reduce)
 
 
 def _report_from_result(
@@ -392,23 +381,17 @@ class SampledRegularityReport:
 
 
 def _random_admissible_form(
-    ci: PointedCI, rng: Random, rank: int, max_tries: int = 200
+    ci: PointedCI, rng: Random, tangent: TangentSpace, max_tries: int = 200
 ) -> MultiPoly:
     field = ci.field
     n = ci.degrees.ambient
-    rows = [_linear_coefficients(f) for f in ci.linear_parts()]
     for _ in range(max_tries):
         coeffs = [field.random_element(rng) for _ in range(n)]
         if not any(coeffs):
             continue
-        if _in_row_span(rows, rank, coeffs, field):
+        if tangent.is_annihilated_by(coeffs, field):
             continue
-        terms = {
-            tuple(1 if i == j else 0 for j in range(n)): c
-            for i, c in enumerate(coeffs)
-            if c
-        }
-        return MultiPoly.from_terms(field, ci.variables, terms)
+        return MultiPoly.linear(field, ci.variables, coeffs)
     raise ResourceBudgetError(
         f"failed to sample a linear form off the tangent span in {max_tries} tries"
     )
@@ -425,18 +408,11 @@ def sampled_regularity_check(
         raise InputError("samples must be >= 1")
     tangent = ci.tangent()
     if tangent.is_singular:
-        report = RegularityReport(
-            SINGULAR,
-            (),
-            None,
-            target_codimension=len(index_set(ci.degrees)) + 1,
-            note="dependent linear parts: the intersection is singular at the origin",
-        )
-        return SampledRegularityReport((report,), samples)
+        return SampledRegularityReport((_singular_report(ci, None),), samples)
     rng = Random(seed)
     reports = []
     for _ in range(samples):
-        form = _random_admissible_form(ci, rng, tangent.codimension)
+        form = _random_admissible_form(ci, rng, tangent)
         reports.append(regularity_check(ci, form, **check_kwargs))
     return SampledRegularityReport(tuple(reports), samples)
 
@@ -467,25 +443,18 @@ def random_complete_intersection(
         for d in degrees.degrees:
             f = MultiPoly.zero(field, variables)
             for j in range(1, d + 1):
-                part = random_poly(
-                    j, variables, field, homogeneous=True, seed=master.getrandbits(63)
-                )
-                if j == d:
-                    redraws = 0
-                    while part.is_zero():
-                        redraws += 1
-                        if redraws > max_part_redraws:
-                            raise ResourceBudgetError(
-                                "could not draw a nonzero top-degree part"
-                                f" in {max_part_redraws} redraws"
-                            )
-                        part = random_poly(
-                            j,
-                            variables,
-                            field,
-                            homogeneous=True,
-                            seed=master.getrandbits(63),
-                        )
+                # only the top-degree part must be nonzero; it is redrawn
+                for _ in range(1 + max_part_redraws):
+                    part = random_poly(
+                        j, variables, field, homogeneous=True, seed=master.getrandbits(63)
+                    )
+                    if j < d or not part.is_zero():
+                        break
+                else:
+                    raise ResourceBudgetError(
+                        "could not draw a nonzero top-degree part"
+                        f" in {max_part_redraws} redraws"
+                    )
                 f = f + part
             equations.append(f)
         instance = PointedCI(degrees, field, tuple(equations))

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 
@@ -242,3 +243,42 @@ def test_regcheck_non_integer_coefficient_exit_2(tmp_path, bad):
     code, output = invoke(["regcheck", "--input", str(path), "--samples", "1"])
     assert code == 2
     assert output == ""
+
+
+# sha256 of the stdout of `regcheck --reduce` and of `randomci --reduce` on
+# small seeded instances over GF(101): the instance draws, the sampled
+# forms and the restriction to their common zeros all feed them.
+PINNED_REDUCED_OUTPUTS = {
+    (2, 4): (
+        "25f8cadbac702e5c8696ef412ce7f1f4f3420a6912e4738d803a950128118630",
+        "75bee3b14990deabcc2b60c8d086b274967bc4c913265903b945f9bc6e1fe473",
+    ),
+    (3, 3): (
+        "25f8cadbac702e5c8696ef412ce7f1f4f3420a6912e4738d803a950128118630",
+        "28e3babe3af1f8b1b810bfc3a61ddea7fdfdc0feec7f01f433664ca1425c4b98",
+    ),
+    (2, 2, 3): (
+        "35624295dcf5f2bfe0a8b9dcc5dd7e74d35c51170ba0f4b7da8c4f3ab588a7b2",
+        "5da17343e016c79d230308457a7b72005ec42746a5696301eb44231899dac18c",
+    ),
+}
+
+
+@pytest.mark.parametrize("degrees", list(PINNED_REDUCED_OUTPUTS))
+def test_reduced_outputs_pinned(tmp_path, degrees):
+    ci = random_complete_intersection(DegreeTuple(degrees), FieldSpec.prime(101), seed=3)
+    path = tmp_path / "ci.json"
+    path.write_text(json.dumps(ci.to_json()))
+    runs = [
+        ["regcheck", "--input", str(path), "--reduce", "--samples", "3", "--seed", "1"],
+        [
+            "randomci", "--degrees", ",".join(map(str, degrees)), "--field", "gf:101",
+            "--trials", "4", "--samples", "2", "--seed", "2", "--reduce",
+        ],
+    ]
+    digests = []
+    for argv in runs:
+        code, output = invoke(argv)
+        assert code == 0
+        digests.append(hashlib.sha256(output.encode()).hexdigest())
+    assert tuple(digests) == PINNED_REDUCED_OUTPUTS[degrees]

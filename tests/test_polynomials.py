@@ -5,7 +5,12 @@ from hypothesis import given, settings, strategies as st
 
 from fanoci.errors import InputError
 from fanoci.fields import FieldSpec
-from fanoci.polynomials import MultiPoly, monomials_of_degree, random_poly
+from fanoci.polynomials import (
+    MultiPoly,
+    monomials_of_degree,
+    random_poly,
+    restrict_to_common_zeros,
+)
 
 Q = FieldSpec.rationals()
 F5 = FieldSpec.prime(5)
@@ -171,13 +176,11 @@ def test_restriction_is_a_ring_map(seed):
 
 @pytest.mark.parametrize("seed", range(25))
 def test_evaluation_commutes_with_restriction(seed):
-    from fanoci.regularity import _linear_coefficients
-
     f, _ = _random_pair(seed)
     ell = random_poly(1, f.variables, F5, homogeneous=True, seed=seed + 301)
     if ell.is_zero():
         pytest.skip("zero form drawn")
-    coeffs = _linear_coefficients(ell)
+    coeffs = ell.linear_row()
     pivot = max(i for i, c in enumerate(coeffs) if c)
     restricted = f.restrict_to_hyperplane(ell)
     from random import Random
@@ -196,6 +199,53 @@ def test_evaluation_commutes_with_restriction(seed):
     lifted = partial[:pivot] + [lifted_value] + partial[pivot:]
     assert ell.evaluate(lifted) == 0
     assert restricted.evaluate(reduced_point) == f.evaluate(lifted)
+
+
+def _restrict_one_hyperplane_at_a_time(polys, forms):
+    forms = list(forms)
+    while forms:
+        form = forms.pop(0)
+        forms = [g.restrict_to_hyperplane(form) for g in forms]
+        polys = [g.restrict_to_hyperplane(form) for g in polys]
+    return polys
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_one_shot_restriction_equals_the_hyperplane_chain(seed):
+    from random import Random
+
+    rng = Random(seed)
+    field = rng.choice([F5, FieldSpec.prime(101)])
+    V = tuple(f"z{i}" for i in range(1, rng.choice([4, 5, 6]) + 1))
+    forms = []
+    for i in range(rng.choice([1, 2, 3])):
+        row = random_poly(1, V, field, homogeneous=True, seed=seed + 500 * i).linear_row()
+        # sparse rows too, so that the eliminated variables are not all last
+        forms.append(MultiPoly.linear(field, V, [c if rng.random() < 0.6 else 0 for c in row]))
+    polys = [
+        random_poly(d, V, field, homogeneous=False, seed=seed + 7 * d) for d in (1, 2, 3)
+    ]
+    try:
+        expected = _restrict_one_hyperplane_at_a_time(polys, forms)
+    except InputError:  # a form restricted to zero: the forms are dependent
+        with pytest.raises(InputError):
+            restrict_to_common_zeros(polys, forms)
+        return
+    got = restrict_to_common_zeros(polys, forms)
+    assert [g.variables for g in got] == [g.variables for g in expected]
+    assert [list(g.terms.items()) for g in got] == [list(g.terms.items()) for g in expected]
+
+
+def test_linear_form_row_roundtrip():
+    V = ("x", "y", "z")
+    ell = MultiPoly.linear(F5, V, [3, 0, 7])
+    assert ell.terms == {(1, 0, 0): 3, (0, 0, 1): 2}
+    assert ell.linear_row() == [3, 0, 2]
+    assert MultiPoly.linear(F5, V, [0, 0, 0]).linear_row() == [0, 0, 0]
+    with pytest.raises(InputError):
+        MultiPoly.linear(F5, V, [1, 2])
+    with pytest.raises(InputError):
+        (ell * ell).linear_row()
 
 
 @given(st.integers(min_value=0, max_value=10**9), st.integers(min_value=0, max_value=10**9))

@@ -9,6 +9,8 @@ from fanoci.proof_audit import (
     OUT_OF_HYPOTHESIS,
     PASS,
     VACUOUS,
+    _printed_bracket_m3,
+    _printed_bracket_m4,
     audit_range,
     check_quadratic_margin,
     check_small_degree_codim,
@@ -298,6 +300,20 @@ def test_threshold_derived_caps():
         assert report.derived_m4_cap >= report.claimed_m4_cap
         assert report.derived_m3_cap == int(Fraction((M - 2) ** 2, 3 * M))
         assert report.derived_m3_cap <= report.claimed_m3_cap
+
+
+def test_threshold_derived_caps_are_the_largest_k_on_the_printed_brackets():
+    # evaluated on the printed brackets themselves, not their simplifications;
+    # both decrease in k, so holding at cap and failing at cap + 1 pins it
+    for M in range(7, 301):
+        report = check_threshold_equivalences(2, M)
+        for bracket, cap in (
+            (_printed_bracket_m4, report.derived_m4_cap),
+            (_printed_bracket_m3, report.derived_m3_cap),
+        ):
+            assert cap >= 1
+            assert bracket(cap, M) >= 2 * M
+            assert bracket(cap + 1, M) < 2 * M
 
 
 def test_threshold_monotonicity_in_m():

@@ -2,8 +2,8 @@ from random import Random
 
 import pytest
 
-from fanoci.dimension import PROBABILISTIC
-from fanoci.errors import InputError
+from fanoci.dimension import PROBABILISTIC, is_regular_sequence
+from fanoci.errors import InputError, ResourceBudgetError
 from fanoci.families import DegreeTuple
 from fanoci.fields import FieldSpec
 from fanoci.polynomials import MultiPoly
@@ -186,6 +186,33 @@ def test_reduced_mode_verdict_equivalence_worked_instances():
         assert reduced.reduced
 
 
+@pytest.mark.parametrize(
+    "second_quadric, verdict, reduced_trace",
+    [("z2^2", "irregular", (1, 1)), ("z4^2", "regular", (1, 2))],
+)
+def test_reduced_trace_on_a_sparse_instance(second_quadric, verdict, reduced_trace):
+    # l = z1 and the linear parts z5, z6 are coordinates, so the reduction
+    # only drops those variables: the reduced trace is the unreduced
+    # kernel's trace past the k+1 linear members, shifted down by k+1
+    names, v = variables_of(6)
+    q = {"z2^2": v["z2"] ** 2, "z4^2": v["z4"] ** 2}[second_quadric]
+    ci = PointedCI(
+        DegreeTuple((3, 3)),
+        Q,
+        (v["z5"] + v["z2"] * v["z3"] + v["z1"] ** 3, v["z6"] + q + v["z4"] ** 3),
+    )
+    ell = v["z1"]
+    full = regularity_check(ci, ell)
+    reduced = regularity_check(ci, ell, reduce=True)
+    assert full.verdict == reduced.verdict == verdict
+    assert reduced.trace == reduced_trace
+    linear_first = is_regular_sequence(
+        [ell] + ci.linear_parts() + [ci.part(1, 2), ci.part(2, 2)]
+    )
+    assert linear_first.trace[:3] == (1, 2, 3)
+    assert reduced.trace == tuple(c - 3 for c in linear_first.trace[3:])
+
+
 def test_reduced_mode_equivalence_random_instances():
     for seed in range(12):
         ci = random_complete_intersection(DegreeTuple((2, 3)), F101, seed=seed)
@@ -291,6 +318,33 @@ def test_random_ci_small_field_singular_flags_occur():
     )
     # observed frequency is logged, no fixed threshold asserted beyond existence
     assert flags > 0
+
+
+@pytest.mark.parametrize("zero_top_draws, raises", [(3, False), (4, True)])
+def test_random_ci_top_part_redraw_budget(monkeypatch, zero_top_draws, raises):
+    import fanoci.regularity as regularity
+
+    draws = []
+
+    def fake_random_poly(degree, variables, field, homogeneous, seed):
+        draws.append((degree, seed))
+        if degree == 2 and len(draws) <= zero_top_draws + 1:
+            return MultiPoly.zero(field, variables)
+        return MultiPoly.variable(field, variables, variables[0]) ** degree
+
+    monkeypatch.setattr(regularity, "random_poly", fake_random_poly)
+    # the first part of f_1 is linear, then up to 1 + 3 top-degree draws
+    if raises:
+        with pytest.raises(ResourceBudgetError):
+            random_complete_intersection(DegreeTuple((2, 2)), F101, max_part_redraws=3)
+        assert [d for d, _ in draws] == [1, 2, 2, 2, 2]
+    else:
+        random_complete_intersection(
+            DegreeTuple((2, 2)), F101, max_part_redraws=3, max_attempts=1
+        )
+        assert [d for d, _ in draws] == [1, 2, 2, 2, 2, 1, 2]
+    master = Random(0)
+    assert [seed for _, seed in draws] == [master.getrandbits(63) for _ in draws]
 
 
 def test_pointed_ci_json_roundtrip():
