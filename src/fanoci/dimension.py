@@ -33,7 +33,13 @@ from typing import List, Optional, Sequence, Tuple
 
 from .errors import InputError, ResourceBudgetError, UnsupportedModeError
 from .fields import Element, FieldSpec, nullspace, rref
-from .groebner import GroebnerBasis, TermOrder, groebner_basis, staircase_dimension
+from .groebner import (
+    GroebnerBasis,
+    GroebnerEngine,
+    TermOrder,
+    groebner_basis,
+    staircase_dimension,
+)
 from .polynomials import MultiPoly, parametrize_span
 from .rationals import format_rational
 
@@ -207,7 +213,7 @@ def is_regular_sequence(
         _check_budget(n, min(len(generators), n + 1), max_variables, max_generators)
 
     trace: List[int] = []
-    basis: GroebnerBasis | None = None
+    engine = GroebnerEngine(fieldspec, variables, order) if kernel == EXACT else None
     current: List[MultiPoly] = []
     codim = 0
     for j, g in enumerate(generators, start=1):
@@ -224,9 +230,10 @@ def is_regular_sequence(
             )
         current.append(g)
         if kernel == EXACT:
-            seeded = list(basis.generators) + [g] if basis is not None else [g]
-            basis = groebner_basis(seeded, order)
-            codim = n - cone_dimension(basis)
+            # the engine keeps the basis of the previous prefix, so only the
+            # pairs with the new form's elements are formed and reduced
+            engine.add(g)
+            codim = n - staircase_dimension(engine.leading_exponents(), n)
         else:
             codim = codim_probabilistic(
                 current,

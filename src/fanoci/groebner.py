@@ -1,10 +1,42 @@
 """Buchberger's algorithm and staircase combinatorics.
 
 The engine computes the unique reduced Groebner basis of an ideal given by
-sparse polynomials over an exact field, under graded reverse lexicographic
-(default) or lexicographic order.  Pair selection follows the normal
-strategy (smallest lcm degree first) and applies the two classical pair
-elimination criteria, so runs are deterministic for a fixed input.
+sparse polynomials over the rationals or GF(p), under graded reverse
+lexicographic (default) or lexicographic order.
+
+Inside the engine a monomial is one packed integer, its *key*: one slot of
+``_SLOT`` bits per variable, so that comparing keys is comparing monomials
+and adding keys multiplies them (Monagan & Pearce 2007).  Under lex the
+slots hold the exponents, most significant variable on top.  Under grevlex
+slot j-1, counted from the bottom, holds the partial sum x_1 + ... + x_j of
+the exponents, x_1 being the most significant variable, so the top slot
+holds the degree; the exponents are recovered by one shift and one
+subtraction.  Divisibility and least common multiples act slotwise on the
+exponent packing, with the top bit of every slot as a guard bit.  Inputs
+and basis elements must have degree below 2**(_SLOT - 2), so that an lcm
+of two stays below 2**(_SLOT - 1), and every product is checked against
+the guard bits: a monomial that would leave the range raises
+``ResourceBudgetError`` rather than overflow into its neighbour slot.
+Each basis element keeps its leading key and its tail, sorted once.
+
+Division keeps the pending terms in a dictionary and their keys in a
+max-heap (heapq on negated keys), so each step pops the largest term
+instead of scanning for it; coefficients mod p are reduced when popped.
+
+The state is incremental (``GroebnerEngine``): adding a generator reduces
+it by the current basis and forms only the pairs that involve the new
+element.  The Gebauer-Moeller update (Gebauer & Moeller 1988) keeps one
+pair per minimal lcm among the new pairs, drops pairs with coprime leading
+terms, deletes old pairs by the chain criterion and retires elements whose
+leading term the new one divides.  The pending pairs sit in a heap ordered
+by sugar, then lcm: for homogeneous input the sugar of a pair is the
+degree of its lcm, so this is the normal strategy (smallest lcm degree,
+then smallest lcm), and for other input it keeps lex runs from wandering
+into high degrees.  Retired elements stay in the ideal and keep serving as
+reducers, oldest first.  After every ``add`` the active elements form a
+minimal Groebner basis of the ideal so far; ``reduced`` tail-reduces them
+into the reduced basis, and ``groebner_basis`` feeds every generator and
+then does exactly that.  Runs are deterministic for a fixed input.
 
 Dimension of the quotient ring is read off the staircase: it is the size
 of the largest subset S of variables such that no leading term of the
@@ -18,7 +50,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from heapq import heapify, heappop, heappush
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InputError, ResourceBudgetError
 from .fields import Element, FieldSpec
@@ -26,6 +59,19 @@ from .polynomials import Exponents, MultiPoly, grevlex_key
 
 GREVLEX = "grevlex"
 LEX = "lex"
+
+_SLOT = 32  # bits per packed exponent slot, the top one a guard bit
+_LIMIT = 1 << (_SLOT - 1)  # every slot value stays below this
+
+
+def _check_degree(degree: int) -> None:
+    if degree >= _LIMIT >> 1:
+        raise ResourceBudgetError(
+            f"monomial degree {degree} is beyond the packed range"
+            f" (below 2**{_SLOT - 2})"
+        )
+
+Term = Tuple[int, Element]  # (packed key, coefficient)
 
 
 @dataclass(frozen=True)
@@ -76,73 +122,192 @@ def leading_term(poly: MultiPoly, order: _ResolvedOrder) -> Tuple[Exponents, Ele
     return exps, poly.terms[exps]
 
 
-def _divides(a: Exponents, b: Exponents) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+class _Element:
+    """A monic polynomial: leading key, tail terms in descending order, and
+    the slotwise maximum of its keys (to guard the products it enters)."""
+
+    __slots__ = ("key", "exps", "tail", "bound", "index", "sugar")
+
+    def __init__(self, key: int, exps: int, tail: List[Term], bound: int) -> None:
+        self.key = key
+        self.exps = exps
+        self.tail = tail
+        self.bound = bound
+        self.index = -1  # position in its engine, once added
+        self.sugar = 0  # its degree had the input been homogenized
 
 
-def _lcm(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(max(x, y) for x, y in zip(a, b))
+class _Ring:
+    """Packed monomials and coefficient arithmetic for one ring and order."""
 
+    def __init__(self, field: FieldSpec, n: int, order: _ResolvedOrder) -> None:
+        if not field.is_prime_field and field.characteristic:
+            raise InputError("Groebner bases are computed over the rationals or GF(p)")
+        self.p = field.characteristic  # 0 for the rationals
+        self.n = n
+        self.grevlex = order.kind == GREVLEX
+        self.permutation = order.permutation
+        # bit offset of the exponent of the variable of significance j
+        self.shifts = [
+            _SLOT * (j if self.grevlex else n - 1 - j) for j in range(n)
+        ]
+        self.mask = (1 << (_SLOT * n)) - 1
+        self.ones = sum(1 << (_SLOT * j) for j in range(n))
+        self.guard = self.ones << (_SLOT - 1)
+        self.top = _SLOT * (n - 1)
 
-def _sub_exps(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(x - y for x, y in zip(a, b))
+    # -- monomials --------------------------------------------------------
 
+    def key(self, exponents: Exponents) -> int:
+        _check_degree(sum(exponents))
+        packed = 0
+        for shift, i in zip(self.shifts, self.permutation):
+            packed |= exponents[i] << shift
+        return self.key_of(packed)
 
-def _monomial_times(poly: MultiPoly, exps: Exponents, coeff: Element) -> MultiPoly:
-    fld = poly.field
-    return MultiPoly.from_terms(
-        poly.field,
-        poly.variables,
-        {
-            tuple(x + y for x, y in zip(e, exps)): fld.mul(c, coeff)
-            for e, c in poly.terms.items()
-        },
-    )
+    def key_of(self, exps: int) -> int:
+        """Key of the monomial whose exponent packing is ``exps``."""
+        return (exps * self.ones) & self.mask if self.grevlex else exps
+
+    def exps_of(self, key: int) -> int:
+        """Exponent packing of ``key``, for divisibility and lcm tests."""
+        return key - ((key << _SLOT) & self.mask) if self.grevlex else key
+
+    def exponents(self, key: int) -> Exponents:
+        exps = self.exps_of(key)
+        out = [0] * self.n
+        for shift, i in zip(self.shifts, self.permutation):
+            out[i] = (exps >> shift) & (_LIMIT - 1)
+        return tuple(out)
+
+    def degree(self, key: int) -> int:
+        if self.grevlex:
+            return key >> self.top
+        return sum(self.exponents(key))
+
+    def slot_max(self, a: int, b: int) -> int:
+        """Slotwise maximum of two packings (the lcm of exponent packings)."""
+        guard = self.guard
+        ge = ((a | guard) - b) & guard  # guard bit kept where a >= b
+        select = ge - (ge >> (_SLOT - 1))
+        return (a & select) | (b & ~select)
+
+    # -- polynomials -------------------------------------------------------
+
+    def terms(self, poly: MultiPoly) -> List[Term]:
+        """The terms of ``poly`` as (key, coefficient), descending."""
+        return sorted(
+            ((self.key(e), c) for e, c in poly.terms.items()), reverse=True
+        )
+
+    def element(self, terms: List[Term]) -> _Element:
+        """The monic multiple of nonzero ``terms`` (descending) as an element."""
+        p = self.p
+        lead = terms[0][1]
+        if p:
+            inv = pow(lead, p - 2, p)
+            tail = [(k, c * inv % p) for k, c in terms[1:]]
+        else:
+            inv = 1 / lead
+            tail = [(k, c * inv) for k, c in terms[1:]]
+        key = terms[0][0]
+        return _Element(key, self.exps_of(key), tail, self.bound(terms))
+
+    def bound(self, terms: Iterable[Term]) -> int:
+        bound = 0
+        for k, _ in terms:
+            bound = self.slot_max(bound, k)
+        return bound
+
+    def poly(self, field: FieldSpec, variables, terms: Iterable[Term]) -> MultiPoly:
+        return MultiPoly.from_terms(
+            field, variables, {self.exponents(k): c for k, c in terms}
+        )
+
+    def divide(
+        self, seeds: Iterable[Tuple[int, Element, _Element | List[Term]]],
+        divisors: Sequence[_Element],
+    ) -> List[Term]:
+        """Remainder, descending, of the division of a sum by ``divisors``.
+
+        The dividend is the sum of f * m * t over the (m, f, t) in ``seeds``,
+        where m is a multiplier key and t an element's tail or a term list.
+        Each term, largest first, is reduced by the first divisor in list
+        order whose leading monomial divides it.
+        """
+        p, guard, mask, grevlex = self.p, self.guard, self.mask, self.grevlex
+        work: dict = {}
+        heap: List[int] = []
+
+        def add(m: int, f: Element, tail: List[Term], bound: int) -> None:
+            if (m + bound) & guard:
+                raise ResourceBudgetError(
+                    "a product leaves the packed monomial range"
+                    f" (exponents below 2**{_SLOT - 1})"
+                )
+            get = work.get
+            for k, c in tail:
+                k += m
+                old = get(k)
+                if old is None:
+                    work[k] = f * c
+                    heappush(heap, -k)
+                else:
+                    work[k] = old + f * c
+
+        for m, f, source in seeds:
+            if isinstance(source, _Element):
+                add(m, f, source.tail, source.bound)
+            else:
+                add(m, f, source, self.bound(source))
+        remainder: List[Term] = []
+        while heap:
+            k = -heappop(heap)
+            c = work.pop(k)
+            if p:
+                c %= p
+            if not c:
+                continue
+            exps = k - ((k << _SLOT) & mask) if grevlex else k
+            for g in divisors:
+                if not (exps - g.exps) & guard:
+                    add(k - g.key, p - c if p else -c, g.tail, g.bound)
+                    break
+            else:
+                remainder.append((k, c))
+        return remainder
 
 
 def normal_form(
     poly: MultiPoly, basis: Sequence[MultiPoly], order: _ResolvedOrder
 ) -> MultiPoly:
-    """Remainder of multivariate division of ``poly`` by ``basis``."""
+    """Remainder of multivariate division of ``poly`` by ``basis``.
+
+    The basis need not be monic; each term, largest first, is reduced by the
+    first basis element whose leading term divides it.
+    """
     if not basis:
         return poly
-    fld = poly.field
-    lts = [leading_term(g, order) for g in basis]
-    remainder: Dict[Exponents, Element] = {}
-    work = dict(poly.terms)
-    while work:
-        exps = max(work, key=order.key)
-        coeff = work.pop(exps)
-        for g, (g_exps, g_coeff) in zip(basis, lts):
-            if _divides(g_exps, exps):
-                factor = fld.div(coeff, g_coeff)
-                shift = _sub_exps(exps, g_exps)
-                for e, c in g.terms.items():
-                    if e == g_exps:
-                        continue
-                    target = tuple(x + y for x, y in zip(e, shift))
-                    value = fld.sub(
-                        work.get(target, fld.zero()), fld.mul(c, factor)
-                    )
-                    if value:
-                        work[target] = value
-                    else:
-                        work.pop(target, None)
-                break
-        else:
-            remainder[exps] = coeff
-    return MultiPoly.from_terms(poly.field, poly.variables, remainder)
+    if any(g.is_zero() for g in basis):
+        raise InputError("zero polynomial has no leading term")
+    ring = _Ring(poly.field, len(poly.variables), order)
+    divisors = [ring.element(ring.terms(g)) for g in basis]
+    remainder = ring.divide([(0, 1, ring.terms(poly))], divisors)
+    return ring.poly(poly.field, poly.variables, remainder)
 
 
 def s_polynomial(
     f: MultiPoly, g: MultiPoly, order: _ResolvedOrder
 ) -> MultiPoly:
-    fld = f.field
-    (ef, cf), (eg, cg) = leading_term(f, order), leading_term(g, order)
-    lcm = _lcm(ef, eg)
-    left = _monomial_times(f, _sub_exps(lcm, ef), fld.inv(cf))
-    right = _monomial_times(g, _sub_exps(lcm, eg), fld.inv(cg))
-    return left - right
+    """S-polynomial of the monic multiples of ``f`` and ``g``."""
+    if f.is_zero() or g.is_zero():
+        raise InputError("zero polynomial has no leading term")
+    ring = _Ring(f.field, len(f.variables), order)
+    ef, eg = ring.element(ring.terms(f)), ring.element(ring.terms(g))
+    lcm = ring.key_of(ring.slot_max(ef.exps, eg.exps))
+    minus_one = ring.p - 1 if ring.p else -1
+    terms = ring.divide([(lcm - ef.key, 1, ef), (lcm - eg.key, minus_one, eg)], ())
+    return ring.poly(f.field, f.variables, terms)
 
 
 @dataclass(frozen=True)
@@ -165,6 +330,154 @@ class GroebnerBasis:
         return self.reduce(poly).is_zero()
 
 
+class GroebnerEngine:
+    """Buchberger's algorithm, extended one generator at a time.
+
+    After every ``add`` the active elements are a minimal Groebner basis of
+    the ideal generated so far.  ``max_pairs`` bounds the S-pairs reduced
+    and ``max_basis`` the elements stored, over the engine's whole life;
+    exceeding either raises ``ResourceBudgetError``.
+    """
+
+    def __init__(
+        self,
+        field: FieldSpec,
+        variables: Sequence[str],
+        order: TermOrder | None = None,
+        *,
+        max_pairs: int = 200_000,
+        max_basis: int = 2_000,
+    ) -> None:
+        self.field = field
+        self.variables = tuple(variables)
+        self.order = order or TermOrder()
+        self.ring = _Ring(field, len(self.variables), self.order.resolve(self.variables))
+        self.max_pairs = max_pairs
+        self.max_basis = max_basis
+        # every element ever added, by index; all of them reduce, oldest
+        # first, since a retired element is still in the ideal
+        self.elements: List[_Element] = []
+        self.active: List[_Element] = []  # the minimal basis
+        self.pairs: list = []  # heap of (sugar, lcm key, i, j, lcm exponents)
+        self.pairs_reduced = 0
+        self.max_degree = 0
+
+    def add(self, poly: MultiPoly) -> None:
+        """Extend the ideal by ``poly`` and complete the basis."""
+        if poly.field != self.field or poly.variables != self.variables:
+            raise InputError("generators live in different rings")
+        if poly.is_zero():
+            return
+        ring = self.ring
+        terms = ring.terms(poly)
+        self.max_degree = max(self.max_degree, ring.degree(terms[0][0]))
+        remainder = ring.divide([(0, 1, terms)], self.elements)
+        if remainder:
+            self._insert(ring.element(remainder), poly.total_degree())
+        self._complete()
+
+    def leading_exponents(self) -> List[Exponents]:
+        return [self.ring.exponents(g.key) for g in self.active]
+
+    def reduced(self) -> GroebnerBasis:
+        """The reduced basis of the ideal so far.
+
+        Tail-reduces the active elements in place, smallest leading term
+        first: a divisor of a tail term is smaller than the leading term, so
+        it is already reduced when it is used.
+        """
+        ring = self.ring
+        ascending = sorted(self.active, key=lambda g: g.key)
+        for g in ascending:
+            g.tail = ring.divide([(0, 1, g)], ascending)
+            g.bound = ring.slot_max(g.key, ring.bound(g.tail))
+        generators = tuple(
+            ring.poly(self.field, self.variables, [(g.key, 1)] + g.tail)
+            for g in reversed(ascending)
+        )
+        return GroebnerBasis(generators, self.order, self.field, self.variables)
+
+    # -- Buchberger ----------------------------------------------------------
+
+    def _progress(self) -> str:
+        return (
+            f"after {self.pairs_reduced} pairs, with {len(self.elements)} basis"
+            f" elements and largest degree {self.max_degree}"
+        )
+
+    def _complete(self) -> None:
+        ring = self.ring
+        p = ring.p
+        minus_one = p - 1 if p else -1
+        while self.pairs:
+            sugar, lcm, i, j, _ = heappop(self.pairs)
+            if self.pairs_reduced >= self.max_pairs:
+                raise ResourceBudgetError(
+                    f"Groebner computation exceeded the pair budget ({self.max_pairs})"
+                    f" {self._progress()}"
+                )
+            self.pairs_reduced += 1
+            f, g = self.elements[i], self.elements[j]
+            remainder = ring.divide(
+                [(lcm - f.key, 1, f), (lcm - g.key, minus_one, g)], self.elements
+            )
+            if remainder:
+                self._insert(ring.element(remainder), sugar)
+
+    def _insert(self, h: _Element, sugar: int) -> None:
+        """Add ``h``, reduced by the active elements: the Gebauer-Moeller update."""
+        ring = self.ring
+        guard = ring.guard
+        if len(self.elements) >= self.max_basis:
+            raise ResourceBudgetError(
+                f"Groebner basis exceeded the size budget ({self.max_basis})"
+                f" {self._progress()}"
+            )
+        degree = ring.degree(h.key)
+        _check_degree(degree)
+        self.max_degree = max(self.max_degree, degree)
+        h.index = len(self.elements)
+        h.sugar = sugar
+        self.elements.append(h)
+        hx = h.exps
+        # new pairs, smallest lcm first and a coprime pair first among equal
+        # lcms: a pair is redundant when a kept one's lcm divides its lcm
+        candidates = []
+        for g in self.active:
+            lcm = ring.slot_max(hx, g.exps)
+            candidates.append((ring.key_of(lcm), lcm != hx + g.exps, g.index, lcm))
+        candidates.sort()
+        kept: List[int] = []
+        new_pairs = []
+        for key, not_coprime, i, lcm in candidates:
+            if any(not (lcm - other) & guard for other in kept):
+                continue
+            kept.append(lcm)
+            if not_coprime:
+                g = self.elements[i]
+                lift = max(sugar - degree, g.sugar - ring.degree(g.key))
+                new_pairs.append((ring.degree(key) + lift, key, i, h.index, lcm))
+        # chain criterion: drop an old pair (i, j) when LT(h) divides its lcm
+        # and the lcms of (i, h) and (j, h) both differ from it
+        elements = self.elements
+
+        def redundant(pair) -> bool:
+            lcm = pair[4]
+            return (
+                not (lcm - hx) & guard
+                and ring.slot_max(elements[pair[2]].exps, hx) != lcm
+                and ring.slot_max(elements[pair[3]].exps, hx) != lcm
+            )
+
+        survivors = [pair for pair in self.pairs if not redundant(pair)]
+        if len(survivors) < len(self.pairs):
+            heapify(survivors)
+            self.pairs = survivors
+        for pair in new_pairs:
+            heappush(self.pairs, pair)
+        self.active = [g for g in self.active if (g.exps - hx) & guard] + [h]
+
+
 def groebner_basis(
     generators: Sequence[MultiPoly],
     order: TermOrder | None = None,
@@ -179,89 +492,15 @@ def groebner_basis(
     ``ResourceBudgetError`` instead of hanging.
     """
     order = order or TermOrder()
-    nonzero = [g for g in generators if not g.is_zero()]
-    if not nonzero:
-        if not generators:
-            raise InputError("cannot infer ring from an empty generator list")
-        g0 = generators[0]
-        return GroebnerBasis((), order, g0.field, g0.variables)
-    fld = nonzero[0].field
-    variables = nonzero[0].variables
-    for g in nonzero:
-        if g.field != fld or g.variables != variables:
-            raise InputError("generators live in different rings")
-    resolved = order.resolve(variables)
-
-    basis: List[MultiPoly] = []
-    for g in nonzero:
-        _, lc = leading_term(g, resolved)
-        basis.append(g.scale(fld.inv(lc)))
-
-    lead: List[Exponents] = [leading_term(g, resolved)[0] for g in basis]
-    pending = {(i, j) for j in range(len(basis)) for i in range(j)}
-    done: set[Tuple[int, int]] = set()
-    processed = 0
-
-    def pair_sort_key(pair: Tuple[int, int]):
-        lcm = _lcm(lead[pair[0]], lead[pair[1]])
-        return (sum(lcm), resolved.key(lcm), pair)
-
-    while pending:
-        processed += 1
-        if processed > max_pairs:
-            raise ResourceBudgetError(
-                f"Groebner computation exceeded the pair budget ({max_pairs})"
-            )
-        i, j = min(pending, key=pair_sort_key)
-        pending.discard((i, j))
-        done.add((i, j))
-        lcm = _lcm(lead[i], lead[j])
-        # first criterion: coprime leading terms
-        if lcm == tuple(a + b for a, b in zip(lead[i], lead[j])):
-            continue
-        # chain criterion
-        if any(
-            k not in (i, j)
-            and _divides(lead[k], lcm)
-            and (min(i, k), max(i, k)) in done
-            and (min(j, k), max(j, k)) in done
-            for k in range(len(basis))
-        ):
-            continue
-        s = normal_form(s_polynomial(basis[i], basis[j], resolved), basis, resolved)
-        if s.is_zero():
-            continue
-        _, lc = leading_term(s, resolved)
-        s = s.scale(fld.inv(lc))
-        basis.append(s)
-        lead.append(leading_term(s, resolved)[0])
-        if len(basis) > max_basis:
-            raise ResourceBudgetError(
-                f"Groebner basis exceeded the size budget ({max_basis})"
-            )
-        new = len(basis) - 1
-        pending.update((k, new) for k in range(new))
-
-    # minimalize: drop generators whose leading term another kept one divides;
-    # ascending order works because any divisor precedes its multiples
-    keep: List[int] = []
-    for i in sorted(range(len(basis)), key=lambda i: resolved.key(lead[i])):
-        if not any(_divides(lead[k], lead[i]) for k in keep):
-            keep.append(i)
-    minimal = [basis[i] for i in keep]
-    # inter-reduce tails; one pass suffices because reduction never changes
-    # a leading term, so a generator reduced against the others' leading
-    # terms stays reduced when their tails change later
-    for i in range(len(minimal)):
-        others = minimal[:i] + minimal[i + 1 :]
-        reduced = normal_form(minimal[i], others, resolved)
-        if reduced.terms != minimal[i].terms:
-            if reduced.is_zero():
-                raise AssertionError("minimal generator reduced to zero")
-            _, lc = leading_term(reduced, resolved)
-            minimal[i] = reduced.scale(fld.inv(lc))
-    minimal.sort(key=lambda g: resolved.key(leading_term(g, resolved)[0]), reverse=True)
-    return GroebnerBasis(tuple(minimal), order, fld, variables)
+    if not generators:
+        raise InputError("cannot infer ring from an empty generator list")
+    g0 = generators[0]
+    engine = GroebnerEngine(
+        g0.field, g0.variables, order, max_pairs=max_pairs, max_basis=max_basis
+    )
+    for g in generators:
+        engine.add(g)
+    return engine.reduced()
 
 
 def staircase_dimension(leading_exponents: Sequence[Exponents], n_vars: int) -> int:

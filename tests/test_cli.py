@@ -140,6 +140,51 @@ def test_regcheck_probabilistic_over_a_large_prime_exit_3(tmp_path):
     assert code == 3
 
 
+def test_regcheck_kernel_pair_budget_exit_3(tmp_path, monkeypatch, capsys):
+    # a kernel budget abort exits 3 and reports how far the run got
+    import functools
+
+    from fanoci import dimension
+    from fanoci.groebner import GroebnerEngine
+
+    ci = random_complete_intersection(DegreeTuple((3, 4)), FieldSpec.prime(101), seed=0)
+    path = tmp_path / "ci.json"
+    path.write_text(json.dumps(ci.to_json()))
+    monkeypatch.setattr(
+        dimension, "GroebnerEngine", functools.partial(GroebnerEngine, max_pairs=2)
+    )
+    code, output = invoke(["regcheck", "--input", str(path), "--samples", "1"])
+    assert (code, output) == (3, "")
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "resource budget exceeded: Groebner computation exceeded the pair budget (2)"
+        " after 2 pairs, with "
+    )
+    assert "basis elements and largest degree" in err
+
+
+def test_regcheck_packing_guard_exit_3(tmp_path, monkeypatch, capsys):
+    # no CI instance reaches an exponent of 2**31, so the regcheck handler is
+    # made to ask the kernel for one; its budget error must map to exit 3
+    from fanoci import cli
+    from fanoci.groebner import groebner_basis
+    from fanoci.polynomials import MultiPoly
+
+    Q = FieldSpec.rationals()
+    x, y = (MultiPoly.variable(Q, ("x", "y"), n) for n in ("x", "y"))
+
+    def oversized(*args, **kwargs):
+        groebner_basis([x ** (2**31) - y, x * y])
+
+    ci = random_complete_intersection(DegreeTuple((2, 3)), FieldSpec.prime(101), seed=0)
+    path = tmp_path / "ci.json"
+    path.write_text(json.dumps(ci.to_json()))
+    monkeypatch.setattr(cli, "sampled_regularity_check", oversized)
+    code, output = invoke(["regcheck", "--input", str(path)])
+    assert (code, output) == (3, "")
+    assert "packed" in capsys.readouterr().err
+
+
 def test_regcheck_irregular_exit_1(tmp_path):
     # deterministically irregular: the quadratic part of f1 is z4^2, so the
     # prefix (l, z4, z4^2) never reaches codimension 3, whatever l is

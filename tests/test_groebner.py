@@ -1,8 +1,14 @@
+import re
+from random import Random
+
 import pytest
 
+from fanoci.dimension import is_regular_sequence
 from fanoci.errors import InputError, ResourceBudgetError
+from fanoci.families import DegreeTuple
 from fanoci.fields import FieldSpec
 from fanoci.groebner import (
+    GroebnerEngine,
     TermOrder,
     groebner_basis,
     leading_term,
@@ -10,7 +16,12 @@ from fanoci.groebner import (
     s_polynomial,
     staircase_dimension,
 )
-from fanoci.polynomials import MultiPoly, random_poly
+from fanoci.polynomials import MultiPoly, random_poly, restrict_to_common_zeros
+from fanoci.regularity import (
+    _random_admissible_form,
+    index_set,
+    random_complete_intersection,
+)
 
 Q = FieldSpec.rationals()
 F5 = FieldSpec.prime(5)
@@ -116,8 +127,28 @@ def test_groebner_pair_budget():
         random_poly(2, ("x", "y", "z", "w"), F5, homogeneous=False, seed=i)
         for i in range(4)
     ]
-    with pytest.raises(ResourceBudgetError):
+    with pytest.raises(ResourceBudgetError) as info:
         groebner_basis(gens, max_pairs=1)
+    # the message says how far the run got
+    assert re.fullmatch(
+        r"Groebner computation exceeded the pair budget \(1\) after 1 pairs,"
+        r" with \d+ basis elements and largest degree \d+",
+        str(info.value),
+    )
+
+
+def test_groebner_basis_size_budget():
+    gens = [
+        random_poly(2, ("x", "y", "z", "w"), F5, homogeneous=False, seed=i)
+        for i in range(4)
+    ]
+    with pytest.raises(ResourceBudgetError) as info:
+        groebner_basis(gens, max_basis=2)
+    assert re.fullmatch(
+        r"Groebner basis exceeded the size budget \(2\) after \d+ pairs,"
+        r" with 2 basis elements and largest degree \d+",
+        str(info.value),
+    )
 
 
 def test_staircase_dimension_rules():
@@ -146,3 +177,91 @@ def test_order_variable_mismatch_rejected():
     x, _ = qv(("x", "y"))
     with pytest.raises(InputError):
         groebner_basis([x], TermOrder("lex", ("a", "b")))
+
+
+# ---------------------------------------------------------------------------
+# Incremental extension
+# ---------------------------------------------------------------------------
+
+
+def reduced_m6_sequence():
+    """The forms a reduced regularity check feeds the kernel: (4,4), M = 6."""
+    ci = random_complete_intersection(DegreeTuple((4, 4)), FieldSpec.prime(32003), seed=0)
+    form = _random_admissible_form(ci, Random(0), ci.tangent())
+    tail = [ci.part(i, j) for i, j in index_set(ci.degrees).sorted_pairs if j >= 2]
+    return restrict_to_common_zeros(tail, [form] + ci.linear_parts())
+
+
+def irregular_sequence():
+    """q4 lies in the ideal of q1, q2, q3, so the sequence fails at prefix 4."""
+    names = ("v", "w", "x", "y", "z")
+    q1, q2, q3 = (
+        random_poly(d, names, F5, homogeneous=True, seed=s)
+        for d, s in ((2, 11), (2, 12), (3, 13))
+    )
+    v, w, x, y, z = (MultiPoly.variable(F5, names, n) for n in names)
+    return [q1, q2, q3, x * z * q1 + y * y * q2 + w * q3, v * w * w + z**3]
+
+
+def small_sequences():
+    names = ("x", "y", "z", "w")
+    for field in (Q, F5):
+        for seed in range(3):
+            yield [
+                random_poly(d, names, field, homogeneous=True, seed=seed * 10 + i)
+                for i, d in enumerate((2, 2, 3))
+            ]
+
+
+@pytest.mark.parametrize(
+    "sequence",
+    [reduced_m6_sequence(), irregular_sequence(), *small_sequences()],
+    ids=["reduced-m6-gf32003", "irregular-gf5"]
+    + [f"small-{f}-{s}" for f in ("q", "gf5") for s in range(3)],
+)
+def test_incremental_prefixes_equal_bases_from_scratch(sequence):
+    first = sequence[0]
+    engine = GroebnerEngine(first.field, first.variables)
+    for j in range(1, len(sequence) + 1):
+        engine.add(sequence[j - 1])
+        scratch = groebner_basis(sequence[:j])
+        assert sorted(engine.leading_exponents()) == sorted(scratch.leading_exponents())
+        assert engine.reduced().generators == scratch.generators
+
+
+def test_irregular_sequence_trace_pinned():
+    # trace and failing prefix as computed before the incremental kernel
+    result = is_regular_sequence(irregular_sequence())
+    assert (result.is_regular, result.trace, result.failing_prefix) == (
+        False, (1, 2, 3, 3), 4,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Packed monomials
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", ["grevlex", "lex"])
+def test_exponent_beyond_a_small_slot_is_exact(kind):
+    # 70000 needs more than 16 bits; the basis is the one computed before
+    # monomials were packed
+    x, y = qv(("x", "y"))
+    basis = groebner_basis([x**70000 - y, x * y], TermOrder(kind))
+    assert [str(g) for g in basis.generators] == ["x^70000 + -1*y", "x*y", "y^2"]
+
+
+def test_exponent_beyond_the_packed_range_is_a_budget_error():
+    x, y = qv(("x", "y"))
+    with pytest.raises(ResourceBudgetError, match="packed"):
+        groebner_basis([x ** (2**31) - y, x * y])
+    with pytest.raises(ResourceBudgetError, match="packed"):
+        normal_form(x ** (2**31), [x * y], TermOrder().resolve(("x", "y")))
+
+
+def test_normal_form_by_a_non_monic_basis():
+    x, y = qv(("x", "y"))
+    resolved = TermOrder().resolve(("x", "y"))
+    remainder = normal_form(x**3 + y**3 + x * y, [2 * x**2 - y, 3 * x * y], resolved)
+    # x^3 -> x*y/2 by the first divisor, then both x*y terms by the second
+    assert remainder.terms == (y**3).terms
