@@ -33,10 +33,15 @@ by sugar, then lcm: for homogeneous input the sugar of a pair is the
 degree of its lcm, so this is the normal strategy (smallest lcm degree,
 then smallest lcm), and for other input it keeps lex runs from wandering
 into high degrees.  Retired elements stay in the ideal and keep serving as
-reducers, oldest first.  After every ``add`` the active elements form a
-minimal Groebner basis of the ideal so far; ``reduced`` tail-reduces them
-into the reduced basis, and ``groebner_basis`` feeds every generator and
-then does exactly that.  Runs are deterministic for a fixed input.
+reducers, oldest first.  While the input is homogeneous the engine also
+keeps the staircase of its leading terms and skips every pair of a degree
+in which the leading terms already span the ideal, which the Hilbert
+function of the ideal before the new generator bounds (Traverso 1996); on
+a regular sequence no S-polynomial then reduces to zero.  After every
+``add`` the active elements form a minimal Groebner basis of the ideal so
+far; ``reduced`` tail-reduces them into the reduced basis, and
+``groebner_basis`` feeds every generator and then does exactly that.  Runs
+are deterministic for a fixed input.
 
 Dimension of the quotient ring is read off the staircase: it is the size
 of the largest subset S of variables such that no leading term of the
@@ -278,6 +283,57 @@ class _Ring:
         return remainder
 
 
+class _Staircase:
+    """Standard monomials, degree by degree, of a monomial ideal.
+
+    The ideal is given by exponent packings of its generators.  A monomial
+    of degree D is standard iff it is no generator and each of its
+    quotients by one variable is standard, so each degree is built from
+    the one below; ``count(D)`` is the Hilbert function at D.
+    """
+
+    def __init__(self, ring: _Ring, generators: Iterable[int]) -> None:
+        self.ring = ring
+        self.units = [1 << shift for shift in ring.shifts]
+        self.generators: dict = {}  # degree -> exponent packings
+        self.sets = {0: {0}}
+        for exps in generators:
+            self.insert(exps)
+
+    def count(self, degree: int) -> int:
+        if degree < 0:
+            return 0
+        guard, units = self.ring.guard, self.units
+        top = max(self.sets)
+        while top < degree:
+            below = self.sets[top]
+            top += 1
+            generators = self.generators.get(top, ())
+            seen = set()
+            standard = set()
+            for m in below:
+                for unit in units:
+                    u = m + unit
+                    if u in seen:
+                        continue
+                    seen.add(u)
+                    if u not in generators and all(
+                        u - v in below for v in units if not (u - v) & guard
+                    ):
+                        standard.add(u)
+            self.sets[top] = standard
+        return len(self.sets[degree])
+
+    def insert(self, exps: int) -> None:
+        degree = self.ring.degree(self.ring.key_of(exps))
+        self.generators.setdefault(degree, set()).add(exps)
+        for d in [d for d in self.sets if d >= degree]:
+            if d == degree:
+                self.sets[d].discard(exps)
+            else:
+                del self.sets[d]
+
+
 def normal_form(
     poly: MultiPoly, basis: Sequence[MultiPoly], order: _ResolvedOrder
 ) -> MultiPoly:
@@ -361,6 +417,10 @@ class GroebnerEngine:
         self.pairs: list = []  # heap of (sugar, lcm key, i, j, lcm exponents)
         self.pairs_reduced = 0
         self.max_degree = 0
+        # while every generator is homogeneous: the staircase of the leading
+        # terms, and while adding one, that of the ideal before it and its degree
+        self.staircase: _Staircase | None = _Staircase(self.ring, ())
+        self.before: Tuple[_Staircase, int] | None = None
 
     def add(self, poly: MultiPoly) -> None:
         """Extend the ideal by ``poly`` and complete the basis."""
@@ -370,7 +430,12 @@ class GroebnerEngine:
             return
         ring = self.ring
         terms = ring.terms(poly)
-        self.max_degree = max(self.max_degree, ring.degree(terms[0][0]))
+        self.max_degree = max(self.max_degree, poly.total_degree())
+        if self.staircase is not None and poly.is_homogeneous():
+            before = _Staircase(ring, [g.exps for g in self.active])
+            self.before = (before, poly.total_degree())
+        else:
+            self.staircase = self.before = None
         remainder = ring.divide([(0, 1, terms)], self.elements)
         if remainder:
             self._insert(ring.element(remainder), poly.total_degree())
@@ -411,6 +476,8 @@ class GroebnerEngine:
         minus_one = p - 1 if p else -1
         while self.pairs:
             sugar, lcm, i, j, _ = heappop(self.pairs)
+            if self._degree_complete(sugar):
+                continue
             if self.pairs_reduced >= self.max_pairs:
                 raise ResourceBudgetError(
                     f"Groebner computation exceeded the pair budget ({self.max_pairs})"
@@ -423,6 +490,25 @@ class GroebnerEngine:
             )
             if remainder:
                 self._insert(ring.element(remainder), sugar)
+
+    def _degree_complete(self, degree: int) -> bool:
+        """Whether the leading terms already span the ideal in ``degree``.
+
+        Only for homogeneous input, where a pair's sugar is its degree.
+        Adding f of degree d to an ideal I, multiplication by f maps
+        (R/I)_(D-d) onto (I + f)/I in degree D, so dim (R/(I + f))_D >=
+        dim (R/I)_D - dim (R/I)_(D-d), with equality when f is a
+        nonzerodivisor.  The staircase of the current leading terms counts
+        at least dim (R/(I + f))_D; equality means that the leading terms
+        span the ideal in degree D and every S-polynomial of that degree
+        reduces to zero, so it is skipped.  On a regular sequence this
+        skips every reduction to zero (Traverso's Hilbert-driven
+        Buchberger algorithm).
+        """
+        if self.before is None:
+            return False
+        before, d = self.before
+        return self.staircase.count(degree) == before.count(degree) - before.count(degree - d)
 
     def _insert(self, h: _Element, sugar: int) -> None:
         """Add ``h``, reduced by the active elements: the Gebauer-Moeller update."""
@@ -476,6 +562,8 @@ class GroebnerEngine:
         for pair in new_pairs:
             heappush(self.pairs, pair)
         self.active = [g for g in self.active if (g.exps - hx) & guard] + [h]
+        if self.staircase is not None:
+            self.staircase.insert(hx)
 
 
 def groebner_basis(

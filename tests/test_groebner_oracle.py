@@ -23,14 +23,23 @@ ORDERS = ("grevlex", "lex")
 
 
 @st.composite
-def ideals(draw):
+def ideals(draw, homogeneous=False):
     """(variables, generators), each generator a map exponents -> coefficient."""
     n = draw(st.integers(1, 3))
-    exponents = st.tuples(*[st.integers(0, 3)] * n).filter(lambda e: sum(e) <= 3)
-    generator = st.dictionaries(
-        exponents, st.integers(-4, 4).filter(bool), min_size=1, max_size=3
-    )
-    return NAMES[:n], draw(st.lists(generator, min_size=1, max_size=3))
+    generators = []
+    for _ in range(draw(st.integers(1, 3))):
+        top = draw(st.integers(1, 3))
+        exponents = st.tuples(*[st.integers(0, 3)] * n).filter(
+            lambda e: sum(e) == top if homogeneous else sum(e) <= 3
+        )
+        generators.append(
+            draw(
+                st.dictionaries(
+                    exponents, st.integers(-4, 4).filter(bool), min_size=1, max_size=3
+                )
+            )
+        )
+    return NAMES[:n], generators
 
 
 def ours(variables, generators, field, kind):
@@ -104,6 +113,21 @@ def test_matches_sympy_over_gf_p(kind, ideal, p):
 def test_matches_sympy_over_q(kind, ideal):
     variables, generators = ideal
     field = FieldSpec.rationals()
+    if not nonzero_ideal(variables, generators, field):
+        return
+    assert ours(variables, generators, field, kind) == theirs(
+        variables, generators, field, kind
+    )
+
+
+@pytest.mark.parametrize("kind", ORDERS)
+@settings(max_examples=40, deadline=None)
+@given(ideal=ideals(homogeneous=True), p=st.sampled_from([5, 32003]))
+def test_matches_sympy_on_homogeneous_ideals(kind, ideal, p):
+    # homogeneous input is where the engine skips degrees its leading
+    # terms already span
+    variables, generators = ideal
+    field = FieldSpec.prime(p)
     if not nonzero_ideal(variables, generators, field):
         return
     assert ours(variables, generators, field, kind) == theirs(
