@@ -508,7 +508,8 @@ class GroebnerEngine:
         if self.before is None:
             return False
         before, d = self.before
-        return self.staircase.count(degree) == before.count(degree) - before.count(degree - d)
+        bound = before.count(degree) - before.count(degree - d)
+        return self.staircase.count(degree) == bound
 
     def _insert(self, h: _Element, sugar: int) -> None:
         """Add ``h``, reduced by the active elements: the Gebauer-Moeller update."""
