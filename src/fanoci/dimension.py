@@ -8,15 +8,26 @@ codimension, because the dimension of a reducible variety is the maximum
 over components.  A cone equal to {0} alone (dim 0) has empty projective
 locus and codimension n.
 
+There is one exact path: the forms are added to a ``GroebnerEngine`` and
+dim Z is ``staircase_dimension`` of the leading terms of its minimal basis
+(they are those of the reduced basis), under grevlex.  ``projective_codim``
+adds every form at once; ``is_regular_sequence`` adds one form per prefix
+to the same engine.  Both refuse inputs beyond ``max_variables`` and
+``max_generators`` with ``ResourceBudgetError``.
+
 Regularity at the origin is decided through the same cone codimension: an
 ordered sequence of homogeneous forms is regular iff every length-j prefix
 cuts the cone down to codimension exactly j.  (For homogeneous elements of
 the local ring at the origin the two notions agree.)
 
-The probabilistic oracle estimates the cone dimension by slicing with
-random linear subspaces over GF(p^e), e <= 2, and testing by point
-enumeration whether anything beyond the origin survives (the default e = 2
-scan covers the GF(p)-points inside GF(p^2)).  The forms are restricted
+The probabilistic oracle, ``codim_probabilistic``, estimates the cone
+dimension by slicing with random linear subspaces over GF(p^e), e <= 2,
+and testing by point enumeration whether anything beyond the origin
+survives (the default e = 2 scan covers the GF(p)-points inside GF(p^2)).
+It takes the ``trials``, ``seed``, ``extension_degree`` and
+``enumeration_budget``; ``is_regular_sequence`` with the probabilistic
+kernel calls it with 5 trials, seed j for prefix j and the default
+budget.  The forms are restricted
 once to each slice, by composing them with its parametrization
 (``polynomials.parametrize_span``, which the reduced regularity check
 shares), and the scan evaluates the restricted forms.  It exists to
@@ -33,13 +44,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .errors import InputError, ResourceBudgetError, UnsupportedModeError
 from .fields import Element, FieldSpec, nullspace, rref
-from .groebner import (
-    GroebnerBasis,
-    GroebnerEngine,
-    TermOrder,
-    groebner_basis,
-    staircase_dimension,
-)
+from .groebner import GroebnerEngine, staircase_dimension
 from .polynomials import MultiPoly, parametrize_span
 from .rationals import format_rational
 
@@ -127,31 +132,20 @@ def _check_budget(
         )
 
 
-def cone_dimension(basis: GroebnerBasis) -> int:
-    return staircase_dimension(basis.leading_exponents(), len(basis.variables))
-
-
 def projective_codim(
     generators: Sequence[MultiPoly],
-    mode: str = EXACT,
     *,
-    order: TermOrder | None = None,
-    trials: int = 5,
-    seed: int = 0,
     max_variables: int = DEFAULT_MAX_VARIABLES,
     max_generators: int = DEFAULT_MAX_GENERATORS,
-    enumeration_budget: int = DEFAULT_ENUMERATION_BUDGET,
-    extension_degree: int = 2,
 ) -> CodimResult:
-    """Codimension of the projective locus cut out by homogeneous forms.
+    """Exact codimension of the projective locus cut out by homogeneous forms.
 
     The empty generator list yields codimension 0 (the whole space).  Zero
     polynomials are dropped (they cut nothing); a nonempty all-zero list is
     rejected.  When the cone is the origin alone, the projective locus is
-    empty and the codimension equals the number of variables.
+    empty and the codimension equals the number of variables.  The
+    estimate by random slicing is ``codim_probabilistic``.
     """
-    if mode not in (EXACT, PROBABILISTIC):
-        raise InputError(f"unknown codimension mode: {mode!r}")
     generators = list(generators)
     if not generators:
         return CodimResult(0, "exact-groebner", Fraction(1), "empty generator list")
@@ -160,38 +154,22 @@ def projective_codim(
     if not nonzero:
         raise InputError("all generators are zero")
     _validate_homogeneous(nonzero, allow_zero=False)
-
-    if mode == PROBABILISTIC:
-        if not fieldspec.is_prime_field:
-            raise UnsupportedModeError(
-                "probabilistic codimension requires a prime field"
-            )
-        return codim_probabilistic(
-            nonzero,
-            trials=trials,
-            seed=seed,
-            enumeration_budget=enumeration_budget,
-            extension_degree=extension_degree,
-        )
-
-    _check_budget(len(variables), len(nonzero), max_variables, max_generators)
-    basis = groebner_basis(nonzero, order)
-    dim = cone_dimension(basis)
-    codim = len(variables) - dim
+    n = len(variables)
+    _check_budget(n, len(nonzero), max_variables, max_generators)
+    engine = GroebnerEngine(fieldspec, variables)
+    for g in nonzero:
+        engine.add(g)
+    dim = staircase_dimension(engine.leading_exponents(), n)
     note = "empty projective locus" if dim == 0 else ""
-    return CodimResult(codim, "exact-groebner", Fraction(1), note)
+    return CodimResult(n - dim, "exact-groebner", Fraction(1), note)
 
 
 def is_regular_sequence(
     generators: Sequence[MultiPoly],
     *,
     kernel: str = EXACT,
-    order: TermOrder | None = None,
-    trials: int = 5,
-    seed: int = 0,
     max_variables: int = DEFAULT_MAX_VARIABLES,
     max_generators: int = DEFAULT_MAX_GENERATORS,
-    enumeration_budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> RegularSequenceResult:
     """Decide whether an ordered list of homogeneous forms is regular at 0.
 
@@ -213,7 +191,7 @@ def is_regular_sequence(
         _check_budget(n, min(len(generators), n + 1), max_variables, max_generators)
 
     trace: List[int] = []
-    engine = GroebnerEngine(fieldspec, variables, order) if kernel == EXACT else None
+    engine = GroebnerEngine(fieldspec, variables) if kernel == EXACT else None
     current: List[MultiPoly] = []
     codim = 0
     for j, g in enumerate(generators, start=1):
@@ -235,12 +213,7 @@ def is_regular_sequence(
             engine.add(g)
             codim = n - staircase_dimension(engine.leading_exponents(), n)
         else:
-            codim = codim_probabilistic(
-                current,
-                trials=trials,
-                seed=seed + j,
-                enumeration_budget=enumeration_budget,
-            ).codimension
+            codim = codim_probabilistic(current, seed=j).codimension
         trace.append(codim)
         if codim != j:
             return RegularSequenceResult(False, tuple(trace), j)

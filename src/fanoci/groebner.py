@@ -60,7 +60,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InputError, ResourceBudgetError
 from .fields import Element, FieldSpec
-from .polynomials import Exponents, MultiPoly, grevlex_key
+from .polynomials import Exponents, MultiPoly
 
 GREVLEX = "grevlex"
 LEX = "lex"
@@ -113,17 +113,12 @@ class _ResolvedOrder:
     kind: str
     permutation: Tuple[int, ...]  # position j holds the poly-index of significance j
 
-    def key(self, exponents: Exponents):
-        permuted = tuple(exponents[i] for i in self.permutation)
-        if self.kind == LEX:
-            return permuted
-        return grevlex_key(permuted)
-
 
 def leading_term(poly: MultiPoly, order: _ResolvedOrder) -> Tuple[Exponents, Element]:
     if poly.is_zero():
         raise InputError("zero polynomial has no leading term")
-    exps = max(poly.terms, key=order.key)
+    ring = _Ring(poly.field, len(poly.variables), order)
+    exps = ring.exponents(max(ring.key(e) for e in poly.terms))
     return exps, poly.terms[exps]
 
 

@@ -50,6 +50,22 @@ def _normalize(
     return {e: out[e] for e in sorted(out, key=grevlex_key, reverse=True)}
 
 
+def _product(
+    fieldspec: FieldSpec,
+    a: Mapping[Exponents, Element],
+    b: Mapping[Exponents, Element],
+) -> Dict[Exponents, Element]:
+    """Product of two term maps, without the terms that cancel."""
+    mul, add = fieldspec.mul, fieldspec.add
+    product: Dict[Exponents, Element] = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            exps = tuple(x + y for x, y in zip(ea, eb))
+            coeff = mul(ca, cb)
+            product[exps] = add(product[exps], coeff) if exps in product else coeff
+    return {e: c for e, c in product.items() if c}
+
+
 @dataclass(frozen=True)
 class MultiPoly:
     """Immutable sparse polynomial over a ``FieldSpec``."""
@@ -172,15 +188,7 @@ class MultiPoly:
 
     def __mul__(self, other) -> "MultiPoly":
         other = self._coerce_operand(other)
-        product: Dict[Exponents, Element] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                exps = tuple(x + y for x, y in zip(ea, eb))
-                coeff = self.field.mul(ca, cb)
-                if exps in product:
-                    product[exps] = self.field.add(product[exps], coeff)
-                else:
-                    product[exps] = coeff
+        product = _product(self.field, self.terms, other.terms)
         return MultiPoly.from_terms(self.field, self.variables, product)
 
     __rmul__ = __mul__
@@ -259,21 +267,29 @@ class MultiPoly:
 
         The images share one ring, and the result lives in it; coefficients
         are coerced into its field, so a form over GF(p) composes with
-        images over GF(p^2).
+        images over GF(p^2).  Each power of an image is computed once.
         """
         if len(images) != len(self.variables):
             raise InputError(
                 f"substitution needs {len(self.variables)} images, got {len(images)}"
             )
         fieldspec, variables = images[0].field, images[0].variables
+        for image in images:
+            if image.field != fieldspec or image.variables != variables:
+                raise InputError("polynomials over different rings")
+        add, coerce = fieldspec.add, fieldspec.coerce
+        one = (0,) * len(variables)
+        powers = [[image.terms] for image in images]  # powers[i][e - 1] = images[i]^e
         total: Dict[Exponents, Element] = {}
         for exps, coeff in self.terms.items():
-            term = MultiPoly.constant(fieldspec, variables, coeff)
-            for image, e in zip(images, exps):
+            term = {one: coerce(coeff)}
+            for table, e in zip(powers, exps):
                 if e:
-                    term = term * image**e
-            for key, value in term.terms.items():
-                total[key] = fieldspec.add(total[key], value) if key in total else value
+                    while len(table) < e:
+                        table.append(_product(fieldspec, table[-1], table[0]))
+                    term = _product(fieldspec, term, table[e - 1])
+            for key, value in term.items():
+                total[key] = add(total[key], value) if key in total else value
         return MultiPoly.from_terms(fieldspec, variables, total)
 
     # -- serialization -------------------------------------------------------
@@ -292,18 +308,25 @@ class MultiPoly:
     def from_json(cls, data: dict) -> "MultiPoly":
         try:
             fieldspec = FieldSpec.from_json_tag(data["field"])
-            variables = tuple(data["variables"])
+            variables = data["variables"]
             raw_terms = data["terms"]
         except (KeyError, TypeError) as exc:
             raise InputError(f"malformed polynomial JSON: {exc}") from exc
+        if not isinstance(variables, list) or not all(
+            isinstance(v, str) for v in variables
+        ):
+            raise InputError(f"variables must be a list of names, got {variables!r}")
         terms: Dict[Exponents, Element] = {}
         for entry in raw_terms:
             try:
-                exps = tuple(entry["exponents"])
+                exps = entry["exponents"]
                 coeff = fieldspec.parse_element(entry["coeff"])
             except (KeyError, TypeError) as exc:
                 raise InputError(f"malformed polynomial term: {entry!r}") from exc
-            terms[exps] = coeff
+            # bool is a subclass of int, and JSON true is no exponent
+            if not isinstance(exps, list) or not all(type(e) is int for e in exps):
+                raise InputError(f"exponents must be a list of integers, got {exps!r}")
+            terms[tuple(exps)] = coeff
         return cls.from_terms(fieldspec, variables, terms)
 
     def __str__(self) -> str:
@@ -373,7 +396,12 @@ def restrict_to_common_zeros(
 
 
 def monomials_of_degree(n_vars: int, degree: int) -> Iterator[Exponents]:
-    """All exponent vectors of total degree exactly ``degree``."""
+    """All exponent vectors of total degree exactly ``degree``, largest first
+    in graded reverse lexicographic order (descending ``grevlex_key``).
+
+    Within one degree grevlex prefers the smaller exponent of the last
+    variable, so the last exponent runs from 0 upward and the others recurse.
+    """
     if n_vars == 0:
         if degree == 0:
             yield ()
@@ -381,9 +409,9 @@ def monomials_of_degree(n_vars: int, degree: int) -> Iterator[Exponents]:
     if n_vars == 1:
         yield (degree,)
         return
-    for first in range(degree, -1, -1):
-        for rest in monomials_of_degree(n_vars - 1, degree - first):
-            yield (first,) + rest
+    for last in range(degree + 1):
+        for rest in monomials_of_degree(n_vars - 1, degree - last):
+            yield rest + (last,)
 
 
 def random_poly(
@@ -407,7 +435,7 @@ def random_poly(
     degrees = [degree] if homogeneous else list(range(degree + 1))
     terms: Dict[Exponents, Element] = {}
     for d in degrees:
-        for exps in sorted(monomials_of_degree(len(variables), d), key=grevlex_key, reverse=True):
+        for exps in monomials_of_degree(len(variables), d):
             coeff = fieldspec.random_element(rng)
             if coeff:
                 terms[exps] = coeff

@@ -33,6 +33,9 @@ Notes:
   * The index ranges are 1 <= i <= k and 1 <= j <= d_i throughout.
   * The default of 8 sampled forms is a tool choice, not a derived value;
     pass ``samples`` explicitly where the evidence level matters.
+  * ``kernel`` and ``max_variables`` are the only settings passed on to
+    ``dimension.is_regular_sequence``; the generator budget and the
+    probabilistic oracle's trials and seeds are fixed there.
 """
 
 from __future__ import annotations
@@ -41,13 +44,7 @@ from dataclasses import dataclass
 from random import Random
 from typing import List, Optional, Sequence, Tuple
 
-from .dimension import (
-    DEFAULT_MAX_GENERATORS,
-    DEFAULT_MAX_VARIABLES,
-    EXACT,
-    RegularSequenceResult,
-    is_regular_sequence,
-)
+from .dimension import DEFAULT_MAX_VARIABLES, EXACT, is_regular_sequence
 from .errors import InputError, ResourceBudgetError
 from .families import DegreeTuple
 from .fields import Element, FieldSpec, nullspace
@@ -289,9 +286,6 @@ def regularity_check(
     reduce: bool = False,
     kernel: str = EXACT,
     max_variables: int = DEFAULT_MAX_VARIABLES,
-    max_generators: int = DEFAULT_MAX_GENERATORS,
-    trials: int = 5,
-    seed: int = 0,
 ) -> RegularityReport:
     """Decide regularity of ``ci`` at the origin for one linear form.
 
@@ -301,6 +295,8 @@ def regularity_check(
     a subspace parametrized by the M-1 surviving variables, and only the
     remaining M-2 forms are fed to the dimension kernel.  The verdict is
     the same either way; the trace then refers to the shortened sequence.
+    ``kernel`` picks the exact or the probabilistic kernel and
+    ``max_variables`` is the exact kernel's variable budget.
     """
     tangent = ci.tangent()
     if tangent.is_singular:
@@ -312,34 +308,14 @@ def regularity_check(
         sequence = restrict_to_common_zeros(tail, [linear_form] + ci.linear_parts())
     else:
         sequence = assemble_sequence(ci, linear_form)
-    result = is_regular_sequence(
-        sequence,
-        kernel=kernel,
-        max_variables=max_variables,
-        max_generators=max_generators,
-        trials=trials,
-        seed=seed,
-    )
-    return _report_from_result(result, linear_form, len(pairs) + 1, reduce)
-
-
-def _report_from_result(
-    result: RegularSequenceResult,
-    linear_form: MultiPoly,
-    target: int,
-    reduced: bool,
-) -> RegularityReport:
-    if result.is_regular:
-        return RegularityReport(
-            REGULAR, result.trace, linear_form, None, target, reduced, result.note
-        )
+    result = is_regular_sequence(sequence, kernel=kernel, max_variables=max_variables)
     return RegularityReport(
-        IRREGULAR,
+        REGULAR if result.is_regular else IRREGULAR,
         result.trace,
         linear_form,
         result.failing_prefix,
-        target,
-        reduced,
+        len(pairs) + 1,
+        reduce,
         result.note,
     )
 
@@ -401,7 +377,10 @@ def sampled_regularity_check(
     ci: PointedCI,
     samples: int = 8,
     seed: int = 0,
-    **check_kwargs,
+    *,
+    reduce: bool = False,
+    kernel: str = EXACT,
+    max_variables: int = DEFAULT_MAX_VARIABLES,
 ) -> SampledRegularityReport:
     """Run ``regularity_check`` against ``samples`` random admissible forms."""
     if samples < 1:
@@ -413,7 +392,11 @@ def sampled_regularity_check(
     reports = []
     for _ in range(samples):
         form = _random_admissible_form(ci, rng, tangent)
-        reports.append(regularity_check(ci, form, **check_kwargs))
+        reports.append(
+            regularity_check(
+                ci, form, reduce=reduce, kernel=kernel, max_variables=max_variables
+            )
+        )
     return SampledRegularityReport(tuple(reports), samples)
 
 
@@ -441,7 +424,8 @@ def random_complete_intersection(
     for _ in range(max_attempts):
         equations = []
         for d in degrees.degrees:
-            f = MultiPoly.zero(field, variables)
+            # the parts have distinct degrees, so their terms never collide
+            terms = {}
             for j in range(1, d + 1):
                 # only the top-degree part must be nonzero; it is redrawn
                 for _ in range(1 + max_part_redraws):
@@ -455,8 +439,8 @@ def random_complete_intersection(
                         "could not draw a nonzero top-degree part"
                         f" in {max_part_redraws} redraws"
                     )
-                f = f + part
-            equations.append(f)
+                terms.update(part.terms)
+            equations.append(MultiPoly.from_terms(field, variables, terms))
         instance = PointedCI(degrees, field, tuple(equations))
         if instance.is_smooth_at_origin:
             return instance

@@ -327,3 +327,53 @@ def test_reduced_outputs_pinned(tmp_path, degrees):
         assert code == 0
         digests.append(hashlib.sha256(output.encode()).hexdigest())
     assert tuple(digests) == PINNED_REDUCED_OUTPUTS[degrees]
+
+
+# sha256 of the stdout of `regcheck --mode probabilistic` on seeded instances
+# over GF(2), where the slicing oracle is blind often enough that its traces
+# change with the number of trials (5) and the seed (j at prefix j) that
+# is_regular_sequence gives it.
+PINNED_PROBABILISTIC_OUTPUTS = {
+    ((2, 4), 1): "031f4112889431f5aca36164873fd1a34a54025849f1c417059d910bb3b801b5",
+    ((3, 3), 4): "95803384fad2ad693c1c785fe41b65a68f4e72ef40da1ab5b0c96fc03948286e",
+}
+
+
+@pytest.mark.parametrize("degrees, seed", list(PINNED_PROBABILISTIC_OUTPUTS))
+def test_probabilistic_outputs_pinned(tmp_path, degrees, seed):
+    ci = random_complete_intersection(DegreeTuple(degrees), FieldSpec.prime(2), seed=seed)
+    path = tmp_path / "ci.json"
+    path.write_text(json.dumps(ci.to_json()))
+    code, output = invoke(
+        [
+            "regcheck", "--input", str(path), "--mode", "probabilistic",
+            "--samples", "8", "--seed", "1",
+        ]
+    )
+    assert code == 1
+    digest = hashlib.sha256(output.encode()).hexdigest()
+    assert digest == PINNED_PROBABILISTIC_OUTPUTS[(degrees, seed)]
+
+
+@pytest.mark.parametrize("bad", [1.5, 1.0, True, "1"])
+def test_regcheck_non_integer_exponent_exit_2(tmp_path, bad):
+    ci = random_complete_intersection(DegreeTuple((2, 3)), FieldSpec.prime(7), seed=1)
+    data = ci.to_json()
+    data["equations"][0]["terms"][0]["exponents"][0] = bad
+    path = tmp_path / "ci.json"
+    path.write_text(json.dumps(data))
+    code, output = invoke(["regcheck", "--input", str(path), "--samples", "1"])
+    assert code == 2
+    assert output == ""
+
+
+def test_regcheck_string_variables_exit_2(tmp_path):
+    ci = random_complete_intersection(DegreeTuple((2, 3)), FieldSpec.prime(7), seed=1)
+    data = ci.to_json()
+    for equation in data["equations"]:
+        equation["variables"] = "abcde"  # as many characters as variables
+    path = tmp_path / "ci.json"
+    path.write_text(json.dumps(data))
+    code, output = invoke(["regcheck", "--input", str(path), "--samples", "1"])
+    assert code == 2
+    assert output == ""

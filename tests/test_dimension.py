@@ -13,6 +13,7 @@ from fanoci.dimension import (
 )
 from fanoci.errors import InputError, ResourceBudgetError, UnsupportedModeError
 from fanoci.fields import FieldSpec
+from fanoci.groebner import groebner_basis, leading_term, staircase_dimension
 from fanoci.polynomials import MultiPoly, random_poly
 
 Q = FieldSpec.rationals()
@@ -88,12 +89,6 @@ def test_codim_rejects_all_zero():
         projective_codim([MultiPoly.zero(F5, V3)])
 
 
-def test_codim_probabilistic_over_rationals_unsupported():
-    x = MultiPoly.variable(Q, V3, "x")
-    with pytest.raises(UnsupportedModeError):
-        projective_codim([x], mode="probabilistic")
-
-
 def test_codim_budget_refuses_oversized_input():
     names = tuple(f"x{i}" for i in range(9))
     x0 = MultiPoly.variable(F5, names, "x0")
@@ -101,6 +96,28 @@ def test_codim_budget_refuses_oversized_input():
         projective_codim([x0])
     # override admits it
     assert projective_codim([x0], max_variables=9).codimension == 1
+
+
+@pytest.mark.parametrize("field", [F5, FieldSpec.prime(101), Q], ids=["gf5", "gf101", "q"])
+def test_codim_matches_the_reduced_basis_staircase(field):
+    # reference: the staircase of the leading terms of the reduced basis
+    rng = Random(97)
+    for _ in range(12):
+        n = rng.choice([3, 4])
+        names = tuple(f"x{i}" for i in range(1, n + 1))
+        gens = [
+            random_poly(rng.choice([1, 2, 3]), names, field, True, rng.getrandbits(63))
+            for _ in range(rng.choice([1, 2, 3]))
+        ]
+        if rng.random() < 0.4:  # a common factor: the forms are no longer generic
+            factor = random_poly(1, names, field, True, rng.getrandbits(63))
+            gens = [factor * g for g in gens]
+        gens = [g for g in gens if not g.is_zero()]
+        basis = groebner_basis(gens)
+        order = basis.order.resolve(names)
+        leads = [leading_term(g, order)[0] for g in basis.generators]
+        expected = n - staircase_dimension(leads, n)
+        assert projective_codim(gens).codimension == expected
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from fanoci.errors import InputError
 from fanoci.fields import FieldSpec
 from fanoci.polynomials import (
     MultiPoly,
+    grevlex_key,
     monomials_of_degree,
     random_poly,
     restrict_to_common_zeros,
@@ -138,6 +139,29 @@ def test_random_linear_zero_frequency_gf5():
 def test_monomials_of_degree_counts():
     assert len(list(monomials_of_degree(3, 2))) == 6  # C(4,2)
     assert list(monomials_of_degree(2, 0)) == [(0, 0)]
+    # the order is grevlex-descending, as random_poly draws in it
+    for n in range(1, 5):
+        for d in range(5):
+            monomials = list(monomials_of_degree(n, d))
+            assert monomials == sorted(monomials, key=grevlex_key, reverse=True)
+
+
+@pytest.mark.parametrize("field", [F5, FieldSpec.prime(101), Q], ids=["gf5", "gf101", "q"])
+def test_substitution_commutes_with_evaluation(field):
+    from random import Random
+
+    rng = Random(13)
+    V, T = ("x", "y", "z"), ("s", "t")
+    for case in range(10):
+        f = random_poly(rng.choice([2, 3, 4]), V, field, seed=case)
+        images = [
+            random_poly(rng.choice([0, 1, 2]), T, field, seed=100 * case + i)
+            for i in range(3)
+        ]
+        composed = f.substitute(images)
+        assert composed.variables == T
+        point = [field.random_element(rng) for _ in T]
+        assert composed.evaluate(point) == f.evaluate([g.evaluate(point) for g in images])
 
 
 # --- algebraic properties on seeded random polynomials ----------------------
