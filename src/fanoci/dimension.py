@@ -27,11 +27,14 @@ survives (the default e = 2 scan covers the GF(p)-points inside GF(p^2)).
 It takes the ``trials``, ``seed``, ``extension_degree`` and
 ``enumeration_budget``; ``is_regular_sequence`` with the probabilistic
 kernel calls it with 5 trials, seed j for prefix j and the default
-budget.  The forms are restricted
-once to each slice, by composing them with its parametrization
-(``polynomials.parametrize_span``, which the reduced regularity check
-shares), and the scan evaluates the restricted forms.  It exists to
-cross-validate the exact kernel, never to replace it.
+budget.  The linear members are intersected exactly: their coefficient
+rows join the random slicing rows in one ``fields.nullspace``, so only the
+nonlinear forms are scanned, and the enumeration budget counts the points
+of that smaller subspace.  Those forms are restricted once to it, by
+composing them with its parametrization (``polynomials.parametrize_span``,
+which the reduced regularity check shares), and the scan evaluates the
+restricted forms.  It exists to cross-validate the exact kernel, never to
+replace it.
 """
 
 from __future__ import annotations
@@ -236,11 +239,12 @@ def _poly_vanishes_on_subspace(
 
     Each form is composed once with the parametrization t -> sum t_i v_i of
     the subspace; the scan then evaluates the composed forms at projective
-    representatives of ext^m only.
+    representatives of ext^m only, and ``budget`` bounds their number.
+    With no forms there is nothing to scan: the answer is m > 0.
     """
     m = len(kernel_basis)
-    if m == 0:
-        return False
+    if m == 0 or not polys:
+        return m > 0
     q = ext.size
     count = (q**m - 1) // (q - 1)
     if count > budget:
@@ -291,7 +295,12 @@ def codim_probabilistic(
     dimension >= d - j, so an empty slice at level j certifies d <= j up to
     enumeration blindness, while a non-generic slice merely keeps extra
     points; the estimate is the smallest j at which one of up to ``trials``
-    attempts yields emptiness, giving codimension n - j.  Enlarging the
+    attempts yields emptiness, giving codimension n - j.  Each attempt
+    intersects the slice with the zeros of the linear generators exactly (one
+    nullspace of the slicing rows and their coefficient rows) and scans only
+    the nonlinear generators there, so ``enumeration_budget`` counts the
+    points of that cut subspace; the common zeros, and so the estimate, are
+    the same as for a scan of every generator.  Enlarging the
     field tightens both failure modes: conjugate points become visible and
     non-generic slices become rarer.  The reported confidence 1 - 2^-trials
     is a fixed heuristic order of magnitude, which is all the
@@ -314,15 +323,20 @@ def codim_probabilistic(
     n = len(variables)
     rng = Random(seed)
     ext = FieldSpec.quadratic(fieldspec.characteristic) if extension_degree == 2 else fieldspec
+    # the linear members cut the slice exactly through the nullspace; only
+    # the other forms are left for the point scan (GF(p) rows are GF(p^2)
+    # rows as they stand: GF(p) is the residues [0, p) there)
+    linear_rows = [g.linear_row() for g in generators if g.total_degree() == 1]
+    nonlinear = [g for g in generators if g.total_degree() > 1]
 
     for j in range(n + 1):
         # slicing with 0 forms is deterministic, so one attempt suffices
         attempts = 1 if j == 0 else trials
         found_empty = False
         for _ in range(attempts):
-            kernel = nullspace(_random_full_rank_forms(rng, ext, n, j), ext, n)
+            kernel = nullspace(_random_full_rank_forms(rng, ext, n, j) + linear_rows, ext, n)
             if not _poly_vanishes_on_subspace(
-                generators, kernel, ext, enumeration_budget
+                nonlinear, kernel, ext, enumeration_budget
             ):
                 found_empty = True
                 break

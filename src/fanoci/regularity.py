@@ -41,8 +41,9 @@ Notes:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from random import Random
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .dimension import DEFAULT_MAX_VARIABLES, EXACT, is_regular_sequence
 from .errors import InputError, ResourceBudgetError
@@ -179,15 +180,28 @@ class PointedCI:
     def variables(self) -> Tuple[str, ...]:
         return self.equations[0].variables
 
+    # The parts and the tangent space depend only on the instance, so each is
+    # computed once, when first asked for (the largest parts are never used
+    # by the check).  Neither is a field, so equality is unchanged.
+    @cached_property
+    def _parts(self) -> Dict[Tuple[int, int], MultiPoly]:
+        return {}
+
+    @cached_property
+    def _tangent(self) -> TangentSpace:
+        return tangent_space(self.linear_parts())
+
     def part(self, i: int, j: int) -> MultiPoly:
         """Homogeneous degree-j part of f_i (1-based i); may be zero."""
-        return self.equations[i - 1].homogeneous_part(j)
+        if (i, j) not in self._parts:
+            self._parts[i, j] = self.equations[i - 1].homogeneous_part(j)
+        return self._parts[i, j]
 
     def linear_parts(self) -> List[MultiPoly]:
         return [self.part(i, 1) for i in range(1, self.degrees.k + 1)]
 
     def tangent(self) -> TangentSpace:
-        return tangent_space(self.linear_parts())
+        return self._tangent
 
     @property
     def is_smooth_at_origin(self) -> bool:

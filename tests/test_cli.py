@@ -140,6 +140,20 @@ def test_regcheck_probabilistic_over_a_large_prime_exit_3(tmp_path):
     assert code == 3
 
 
+def test_regcheck_probabilistic_past_the_uncut_budget_exit_0(tmp_path):
+    # scanning every member on each slice would enumerate 10,172,526 points
+    # of P^5(GF(25)) here, over the budget; cut by the linear members, the
+    # scan fits and the verdict is the exact one
+    ci = random_complete_intersection(DegreeTuple((2, 4)), FieldSpec.prime(5), seed=0)
+    path = tmp_path / "ci.json"
+    path.write_text(json.dumps(ci.to_json()))
+    base = ["regcheck", "--input", str(path), "--samples", "1"]
+    code, output = invoke(base + ["--mode", "probabilistic"])
+    exact_code, exact_output = invoke(base + ["--mode", "exact"])
+    assert code == exact_code == 0
+    assert json.loads(output)["verdict"] == json.loads(exact_output)["verdict"]
+
+
 def test_regcheck_kernel_pair_budget_exit_3(tmp_path, monkeypatch, capsys):
     # a kernel budget abort exits 3 and reports how far the run got
     import functools

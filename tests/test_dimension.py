@@ -5,14 +5,16 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fanoci.dimension import (
+    _poly_vanishes_on_subspace,
     codim_probabilistic,
     is_regular_sequence,
     projective_codim,
 )
 from fanoci.errors import InputError, ResourceBudgetError, UnsupportedModeError
-from fanoci.fields import FieldSpec
+from fanoci.fields import FieldSpec, nullspace
 from fanoci.groebner import groebner_basis, leading_term, staircase_dimension
 from fanoci.polynomials import MultiPoly, random_poly
 
@@ -245,6 +247,54 @@ def test_probabilistic_budget_is_checked_before_listing_the_field(monkeypatch):
     with pytest.raises(ResourceBudgetError) as err:
         codim_probabilistic([x0 * x0], trials=1, seed=0)
     assert "exceeds the budget" in str(err.value)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("extension_degree", [1, 2])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_cutting_by_the_linear_members_keeps_the_common_zeros(p, extension_degree, data):
+    # the full scan of every form on the slice is the reference; the oracle
+    # instead adds the linear forms' rows to the slicing rows and scans the
+    # remaining forms on that smaller subspace
+    field = FieldSpec.prime(p)
+    ext = FieldSpec.quadratic(p) if extension_degree == 2 else field
+    n = data.draw(st.integers(min_value=2, max_value=4), label="n")
+    names = tuple(f"x{i}" for i in range(n))
+    specs = data.draw(
+        st.lists(
+            st.tuples(st.integers(1, 3), st.integers(0, 2**32)), min_size=1, max_size=3
+        ),
+        label="forms",
+    )
+    forms = [
+        f
+        for f in (random_poly(d, names, field, homogeneous=True, seed=s) for d, s in specs)
+        if not f.is_zero()
+    ]
+    element = st.integers(min_value=0, max_value=ext.size - 1)
+    rows = data.draw(
+        st.lists(st.lists(element, min_size=n, max_size=n), max_size=n - 1), label="rows"
+    )
+    linear = [f for f in forms if f.total_degree() == 1]
+    nonlinear = [f for f in forms if f.total_degree() > 1]
+    budget = 10**6
+    full = _poly_vanishes_on_subspace(forms, nullspace(rows, ext, n), ext, budget)
+    cut_kernel = nullspace(rows + [f.linear_row() for f in linear], ext, n)
+    assert _poly_vanishes_on_subspace(nonlinear, cut_kernel, ext, budget) == full
+
+
+def test_probabilistic_linear_forms_need_no_scan():
+    # GF(32003^2)^4 is far over the enumeration budget, but linear forms are
+    # intersected exactly, so their rank comes back without a point scan
+    field = FieldSpec.prime(32003)
+    names = tuple(f"x{i}" for i in range(4))
+    x0, x1, x2, x3 = (MultiPoly.variable(field, names, v) for v in names)
+    forms = [x0 + x1, x1 - 3 * x2, x0 + 3 * x2, 7 * x3]  # rank 3
+    for extension_degree in (1, 2):
+        result = codim_probabilistic(forms, seed=0, extension_degree=extension_degree)
+        assert result.codimension == 3
+        assert result.note == ""
 
 
 def test_probabilistic_deterministic_in_seed():
