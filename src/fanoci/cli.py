@@ -108,7 +108,9 @@ def _cmd_remark1(args, out) -> int:
 
 def _emit_audit(report: AuditReport, fmt: str, out) -> None:
     if fmt == "json":
-        print(_dump_json(report.to_json()), file=out)
+        for chunk in report.iter_json():
+            out.write(chunk)
+        out.write("\n")
     elif fmt == "csv":
         print("check,params,lhs,rhs,verdict,note", file=out)
         for record in report.records:

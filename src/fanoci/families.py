@@ -273,17 +273,48 @@ def theorem_applies(certificate: FamilyCertificate, theorem_id: str) -> bool:
 def nondecreasing_degree_tuples(
     k: int, total: int, d_min: int = 2, d_max: Optional[int] = None
 ) -> Iterator[Tuple[int, ...]]:
-    """All nondecreasing k-tuples with entries in [d_min, d_max] summing to total."""
+    """All nondecreasing k-tuples with entries in [d_min, d_max] summing to total.
+
+    They come in lexicographic order, each made from the one before: the
+    rightmost entry that can grow by one grows, and the entries after it
+    are refilled as the smallest tuple that still reaches the total.
+    """
     if d_max is None:
         d_max = total
     if k == 0:
         if total == 0:
             yield ()
         return
-    # remaining parts are >= first, so first <= total // k
-    for first in range(d_min, min(d_max, total // k) + 1):
-        for rest in nondecreasing_degree_tuples(k - 1, total - first, first, d_max):
-            yield (first,) + rest
+    current = _smallest_completion(k, d_min, total, d_max)
+    if current is None:
+        return
+    while True:
+        yield tuple(current)
+        suffix = current[-1]
+        for i in range(k - 2, -1, -1):
+            suffix += current[i]
+            if (k - i) * (current[i] + 1) <= suffix:
+                current[i:] = _smallest_completion(k - i, current[i] + 1, suffix, d_max)
+                break
+        else:
+            return
+
+
+def _smallest_completion(m: int, low: int, total: int, high: int) -> Optional[List[int]]:
+    """The lexicographically first nondecreasing m-list in [low, high] summing to total.
+
+    Entries stay at ``low`` from the front while the ones behind them can
+    still take up the rest at ``high``; None when no such list exists.
+    """
+    extra = total - m * low
+    if m < 1 or extra < 0 or total > m * high:
+        return None
+    if extra == 0:
+        return [low] * m
+    full, rest = divmod(extra, high - low)
+    if full == m:
+        return [high] * m
+    return [low] * (m - full - 1) + [low + rest] + [high] * full
 
 
 def count_nondecreasing_tuples(k: int, total: int, d_min: int = 2) -> int:

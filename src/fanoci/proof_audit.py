@@ -28,9 +28,12 @@ M >= 3k+4 across the sweep box.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Tuple
+from itertools import chain
+from json.encoder import encode_basestring_ascii
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from .errors import InputError
 from .families import DegreeTuple, nondecreasing_degree_tuples
@@ -41,6 +44,14 @@ FAIL = "fail"
 OUT_OF_HYPOTHESIS = "out-of-hypothesis"
 VACUOUS = "vacuous"
 
+# records per piece of text that AuditReport.iter_json yields
+_JSON_BATCH = 256
+
+
+# An exact side of a check: a Fraction, or an int where integer arithmetic
+# produced it; ``str`` of either is the "num/den" serialization.
+Exact = Union[int, Fraction]
+
 
 @dataclass(frozen=True)
 class CheckRecord:
@@ -48,8 +59,8 @@ class CheckRecord:
 
     check: str
     params: Dict[str, object]
-    lhs: Fraction
-    rhs: Fraction
+    lhs: Exact
+    rhs: Exact
     verdict: str
     note: str = ""
 
@@ -67,8 +78,8 @@ class CheckRecord:
 def _record(
     check: str,
     params: Dict[str, object],
-    lhs,
-    rhs,
+    lhs: Exact,
+    rhs: Exact,
     ok: bool,
     *,
     in_hypothesis: bool = True,
@@ -79,7 +90,7 @@ def _record(
         note = (note + "; " if note else "") + (
             "evaluates to " + (PASS if ok else FAIL) + " outside the hypothesis range"
         )
-    return CheckRecord(check, params, Fraction(lhs), Fraction(rhs), verdict, note)
+    return CheckRecord(check, params, lhs, rhs, verdict, note)
 
 
 # ---------------------------------------------------------------------------
@@ -272,22 +283,23 @@ def optimize_square_sum(k: int, M: int, shift: int) -> SquareSumResult:
         raise InputError(f"need k >= 2, got {k}")
     total = M + k
     best: Optional[int] = None
-    witnesses: List[DegreeTuple] = []
+    witnesses: List[Tuple[int, ...]] = []
     for degrees in nondecreasing_degree_tuples(k, total, 2, total):
         value = sum(x * x for x in degrees[:-1]) + (degrees[-1] - shift) ** 2
         if best is None or value < best:
             best = value
-            witnesses = [DegreeTuple(degrees)]
+            witnesses = [degrees]
         elif value == best:
-            witnesses.append(DegreeTuple(degrees))
+            witnesses.append(degrees)
     if best is None:
         raise InputError(f"no degree tuple with k = {k} sums to {total}")
     bound = Fraction((M + k - shift) ** 2, k)
-    return SquareSumResult(k, M, shift, best, bound, tuple(witnesses))
+    return SquareSumResult(
+        k, M, shift, best, bound, tuple(DegreeTuple(w) for w in witnesses)
+    )
 
 
-@dataclass(frozen=True)
-class TailCase:
+class TailCase(NamedTuple):
     """One tail case (b = M-4 or b = M-3) for a concrete degree tuple."""
 
     b: int
@@ -296,7 +308,7 @@ class TailCase:
     paper_bound: int
     independent_subtraction: int
     independent_bound: int
-    printed_closed_form: Fraction
+    printed_closed_form: int
     test_lhs: int
     test_rhs: int
 
@@ -314,15 +326,15 @@ class TailBoundReport:
 
     def records(self) -> List[CheckRecord]:
         out = []
-        M = self.degrees.M
+        d, k, M = self.degrees.degrees, self.degrees.k, self.degrees.M
+        in_hyp = M >= 3 * k + 4
         for case, name in zip(self.cases, ("tail-bound-m4", "tail-bound-m3")):
             notes = []
-            if case.printed_closed_form != Fraction(case.paper_bound):
+            if case.printed_closed_form != case.paper_bound:
                 notes.append(
-                    "printed closed form "
-                    f"{format_rational(case.printed_closed_form)} differs from the"
-                    f" direct bound {case.paper_bound} by "
-                    f"{format_rational(case.printed_closed_form - case.paper_bound)}"
+                    f"printed closed form {case.printed_closed_form} differs from the"
+                    f" direct bound {case.paper_bound} by"
+                    f" {case.printed_closed_form - case.paper_bound}"
                 )
             if case.independent_subtraction > case.paper_subtraction:
                 # the printed subtraction understates the worst case, so the
@@ -338,16 +350,11 @@ class TailBoundReport:
             out.append(
                 _record(
                     name,
-                    {
-                        "k": self.degrees.k,
-                        "M": M,
-                        "degrees": list(self.degrees.degrees),
-                        "b": case.b,
-                    },
+                    {"k": k, "M": M, "degrees": list(d), "b": case.b},
                     case.test_lhs,
                     case.test_rhs,
                     case.holds,
-                    in_hypothesis=M >= 3 * self.degrees.k + 4,
+                    in_hypothesis=in_hyp,
                     note="; ".join(notes),
                 )
             )
@@ -369,21 +376,32 @@ def check_tail_bounds(degrees: DegreeTuple) -> TailBoundReport:
     sum_{l<k} d_l(d_l+1)/2 + (dk-3)(dk-2)/2 + 2 - k   (b = M-4)
     sum_{l<k} d_l(d_l+1)/2 + (dk-2)(dk-1)/2 + 1 - k   (b = M-3)
     from the subtraction form, flagging constant differences.
+
+    Everything is integer arithmetic on the last three degrees and one sum,
+    without listing the weights: degree x has the weights 2..x, so every
+    weight is dominated by the three weights x, x-1, x-2 (those >= 2) of
+    each of the last three degrees, and the largest weights are among them;
+    sum(m) = sum d_l(d_l+1)/2 - k (see ``weight_sequence``); and
+    (dk-3)(dk-2) and (dk-2)(dk-1) are products of consecutive integers,
+    hence even.
     """
     M, k = degrees.M, degrees.k
     if M < 4:
         raise InputError(f"tail cases need M >= 4, got M = {M}")
-    ws = weight_sequence(degrees)
-    total = ws.total
-    dk = degrees.degrees[-1]
-    partial = sum(d * (d + 1) // 2 for d in degrees.degrees[:-1])
+    d = degrees.degrees
+    dk, dk1 = d[-1], d[-2]
+    dk2 = d[-3] if k > 2 else 0  # a missing degree contributes no weight >= 2
+    # top weights: dk, then dk-1 or dk1 = dk, then the best of what remains
+    top2 = dk + max(dk - 1, dk1)
+    top3 = top2 + (max(dk - 1, dk2) if dk1 == dk else max(dk - 2, dk1))
+    partial = sum(x * (x + 1) for x in d[:-1]) // 2
+    total = partial + dk * (dk + 1) // 2 - k
 
     cases = []
-    for b, paper_sub, closed_form, top_count in (
-        (M - 4, 3 * dk - 1, Fraction(partial) + Fraction((dk - 3) * (dk - 2), 2) + 2 - k, 3),
-        (M - 3, 2 * dk, Fraction(partial) + Fraction((dk - 2) * (dk - 1), 2) + 1 - k, 2),
+    for b, paper_sub, closed_form, indep_sub in (
+        (M - 4, 3 * dk - 1, partial + (dk - 3) * (dk - 2) // 2 + 2 - k, top3),
+        (M - 3, 2 * dk, partial + (dk - 2) * (dk - 1) // 2 + 1 - k, top2),
     ):
-        indep_sub = sum(ws.weights[-top_count:])
         paper_bound = total - paper_sub
         cases.append(
             TailCase(
@@ -567,19 +585,23 @@ class AuditReport:
     @property
     def discrepancy_notes(self) -> List[str]:
         """Deduplicated summary of printed-vs-recomputed disagreements."""
-        tail_diffs: Dict[Tuple[str, Fraction], int] = {}
-        annotation_diffs: Dict[str, List[Tuple[int, int, Fraction, Fraction]]] = {}
+        # counted by the difference as written; parsed once per distinct text
+        diff_texts: Dict[Tuple[str, str], int] = {}
+        annotation_diffs: Dict[str, List[Tuple[int, int, Exact, Exact]]] = {}
         for r in self.records:
             if r.check.startswith("tail-bound") and "differs" in r.note:
                 for piece in r.note.split("; "):
                     if "differs from the direct bound" in piece:
-                        diff = Fraction(piece.rsplit(" by ", 1)[1])
-                        key = (r.check, diff)
-                        tail_diffs[key] = tail_diffs.get(key, 0) + 1
+                        key = (r.check, piece.rsplit(" by ", 1)[1])
+                        diff_texts[key] = diff_texts.get(key, 0) + 1
             elif "annotation" in r.check and r.lhs != r.rhs:
                 annotation_diffs.setdefault(r.check, []).append(
                     (r.params.get("k", 0), r.params.get("M", 0), r.lhs, r.rhs)
                 )
+        tail_diffs: Dict[Tuple[str, Fraction], int] = {}
+        for (check, text), count in diff_texts.items():
+            key = (check, Fraction(text))
+            tail_diffs[key] = tail_diffs.get(key, 0) + count
         notes = [
             f"{check}: printed closed-form constant exceeds the direct bound by"
             f" {format_rational(diff)} ({count} tuples)"
@@ -598,13 +620,65 @@ class AuditReport:
     def to_json(self) -> list:
         return [r.to_json() for r in self.records]
 
+    def iter_json(self) -> Iterator[str]:
+        """The text of ``json.dumps(self.to_json(), indent=2, sort_keys=True)``.
+
+        It comes in pieces of ``_JSON_BATCH`` records, each record written
+        straight to its text, so neither the list of dicts nor the whole
+        document is ever held.
+        """
+        records = self.records
+        if not records:
+            yield "[]"
+            return
+        for start in range(0, len(records), _JSON_BATCH):
+            yield ("[\n" if start == 0 else ",\n") + ",\n".join(
+                map(_record_json, records[start : start + _JSON_BATCH])
+            )
+        yield "\n]"
+
+
+def _record_json(record: CheckRecord) -> str:
+    """``record.to_json()`` as an element of the indented, key-sorted array."""
+    return (
+        f"  {{\n    \"check\": {encode_basestring_ascii(record.check)},"
+        f"\n    \"lhs\": \"{str(record.lhs)}\","
+        f"\n    \"note\": {encode_basestring_ascii(record.note)},"
+        f"\n    \"params\": {_params_json(record.params)},"
+        f"\n    \"rhs\": \"{str(record.rhs)}\","
+        f"\n    \"verdict\": {encode_basestring_ascii(record.verdict)}\n  }}"
+    )
+
+
+def _params_json(params: Dict[str, object]) -> str:
+    """``params`` as the indented, key-sorted encoder writes it two levels deep."""
+    if not params:
+        return "{}"
+    items = []
+    for key in sorted(params):
+        value = params[key]
+        if type(value) is int:
+            text = str(value)
+        elif type(value) is list and value and all(type(x) is int for x in value):
+            text = "[\n        " + ",\n        ".join(map(str, value)) + "\n      ]"
+        else:
+            text = json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n      ")
+        items.append(f"      {encode_basestring_ascii(key)}: {text}")
+    return "{\n" + ",\n".join(items) + "\n    }"
+
 
 def _sort_key(record: CheckRecord):
+    # k, M, check, then the degree list as text ("[2, 10, 11]" before
+    # "[2, 2, 19]"): the report's established order, which compared the text
+    # of the sorted params; within one (k, M, check) those differ only in the
+    # degrees or, for the square sums, in the shift, made in order (the sort
+    # is stable)
+    params = record.params
     return (
-        record.params.get("k", 0),
-        record.params.get("M", 0),
+        params.get("k", 0),
+        params.get("M", 0),
         record.check,
-        str(sorted(record.params.items(), key=lambda kv: kv[0])),
+        str(params.get("degrees", "")),
     )
 
 
@@ -640,15 +714,18 @@ def audit_range(
     truncated = False
 
     def push(items: Iterable[CheckRecord]) -> bool:
+        """Append while the budget lasts; False once the report is truncated."""
         nonlocal truncated
+        if truncated:
+            return False
         for item in items:
             if len(records) >= max_records:
                 records.append(
                     CheckRecord(
                         "truncation-marker",
                         {},
-                        Fraction(len(records)),
-                        Fraction(max_records),
+                        len(records),
+                        max_records,
                         VACUOUS,
                         "record budget exceeded; the report is partial",
                     )
@@ -667,8 +744,8 @@ def audit_range(
                     CheckRecord(
                         "sweep-range",
                         {"k": k, "M": 0},
-                        Fraction(lo),
-                        Fraction(M_max),
+                        lo,
+                        M_max,
                         VACUOUS,
                         f"no M with 3k+4 = {lo} <= M <= {M_max} for k = {k}",
                     )
@@ -677,23 +754,17 @@ def audit_range(
         else:
             pair_jobs.extend((k, M) for M in range(lo, M_max + 1))
 
-    for batch in map(_pair_records, pair_jobs):
+    def tuple_batches() -> Iterator[List[CheckRecord]]:
+        for k in range(2, min(k_max, tuple_k_max) + 1):
+            for M in range(3 * k + 4, min(M_max, tuple_M_max) + 1):
+                for shift in (2, 3):
+                    yield optimize_square_sum(k, M, shift).records()
+                for degrees in nondecreasing_degree_tuples(k, M + k, 2, M + k):
+                    yield check_tail_bounds(DegreeTuple(degrees)).records()
+
+    for batch in chain(map(_pair_records, pair_jobs), tuple_batches()):
         if not push(batch):
             break
-
-    for k in range(2, min(k_max, tuple_k_max) + 1):
-        if truncated:
-            break
-        lo = 3 * k + 4
-        hi = min(M_max, tuple_M_max)
-        for M in range(lo, hi + 1):
-            if truncated:
-                break
-            for shift in (2, 3):
-                push(optimize_square_sum(k, M, shift).records())
-            for degrees in nondecreasing_degree_tuples(k, M + k, 2, M + k):
-                if not push(check_tail_bounds(DegreeTuple(degrees)).records()):
-                    break
 
     records.sort(key=_sort_key)
     return AuditReport(tuple(records), truncated)

@@ -7,6 +7,7 @@ import pytest
 from fanoci.cli import run
 from fanoci.families import DegreeTuple
 from fanoci.fields import FieldSpec
+from fanoci.proof_audit import audit_range
 from fanoci.regularity import random_complete_intersection
 
 REMARK_TUPLES = [
@@ -90,6 +91,27 @@ def test_audit_exit_code_and_vacuity():
     assert code == 0
     payload = json.loads(output)
     assert payload[0]["verdict"] == "vacuous"
+
+
+@pytest.mark.parametrize(
+    "box",
+    [
+        ("2", "9", "5", "60"),  # vacuous
+        ("3", "18", "3", "18"),  # contains (7,7,7)
+        ("4", "20", "4", "20"),
+    ],
+)
+def test_audit_json_is_the_indented_sorted_dump(box):
+    k_max, m_max, tuple_k_max, tuple_m_max = box
+    code, output = invoke(
+        ["audit", "--format", "json", "--k-max", k_max, "--m-max", m_max,
+         "--tuple-k-max", tuple_k_max, "--tuple-m-max", tuple_m_max]
+    )
+    assert code == 0
+    report = audit_range(
+        int(k_max), int(m_max), tuple_k_max=int(tuple_k_max), tuple_M_max=int(tuple_m_max)
+    )
+    assert output == json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
 
 
 def test_unknown_flag_rejected_with_usage_exit():

@@ -1,5 +1,6 @@
 import warnings
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -234,6 +235,23 @@ def test_enumeration_complete_against_counting_oracle():
             assert len(listed) == count_nondecreasing_tuples(k, total)
             assert all(sum(t) == total for t in listed)
             assert listed == sorted(listed)
+
+
+def test_enumeration_matches_sorted_combinations_with_caps():
+    # combinations_with_replacement lists the nondecreasing tuples of a range
+    # in lexicographic order; filtering by the sum is the reference listing
+    for k in range(0, 6):
+        for total in range(-1, 24):
+            for d_min in range(0, 5):
+                for d_max in (None, 1, 3, 4, 7, 12):
+                    top = total if d_max is None else d_max
+                    expected = [
+                        combo
+                        for combo in combinations_with_replacement(range(d_min, top + 1), k)
+                        if sum(combo) == total
+                    ]
+                    listed = list(nondecreasing_degree_tuples(k, total, d_min, d_max))
+                    assert listed == expected, (k, total, d_min, d_max)
 
 
 def test_remark_catalogue():

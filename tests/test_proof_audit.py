@@ -1,3 +1,5 @@
+import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,6 +11,9 @@ from fanoci.proof_audit import (
     OUT_OF_HYPOTHESIS,
     PASS,
     VACUOUS,
+    AuditReport,
+    CheckRecord,
+    TailCase,
     _printed_bracket_m3,
     _printed_bracket_m4,
     audit_range,
@@ -243,6 +248,39 @@ def test_tail_bounds_triple_top_degree_worst_case_note():
     assert report.holds
 
 
+def test_tail_cases_match_the_weight_sequence():
+    # every field recomputed from the sorted weight list and Fraction forms
+    for k in range(2, 6):
+        for M in range(3 * k + 4, 31):
+            for degrees in nondecreasing_degree_tuples(k, M + k):
+                dt = DegreeTuple(degrees)
+                ws = weight_sequence(dt)
+                dk = degrees[-1]
+                partial = sum(Fraction(d * (d + 1), 2) for d in degrees[:-1])
+                expected = []
+                for b, paper_sub, closed_form, top in (
+                    (M - 4, 3 * dk - 1, partial + Fraction((dk - 3) * (dk - 2), 2) + 2 - k, 3),
+                    (M - 3, 2 * dk, partial + Fraction((dk - 2) * (dk - 1), 2) + 1 - k, 2),
+                ):
+                    indep_sub = sum(ws.weights[-top:])
+                    expected.append(
+                        TailCase(
+                            b=b,
+                            sum_weights=ws.total,
+                            paper_subtraction=paper_sub,
+                            paper_bound=ws.total - paper_sub,
+                            independent_subtraction=indep_sub,
+                            independent_bound=ws.total - indep_sub,
+                            printed_closed_form=closed_form,
+                            test_lhs=(ws.total - paper_sub - b) * (M - b - 2),
+                            test_rhs=2 * M,
+                        )
+                    )
+                cases = check_tail_bounds(dt).cases
+                assert cases == tuple(expected), degrees
+                assert all(type(case.printed_closed_form) is int for case in cases)
+
+
 def test_tail_bounds_requires_m_at_least_4():
     with pytest.raises(InputError):
         check_tail_bounds(DegreeTuple((2, 2)))  # M = 2
@@ -350,6 +388,86 @@ def test_audit_truncation_marker():
     report = audit_range(2, 12, max_records=10)
     assert report.truncated
     assert any(r.check == "truncation-marker" for r in report.records)
+
+
+def _records_text(records):
+    return Counter(json.dumps(r.to_json(), sort_keys=True) for r in records)
+
+
+@pytest.mark.parametrize("k_max, size", [(2, 68), (5, 71)])
+def test_audit_truncation_leaves_one_marker_across_the_budget(k_max, size):
+    # audit_range(k_max, 12) makes one vacuous sweep-range record for each
+    # k = 3..k_max, then 30 per-(k, M) records, then the square sums and
+    # tail bounds; the budgets cross every boundary and the end of the report
+    full = audit_range(k_max, 12).records
+    assert len(full) == size
+    kept_before = Counter()
+    for budget in range(0, len(full) + 2):
+        report = audit_range(k_max, 12, max_records=budget)
+        markers = [r for r in report.records if r.check == "truncation-marker"]
+        if budget >= len(full):
+            assert not report.truncated and not markers
+            assert _records_text(report.records) == _records_text(full)
+            continue
+        assert report.truncated
+        assert len(report.records) == budget + 1
+        assert len(markers) == 1
+        assert (markers[0].lhs, markers[0].rhs, markers[0].params) == (budget, budget, {})
+        kept = _records_text(r for r in report.records if r is not markers[0])
+        # a larger budget keeps what a smaller one kept, plus one record
+        assert not kept - _records_text(full)
+        assert not kept_before - kept and sum((kept - kept_before).values()) == (budget > 0)
+        kept_before = kept
+
+
+def test_audit_order_is_the_params_text_order():
+    # the report's order: k, M, check, then the text of the sorted params,
+    # stable; (3, M = 20) puts (2,10,11) before (2,2,19)
+    report = audit_range(4, 24, tuple_k_max=4, tuple_M_max=24)
+
+    def params_text_key(record):
+        return (
+            record.params.get("k", 0),
+            record.params.get("M", 0),
+            record.check,
+            str(sorted(record.params.items())),
+        )
+
+    assert list(report.records) == sorted(report.records, key=params_text_key)
+    tails = [
+        r.params["degrees"]
+        for r in report.records
+        if r.check == "tail-bound-m3" and r.params["M"] == 20 and r.params["k"] == 3
+    ]
+    assert tails.index([2, 10, 11]) < tails.index([2, 2, 19])
+
+
+@pytest.mark.parametrize(
+    "report",
+    [
+        audit_range(2, 9),  # only the vacuous sweep-range record
+        audit_range(2, 12, max_records=40),  # a marker with params {}
+        audit_range(3, 18, tuple_k_max=3, tuple_M_max=18),  # (7,7,7): worst-case notes
+        audit_range(4, 20, tuple_k_max=4, tuple_M_max=20),
+        AuditReport(()),
+        AuditReport(
+            (
+                CheckRecord(
+                    "odd \"check\"",
+                    {"z": [], "a": True, "m": {"y": [1, [2]], "x": None}, "s": "\u2265"},
+                    Fraction(-1, 2),
+                    -3,
+                    PASS,
+                    "note with \\ and \u00e9",
+                ),
+            )
+        ),
+    ],
+    ids=["vacuous", "truncated", "triple-7", "k4", "empty", "odd-params"],
+)
+def test_iter_json_is_the_indented_sorted_dump(report):
+    expected = json.dumps(report.to_json(), indent=2, sort_keys=True)
+    assert "".join(report.iter_json()) == expected
 
 
 def test_audit_records_sorted_and_json_schema():
