@@ -176,6 +176,8 @@ def _cmd_regcheck(args, out) -> int:
 def _cmd_randomci(args, out) -> int:
     if args.trials < 0:
         raise InputError(f"--trials must be >= 0, got {args.trials}")
+    if args.samples < 1:
+        raise InputError(f"--samples must be >= 1, got {args.samples}")
     degrees = _parse_degrees(args.degrees)
     field = FieldSpec.from_json_tag(args.field)
     stats = {"trials": args.trials, "smooth": 0, "singular": 0, "regular": 0, "irregular": 0}

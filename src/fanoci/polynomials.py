@@ -13,6 +13,7 @@ which makes serialization canonical.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from random import Random
 from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
@@ -28,10 +29,21 @@ def grevlex_key(exponents: Exponents):
     return (sum(exponents), tuple(-e for e in reversed(exponents)))
 
 
+def _descending_key(exponents: Exponents):
+    """Ascending sort key for grevlex-descending order.
+
+    Sorting by it orders distinct exponent vectors exactly as
+    ``sorted(key=grevlex_key, reverse=True)``, with tuple comparisons of
+    ints in place of a generator per vector.
+    """
+    return (-sum(exponents), exponents[::-1])
+
+
 def _normalize(
     fieldspec: FieldSpec, variables: Tuple[str, ...], terms: Mapping[Exponents, Element]
 ) -> Dict[Exponents, Element]:
     n = len(variables)
+    coerce, add = fieldspec.coerce, fieldspec.add
     out: Dict[Exponents, Element] = {}
     for exps, coeff in terms.items():
         exps = tuple(exps)
@@ -39,15 +51,15 @@ def _normalize(
             raise InputError(
                 f"exponent vector {exps} has length {len(exps)}, expected {n}"
             )
-        if any(e < 0 for e in exps):
+        if exps and min(exps) < 0:
             raise InputError(f"negative exponent in {exps}")
-        value = fieldspec.coerce(coeff)
+        value = coerce(coeff)
         if value:
-            out[exps] = fieldspec.add(out[exps], value) if exps in out else value
+            out[exps] = add(out[exps], value) if exps in out else value
             if not out[exps]:
                 del out[exps]
     # grevlex-descending insertion order keeps iteration and dumps canonical
-    return {e: out[e] for e in sorted(out, key=grevlex_key, reverse=True)}
+    return {e: out[e] for e in sorted(out, key=_descending_key)}
 
 
 def _product(
@@ -60,10 +72,44 @@ def _product(
     product: Dict[Exponents, Element] = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
-            exps = tuple(x + y for x, y in zip(ea, eb))
+            exps = tuple(map(operator.add, ea, eb))
             coeff = mul(ca, cb)
             product[exps] = add(product[exps], coeff) if exps in product else coeff
     return {e: c for e, c in product.items() if c}
+
+
+def _compose(
+    fieldspec: FieldSpec,
+    terms: Mapping[Exponents, Element],
+    images: Sequence[Mapping[Exponents, Element]],
+    one: Exponents,
+) -> Dict[Exponents, Element]:
+    """Term map of sum_e c_e * prod_i images[i]^e[i], by Horner's rule.
+
+    ``terms`` maps exponent vectors of length ``len(images)`` >= 1 to their
+    coefficients, and ``one`` is the exponent vector of the images' constant
+    term.  Written as sum_k x^k * f_k in its last variable x, the polynomial
+    folds as acc = acc * image + f_k from the highest k down, and each f_k,
+    a polynomial in the exponent prefixes, is composed the same way; so each
+    prefix is multiplied once, whatever the images are.
+    """
+    add, coerce = fieldspec.add, fieldspec.coerce
+    image, inner = images[-1], images[:-1]
+    by_last: Dict[int, Dict[Exponents, Element]] = {}
+    for exps, coeff in terms.items():
+        by_last.setdefault(exps[-1], {})[exps[:-1]] = coeff
+    acc: Dict[Exponents, Element] = {}
+    for k in range(max(by_last, default=0), -1, -1):
+        acc = _product(fieldspec, acc, image)
+        if k not in by_last:
+            continue
+        if inner:
+            part = _compose(fieldspec, by_last[k], inner, one)
+        else:  # f_k is the constant at the empty prefix
+            part = {one: coerce(by_last[k][()])}
+        for key, value in part.items():
+            acc[key] = add(acc[key], value) if key in acc else value
+    return acc
 
 
 @dataclass(frozen=True)
@@ -248,8 +294,9 @@ class MultiPoly:
         }
 
     def homogeneous_part(self, degree: int) -> "MultiPoly":
+        # a subset of canonical terms, kept in order, is canonical
         terms = {e: c for e, c in self.terms.items() if sum(e) == degree}
-        return MultiPoly.from_terms(self.field, self.variables, terms)
+        return MultiPoly(self.field, self.variables, terms)
 
     def restrict_to_hyperplane(self, linear: "MultiPoly") -> "MultiPoly":
         """Substitute the hyperplane {linear = 0} into this polynomial.
@@ -267,7 +314,9 @@ class MultiPoly:
 
         The images share one ring, and the result lives in it; coefficients
         are coerced into its field, so a form over GF(p) composes with
-        images over GF(p^2).  Each power of an image is computed once.
+        images over GF(p^2).  The composition runs Horner's rule in each
+        variable (``_compose``), so terms that share an exponent prefix
+        share its products.
         """
         if len(images) != len(self.variables):
             raise InputError(
@@ -277,19 +326,8 @@ class MultiPoly:
         for image in images:
             if image.field != fieldspec or image.variables != variables:
                 raise InputError("polynomials over different rings")
-        add, coerce = fieldspec.add, fieldspec.coerce
         one = (0,) * len(variables)
-        powers = [[image.terms] for image in images]  # powers[i][e - 1] = images[i]^e
-        total: Dict[Exponents, Element] = {}
-        for exps, coeff in self.terms.items():
-            term = {one: coerce(coeff)}
-            for table, e in zip(powers, exps):
-                if e:
-                    while len(table) < e:
-                        table.append(_product(fieldspec, table[-1], table[0]))
-                    term = _product(fieldspec, term, table[e - 1])
-            for key, value in term.items():
-                total[key] = add(total[key], value) if key in total else value
+        total = _compose(fieldspec, self.terms, [image.terms for image in images], one)
         return MultiPoly.from_terms(fieldspec, variables, total)
 
     # -- serialization -------------------------------------------------------
@@ -400,18 +438,28 @@ def monomials_of_degree(n_vars: int, degree: int) -> Iterator[Exponents]:
     in graded reverse lexicographic order (descending ``grevlex_key``).
 
     Within one degree grevlex prefers the smaller exponent of the last
-    variable, so the last exponent runs from 0 upward and the others recurse.
+    variable, so the vectors run through ascending ``e[::-1]``: the successor
+    moves one unit from the first nonzero entry e[j] to e[j + 1] and gathers
+    the rest of e[j] in e[0].  The last vector is (0, ..., 0, degree).
     """
     if n_vars == 0:
         if degree == 0:
             yield ()
         return
-    if n_vars == 1:
-        yield (degree,)
+    if degree < 0:
         return
-    for last in range(degree + 1):
-        for rest in monomials_of_degree(n_vars - 1, degree - last):
-            yield rest + (last,)
+    exps = [degree] + [0] * (n_vars - 1)
+    while True:
+        yield tuple(exps)
+        if exps[-1] == degree:
+            return
+        j = 0
+        while not exps[j]:
+            j += 1
+        rest = exps[j] - 1
+        exps[j] = 0
+        exps[j + 1] += 1
+        exps[0] = rest
 
 
 def random_poly(
@@ -431,12 +479,20 @@ def random_poly(
     if degree < 0:
         raise InputError("degree must be nonnegative")
     variables = tuple(variables)
-    rng = Random(seed)
-    degrees = [degree] if homogeneous else list(range(degree + 1))
-    terms: Dict[Exponents, Element] = {}
-    for d in degrees:
-        for exps in monomials_of_degree(len(variables), d):
-            coeff = fieldspec.random_element(rng)
+    if len(set(variables)) != len(variables):
+        raise InputError(f"duplicate variable names in {variables}")
+    n, draw, rng = len(variables), fieldspec.random_element, Random(seed)
+    # drawn from degree 0 up, each degree grevlex-descending; stored from the
+    # top degree down, which is the canonical order, so nothing is re-sorted
+    parts = []
+    for d in [degree] if homogeneous else range(degree + 1):
+        part: Dict[Exponents, Element] = {}
+        for exps in monomials_of_degree(n, d):
+            coeff = draw(rng)
             if coeff:
-                terms[exps] = coeff
-    return MultiPoly.from_terms(fieldspec, variables, terms)
+                part[exps] = coeff
+        parts.append(part)
+    terms: Dict[Exponents, Element] = {}
+    for part in reversed(parts):
+        terms.update(part)
+    return MultiPoly(fieldspec, variables, terms)

@@ -438,8 +438,7 @@ def random_complete_intersection(
     for _ in range(max_attempts):
         equations = []
         for d in degrees.degrees:
-            # the parts have distinct degrees, so their terms never collide
-            terms = {}
+            parts = []
             for j in range(1, d + 1):
                 # only the top-degree part must be nonzero; it is redrawn
                 for _ in range(1 + max_part_redraws):
@@ -453,8 +452,13 @@ def random_complete_intersection(
                         "could not draw a nonzero top-degree part"
                         f" in {max_part_redraws} redraws"
                     )
-                terms.update(part.terms)
-            equations.append(MultiPoly.from_terms(field, variables, terms))
+                parts.append(part.terms)
+            # each part is canonical and of its own degree, so the parts from
+            # the top degree down make the canonical term order
+            terms = {}
+            for part in reversed(parts):
+                terms.update(part)
+            equations.append(MultiPoly(field, variables, terms))
         instance = PointedCI(degrees, field, tuple(equations))
         if instance.is_smooth_at_origin:
             return instance

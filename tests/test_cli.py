@@ -288,6 +288,14 @@ def test_randomci_rejects_negative_trials():
     assert json.loads(output)["trials"] == 0
 
 
+def test_randomci_rejects_zero_samples_before_drawing():
+    # checked up front: with no trials no instance reaches the sampled check
+    for trials in ("0", "3"):
+        argv = ["randomci", "--degrees", "2,3", "--field", "gf:7", "--trials", trials]
+        code, output = invoke([*argv, "--samples", "0"])
+        assert (code, output) == (2, "")
+
+
 def _with_coefficients(data, convert):
     for equation in data["equations"]:
         for term in equation["terms"]:

@@ -1,4 +1,6 @@
 from fractions import Fraction
+from math import comb
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,8 +9,10 @@ from fanoci.errors import InputError
 from fanoci.fields import FieldSpec
 from fanoci.polynomials import (
     MultiPoly,
+    _descending_key,
     grevlex_key,
     monomials_of_degree,
+    parametrize_span,
     random_poly,
     restrict_to_common_zeros,
 )
@@ -139,11 +143,41 @@ def test_random_linear_zero_frequency_gf5():
 def test_monomials_of_degree_counts():
     assert len(list(monomials_of_degree(3, 2))) == 6  # C(4,2)
     assert list(monomials_of_degree(2, 0)) == [(0, 0)]
-    # the order is grevlex-descending, as random_poly draws in it
-    for n in range(1, 5):
-        for d in range(5):
+    assert list(monomials_of_degree(0, 0)) == [()]
+    assert list(monomials_of_degree(0, 2)) == []
+    # every monomial once, grevlex-descending, as random_poly draws them
+    for n in range(1, 7):
+        for d in range(7):
             monomials = list(monomials_of_degree(n, d))
+            assert len(monomials) == len(set(monomials)) == comb(n + d - 1, d)
+            assert all(len(e) == n and sum(e) == d and min(e) >= 0 for e in monomials)
             assert monomials == sorted(monomials, key=grevlex_key, reverse=True)
+
+
+@given(
+    st.integers(min_value=0, max_value=5).flatmap(
+        lambda n: st.sets(st.tuples(*[st.integers(min_value=0, max_value=4)] * n))
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_descending_key_orders_as_grevlex_descending(exponents):
+    assert sorted(exponents, key=_descending_key) == sorted(
+        exponents, key=grevlex_key, reverse=True
+    )
+
+
+@pytest.mark.parametrize("field", [F5, FieldSpec.prime(32003), Q], ids=["gf5", "gf32003", "q"])
+@pytest.mark.parametrize("homogeneous", [True, False])
+def test_random_poly_terms_are_built_in_canonical_order(field, homogeneous):
+    for seed in range(8):
+        p = random_poly(seed % 4 + 1, ("x", "y", "z", "w"), field, homogeneous, seed)
+        normalized = MultiPoly.from_terms(p.field, p.variables, p.terms)
+        assert list(p.terms.items()) == list(normalized.terms.items())
+
+
+def test_random_poly_rejects_duplicate_variables():
+    with pytest.raises(InputError):
+        random_poly(2, ("x", "x"), F5)
 
 
 @pytest.mark.parametrize("field", [F5, FieldSpec.prime(101), Q], ids=["gf5", "gf101", "q"])
@@ -162,6 +196,61 @@ def test_substitution_commutes_with_evaluation(field):
         assert composed.variables == T
         point = [field.random_element(rng) for _ in T]
         assert composed.evaluate(point) == f.evaluate([g.evaluate(point) for g in images])
+
+
+def _substitute_by_power_tables(f, images):
+    """Reference composition: each term is a product of cached image powers."""
+    field, variables = images[0].field, images[0].variables
+    one = MultiPoly.constant(field, variables, 1)
+    powers = [[one] for _ in images]  # powers[i][e] = images[i]^e
+    total = MultiPoly.zero(field, variables)
+    for exps, coeff in f.terms.items():
+        term = one.scale(coeff)
+        for image, table, e in zip(images, powers, exps):
+            while len(table) <= e:
+                table.append(table[-1] * image)
+            term = term * table[e]
+        total = total + term
+    return total
+
+
+_DIFFERENTIAL_FIELDS = {
+    "gf5": (F5, F5),
+    "gf101": (FieldSpec.prime(101), FieldSpec.prime(101)),
+    "q": (Q, Q),
+    "gf3->gf9": (FieldSpec.prime(3), FieldSpec.quadratic(3)),
+    "gf5->gf25": (F5, FieldSpec.quadratic(5)),
+}
+
+
+@given(
+    fields=st.sampled_from(sorted(_DIFFERENTIAL_FIELDS)),
+    n=st.integers(min_value=1, max_value=4),
+    m=st.integers(min_value=1, max_value=3),
+    degree=st.integers(min_value=0, max_value=4),
+    homogeneous=st.booleans(),
+    images=st.sampled_from(["linear", "span", "nonlinear"]),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+@settings(max_examples=80, deadline=None)
+def test_substitute_matches_the_power_table_composition(
+    fields, n, m, degree, homogeneous, images, seed
+):
+    field, ext = _DIFFERENTIAL_FIELDS[fields]
+    V = tuple(f"x{i}" for i in range(1, n + 1))
+    T = tuple(f"t{i}" for i in range(1, m + 1))
+    f = random_poly(degree, V, field, homogeneous, seed)
+    if images == "span":  # as the slicing oracle parametrizes a subspace
+        rng = Random(seed)
+        basis = [[ext.random_element(rng) for _ in V] for _ in T]
+        maps = parametrize_span(ext, basis, T, n)
+    else:
+        linear = images == "linear"
+        maps = [random_poly(1 if linear else 2, T, ext, linear, seed + i) for i in range(n)]
+    got = f.substitute(maps)
+    expected = _substitute_by_power_tables(f, maps)
+    assert got.variables == expected.variables == T
+    assert list(got.terms.items()) == list(expected.terms.items())
 
 
 # --- algebraic properties on seeded random polynomials ----------------------

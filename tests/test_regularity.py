@@ -1,3 +1,5 @@
+import hashlib
+import json
 from random import Random
 
 import pytest
@@ -367,3 +369,21 @@ def test_pointed_ci_validation():
         )
     with pytest.raises(InputError):  # wrong equation count
         PointedCI(DegreeTuple((2, 2)), Q, (v["z3"] + v["z1"] ** 2,))
+
+
+@pytest.mark.parametrize(
+    "degrees, tag, seed, digest",
+    [
+        ((2, 3), "gf:101", 0, "43c43ae8a8a10da1d1b44e8593e9cbbb6d507a6ecc1ddff9eda91092bd8f7510"),
+        ((4, 4), "gf:32003", 7, "0b8d663edaa5663451ae43537bfa19927fc55c05708d66d3bab3777fcdbcbdbd"),
+        ((2, 6), "gf:32003", 3, "5db4712f1a303bf0786b9a114f3723bd364e52fe25ef118ab0950a09b565da0a"),
+        ((3, 3), "gf:7", 11, "99f9e02343cc2f62ef0de718076677cc6b40a4a5f401cf772b8e97659a7fee7d"),
+    ],
+)
+def test_seeded_instance_bytes_are_pinned(degrees, tag, seed, digest):
+    # freezes the draw stream and the canonical term order that every
+    # seeded regcheck reads
+    ci = random_complete_intersection(
+        DegreeTuple(degrees), FieldSpec.from_json_tag(tag), seed=seed
+    )
+    assert hashlib.sha256(json.dumps(ci.to_json()).encode()).hexdigest() == digest
