@@ -88,6 +88,8 @@ class FieldSpec:
 
     @classmethod
     def from_json_tag(cls, tag: str) -> "FieldSpec":
+        if not isinstance(tag, str):
+            raise InputError(f"field tag must be a string, got {tag!r}")
         if tag == "rational":
             return cls.rationals()
         if tag.startswith("gf:"):

@@ -31,6 +31,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
@@ -53,8 +54,7 @@ _JSON_BATCH = 256
 Exact = Union[int, Fraction]
 
 
-@dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(NamedTuple):
     """One audited comparison: exact sides, verdict, and optional note."""
 
     check: str
@@ -244,7 +244,7 @@ def check_quadratic_margin(M: int) -> List[CheckRecord]:
 
 @dataclass(frozen=True)
 class SquareSumResult:
-    """Brute-force integer minimum against the exact relaxation bound."""
+    """Exact integer minimum, with its witnesses, against the relaxation bound."""
 
     k: int
     M: int
@@ -273,24 +273,36 @@ class SquareSumResult:
 def optimize_square_sum(k: int, M: int, shift: int) -> SquareSumResult:
     """Minimize sum_{l<k} d_l^2 + (d_k - shift)^2 over tuples with sum = M+k.
 
-    The brute-force oracle respects the family constraints (2 <= d_1 <= ...),
-    while the relaxation bound (M+k-shift)^2 / k is the unconstrained
-    continuous minimum, so integer_min >= relaxation_bound must always hold.
+    The integer minimum is exact and respects the family constraints
+    (2 <= d_1 <= ... <= d_k), while the relaxation bound (M+k-shift)^2 / k
+    is the unconstrained continuous minimum, so integer_min >=
+    relaxation_bound must always hold.
+
+    No tuple is listed.  Once the last degree c is fixed, the other k-1
+    degrees sum to M+k-c, and as x^2 is strictly convex the balanced prefix
+    (parts q and q+1) is the one prefix of least square sum; it is feasible
+    whenever some prefix is, i.e. for ceil((M+k)/k) <= c <= M+k-2(k-1).  So
+    one scan over c gives the minimum and all of its witnesses.  The
+    balanced prefix grows lexicographically with its sum, so scanning c
+    downwards lists the witnesses in lexicographic order, the order of
+    ``nondecreasing_degree_tuples``; the tests keep that brute-force
+    enumeration as the oracle.
     """
     if shift not in (2, 3):
         raise InputError(f"shift must be 2 or 3, got {shift}")
     if k < 2:
         raise InputError(f"need k >= 2, got {k}")
-    total = M + k
+    total, parts = M + k, k - 1
     best: Optional[int] = None
     witnesses: List[Tuple[int, ...]] = []
-    for degrees in nondecreasing_degree_tuples(k, total, 2, total):
-        value = sum(x * x for x in degrees[:-1]) + (degrees[-1] - shift) ** 2
-        if best is None or value < best:
-            best = value
-            witnesses = [degrees]
-        elif value == best:
-            witnesses.append(degrees)
+    for c in range(total - 2 * parts, -(-total // k) - 1, -1):
+        q, r = divmod(total - c, parts)
+        value = parts * q * q + r * (2 * q + 1) + (c - shift) ** 2
+        if best is None or value <= best:
+            prefix = (q,) * (parts - r) + (q + 1,) * r
+            if best is None or value < best:
+                best, witnesses = value, []
+            witnesses.append(prefix + (c,))
     if best is None:
         raise InputError(f"no degree tuple with k = {k} sums to {total}")
     bound = Fraction((M + k - shift) ** 2, k)
@@ -317,6 +329,9 @@ class TailCase(NamedTuple):
         return self.test_lhs >= self.test_rhs
 
 
+_TAIL_CHECKS = ("tail-bound-m4", "tail-bound-m3")
+
+
 @dataclass(frozen=True)
 class TailBoundReport:
     """Both tail cases for one tuple, with all recomputed constants."""
@@ -325,40 +340,9 @@ class TailBoundReport:
     cases: Tuple[TailCase, TailCase]
 
     def records(self) -> List[CheckRecord]:
-        out = []
-        d, k, M = self.degrees.degrees, self.degrees.k, self.degrees.M
-        in_hyp = M >= 3 * k + 4
-        for case, name in zip(self.cases, ("tail-bound-m4", "tail-bound-m3")):
-            notes = []
-            if case.printed_closed_form != case.paper_bound:
-                notes.append(
-                    f"printed closed form {case.printed_closed_form} differs from the"
-                    f" direct bound {case.paper_bound} by"
-                    f" {case.printed_closed_form - case.paper_bound}"
-                )
-            if case.independent_subtraction > case.paper_subtraction:
-                # the printed subtraction understates the worst case, so the
-                # printed lower bound overstates; rerun the test with the
-                # recomputed bound and record the outcome alongside
-                indep_lhs = (case.independent_bound - case.b) * (M - case.b - 2)
-                notes.append(
-                    "worst-case weight subtraction is "
-                    f"{case.independent_subtraction} (printed {case.paper_subtraction});"
-                    f" with it the test reads {indep_lhs} >= {case.test_rhs}"
-                    f" ({'pass' if indep_lhs >= case.test_rhs else 'fail'})"
-                )
-            out.append(
-                _record(
-                    name,
-                    {"k": k, "M": M, "degrees": list(d), "b": case.b},
-                    case.test_lhs,
-                    case.test_rhs,
-                    case.holds,
-                    in_hypothesis=in_hyp,
-                    note="; ".join(notes),
-                )
-            )
-        return out
+        return _tail_records(
+            self.cases, self.degrees.k, self.degrees.M, list(self.degrees.degrees)
+        )
 
     @property
     def holds(self) -> bool:
@@ -376,6 +360,16 @@ def check_tail_bounds(degrees: DegreeTuple) -> TailBoundReport:
     sum_{l<k} d_l(d_l+1)/2 + (dk-3)(dk-2)/2 + 2 - k   (b = M-4)
     sum_{l<k} d_l(d_l+1)/2 + (dk-2)(dk-1)/2 + 1 - k   (b = M-3)
     from the subtraction form, flagging constant differences.
+    """
+    M, k = degrees.M, degrees.k
+    if M < 4:
+        raise InputError(f"tail cases need M >= 4, got M = {M}")
+    m4, m3 = _tail_cases(degrees.degrees, k, M)
+    return TailBoundReport(degrees, (TailCase._make(m4), TailCase._make(m3)))
+
+
+def _tail_cases(d: Tuple[int, ...], k: int, M: int) -> Tuple[tuple, tuple]:
+    """The two tail cases of ``check_tail_bounds`` as plain ``TailCase`` tuples.
 
     Everything is integer arithmetic on the last three degrees and one sum,
     without listing the weights: degree x has the weights 2..x, so every
@@ -385,10 +379,6 @@ def check_tail_bounds(degrees: DegreeTuple) -> TailBoundReport:
     (dk-3)(dk-2) and (dk-2)(dk-1) are products of consecutive integers,
     hence even.
     """
-    M, k = degrees.M, degrees.k
-    if M < 4:
-        raise InputError(f"tail cases need M >= 4, got M = {M}")
-    d = degrees.degrees
     dk, dk1 = d[-1], d[-2]
     dk2 = d[-3] if k > 2 else 0  # a missing degree contributes no weight >= 2
     # top weights: dk, then dk-1 or dk1 = dk, then the best of what remains
@@ -396,27 +386,54 @@ def check_tail_bounds(degrees: DegreeTuple) -> TailBoundReport:
     top3 = top2 + (max(dk - 1, dk2) if dk1 == dk else max(dk - 2, dk1))
     partial = sum(x * (x + 1) for x in d[:-1]) // 2
     total = partial + dk * (dk + 1) // 2 - k
+    b4, bound4 = M - 4, total - (3 * dk - 1)
+    b3, bound3 = M - 3, total - 2 * dk
+    return (
+        (b4, total, 3 * dk - 1, bound4, top3, total - top3,
+         partial + (dk - 3) * (dk - 2) // 2 + 2 - k,
+         (bound4 - b4) * (M - b4 - 2), 2 * M),
+        (b3, total, 2 * dk, bound3, top2, total - top2,
+         partial + (dk - 2) * (dk - 1) // 2 + 1 - k,
+         (bound3 - b3) * (M - b3 - 2), 2 * M),
+    )
 
-    cases = []
-    for b, paper_sub, closed_form, indep_sub in (
-        (M - 4, 3 * dk - 1, partial + (dk - 3) * (dk - 2) // 2 + 2 - k, top3),
-        (M - 3, 2 * dk, partial + (dk - 2) * (dk - 1) // 2 + 1 - k, top2),
-    ):
-        paper_bound = total - paper_sub
-        cases.append(
-            TailCase(
-                b=b,
-                sum_weights=total,
-                paper_subtraction=paper_sub,
-                paper_bound=paper_bound,
-                independent_subtraction=indep_sub,
-                independent_bound=total - indep_sub,
-                printed_closed_form=closed_form,
-                test_lhs=(paper_bound - b) * (M - b - 2),
-                test_rhs=2 * M,
+
+def _tail_records(
+    cases: Iterable[tuple], k: int, M: int, degrees: List[int]
+) -> List[CheckRecord]:
+    """The records of both tail cases (``TailCase`` field order) of one tuple."""
+    in_hyp = M >= 3 * k + 4
+    out = []
+    for name, (b, _, paper_sub, paper_bound, indep_sub, indep_bound, closed_form,
+               lhs, rhs) in zip(_TAIL_CHECKS, cases):
+        notes = []
+        if closed_form != paper_bound:
+            notes.append(
+                f"printed closed form {closed_form} differs from the"
+                f" direct bound {paper_bound} by {closed_form - paper_bound}"
+            )
+        if indep_sub > paper_sub:
+            # the printed subtraction understates the worst case, so the
+            # printed lower bound overstates; rerun the test with the
+            # recomputed bound and record the outcome alongside
+            indep_lhs = (indep_bound - b) * (M - b - 2)
+            notes.append(
+                f"worst-case weight subtraction is {indep_sub} (printed {paper_sub});"
+                f" with it the test reads {indep_lhs} >= {rhs}"
+                f" ({'pass' if indep_lhs >= rhs else 'fail'})"
+            )
+        out.append(
+            _record(
+                name,
+                {"k": k, "M": M, "degrees": degrees, "b": b},
+                lhs,
+                rhs,
+                lhs >= rhs,
+                in_hypothesis=in_hyp,
+                note="; ".join(notes),
             )
         )
-    return TailBoundReport(degrees, (cases[0], cases[1]))
+    return out
 
 
 @dataclass(frozen=True)
@@ -425,10 +442,10 @@ class ThresholdReport:
 
     k: int
     M: int
-    printed_m4: Tuple[Fraction, Fraction]  # (lhs, rhs) of the bracket test, b = M-4
-    printed_m3: Tuple[Fraction, Fraction]
-    claimed_m4: Tuple[Fraction, Fraction]  # (k, (M-3)^2/M)
-    claimed_m3: Tuple[Fraction, Fraction]  # (k, (M-2)^2/(3M-2))
+    printed_m4: Tuple[Exact, Exact]  # (lhs, rhs) of the bracket test, b = M-4
+    printed_m3: Tuple[Exact, Exact]
+    claimed_m4: Tuple[Exact, Exact]  # (k, (M-3)^2/M)
+    claimed_m3: Tuple[Exact, Exact]  # (k, (M-2)^2/(3M-2))
     derived_m4_cap: int  # largest integer k satisfying the printed m4 bracket
     derived_m3_cap: int
     claimed_m4_cap: int  # largest integer k satisfying the claimed equivalent
@@ -486,54 +503,38 @@ class ThresholdReport:
                 in_hypothesis=in_hyp,
                 note="claimed equivalent k <= (M-2)^2/(3M-2)",
             ),
-            _record(
-                "threshold-m4-annotation",
-                params,
-                self.derived_m4_cap,
-                self.claimed_m4_cap,
-                True,
-                note=(
-                    "largest k satisfying the printed m4 bracket vs the claimed"
-                    " equivalent; a difference means the printed inequality and"
-                    " its claimed simplification are not equivalent"
-                    " (recorded, not adjudicated)"
-                ),
-            ),
-            _record(
-                "threshold-m3-annotation",
-                params,
-                self.derived_m3_cap,
-                self.claimed_m3_cap,
-                True,
-                note=(
-                    "largest k satisfying the printed m3 bracket vs the claimed"
-                    " equivalent; a difference means the printed inequality and"
-                    " its claimed simplification are not equivalent"
-                    " (recorded, not adjudicated)"
-                ),
-            ),
         ]
+        for case, derived, claimed in (
+            ("m4", self.derived_m4_cap, self.claimed_m4_cap),
+            ("m3", self.derived_m3_cap, self.claimed_m3_cap),
+        ):
+            note = (
+                f"largest k satisfying the printed {case} bracket vs the claimed"
+                " equivalent; a difference means the printed inequality and"
+                " its claimed simplification are not equivalent"
+                " (recorded, not adjudicated)"
+            )
+            name = f"threshold-{case}-annotation"
+            recs.append(_record(name, params, derived, claimed, True, note=note))
         return recs
 
 
-def _printed_bracket_m4(k: int, M: int) -> Fraction:
-    return (
-        Fraction((M - 3 + k) ** 2, 2 * k)
-        + Fraction(M - 3 + k, 2)
-        - k
-        - M
-        + 6
-    ) * 2
+def _exact(num: int, den: int) -> Exact:
+    """num/den as an int where it is one, else as a Fraction."""
+    quotient, remainder = divmod(num, den)
+    return Fraction(num, den) if remainder else quotient
 
 
-def _printed_bracket_m3(k: int, M: int) -> Fraction:
-    return (
-        Fraction((M - 2 + k) ** 2, 2 * k)
-        + Fraction(M - 2 + k, 2)
-        - k
-        - M
-        + 3
-    )
+def _printed_bracket_m4(k: int, M: int) -> Exact:
+    # [(M-3+k)^2/2k + (M-3+k)/2 - k - M + 6] * 2, over the denominator 2k
+    s = M - 3 + k
+    return _exact((s * s + k * s + 2 * k * (6 - k - M)) * 2, 2 * k)
+
+
+def _printed_bracket_m3(k: int, M: int) -> Exact:
+    # [(M-2+k)^2/2k + (M-2+k)/2 - k - M + 3] * 1, over the denominator 2k
+    s = M - 2 + k
+    return _exact(s * s + k * s + 2 * k * (3 - k - M), 2 * k)
 
 
 def check_threshold_equivalences(k: int, M: int) -> ThresholdReport:
@@ -545,20 +546,17 @@ def check_threshold_equivalences(k: int, M: int) -> ThresholdReport:
     """
     if k < 2 or M < 7:
         raise InputError(f"need k >= 2 and M >= 7, got ({k}, {M})")
-    two_m = Fraction(2 * M)
-    claimed_m4_rhs = Fraction((M - 3) ** 2, M)
-    claimed_m3_rhs = Fraction((M - 2) ** 2, 3 * M - 2)
     return ThresholdReport(
         k=k,
         M=M,
-        printed_m4=(_printed_bracket_m4(k, M), two_m),
-        printed_m3=(_printed_bracket_m3(k, M), two_m),
-        claimed_m4=(Fraction(k), claimed_m4_rhs),
-        claimed_m3=(Fraction(k), claimed_m3_rhs),
+        printed_m4=(_printed_bracket_m4(k, M), 2 * M),
+        printed_m3=(_printed_bracket_m3(k, M), 2 * M),
+        claimed_m4=(k, _exact((M - 3) ** 2, M)),
+        claimed_m3=(k, _exact((M - 2) ** 2, 3 * M - 2)),
         derived_m4_cap=M - 3,
         derived_m3_cap=(M - 2) ** 2 // (3 * M),
-        claimed_m4_cap=int(claimed_m4_rhs),
-        claimed_m3_cap=int(claimed_m3_rhs),
+        claimed_m4_cap=(M - 3) ** 2 // M,
+        claimed_m3_cap=(M - 2) ** 2 // (3 * M - 2),
     )
 
 
@@ -655,16 +653,23 @@ def _params_json(params: Dict[str, object]) -> str:
     if not params:
         return "{}"
     items = []
-    for key in sorted(params):
+    for key, prefix in _param_prefixes(tuple(params)):
         value = params[key]
         if type(value) is int:
-            text = str(value)
+            items.append(prefix + str(value))
         elif type(value) is list and value and all(type(x) is int for x in value):
-            text = "[\n        " + ",\n        ".join(map(str, value)) + "\n      ]"
+            text = ",\n        ".join(map(str, value))
+            items.append(prefix + "[\n        " + text + "\n      ]")
         else:
-            text = json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n      ")
-        items.append(f"      {encode_basestring_ascii(key)}: {text}")
+            text = json.dumps(value, indent=2, sort_keys=True)
+            items.append(prefix + text.replace("\n", "\n      "))
     return "{\n" + ",\n".join(items) + "\n    }"
+
+
+@lru_cache(maxsize=64)
+def _param_prefixes(keys: Tuple[str, ...]) -> Tuple[Tuple[str, str], ...]:
+    """Params keys in sorted order, each with the text that precedes its value."""
+    return tuple((key, f"      {encode_basestring_ascii(key)}: ") for key in sorted(keys))
 
 
 def _sort_key(record: CheckRecord):
@@ -679,15 +684,6 @@ def _sort_key(record: CheckRecord):
         params.get("M", 0),
         record.check,
         str(params.get("degrees", "")),
-    )
-
-
-def _pair_records(job: Tuple[int, int]) -> List[CheckRecord]:
-    k, M = job
-    return (
-        check_small_degree_codim(k, M)
-        + check_quadratic_margin(M)
-        + check_threshold_equivalences(k, M).records()
     )
 
 
@@ -713,56 +709,54 @@ def audit_range(
     records: List[CheckRecord] = []
     truncated = False
 
-    def push(items: Iterable[CheckRecord]) -> bool:
+    def push(items: List[CheckRecord]) -> bool:
         """Append while the budget lasts; False once the report is truncated."""
         nonlocal truncated
         if truncated:
             return False
-        for item in items:
-            if len(records) >= max_records:
-                records.append(
-                    CheckRecord(
-                        "truncation-marker",
-                        {},
-                        len(records),
-                        max_records,
-                        VACUOUS,
-                        "record budget exceeded; the report is partial",
-                    )
-                )
-                truncated = True
-                return False
-            records.append(item)
-        return True
+        room = max_records - len(records)
+        if len(items) <= room:
+            records.extend(items)
+            return True
+        records.extend(items[: max(room, 0)])
+        note = "record budget exceeded; the report is partial"
+        records.append(
+            CheckRecord("truncation-marker", {}, len(records), max_records, VACUOUS, note)
+        )
+        truncated = True
+        return False
 
     pair_jobs: List[Tuple[int, int]] = []
     for k in range(2, k_max + 1):
         lo = 3 * k + 4
         if lo > M_max:
-            push(
-                [
-                    CheckRecord(
-                        "sweep-range",
-                        {"k": k, "M": 0},
-                        lo,
-                        M_max,
-                        VACUOUS,
-                        f"no M with 3k+4 = {lo} <= M <= {M_max} for k = {k}",
-                    )
-                ]
-            )
+            note = f"no M with 3k+4 = {lo} <= M <= {M_max} for k = {k}"
+            push([CheckRecord("sweep-range", {"k": k, "M": 0}, lo, M_max, VACUOUS, note)])
         else:
             pair_jobs.extend((k, M) for M in range(lo, M_max + 1))
 
+    def pair_batches() -> Iterator[List[CheckRecord]]:
+        quadratic: Dict[int, List[CheckRecord]] = {}  # it depends on M alone
+        for k, M in pair_jobs:
+            if M not in quadratic:
+                quadratic[M] = check_quadratic_margin(M)
+            yield (
+                check_small_degree_codim(k, M)
+                + quadratic[M]
+                + check_threshold_equivalences(k, M).records()
+            )
+
     def tuple_batches() -> Iterator[List[CheckRecord]]:
+        # the tuples come valid and in range (M >= 3k+4), so the tail cases
+        # are taken straight from the integer core, as check_tail_bounds does
         for k in range(2, min(k_max, tuple_k_max) + 1):
             for M in range(3 * k + 4, min(M_max, tuple_M_max) + 1):
                 for shift in (2, 3):
                     yield optimize_square_sum(k, M, shift).records()
                 for degrees in nondecreasing_degree_tuples(k, M + k, 2, M + k):
-                    yield check_tail_bounds(DegreeTuple(degrees)).records()
+                    yield _tail_records(_tail_cases(degrees, k, M), k, M, list(degrees))
 
-    for batch in chain(map(_pair_records, pair_jobs), tuple_batches()):
+    for batch in chain(pair_batches(), tuple_batches()):
         if not push(batch):
             break
 

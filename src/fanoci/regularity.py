@@ -165,6 +165,11 @@ class PointedCI:
         for f, degree in zip(self.equations, d):
             if f.field != self.field:
                 raise InputError("equation field does not match")
+            if f.variables != self.equations[0].variables:
+                raise InputError(
+                    f"equations must share one variable list, got"
+                    f" {list(self.equations[0].variables)} and {list(f.variables)}"
+                )
             if len(f.variables) != n:
                 raise InputError(
                     f"equations must use {n} ambient variables, got {len(f.variables)}"

@@ -1,6 +1,8 @@
 import hashlib
+import importlib.util
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -112,6 +114,31 @@ def test_audit_json_is_the_indented_sorted_dump(box):
         int(k_max), int(m_max), tuple_k_max=int(tuple_k_max), tuple_M_max=int(tuple_m_max)
     )
     assert output == json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
+
+
+def _benchmark_audit_boxes():
+    """The audit boxes of the benchmark workload and their recorded outputs."""
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    spec = importlib.util.spec_from_file_location("perfbench_workload", bench / "workload.py")
+    workload = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workload)
+    expected = json.loads((bench / "expected.json").read_text())["audit"]
+    return workload.SIZES, expected
+
+
+@pytest.mark.parametrize("size", ["smoke", "standard"])
+def test_audit_bytes_match_the_benchmark_record(size):
+    sizes, expected = _benchmark_audit_boxes()
+    for fmt in ("text", "json"):
+        code, output = invoke(["audit", "--format", fmt, *sizes[size]["audit_args"]])
+        data = output.encode("utf-8")
+        assert code == 0
+        assert (hashlib.sha256(data).hexdigest(), len(data)) == (
+            expected[size][fmt]["sha256"],
+            expected[size][fmt]["bytes"],
+        ), fmt
+        if fmt == "text":
+            assert output.splitlines()[0] == f"records: {expected[size]['records']}"
 
 
 def test_unknown_flag_rejected_with_usage_exit():
@@ -421,3 +448,19 @@ def test_regcheck_string_variables_exit_2(tmp_path):
     code, output = invoke(["regcheck", "--input", str(path), "--samples", "1"])
     assert code == 2
     assert output == ""
+
+
+@pytest.mark.parametrize(
+    "mode",
+    [[], ["--reduce"], ["--mode", "probabilistic"]],
+    ids=["exact", "reduce", "probabilistic"],
+)
+def test_regcheck_equations_over_different_variables_exit_2(tmp_path, capsys, mode):
+    ci = random_complete_intersection(DegreeTuple((2, 3)), FieldSpec.prime(7), seed=1)
+    data = ci.to_json()
+    data["equations"][1]["variables"] = ["a", "b", "c", "d", "e"]
+    path = tmp_path / "ci.json"
+    path.write_text(json.dumps(data))
+    code, output = invoke(["regcheck", "--input", str(path), "--samples", "1", *mode])
+    assert (code, output) == (2, "")
+    assert "share one variable list" in capsys.readouterr().err

@@ -76,3 +76,9 @@ def test_substitution_then_evaluation_is_evaluation_at_the_image(seed, p):
     image_point = [image.evaluate(point) for image in images]
     lifted = MultiPoly.from_terms(ext, form.variables, form.terms)
     assert form.substitute(images).evaluate(point) == lifted.evaluate(image_point)
+
+
+@pytest.mark.parametrize("tag", [None, 7, True, ["gf:7"], {"gf": 7}, "gf:4", "gf:x", "q"])
+def test_bad_field_tags_are_input_errors(tag):
+    with pytest.raises(InputError):
+        FieldSpec.from_json_tag(tag)

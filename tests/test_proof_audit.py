@@ -189,6 +189,41 @@ def test_square_sum_validation():
         optimize_square_sum(2, 1, 2)  # no tuple sums to 3
 
 
+def _brute_force_square_sum(k, M, shift):
+    """The enumeration that optimize_square_sum replaces: every tuple, in order."""
+    best, witnesses = None, []
+    for degrees in nondecreasing_degree_tuples(k, M + k, 2, M + k):
+        value = sum(x * x for x in degrees[:-1]) + (degrees[-1] - shift) ** 2
+        if best is None or value < best:
+            best, witnesses = value, [degrees]
+        elif value == best:
+            witnesses.append(degrees)
+    return best, witnesses
+
+
+def test_square_sum_exact_minimum_matches_the_brute_force():
+    for k in range(2, 7):
+        for M in range(0, 61):
+            for shift in (2, 3):
+                best, witnesses = _brute_force_square_sum(k, M, shift)
+                if best is None:
+                    with pytest.raises(InputError):
+                        optimize_square_sum(k, M, shift)
+                    continue
+                result = optimize_square_sum(k, M, shift)
+                assert result.integer_min == best, (k, M, shift)
+                assert [w.degrees for w in result.witnesses] == witnesses, (k, M, shift)
+
+
+def test_square_sum_lists_no_tuples(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("optimize_square_sum enumerated degree tuples")
+
+    monkeypatch.setattr("fanoci.proof_audit.nondecreasing_degree_tuples", refuse)
+    monkeypatch.setattr("fanoci.families.nondecreasing_degree_tuples", refuse)
+    assert optimize_square_sum(30, 200, 3).integer_min > 0
+
+
 def test_square_sum_relaxation_is_true_lower_bound():
     for k in range(2, 6):
         for M in range(k, 41):
@@ -354,6 +389,21 @@ def test_threshold_derived_caps_are_the_largest_k_on_the_printed_brackets():
             assert bracket(cap + 1, M) < 2 * M
 
 
+def test_printed_brackets_are_the_printed_expressions():
+    # term by term as printed, in Fraction arithmetic; ints where integral
+    for k in range(2, 31):
+        for M in range(7, 201):
+            s4, s3 = M - 3 + k, M - 2 + k
+            m4 = (Fraction(s4 * s4, 2 * k) + Fraction(s4, 2) - k - M + 6) * 2
+            m3 = Fraction(s3 * s3, 2 * k) + Fraction(s3, 2) - k - M + 3
+            for value, expected in (
+                (_printed_bracket_m4(k, M), m4),
+                (_printed_bracket_m3(k, M), m3),
+            ):
+                assert value == expected
+                assert type(value) is (int if expected.denominator == 1 else Fraction)
+
+
 def test_threshold_monotonicity_in_m():
     previous_c = previous_d = Fraction(0)
     for M in range(7, 301):
@@ -375,6 +425,49 @@ def test_audit_smoke_box():
     assert any(r.check == "square-sum" for r in report.records)
     assert any(r.check == "tail-bound-m3" for r in report.records)
     assert report.discrepancy_notes  # the closed-form annotations are present
+
+
+def test_audit_checks_the_quadratic_margin_once_per_m(monkeypatch):
+    import fanoci.proof_audit as proof_audit
+
+    seen = []
+
+    def counting(M):
+        seen.append(M)
+        return check_quadratic_margin(M)
+
+    monkeypatch.setattr(proof_audit, "check_quadratic_margin", counting)
+    report = audit_range(16, 100, tuple_k_max=4, tuple_M_max=40)
+    assert sorted(seen) == list(range(10, 101))  # 91 distinct M, each once
+    # every (k, M) pair still carries both quadratic records
+    quadratic = [r for r in report.records if r.check.startswith("quadratic")]
+    pairs = sum(max(0, 100 - (3 * k + 4) + 1) for k in range(2, 17))
+    assert len(quadratic) == 2 * pairs
+
+
+def test_audit_builds_no_per_tuple_objects(monkeypatch):
+    import fanoci.proof_audit as proof_audit
+
+    built = []
+
+    def counting(degrees):
+        built.append(degrees)
+        return DegreeTuple(degrees)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("audit_range built a tail report per tuple")
+
+    monkeypatch.setattr(proof_audit, "DegreeTuple", counting)
+    monkeypatch.setattr(proof_audit, "check_tail_bounds", refuse)
+    monkeypatch.setattr(proof_audit, "TailCase", refuse)
+    monkeypatch.setattr(proof_audit, "TailBoundReport", refuse)
+    report = audit_range(4, 24, tuple_k_max=4, tuple_M_max=24)
+    tails = sum(r.check == "tail-bound-m3" for r in report.records)
+    # only the square-sum witnesses are DegreeTuples
+    witnesses = sum(
+        r.note.count("(") for r in report.records if r.check == "square-sum"
+    )
+    assert tails > 100 and len(built) == witnesses
 
 
 def test_audit_vacuous_range_is_noted():

@@ -371,6 +371,15 @@ def test_pointed_ci_validation():
         PointedCI(DegreeTuple((2, 2)), Q, (v["z3"] + v["z1"] ** 2,))
 
 
+@pytest.mark.parametrize("other", [("z1", "z2", "z4", "z3"), ("a", "b", "c", "d")])
+def test_pointed_ci_rejects_equations_over_different_variables(other):
+    names, v = variables_of(4)
+    w = {name: MultiPoly.variable(Q, other, name) for name in other}
+    second = w[other[2]] + w[other[1]] ** 2
+    with pytest.raises(InputError, match="share one variable list"):
+        PointedCI(DegreeTuple((2, 2)), Q, (v["z3"] + v["z1"] ** 2, second))
+
+
 @pytest.mark.parametrize(
     "degrees, tag, seed, digest",
     [
