@@ -13,6 +13,7 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -214,7 +215,9 @@ def _cmd_randomci(args, out) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it is."""
     parser = argparse.ArgumentParser(
         prog="fanoci",
         description=(
@@ -286,8 +289,7 @@ _HANDLERS = {
 def run(argv: Optional[Sequence[str]] = None, out=None) -> int:
     """Parse arguments and execute; returns the exit code."""
     out = out if out is not None else sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)  # exits with code 2 + usage on bad flags
+    args = build_parser().parse_args(argv)  # exits with code 2 + usage on bad flags
     try:
         return _HANDLERS[args.command](args, out)
     except ResourceBudgetError as exc:

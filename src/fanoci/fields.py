@@ -139,11 +139,13 @@ class FieldSpec:
     def format_element(self, a: Element) -> str:
         return str(a)
 
-    def parse_element(self, value) -> Element:
-        """Read a JSON coefficient: a string or an integer, never a bool."""
-        if isinstance(value, bool) or not isinstance(value, (str, int)):
-            raise InputError(f"bad {self.json_tag} coefficient: {value!r}")
-        return self._parse(value)
+    def parse_elements(self, values: Sequence) -> List[Element]:
+        """Read JSON coefficients: each a string or an integer, never a bool."""
+        for kind in {*map(type, values)}:
+            if kind is bool or not issubclass(kind, (str, int)):
+                bad = next(v for v in values if type(v) is kind)
+                raise InputError(f"bad {self.json_tag} coefficient: {bad!r}")
+        return self._parse(values)
 
 
 @dataclass(frozen=True)
@@ -185,8 +187,8 @@ class _Rationals(FieldSpec):
     def format_element(self, a: Element) -> str:
         return format_rational(a)
 
-    def _parse(self, value) -> Element:
-        return parse_rational(value) if isinstance(value, str) else Fraction(value)
+    def _parse(self, values: Sequence) -> List[Element]:
+        return [parse_rational(v) if isinstance(v, str) else Fraction(v) for v in values]
 
     def random_element(self, rng: Random) -> Element:
         """Small integers."""
@@ -232,11 +234,17 @@ class _PrimeField(FieldSpec):
             return self.inv(pow(a, -e, self.characteristic))
         return pow(a, e, self.characteristic)
 
-    def _parse(self, value) -> Element:
+    def _parse(self, values: Sequence) -> List[Element]:
+        p = self.characteristic
         try:
-            return int(value) % self.characteristic
-        except ValueError as exc:
-            raise InputError(f"bad GF({self.characteristic}) element: {value!r}") from exc
+            return [int(v) % p for v in values]
+        except ValueError:
+            for v in values:
+                try:
+                    int(v)
+                except ValueError as exc:
+                    raise InputError(f"bad GF({p}) element: {v!r}") from exc
+            raise
 
     @property
     def size(self) -> int:

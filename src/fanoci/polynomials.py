@@ -14,7 +14,9 @@ which makes serialization canonical.
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from random import Random
 from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
@@ -29,14 +31,19 @@ def grevlex_key(exponents: Exponents):
     return (sum(exponents), tuple(-e for e in reversed(exponents)))
 
 
-def _descending_key(exponents: Exponents):
-    """Ascending sort key for grevlex-descending order.
+_reversed = operator.itemgetter(slice(None, None, -1))
 
-    Sorting by it orders distinct exponent vectors exactly as
-    ``sorted(key=grevlex_key, reverse=True)``, with tuple comparisons of
-    ints in place of a generator per vector.
+
+def _descending(exponents: Iterable[Exponents]) -> List[Exponents]:
+    """Distinct exponent vectors in grevlex-descending order.
+
+    Sorting by the reversed vector and then, stably, by descending degree
+    orders them as ``sorted(key=grevlex_key, reverse=True)``; both keys are
+    C functions, so no Python call is made per vector.
     """
-    return (-sum(exponents), exponents[::-1])
+    order = sorted(exponents, key=_reversed)
+    order.sort(key=sum, reverse=True)
+    return order
 
 
 def _normalize(
@@ -54,12 +61,37 @@ def _normalize(
         if exps and min(exps) < 0:
             raise InputError(f"negative exponent in {exps}")
         value = coerce(coeff)
-        if value:
-            out[exps] = add(out[exps], value) if exps in out else value
-            if not out[exps]:
-                del out[exps]
-    # grevlex-descending insertion order keeps iteration and dumps canonical
-    return {e: out[e] for e in sorted(out, key=_descending_key)}
+        out[exps] = add(out[exps], value) if exps in out else value
+    return _canonical(out)
+
+
+def _check_exponents(exps, n: int) -> None:
+    """Raise ``InputError`` unless ``exps`` is a JSON exponent vector of length n."""
+    # bool is a subclass of int, and JSON true is no exponent
+    if not isinstance(exps, list) or not all(type(e) is int for e in exps):
+        raise InputError(f"exponents must be a list of integers, got {exps!r}")
+    if len(exps) != n:
+        raise InputError(
+            f"exponent vector {tuple(exps)} has length {len(exps)}, expected {n}"
+        )
+    if min(exps, default=0) < 0:
+        raise InputError(f"negative exponent in {tuple(exps)}")
+
+
+def _canonical(terms: Mapping[Exponents, Element]) -> Dict[Exponents, Element]:
+    """The nonzero terms, in grevlex-descending insertion order, which keeps
+    iteration and dumps canonical."""
+    return {e: c for e in _descending(terms) if (c := terms[e])}
+
+
+def _picker(indices: Sequence[int]):
+    """Map an exponent vector to the tuple of its entries at ``indices``."""
+    if len(indices) == 1:
+        (i,) = indices
+        return lambda exps: (exps[i],)
+    if not indices:
+        return lambda exps: ()
+    return operator.itemgetter(*indices)
 
 
 def _product(
@@ -80,33 +112,31 @@ def _product(
 
 def _compose(
     fieldspec: FieldSpec,
-    terms: Mapping[Exponents, Element],
+    leaves: Mapping[Exponents, Mapping[Exponents, Element]],
     images: Sequence[Mapping[Exponents, Element]],
-    one: Exponents,
 ) -> Dict[Exponents, Element]:
-    """Term map of sum_e c_e * prod_i images[i]^e[i], by Horner's rule.
+    """Term map of sum_e leaves[e] * prod_i images[i]^e[i], by Horner's rule.
 
-    ``terms`` maps exponent vectors of length ``len(images)`` >= 1 to their
-    coefficients, and ``one`` is the exponent vector of the images' constant
-    term.  Written as sum_k x^k * f_k in its last variable x, the polynomial
-    folds as acc = acc * image + f_k from the highest k down, and each f_k,
-    a polynomial in the exponent prefixes, is composed the same way; so each
-    prefix is multiplied once, whatever the images are.
+    ``leaves`` maps exponent vectors of length ``len(images)`` >= 1 to term
+    maps in the images' ring: a coefficient at the images' constant
+    monomial for a plain substitution, a polynomial in the variables that
+    are kept for a restriction.  Written as sum_k x^k * f_k in its last
+    variable x, the polynomial folds as acc = acc * image + f_k from the
+    highest k down, and each f_k, a polynomial in the exponent prefixes, is
+    composed the same way; so each prefix is multiplied once, whatever the
+    images are.  Terms that cancel may be left with a zero coefficient.
     """
-    add, coerce = fieldspec.add, fieldspec.coerce
+    add = fieldspec.add
     image, inner = images[-1], images[:-1]
-    by_last: Dict[int, Dict[Exponents, Element]] = {}
-    for exps, coeff in terms.items():
-        by_last.setdefault(exps[-1], {})[exps[:-1]] = coeff
+    by_last: Dict[int, Dict[Exponents, Mapping[Exponents, Element]]] = {}
+    for exps, leaf in leaves.items():
+        by_last.setdefault(exps[-1], {})[exps[:-1]] = leaf
     acc: Dict[Exponents, Element] = {}
     for k in range(max(by_last, default=0), -1, -1):
         acc = _product(fieldspec, acc, image)
         if k not in by_last:
             continue
-        if inner:
-            part = _compose(fieldspec, by_last[k], inner, one)
-        else:  # f_k is the constant at the empty prefix
-            part = {one: coerce(by_last[k][()])}
+        part = _compose(fieldspec, by_last[k], inner) if inner else by_last[k][()]
         for key, value in part.items():
             acc[key] = add(acc[key], value) if key in acc else value
     return acc
@@ -288,8 +318,9 @@ class MultiPoly:
         buckets: Dict[int, Dict[Exponents, Element]] = {}
         for exps, coeff in self.terms.items():
             buckets.setdefault(sum(exps), {})[exps] = coeff
+        # a subset of canonical terms, kept in order, is canonical
         return {
-            d: MultiPoly.from_terms(self.field, self.variables, terms)
+            d: MultiPoly(self.field, self.variables, terms)
             for d, terms in sorted(buckets.items())
         }
 
@@ -326,9 +357,10 @@ class MultiPoly:
         for image in images:
             if image.field != fieldspec or image.variables != variables:
                 raise InputError("polynomials over different rings")
-        one = (0,) * len(variables)
-        total = _compose(fieldspec, self.terms, [image.terms for image in images], one)
-        return MultiPoly.from_terms(fieldspec, variables, total)
+        one, coerce = (0,) * len(variables), fieldspec.coerce
+        leaves = {exps: {one: coerce(coeff)} for exps, coeff in self.terms.items()}
+        total = _compose(fieldspec, leaves, [image.terms for image in images])
+        return MultiPoly(fieldspec, variables, _canonical(total))
 
     # -- serialization -------------------------------------------------------
 
@@ -354,18 +386,38 @@ class MultiPoly:
             isinstance(v, str) for v in variables
         ):
             raise InputError(f"variables must be a list of names, got {variables!r}")
-        terms: Dict[Exponents, Element] = {}
-        for entry in raw_terms:
+        variables = tuple(variables)
+        if len(set(variables)) != len(variables):
+            raise InputError(f"duplicate variable names in {variables}")
+        try:
+            entries = list(raw_terms)
+        except TypeError as exc:
+            raise InputError(f"terms must be a list, got {raw_terms!r}") from exc
+        exponents, coeffs = [], []
+        for entry in entries:
             try:
-                exps = entry["exponents"]
-                coeff = fieldspec.parse_element(entry["coeff"])
+                exponents.append(entry["exponents"])
+                coeffs.append(entry["coeff"])
             except (KeyError, TypeError) as exc:
                 raise InputError(f"malformed polynomial term: {entry!r}") from exc
-            # bool is a subclass of int, and JSON true is no exponent
-            if not isinstance(exps, list) or not all(type(e) is int for e in exps):
-                raise InputError(f"exponents must be a list of integers, got {exps!r}")
-            terms[tuple(exps)] = coeff
-        return cls.from_terms(fieldspec, variables, terms)
+        coeffs = fieldspec.parse_elements(coeffs)
+        # each check looks at every term at once; when one fails, the first
+        # offending term is looked up to name it
+        n, flat = len(variables), chain.from_iterable
+        if (
+            not all(map(isinstance, exponents, repeat(list)))
+            or {*map(type, flat(exponents))} - {int}
+            or {*map(len, exponents)} - {n}
+            or min(flat(exponents), default=0) < 0
+        ):
+            for exps in exponents:
+                _check_exponents(exps, n)
+        keys = list(map(tuple, exponents))
+        terms = dict(zip(keys, coeffs))
+        if len(terms) != len(keys):
+            duplicate = next(k for k, count in Counter(keys).items() if count > 1)
+            raise InputError(f"duplicate term with exponents {list(duplicate)}")
+        return cls(fieldspec, variables, _canonical(terms))
 
     def __str__(self) -> str:
         if not self.terms:
@@ -428,9 +480,23 @@ def restrict_to_common_zeros(
     # a kernel vector is 1 at its surviving variable, 0 at the other
     # survivors and nonzero elsewhere only at eliminated variables of higher
     # index, so its first nonzero entry names the survivor
-    survivors = [variables[next(i for i, c in enumerate(vec) if c)] for vec in basis]
+    kept = [next(i for i, c in enumerate(vec) if c) for vec in basis]
+    survivors = tuple(variables[i] for i in kept)
     images = parametrize_span(fieldspec, basis, survivors, n)
-    return [poly.substitute(images) for poly in polys]
+    # a survivor's image is itself, so only the eliminated variables are
+    # composed: each term's survivor exponents go into the leaf (a
+    # polynomial in the survivors) of its eliminated exponents
+    eliminated = [i for i in range(n) if i not in kept]
+    leaf_key, elim_key = _picker(kept), _picker(eliminated)
+    elim_images = [images[i].terms for i in eliminated]
+    restricted = []
+    for poly in polys:
+        leaves: Dict[Exponents, Dict[Exponents, Element]] = {}
+        for exps, coeff in poly.terms.items():
+            leaves.setdefault(elim_key(exps), {})[leaf_key(exps)] = coeff
+        total = _compose(fieldspec, leaves, elim_images)
+        restricted.append(MultiPoly(fieldspec, survivors, _canonical(total)))
+    return restricted
 
 
 def monomials_of_degree(n_vars: int, degree: int) -> Iterator[Exponents]:

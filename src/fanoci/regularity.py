@@ -18,10 +18,10 @@ A form l is admissible when it does not vanish on T_oV, i.e. l . v != 0
 for some vector v of the tangent basis.
 
 The reduced check removes the k+1 independent linear members (l and the
-q_{i,1}) in one substitution: the other members are composed with the
-parametrization of their common zeros as a graph over the M-1 surviving
-variables (``polynomials.restrict_to_common_zeros``), leaving M-2 forms in
-M-1 variables.
+q_{i,1}) at once: their common zeros are the graph of a linear map over the
+M-1 surviving variables, so the other members are composed with the images
+of the k+1 eliminated variables only (``polynomials.restrict_to_common_zeros``),
+leaving M-2 forms in M-1 variables.
 
 A full check over all admissible l is impossible; ``sampled_regularity_check``
 draws a fixed number of random forms and reports the conjunction, labelled
@@ -186,21 +186,23 @@ class PointedCI:
         return self.equations[0].variables
 
     # The parts and the tangent space depend only on the instance, so each is
-    # computed once, when first asked for (the largest parts are never used
-    # by the check).  Neither is a field, so equality is unchanged.
+    # computed once, when first asked for.  A check asks for nearly every
+    # part, so the first part asked for splits every equation in one scan.
+    # The tangent space reads the linear parts off a scan of its own, so an
+    # instance that is only tested for smoothness keeps no parts.  Neither
+    # is a field, so equality is unchanged.
     @cached_property
-    def _parts(self) -> Dict[Tuple[int, int], MultiPoly]:
-        return {}
+    def _parts(self) -> Tuple[Dict[int, MultiPoly], ...]:
+        return tuple(f.homogeneous_components() for f in self.equations)
 
     @cached_property
     def _tangent(self) -> TangentSpace:
-        return tangent_space(self.linear_parts())
+        return tangent_space([f.homogeneous_part(1) for f in self.equations])
 
     def part(self, i: int, j: int) -> MultiPoly:
         """Homogeneous degree-j part of f_i (1-based i); may be zero."""
-        if (i, j) not in self._parts:
-            self._parts[i, j] = self.equations[i - 1].homogeneous_part(j)
-        return self._parts[i, j]
+        parts = self._parts[i - 1]
+        return parts[j] if j in parts else MultiPoly(self.field, self.variables)
 
     def linear_parts(self) -> List[MultiPoly]:
         return [self.part(i, 1) for i in range(1, self.degrees.k + 1)]

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from fanoci.cli import run
+from fanoci.cli import build_parser, run
 from fanoci.families import DegreeTuple
 from fanoci.fields import FieldSpec
 from fanoci.proof_audit import audit_range
@@ -436,6 +436,31 @@ def test_regcheck_non_integer_exponent_exit_2(tmp_path, bad):
     code, output = invoke(["regcheck", "--input", str(path), "--samples", "1"])
     assert code == 2
     assert output == ""
+
+
+def test_regcheck_duplicate_terms_exit_2(tmp_path, capsys):
+    ci = random_complete_intersection(DegreeTuple((2, 3)), FieldSpec.prime(7), seed=1)
+    data = ci.to_json()
+    terms = data["equations"][1]["terms"]
+    terms.append(dict(terms[0]))  # the same exponents once more
+    path = tmp_path / "ci.json"
+    path.write_text(json.dumps(data))
+    code, output = invoke(["regcheck", "--input", str(path), "--samples", "1", "--reduce"])
+    assert code == 2
+    assert output == ""
+    assert "duplicate term" in capsys.readouterr().err
+
+
+def test_parser_is_built_once_and_still_rejects_bad_flags(capsys):
+    assert build_parser() is build_parser()
+    first = invoke(["classify", "--degrees", "2,3", "--format", "text"])
+    with pytest.raises(SystemExit) as exit_info:
+        run(["regcheck", "--bogus"])
+    assert exit_info.value.code == 2
+    assert "usage: fanoci regcheck" in capsys.readouterr().err
+    # a rejected command leaves nothing behind for the next one
+    assert invoke(["classify", "--degrees", "2,3", "--format", "text"]) == first
+    assert first[0] == 0
 
 
 def test_regcheck_string_variables_exit_2(tmp_path):

@@ -3,13 +3,13 @@ from math import comb
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fanoci.errors import InputError
-from fanoci.fields import FieldSpec
+from fanoci.fields import FieldSpec, rref
 from fanoci.polynomials import (
     MultiPoly,
-    _descending_key,
+    _descending,
     grevlex_key,
     monomials_of_degree,
     parametrize_span,
@@ -161,9 +161,7 @@ def test_monomials_of_degree_counts():
 )
 @settings(max_examples=60, deadline=None)
 def test_descending_key_orders_as_grevlex_descending(exponents):
-    assert sorted(exponents, key=_descending_key) == sorted(
-        exponents, key=grevlex_key, reverse=True
-    )
+    assert _descending(exponents) == sorted(exponents, key=grevlex_key, reverse=True)
 
 
 @pytest.mark.parametrize("field", [F5, FieldSpec.prime(32003), Q], ids=["gf5", "gf32003", "q"])
@@ -349,6 +347,64 @@ def test_one_shot_restriction_equals_the_hyperplane_chain(seed):
     assert [list(g.terms.items()) for g in got] == [list(g.terms.items()) for g in expected]
 
 
+def _graph_basis(field, variables, forms):
+    """The survivors and the basis of the common zeros of ``forms``, solved directly.
+
+    The eliminated variables are the pivots of the rows reduced from the last
+    column backwards.  The basis vector of a survivor is 1 there, 0 at the
+    other survivors, and at an eliminated variable minus the survivor's
+    entry in that variable's reduced row.
+    """
+    n = len(variables)
+    work, pivots = rref([form.linear_row()[::-1] for form in forms], field)
+    eliminated = {n - 1 - c: row[::-1] for c, row in zip(pivots, work)}
+    kept = [i for i in range(n) if i not in eliminated]
+    basis = []
+    for j in kept:
+        vec = [field.zero()] * n
+        vec[j] = field.one()
+        for i, row in eliminated.items():
+            vec[i] = field.neg(row[j])
+        basis.append(vec)
+    return tuple(variables[j] for j in kept), basis
+
+
+@given(
+    field=st.sampled_from([F5, FieldSpec.prime(101), Q]),
+    n=st.integers(min_value=1, max_value=5),
+    rows=st.lists(
+        st.lists(st.integers(min_value=-3, max_value=3), min_size=5, max_size=5),
+        min_size=1,
+        max_size=5,
+    ),
+    degrees=st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=3),
+    homogeneous=st.booleans(),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+@settings(max_examples=120, deadline=None)
+def test_restriction_matches_substitution_and_the_hyperplane_chain(
+    field, n, rows, degrees, homogeneous, seed
+):
+    V = tuple(f"z{i}" for i in range(1, n + 1))
+    forms = [MultiPoly.linear(field, V, row[:n]) for row in rows]
+    assume(len(rref([form.linear_row() for form in forms], field)[1]) == len(forms))
+    polys = [
+        random_poly(d, V, field, homogeneous, seed + i) for i, d in enumerate(degrees)
+    ]
+    got = restrict_to_common_zeros(polys, forms)
+
+    survivors, basis = _graph_basis(field, V, forms)
+    images = parametrize_span(field, basis, survivors, n)
+    by_substitution = [f.substitute(images) for f in polys]
+    by_hyperplanes = _restrict_one_hyperplane_at_a_time(polys, forms)
+    for expected in (by_substitution, by_hyperplanes):
+        assert [g.variables for g in got] == [g.variables for g in expected]
+        assert [list(g.terms.items()) for g in got] == [
+            list(g.terms.items()) for g in expected
+        ]
+    assert all(g.variables == survivors for g in got)
+
+
 def test_linear_form_row_roundtrip():
     V = ("x", "y", "z")
     ell = MultiPoly.linear(F5, V, [3, 0, 7])
@@ -387,6 +443,9 @@ def test_json_roundtrip():
 def test_json_rejects_malformed():
     with pytest.raises(InputError):
         MultiPoly.from_json({"field": "rational", "variables": ["x"]})
+    for terms in (5, None, 2.5, True):  # a TypeError escaped for these
+        with pytest.raises(InputError):
+            MultiPoly.from_json({"field": "gf:5", "variables": ["x"], "terms": terms})
     with pytest.raises(InputError):
         MultiPoly.from_json(
             {
@@ -395,6 +454,53 @@ def test_json_rejects_malformed():
                 "terms": [{"coeff": "1", "exponents": [1, 2]}],
             }
         )
+
+
+def test_json_rejects_duplicate_terms():
+    # the last duplicate used to win silently: this loaded as 2*x
+    data = {
+        "field": "gf:5",
+        "variables": ["x", "y"],
+        "terms": [{"coeff": "1", "exponents": [1, 0]}, {"coeff": "2", "exponents": [1, 0]}],
+    }
+    with pytest.raises(InputError, match=r"duplicate term with exponents \[1, 0\]"):
+        MultiPoly.from_json(data)
+    # a zero coefficient is still a term
+    data["terms"][0]["coeff"] = "0"
+    with pytest.raises(InputError, match="duplicate term"):
+        MultiPoly.from_json(data)
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ({"coeff": "1", "exponents": [1, True]}, "list of integers"),
+        ({"coeff": "1", "exponents": (1, 0)}, "list of integers"),
+        ({"coeff": "1", "exponents": [1, 0, 0]}, "has length 3, expected 2"),
+        ({"coeff": "1", "exponents": [2, -1]}, "negative exponent"),
+        ({"coeff": True, "exponents": [1, 0]}, "coefficient"),
+        ({"coeff": "x", "exponents": [1, 0]}, "element"),
+        ({"exponents": [1, 0]}, "malformed polynomial term"),
+        ([1, 0], "malformed polynomial term"),
+    ],
+)
+@pytest.mark.parametrize("tag", ["gf:5", "rational"])
+def test_json_names_the_offending_term(entry, message, tag):
+    if tag == "rational" and message == "element":
+        message = "rational literal"
+    good = {"coeff": "1", "exponents": [0, 1]}
+    data = {"field": tag, "variables": ["x", "y"], "terms": [good, entry, good]}
+    with pytest.raises(InputError, match=message):
+        MultiPoly.from_json(data)
+
+
+@pytest.mark.parametrize("field", [F5, Q], ids=["gf5", "q"])
+def test_json_load_puts_terms_in_canonical_order(field):
+    f = random_poly(3, ("x", "y", "z"), field, homogeneous=True, seed=4)
+    data = f.to_json()
+    data["terms"].reverse()
+    data["terms"].append({"coeff": "0", "exponents": [0, 0, 0]})
+    assert list(MultiPoly.from_json(data).terms.items()) == list(f.terms.items())
 
 
 def test_terms_stored_in_grevlex_descending_order():

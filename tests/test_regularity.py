@@ -371,6 +371,19 @@ def test_pointed_ci_validation():
         PointedCI(DegreeTuple((2, 2)), Q, (v["z3"] + v["z1"] ** 2,))
 
 
+@pytest.mark.parametrize("degrees", [(2, 3), (3, 3), (2, 4)])
+def test_pointed_ci_parts_are_the_degree_slices_of_each_equation(degrees):
+    ci = random_complete_intersection(DegreeTuple(degrees), F101, seed=5)
+    loaded = PointedCI.from_json(ci.to_json())
+    for i, f in enumerate(loaded.equations, start=1):
+        for j in range(degrees[i - 1] + 2):
+            part = loaded.part(i, j)
+            expected = [(e, c) for e, c in f.terms.items() if sum(e) == j]
+            assert part.variables == f.variables and part.field == f.field
+            assert list(part.terms.items()) == expected  # canonical order kept
+    assert loaded.part(1, 0).is_zero()  # the equations vanish at the origin
+
+
 @pytest.mark.parametrize("other", [("z1", "z2", "z4", "z3"), ("a", "b", "c", "d")])
 def test_pointed_ci_rejects_equations_over_different_variables(other):
     names, v = variables_of(4)
