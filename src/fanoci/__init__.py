@@ -28,7 +28,7 @@ from .families import (
     theorem_applicability,
 )
 from .fields import FieldSpec
-from .groebner import GroebnerBasis, TermOrder, groebner_basis, staircase_dimension
+from .groebner import GroebnerBasis, groebner_basis, staircase_dimension
 from .polynomials import MultiPoly, random_poly
 from .proof_audit import (
     AuditReport,
@@ -72,7 +72,6 @@ __all__ = [
     "RegularityReport",
     "ResourceBudgetError",
     "SampledRegularityReport",
-    "TermOrder",
     "UnsupportedModeError",
     "audit_range",
     "binomial",

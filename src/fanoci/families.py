@@ -369,7 +369,6 @@ def enumerate_families(
     ambient: Optional[int] = None,
     ambient_max: Optional[int] = None,
     k: Optional[int] = None,
-    k_min: int = 2,
     k_max: Optional[int] = None,
     d_max: Optional[int] = None,
     filter_spec: Optional[str] = None,
@@ -399,7 +398,7 @@ def enumerate_families(
 
     results: List[DegreeTuple] = []
     for total in ambients:
-        lo = k if k is not None else k_min
+        lo = k if k is not None else 2  # DegreeTuple needs k >= 2
         hi = k if k is not None else min(k_max or total // 2, total // 2)
         for parts in range(lo, hi + 1):
             cap = d_max if d_max is not None else total

@@ -11,14 +11,16 @@ cheap:
     zero is falsy and a GF(p) residue is its own image in GF(p^2)
 
 GF(p^2) only serves the probabilistic slicing oracle and has no JSON form.
-JSON tag format: ``"rational"`` or ``"gf:<p>"``.  Element strings are the
-"num/den" rational format resp. the canonical decimal residue.
+JSON tag format: ``"rational"`` or ``"gf:<p>"``.  Element strings are
+written in the "num/den" rational format resp. as the canonical decimal
+residue, and read by the grammars ``-?[0-9]+(/[0-9]+)?`` resp. ``-?[0-9]+``.
 
 ``rref`` and ``nullspace`` are the exact linear algebra over any of them.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
@@ -28,6 +30,13 @@ from .errors import InputError
 from .rationals import format_rational, parse_rational
 
 Element = Union[Fraction, int]
+
+# A GF(p) element string: ASCII digits with an optional minus sign.  ``int``
+# alone would also take whitespace, "+", "_" and non-ASCII digits; a string
+# that ``int`` takes and that has no other characters than "-" and ASCII
+# digits is in this grammar, which is checked on all strings at once.
+_DECIMAL = re.compile(r"-?[0-9]+")
+_DROP_DECIMAL_CHARS = str.maketrans("", "", "-0123456789")
 
 # Deterministic Miller-Rabin witnesses, valid for all n < 3.3 * 10**24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -236,15 +245,14 @@ class _PrimeField(FieldSpec):
 
     def _parse(self, values: Sequence) -> List[Element]:
         p = self.characteristic
+        # str of a JSON integer is in the grammar, so one check covers both kinds
         try:
-            return [int(v) % p for v in values]
+            if not "".join(map(str, values)).translate(_DROP_DECIMAL_CHARS):
+                return [int(v) % p for v in values]
         except ValueError:
-            for v in values:
-                try:
-                    int(v)
-                except ValueError as exc:
-                    raise InputError(f"bad GF({p}) element: {v!r}") from exc
-            raise
+            pass
+        bad = next(v for v in values if not _DECIMAL.fullmatch(str(v)))
+        raise InputError(f"bad GF({p}) element: {bad!r}")
 
     @property
     def size(self) -> int:

@@ -2,22 +2,23 @@
 
 The engine computes the unique reduced Groebner basis of an ideal given by
 sparse polynomials over the rationals or GF(p), under graded reverse
-lexicographic (default) or lexicographic order.
+lexicographic order over the declared variables, the first one the most
+significant: the order in which ``MultiPoly`` stores its terms, so the
+engine reads and writes terms in stored order and never re-sorts them.
 
 Inside the engine a monomial is one packed integer, its *key*: one slot of
 ``_SLOT`` bits per variable, so that comparing keys is comparing monomials
-and adding keys multiplies them (Monagan & Pearce 2007).  Under lex the
-slots hold the exponents, most significant variable on top.  Under grevlex
-slot j-1, counted from the bottom, holds the partial sum x_1 + ... + x_j of
-the exponents, x_1 being the most significant variable, so the top slot
-holds the degree; the exponents are recovered by one shift and one
-subtraction.  Divisibility and least common multiples act slotwise on the
-exponent packing, with the top bit of every slot as a guard bit.  Inputs
-and basis elements must have degree below 2**(_SLOT - 2), so that an lcm
-of two stays below 2**(_SLOT - 1), and every product is checked against
-the guard bits: a monomial that would leave the range raises
-``ResourceBudgetError`` rather than overflow into its neighbour slot.
-Each basis element keeps its leading key and its tail, sorted once.
+and adding keys multiplies them (Monagan & Pearce 2007).  Slot j-1,
+counted from the bottom, holds the partial sum x_1 + ... + x_j of the
+exponents, so the top slot holds the degree; the exponents are recovered
+by one shift and one subtraction.  Divisibility and least common multiples
+act slotwise on the exponent packing, with the top bit of every slot as a
+guard bit.  Inputs and basis elements must have degree below
+2**(_SLOT - 2), so that an lcm of two stays below 2**(_SLOT - 1), and
+every product is checked against the guard bits: a monomial that would
+leave the range raises ``ResourceBudgetError`` rather than overflow into
+its neighbour slot.  Each basis element keeps its leading key and its
+tail, in descending order.
 
 Division keeps the pending terms in a dictionary and their keys in a
 max-heap (heapq on negated keys), so each step pops the largest term
@@ -31,17 +32,20 @@ terms, deletes old pairs by the chain criterion and retires elements whose
 leading term the new one divides.  The pending pairs sit in a heap ordered
 by sugar, then lcm: for homogeneous input the sugar of a pair is the
 degree of its lcm, so this is the normal strategy (smallest lcm degree,
-then smallest lcm), and for other input it keeps lex runs from wandering
-into high degrees.  Retired elements stay in the ideal and keep serving as
-reducers, oldest first.  While the input is homogeneous the engine also
-keeps the staircase of its leading terms and skips every pair of a degree
-in which the leading terms already span the ideal, which the Hilbert
-function of the ideal before the new generator bounds (Traverso 1996); on
-a regular sequence no S-polynomial then reduces to zero.  After every
-``add`` the active elements form a minimal Groebner basis of the ideal so
-far; ``reduced`` tail-reduces them into the reduced basis, and
-``groebner_basis`` feeds every generator and then does exactly that.  Runs
-are deterministic for a fixed input.
+then smallest lcm).  Inhomogeneous input stays supported, and there a
+reduction can lower the degree; the sugar, the degree the input would have
+had homogenized (Giovini et al. 1991), keeps the pairs in the order of a
+homogeneous run and the run from wandering into high degrees.  Retired
+elements stay in the ideal and keep serving as reducers, oldest first.
+While the input is homogeneous the engine also keeps the staircase of its
+leading terms and skips every pair of a degree in which the leading terms
+already span the ideal, which the Hilbert function of the ideal before
+the new generator bounds (Traverso 1996); on a regular sequence no
+S-polynomial then reduces to zero.  After every ``add`` the active
+elements form a minimal Groebner basis of the ideal so far; ``reduced``
+tail-reduces them into the reduced basis, and ``groebner_basis`` feeds
+every generator and then does exactly that.  Runs are deterministic for a
+fixed input.
 
 Dimension of the quotient ring is read off the staircase: it is the size
 of the largest subset S of variables such that no leading term of the
@@ -56,14 +60,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from .errors import InputError, ResourceBudgetError
 from .fields import Element, FieldSpec
 from .polynomials import Exponents, MultiPoly
-
-GREVLEX = "grevlex"
-LEX = "lex"
 
 _SLOT = 32  # bits per packed exponent slot, the top one a guard bit
 _LIMIT = 1 << (_SLOT - 1)  # every slot value stays below this
@@ -79,47 +80,11 @@ def _check_degree(degree: int) -> None:
 Term = Tuple[int, Element]  # (packed key, coefficient)
 
 
-@dataclass(frozen=True)
-class TermOrder:
-    """A monomial order: 'grevlex' or 'lex' over a variable significance order.
-
-    ``variables`` lists the polynomial's variables from most to least
-    significant; None means the declared order of the input polynomials.
-    """
-
-    kind: str = GREVLEX
-    variables: Optional[Tuple[str, ...]] = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in (GREVLEX, LEX):
-            raise InputError(f"unknown term order kind: {self.kind!r}")
-
-    def resolve(self, poly_variables: Tuple[str, ...]) -> "_ResolvedOrder":
-        if self.variables is None:
-            permutation = tuple(range(len(poly_variables)))
-        else:
-            if set(self.variables) != set(poly_variables) or len(
-                self.variables
-            ) != len(poly_variables):
-                raise InputError(
-                    f"order variables {self.variables} do not match {poly_variables}"
-                )
-            permutation = tuple(poly_variables.index(v) for v in self.variables)
-        return _ResolvedOrder(self.kind, permutation)
-
-
-@dataclass(frozen=True)
-class _ResolvedOrder:
-    kind: str
-    permutation: Tuple[int, ...]  # position j holds the poly-index of significance j
-
-
-def leading_term(poly: MultiPoly, order: _ResolvedOrder) -> Tuple[Exponents, Element]:
+def leading_term(poly: MultiPoly) -> Tuple[Exponents, Element]:
+    """The largest term: the first one ``MultiPoly`` stores."""
     if poly.is_zero():
         raise InputError("zero polynomial has no leading term")
-    ring = _Ring(poly.field, len(poly.variables), order)
-    exps = ring.exponents(max(ring.key(e) for e in poly.terms))
-    return exps, poly.terms[exps]
+    return next(iter(poly.terms.items()))
 
 
 class _Element:
@@ -138,19 +103,15 @@ class _Element:
 
 
 class _Ring:
-    """Packed monomials and coefficient arithmetic for one ring and order."""
+    """Packed grevlex monomials and coefficient arithmetic for one ring."""
 
-    def __init__(self, field: FieldSpec, n: int, order: _ResolvedOrder) -> None:
+    def __init__(self, field: FieldSpec, n: int) -> None:
         if not field.is_prime_field and field.characteristic:
             raise InputError("Groebner bases are computed over the rationals or GF(p)")
+        self.field = field
         self.p = field.characteristic  # 0 for the rationals
-        self.n = n
-        self.grevlex = order.kind == GREVLEX
-        self.permutation = order.permutation
-        # bit offset of the exponent of the variable of significance j
-        self.shifts = [
-            _SLOT * (j if self.grevlex else n - 1 - j) for j in range(n)
-        ]
+        # bit offset of the exponent of variable j
+        self.shifts = [_SLOT * j for j in range(n)]
         self.mask = (1 << (_SLOT * n)) - 1
         self.ones = sum(1 << (_SLOT * j) for j in range(n))
         self.guard = self.ones << (_SLOT - 1)
@@ -161,29 +122,24 @@ class _Ring:
     def key(self, exponents: Exponents) -> int:
         _check_degree(sum(exponents))
         packed = 0
-        for shift, i in zip(self.shifts, self.permutation):
-            packed |= exponents[i] << shift
+        for shift, e in zip(self.shifts, exponents):
+            packed |= e << shift
         return self.key_of(packed)
 
     def key_of(self, exps: int) -> int:
         """Key of the monomial whose exponent packing is ``exps``."""
-        return (exps * self.ones) & self.mask if self.grevlex else exps
+        return (exps * self.ones) & self.mask
 
     def exps_of(self, key: int) -> int:
         """Exponent packing of ``key``, for divisibility and lcm tests."""
-        return key - ((key << _SLOT) & self.mask) if self.grevlex else key
+        return key - ((key << _SLOT) & self.mask)
 
     def exponents(self, key: int) -> Exponents:
         exps = self.exps_of(key)
-        out = [0] * self.n
-        for shift, i in zip(self.shifts, self.permutation):
-            out[i] = (exps >> shift) & (_LIMIT - 1)
-        return tuple(out)
+        return tuple((exps >> shift) & (_LIMIT - 1) for shift in self.shifts)
 
     def degree(self, key: int) -> int:
-        if self.grevlex:
-            return key >> self.top
-        return sum(self.exponents(key))
+        return key >> self.top
 
     def slot_max(self, a: int, b: int) -> int:
         """Slotwise maximum of two packings (the lcm of exponent packings)."""
@@ -195,10 +151,8 @@ class _Ring:
     # -- polynomials -------------------------------------------------------
 
     def terms(self, poly: MultiPoly) -> List[Term]:
-        """The terms of ``poly`` as (key, coefficient), descending."""
-        return sorted(
-            ((self.key(e), c) for e, c in poly.terms.items()), reverse=True
-        )
+        """The terms of ``poly`` as (key, coefficient), in stored, descending order."""
+        return [(self.key(e), c) for e, c in poly.terms.items()]
 
     def element(self, terms: List[Term]) -> _Element:
         """The monic multiple of nonzero ``terms`` (descending) as an element."""
@@ -219,9 +173,10 @@ class _Ring:
             bound = self.slot_max(bound, k)
         return bound
 
-    def poly(self, field: FieldSpec, variables, terms: Iterable[Term]) -> MultiPoly:
-        return MultiPoly.from_terms(
-            field, variables, {self.exponents(k): c for k, c in terms}
+    def poly(self, variables: Tuple[str, ...], terms: Iterable[Term]) -> MultiPoly:
+        """The polynomial of nonzero ``terms`` in descending order: stored as is."""
+        return MultiPoly(
+            self.field, variables, {self.exponents(k): c for k, c in terms}
         )
 
     def divide(
@@ -235,7 +190,7 @@ class _Ring:
         Each term, largest first, is reduced by the first divisor in list
         order whose leading monomial divides it.
         """
-        p, guard, mask, grevlex = self.p, self.guard, self.mask, self.grevlex
+        p, guard, mask = self.p, self.guard, self.mask
         work: dict = {}
         heap: List[int] = []
 
@@ -268,7 +223,7 @@ class _Ring:
                 c %= p
             if not c:
                 continue
-            exps = k - ((k << _SLOT) & mask) if grevlex else k
+            exps = k - ((k << _SLOT) & mask)
             for g in divisors:
                 if not (exps - g.exps) & guard:
                     add(k - g.key, p - c if p else -c, g.tail, g.bound)
@@ -329,9 +284,7 @@ class _Staircase:
                 del self.sets[d]
 
 
-def normal_form(
-    poly: MultiPoly, basis: Sequence[MultiPoly], order: _ResolvedOrder
-) -> MultiPoly:
+def normal_form(poly: MultiPoly, basis: Sequence[MultiPoly]) -> MultiPoly:
     """Remainder of multivariate division of ``poly`` by ``basis``.
 
     The basis need not be monic; each term, largest first, is reduced by the
@@ -341,41 +294,37 @@ def normal_form(
         return poly
     if any(g.is_zero() for g in basis):
         raise InputError("zero polynomial has no leading term")
-    ring = _Ring(poly.field, len(poly.variables), order)
+    ring = _Ring(poly.field, len(poly.variables))
     divisors = [ring.element(ring.terms(g)) for g in basis]
     remainder = ring.divide([(0, 1, ring.terms(poly))], divisors)
-    return ring.poly(poly.field, poly.variables, remainder)
+    return ring.poly(poly.variables, remainder)
 
 
-def s_polynomial(
-    f: MultiPoly, g: MultiPoly, order: _ResolvedOrder
-) -> MultiPoly:
+def s_polynomial(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     """S-polynomial of the monic multiples of ``f`` and ``g``."""
     if f.is_zero() or g.is_zero():
         raise InputError("zero polynomial has no leading term")
-    ring = _Ring(f.field, len(f.variables), order)
+    ring = _Ring(f.field, len(f.variables))
     ef, eg = ring.element(ring.terms(f)), ring.element(ring.terms(g))
     lcm = ring.key_of(ring.slot_max(ef.exps, eg.exps))
     minus_one = ring.p - 1 if ring.p else -1
     terms = ring.divide([(lcm - ef.key, 1, ef), (lcm - eg.key, minus_one, eg)], ())
-    return ring.poly(f.field, f.variables, terms)
+    return ring.poly(f.variables, terms)
 
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """A reduced monic Groebner basis together with its term order."""
+    """A reduced monic grevlex Groebner basis, largest leading term first."""
 
     generators: Tuple[MultiPoly, ...]
-    order: TermOrder
     field: FieldSpec
     variables: Tuple[str, ...]
 
     def leading_exponents(self) -> List[Exponents]:
-        resolved = self.order.resolve(self.variables)
-        return [leading_term(g, resolved)[0] for g in self.generators]
+        return [leading_term(g)[0] for g in self.generators]
 
     def reduce(self, poly: MultiPoly) -> MultiPoly:
-        return normal_form(poly, self.generators, self.order.resolve(self.variables))
+        return normal_form(poly, self.generators)
 
     def contains(self, poly: MultiPoly) -> bool:
         return self.reduce(poly).is_zero()
@@ -394,15 +343,13 @@ class GroebnerEngine:
         self,
         field: FieldSpec,
         variables: Sequence[str],
-        order: TermOrder | None = None,
         *,
         max_pairs: int = 200_000,
         max_basis: int = 2_000,
     ) -> None:
         self.field = field
         self.variables = tuple(variables)
-        self.order = order or TermOrder()
-        self.ring = _Ring(field, len(self.variables), self.order.resolve(self.variables))
+        self.ring = _Ring(field, len(self.variables))
         self.max_pairs = max_pairs
         self.max_basis = max_basis
         # every element ever added, by index; all of them reduce, oldest
@@ -451,11 +398,12 @@ class GroebnerEngine:
         for g in ascending:
             g.tail = ring.divide([(0, 1, g)], ascending)
             g.bound = ring.slot_max(g.key, ring.bound(g.tail))
+        one = self.field.one()
         generators = tuple(
-            ring.poly(self.field, self.variables, [(g.key, 1)] + g.tail)
+            ring.poly(self.variables, [(g.key, one)] + g.tail)
             for g in reversed(ascending)
         )
-        return GroebnerBasis(generators, self.order, self.field, self.variables)
+        return GroebnerBasis(generators, self.field, self.variables)
 
     # -- Buchberger ----------------------------------------------------------
 
@@ -564,7 +512,6 @@ class GroebnerEngine:
 
 def groebner_basis(
     generators: Sequence[MultiPoly],
-    order: TermOrder | None = None,
     *,
     max_pairs: int = 200_000,
     max_basis: int = 2_000,
@@ -575,12 +522,11 @@ def groebner_basis(
     ``max_pairs``/``max_basis`` budgets abort pathological runs with a
     ``ResourceBudgetError`` instead of hanging.
     """
-    order = order or TermOrder()
     if not generators:
         raise InputError("cannot infer ring from an empty generator list")
     g0 = generators[0]
     engine = GroebnerEngine(
-        g0.field, g0.variables, order, max_pairs=max_pairs, max_basis=max_basis
+        g0.field, g0.variables, max_pairs=max_pairs, max_basis=max_basis
     )
     for g in generators:
         engine.add(g)

@@ -14,12 +14,16 @@ exactly ``str(Fraction)``, so reports diff bit-for-bit.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 from .errors import InputError
 
 # Canonical exact rational type used across the package.
 Rational = Fraction
+
+# The "num/den" grammar: ASCII digits only, the sign on the numerator.
+_LITERAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def binomial(n: int, r: int) -> int:
@@ -35,8 +39,14 @@ def format_rational(value: Fraction | int) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse the "num/den" format back into a Fraction."""
+    """Parse the "num/den" format, ``-?[0-9]+(/[0-9]+)?``, back into a Fraction.
+
+    Whitespace, a plus sign, underscores, decimals, exponents and non-ASCII
+    digits, all of which ``Fraction`` would accept, are input errors.
+    """
+    if not _LITERAL.fullmatch(text):
+        raise InputError(f"not a rational literal: {text!r}")
     try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
         raise InputError(f"not a rational literal: {text!r}") from exc

@@ -361,6 +361,23 @@ def test_regcheck_non_integer_coefficient_exit_2(tmp_path, bad):
     assert output == ""
 
 
+@pytest.mark.parametrize("tag", ["gf:5", "rational"])
+@pytest.mark.parametrize("bad", ["1_0", "٣", " 3 ", "+3", "0.5", "1e3"])
+def test_regcheck_coefficient_outside_the_grammar_exit_2(tmp_path, tag, bad):
+    # int() and Fraction() take all of these; "1_0" over gf:5 would be 10 = 0,
+    # and its term would silently vanish
+    ci = random_complete_intersection(DegreeTuple((2, 3)), FieldSpec.prime(5), seed=1)
+    data = ci.to_json()
+    data["field"] = tag
+    for equation in data["equations"]:
+        equation["field"] = tag
+    data["equations"][0]["terms"][0]["coeff"] = bad
+    path = tmp_path / "ci.json"
+    path.write_text(json.dumps(data))
+    code, output = invoke(["regcheck", "--input", str(path), "--samples", "1"])
+    assert (code, output) == (2, "")
+
+
 # sha256 of the stdout of `regcheck --reduce` and of `randomci --reduce` on
 # small seeded instances over GF(101): the instance draws, the sampled
 # forms and the restriction to their common zeros all feed them.

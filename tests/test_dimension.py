@@ -116,8 +116,7 @@ def test_codim_matches_the_reduced_basis_staircase(field):
             gens = [factor * g for g in gens]
         gens = [g for g in gens if not g.is_zero()]
         basis = groebner_basis(gens)
-        order = basis.order.resolve(names)
-        leads = [leading_term(g, order)[0] for g in basis.generators]
+        leads = [leading_term(g)[0] for g in basis.generators]
         expected = n - staircase_dimension(leads, n)
         assert projective_codim(gens).codimension == expected
 
