@@ -4,7 +4,9 @@ The engine computes the unique reduced Groebner basis of an ideal given by
 sparse polynomials over the rationals or GF(p), under graded reverse
 lexicographic order over the declared variables, the first one the most
 significant: the order in which ``MultiPoly`` stores its terms, so the
-engine reads and writes terms in stored order and never re-sorts them.
+engine reads and writes terms in stored order.  It sorts only the terms of
+a polynomial built by hand in another order, which one pass over the keys
+detects.
 
 Inside the engine a monomial is one packed integer, its *key*: one slot of
 ``_SLOT`` bits per variable, so that comparing keys is comparing monomials
@@ -58,13 +60,14 @@ exact (any term order).
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import Iterable, List, Sequence, Tuple
 
 from .errors import InputError, ResourceBudgetError
 from .fields import Element, FieldSpec
-from .polynomials import Exponents, MultiPoly
+from .polynomials import Exponents, MultiPoly, grevlex_key
 
 _SLOT = 32  # bits per packed exponent slot, the top one a guard bit
 _LIMIT = 1 << (_SLOT - 1)  # every slot value stays below this
@@ -81,10 +84,15 @@ Term = Tuple[int, Element]  # (packed key, coefficient)
 
 
 def leading_term(poly: MultiPoly) -> Tuple[Exponents, Element]:
-    """The largest term: the first one ``MultiPoly`` stores."""
+    """The largest term under grevlex.
+
+    It is the first term a canonical ``MultiPoly`` stores, but the plain
+    constructor takes terms in any order, so the maximum is taken.
+    """
     if poly.is_zero():
         raise InputError("zero polynomial has no leading term")
-    return next(iter(poly.terms.items()))
+    exps = max(poly.terms, key=grevlex_key)
+    return exps, poly.terms[exps]
 
 
 class _Element:
@@ -151,8 +159,16 @@ class _Ring:
     # -- polynomials -------------------------------------------------------
 
     def terms(self, poly: MultiPoly) -> List[Term]:
-        """The terms of ``poly`` as (key, coefficient), in stored, descending order."""
-        return [(self.key(e), c) for e, c in poly.terms.items()]
+        """The terms of ``poly`` as (key, coefficient), in descending order.
+
+        That is the stored order of a canonical ``MultiPoly``; terms given to
+        the plain constructor in another order are sorted.
+        """
+        keys = [self.key(e) for e in poly.terms]
+        terms = list(zip(keys, poly.terms.values()))
+        if not all(map(operator.gt, keys, keys[1:])):
+            terms.sort(key=operator.itemgetter(0), reverse=True)
+        return terms
 
     def element(self, terms: List[Term]) -> _Element:
         """The monic multiple of nonzero ``terms`` (descending) as an element."""

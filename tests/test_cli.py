@@ -323,6 +323,29 @@ def test_randomci_rejects_zero_samples_before_drawing():
         assert (code, output) == (2, "")
 
 
+@pytest.mark.parametrize(
+    "degrees, reduce, n_vars",
+    [("20,20", False, 40), ("5,5", False, 10), ("5,7", True, 9)],
+)
+def test_randomci_refuses_a_box_beyond_the_budget_before_drawing(
+    monkeypatch, capsys, degrees, reduce, n_vars
+):
+    # drawing lists every monomial of each degree: (20,20) alone would be
+    # C(59, 20) of them, so the budget is checked first
+    def draw(*args, **kwargs):
+        raise AssertionError("an instance was drawn")
+
+    monkeypatch.setattr("fanoci.cli.random_complete_intersection", draw)
+    for trials in ("0", "1"):
+        argv = ["randomci", "--degrees", degrees, "--field", "gf:5", "--trials", trials]
+        code, output = invoke(argv + ["--reduce"] * reduce)
+        assert (code, output) == (3, "")
+        assert capsys.readouterr().err == (
+            f"resource budget exceeded: {n_vars} variables exceed the exact-kernel"
+            " budget of 8 (pass a larger max_variables to override)\n"
+        )
+
+
 def _with_coefficients(data, convert):
     for equation in data["equations"]:
         for term in equation["terms"]:

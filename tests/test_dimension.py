@@ -7,16 +7,28 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fanoci import dimension
 from fanoci.dimension import (
+    EXACT,
+    RegularSequenceResult,
+    _cut_last_variable,
     _poly_vanishes_on_subspace,
+    _prefix_trace,
     codim_probabilistic,
     is_regular_sequence,
     projective_codim,
 )
 from fanoci.errors import InputError, ResourceBudgetError, UnsupportedModeError
 from fanoci.fields import FieldSpec, nullspace
-from fanoci.groebner import groebner_basis, leading_term, staircase_dimension
-from fanoci.polynomials import MultiPoly, random_poly
+from fanoci.families import DegreeTuple
+from fanoci.groebner import (
+    GroebnerEngine,
+    groebner_basis,
+    leading_term,
+    staircase_dimension,
+)
+from fanoci.polynomials import MultiPoly, _descending, monomials_of_degree, random_poly
+from fanoci.regularity import random_complete_intersection, regularity_check
 
 Q = FieldSpec.rationals()
 F5 = FieldSpec.prime(5)
@@ -199,6 +211,111 @@ def test_permutation_invariance_of_verdict():
             for perm in itertools.permutations(gens)
         }
         assert len(verdicts) == 1
+
+
+# ---------------------------------------------------------------------------
+# The certificate on the hyperplane x_n = 0 and its fallback
+# ---------------------------------------------------------------------------
+
+CUT_FIELDS = [FieldSpec.prime(2), FieldSpec.prime(3), F5, FieldSpec.prime(101), Q]
+
+
+@st.composite
+def homogeneous_sequences(draw):
+    """Short sequences of homogeneous forms, regular and irregular.
+
+    A form gets a random coefficient on each monomial of its degree (and is
+    one monomial if they all vanish).  The sequence is then left as drawn
+    (mostly regular over the larger fields) or made irregular: by a common
+    linear factor, by a common zero at (1, 0, ..., 0), by repeating a form
+    or by inserting the zero form.
+    """
+    field = draw(st.sampled_from(CUT_FIELDS))
+    n = draw(st.integers(2, 4))
+    names = tuple(f"x{i}" for i in range(1, n + 1))
+    kind = draw(st.sampled_from(["drawn", "factor", "zero-point", "repeat", "zero-form"]))
+    grows = kind in ("repeat", "zero-form")
+    r = draw(st.integers(1, n - 1 if grows else n))
+
+    def form(degree, common_zero=False):
+        monomials = list(monomials_of_degree(n, degree))
+        if common_zero:
+            monomials = monomials[1:]  # no x1^degree: (1, 0, ..., 0) is a zero
+        size = len(monomials)
+        values = draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size))
+        poly = MultiPoly.from_terms(field, names, zip(monomials, values))
+        return poly or MultiPoly.from_terms(field, names, {monomials[-1]: 1})
+
+    degrees = [draw(st.integers(1, 3)) for _ in range(r)]
+    forms = [form(d, common_zero=kind == "zero-point") for d in degrees]
+    if kind == "factor":
+        h = form(1)
+        forms = [h * f for f in forms]
+    elif kind == "repeat":
+        forms.insert(draw(st.integers(1, r)), forms[draw(st.integers(0, r - 1))])
+    elif kind == "zero-form":
+        forms.insert(draw(st.integers(0, r)), MultiPoly.zero(field, names))
+    return forms
+
+
+@given(homogeneous_sequences())
+@settings(max_examples=400, deadline=None)
+def test_cut_then_fallback_matches_the_uncut_loop(forms):
+    variables = forms[0].variables
+    assert is_regular_sequence(forms) == _prefix_trace(forms, variables, EXACT)
+    for f in forms:
+        cut = _cut_last_variable(f)
+        assert cut.variables == variables[:-1]
+        assert list(cut.terms) == _descending(cut.terms)
+
+
+@pytest.fixture
+def engine_sizes(monkeypatch):
+    """The variable counts of the engines that ``dimension`` builds, in order."""
+    sizes = []
+
+    class CountingEngine(GroebnerEngine):
+        def __init__(self, field, variables, **budgets):
+            sizes.append(len(variables))
+            super().__init__(field, variables, **budgets)
+
+    monkeypatch.setattr(dimension, "GroebnerEngine", CountingEngine)
+    return sizes
+
+
+def test_regular_form_whose_cut_vanishes_falls_back(engine_sizes):
+    # x*y is regular in (x, y), but it vanishes on y = 0
+    x, y = fv(("x", "y"))
+    assert _cut_last_variable(x * y).is_zero()
+    assert is_regular_sequence([x * y]) == RegularSequenceResult(True, (1,))
+    assert engine_sizes == [1, 2]
+
+
+def test_budget_error_on_the_cut_falls_back(monkeypatch):
+    class CutOverBudget(GroebnerEngine):
+        def add(self, poly):
+            if len(self.variables) < 3:
+                raise ResourceBudgetError("the cut exceeds the pair budget")
+            super().add(poly)
+
+    monkeypatch.setattr(dimension, "GroebnerEngine", CutOverBudget)
+    x, y, z = fv()
+    regular = [x * x + y * z, y * y + x * z]  # [x^2, y^2] on z = 0
+    assert is_regular_sequence(regular) == RegularSequenceResult(True, (1, 2))
+    result = is_regular_sequence([x * y, x * z])
+    assert (result.trace, result.failing_prefix) == ((1, 1), 2)
+
+
+def test_regular_reduced_m8_system_is_decided_on_the_cut(engine_sizes):
+    # the M = 8 rung of the reach ladder: 6 forms in 7 variables, regular,
+    # so no engine in all 7 variables is ever built
+    degrees = DegreeTuple((5, 5))
+    field = FieldSpec.prime(32003)
+    ci = random_complete_intersection(degrees, field, seed=1)
+    form = MultiPoly.linear(field, ci.variables, range(1, degrees.ambient + 1))
+    report = regularity_check(ci, form, reduce=True)
+    assert report.is_regular and report.trace == (1, 2, 3, 4, 5, 6)
+    assert engine_sizes == [6]
 
 
 # ---------------------------------------------------------------------------

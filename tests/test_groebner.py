@@ -290,3 +290,14 @@ def test_engine_results_are_stored_in_canonical_order(n, degrees, homogeneous, s
         results.append(s_polynomial(gens[0], gens[1]))
     for g in results:
         assert list(g.terms) == _descending(g.terms)
+
+
+def test_hand_built_polynomial_in_another_order():
+    # the plain constructor keeps terms as given: x before y^2 here
+    names = ("x", "y")
+    x, y = (MultiPoly.variable(F5, names, n) for n in names)
+    poly = MultiPoly(F5, names, {(1, 0): 1, (0, 2): 1})
+    assert list(poly.terms) != _descending(poly.terms)
+    assert leading_term(poly) == ((0, 2), 1)
+    assert normal_form(y**3, [poly]) == 4 * x * y
+    assert groebner_basis([poly]).generators == (y * y + x,)
