@@ -32,7 +32,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
+from itertools import islice, repeat
 from json.encoder import encode_basestring_ascii
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
@@ -672,21 +672,6 @@ def _param_prefixes(keys: Tuple[str, ...]) -> Tuple[Tuple[str, str], ...]:
     return tuple((key, f"      {encode_basestring_ascii(key)}: ") for key in sorted(keys))
 
 
-def _sort_key(record: CheckRecord):
-    # k, M, check, then the degree list as text ("[2, 10, 11]" before
-    # "[2, 2, 19]"): the report's established order, which compared the text
-    # of the sorted params; within one (k, M, check) those differ only in the
-    # degrees or, for the square sums, in the shift, made in order (the sort
-    # is stable)
-    params = record.params
-    return (
-        params.get("k", 0),
-        params.get("M", 0),
-        record.check,
-        str(params.get("degrees", "")),
-    )
-
-
 def audit_range(
     k_max: int,
     M_max: int,
@@ -701,64 +686,67 @@ def audit_range(
     sweep the full box; the per-tuple checks (square sums, tail bounds)
     sweep every degree tuple with k <= tuple_k_max and 3k+4 <= M <= tuple_M_max
     (capped by the outer box).  Empty hypothesis ranges are reported as
-    vacuous rather than silently skipped.  If the record budget is hit the
-    report is returned truncated, with an explicit marker record.
+    vacuous rather than silently skipped.
+
+    The records come in report order: first the quadratic checks, which
+    carry no k, by M (each once per k with 3k+4 <= M); then by k, either
+    one vacuous sweep-range record or, by M and within each (k, M) by check
+    name, the square sums by shift and the tail bounds by the degree list as
+    text.  If the full report has more than ``max_records`` records, the
+    report is truncated: a marker record, then the first ``max_records``
+    records of the full report.
     """
     if k_max < 2 or M_max < 1:
         raise InputError(f"need k_max >= 2 and M_max >= 1, got ({k_max}, {M_max})")
-    records: List[CheckRecord] = []
-    truncated = False
+    budget = max(max_records, 0)
+    # a list, then one copy: a tuple grown from the iterator would re-enter
+    # the youngest GC generation at each resize, and be scanned there
+    records = list(
+        islice(_report_records(k_max, M_max, tuple_k_max, tuple_M_max), budget + 1)
+    )
+    if len(records) <= budget:
+        return AuditReport(tuple(records))
+    note = "record budget exceeded; the report is partial"
+    marker = CheckRecord("truncation-marker", {}, budget, max_records, VACUOUS, note)
+    return AuditReport((marker, *records[:budget]), truncated=True)
 
-    def push(items: List[CheckRecord]) -> bool:
-        """Append while the budget lasts; False once the report is truncated."""
-        nonlocal truncated
-        if truncated:
-            return False
-        room = max_records - len(records)
-        if len(items) <= room:
-            records.extend(items)
-            return True
-        records.extend(items[: max(room, 0)])
-        note = "record budget exceeded; the report is partial"
-        records.append(
-            CheckRecord("truncation-marker", {}, len(records), max_records, VACUOUS, note)
-        )
-        truncated = True
-        return False
 
-    pair_jobs: List[Tuple[int, int]] = []
+def _report_records(
+    k_max: int, M_max: int, tuple_k_max: int, tuple_M_max: int
+) -> Iterator[CheckRecord]:
+    """Every record of ``audit_range``'s box, made in report order."""
+    # the quadratic checks depend on M alone: one run per M, its records
+    # repeated once per k in [2, k_max] with 3k+4 <= M
+    for M in range(3 * 2 + 4, M_max + 1):
+        copies = min(k_max, (M - 4) // 3) - 1
+        margin, identity = check_quadratic_margin(M)
+        yield from repeat(identity, copies)
+        yield from repeat(margin, copies)
     for k in range(2, k_max + 1):
         lo = 3 * k + 4
         if lo > M_max:
             note = f"no M with 3k+4 = {lo} <= M <= {M_max} for k = {k}"
-            push([CheckRecord("sweep-range", {"k": k, "M": 0}, lo, M_max, VACUOUS, note)])
-        else:
-            pair_jobs.extend((k, M) for M in range(lo, M_max + 1))
-
-    def pair_batches() -> Iterator[List[CheckRecord]]:
-        quadratic: Dict[int, List[CheckRecord]] = {}  # it depends on M alone
-        for k, M in pair_jobs:
-            if M not in quadratic:
-                quadratic[M] = check_quadratic_margin(M)
-            yield (
-                check_small_degree_codim(k, M)
-                + quadratic[M]
-                + check_threshold_equivalences(k, M).records()
-            )
-
-    def tuple_batches() -> Iterator[List[CheckRecord]]:
-        # the tuples come valid and in range (M >= 3k+4), so the tail cases
-        # are taken straight from the integer core, as check_tail_bounds does
-        for k in range(2, min(k_max, tuple_k_max) + 1):
-            for M in range(3 * k + 4, min(M_max, tuple_M_max) + 1):
+            yield CheckRecord("sweep-range", {"k": k, "M": 0}, lo, M_max, VACUOUS, note)
+        for M in range(lo, M_max + 1):
+            codim, chain = check_small_degree_codim(k, M)
+            yield chain
+            yield codim
+            if k <= tuple_k_max and M <= tuple_M_max:
                 for shift in (2, 3):
-                    yield optimize_square_sum(k, M, shift).records()
-                for degrees in nondecreasing_degree_tuples(k, M + k, 2, M + k):
-                    yield _tail_records(_tail_cases(degrees, k, M), k, M, list(degrees))
-
-    for batch in chain(pair_batches(), tuple_batches()):
-        if not push(batch):
-            break
-
-    records.sort(key=_sort_key)
-    return AuditReport(tuple(records), truncated)
+                    yield from optimize_square_sum(k, M, shift).records()
+                # the tuples come valid and in range (M >= 3k+4), so the tail
+                # cases are taken straight from the integer core, as
+                # check_tail_bounds does.  They go by the text of the degree
+                # list, "[2, 10, 11]" before "[2, 2, 19]"; a tuple's own text
+                # sorts alike, since its brackets would meet a digit only for
+                # two tuples that differ in the last degree alone, and all of
+                # these sum to M + k
+                tuples = nondecreasing_degree_tuples(k, M + k, 2, M + k)
+                tails = [
+                    _tail_records(_tail_cases(d, k, M), k, M, list(d))
+                    for d in sorted(tuples, key=str)
+                ]
+                yield from (m3 for _, m3 in tails)
+                yield from (m4 for m4, _ in tails)
+            m4p, m3p, m4c, m3c, m4a, m3a = check_threshold_equivalences(k, M).records()
+            yield from (m3a, m3c, m3p, m4a, m4c, m4p)  # annotation, claimed, printed

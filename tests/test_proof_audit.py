@@ -489,9 +489,9 @@ def _records_text(records):
 
 @pytest.mark.parametrize("k_max, size", [(2, 68), (5, 71)])
 def test_audit_truncation_leaves_one_marker_across_the_budget(k_max, size):
-    # audit_range(k_max, 12) makes one vacuous sweep-range record for each
-    # k = 3..k_max, then 30 per-(k, M) records, then the square sums and
-    # tail bounds; the budgets cross every boundary and the end of the report
+    # audit_range(k_max, 12) holds 30 per-(k, M) records, the square sums and
+    # tail bounds of k = 2, and one vacuous sweep-range record for each
+    # k = 3..k_max; the budgets cross every boundary and the end of the report
     full = audit_range(k_max, 12).records
     assert len(full) == size
     kept_before = Counter()
@@ -506,6 +506,8 @@ def test_audit_truncation_leaves_one_marker_across_the_budget(k_max, size):
         assert len(report.records) == budget + 1
         assert len(markers) == 1
         assert (markers[0].lhs, markers[0].rhs, markers[0].params) == (budget, budget, {})
+        # the marker, then a prefix of the full report
+        assert report.records == (markers[0], *full[:budget])
         kept = _records_text(r for r in report.records if r is not markers[0])
         # a larger budget keeps what a smaller one kept, plus one record
         assert not kept - _records_text(full)
@@ -513,10 +515,44 @@ def test_audit_truncation_leaves_one_marker_across_the_budget(k_max, size):
         kept_before = kept
 
 
-def test_audit_order_is_the_params_text_order():
+def _public_check_records(k_max, M_max, tuple_k_max, tuple_M_max):
+    """The records of audit_range's box, made by the public checks."""
+    records = []
+    for k in range(2, k_max + 1):
+        lo = 3 * k + 4
+        if lo > M_max:
+            note = f"no M with 3k+4 = {lo} <= M <= {M_max} for k = {k}"
+            records.append(
+                CheckRecord("sweep-range", {"k": k, "M": 0}, lo, M_max, VACUOUS, note)
+            )
+        for M in range(lo, M_max + 1):
+            records += check_small_degree_codim(k, M)
+            records += check_quadratic_margin(M)
+            records += check_threshold_equivalences(k, M).records()
+            if k <= tuple_k_max and M <= tuple_M_max:
+                for shift in (2, 3):
+                    records += optimize_square_sum(k, M, shift).records()
+                for d in nondecreasing_degree_tuples(k, M + k, 2, M + k):
+                    records += check_tail_bounds(DegreeTuple(d)).records()
+    return records
+
+
+@pytest.mark.parametrize(
+    "box",
+    [
+        (2, 9, 5, 60),  # vacuous
+        (5, 15, 5, 60),  # vacuous and live k mix
+        (3, 30, 6, 12),  # the tuple box is wider in k and narrower in M
+        (4, 20, 2, 5),  # the tuple box is empty
+        (4, 24, 4, 24),
+    ],
+    ids=["vacuous", "mixed", "tuples-wide-k", "no-tuples", "k4"],
+)
+def test_audit_order_is_the_params_text_order(box):
     # the report's order: k, M, check, then the text of the sorted params,
     # stable; (3, M = 20) puts (2,10,11) before (2,2,19)
-    report = audit_range(4, 24, tuple_k_max=4, tuple_M_max=24)
+    k_max, M_max, tuple_k_max, tuple_M_max = box
+    report = audit_range(k_max, M_max, tuple_k_max=tuple_k_max, tuple_M_max=tuple_M_max)
 
     def params_text_key(record):
         return (
@@ -526,13 +562,15 @@ def test_audit_order_is_the_params_text_order():
             str(sorted(record.params.items())),
         )
 
-    assert list(report.records) == sorted(report.records, key=params_text_key)
+    expected = sorted(_public_check_records(*box), key=params_text_key)
+    assert list(report.records) == expected
     tails = [
         r.params["degrees"]
         for r in report.records
         if r.check == "tail-bound-m3" and r.params["M"] == 20 and r.params["k"] == 3
     ]
-    assert tails.index([2, 10, 11]) < tails.index([2, 2, 19])
+    if tails:
+        assert tails.index([2, 10, 11]) < tails.index([2, 2, 19])
 
 
 @pytest.mark.parametrize(
