@@ -4,7 +4,7 @@ Subcommands: classify, enumerate, remark1, audit, regcheck, randomci.
 Reports are emitted to stdout in json (canonical: sorted keys, "num/den"
 rationals, never floats), csv, or text.  Exit codes: 0 success / audit
 pass / regular verdict, 1 failed check, 2 argument or input-file problem,
-3 exceeded resource budget.
+3 exceeded resource budget, 141 stdout closed by its reader (``| head``).
 
 Runs are bit-reproducible: the same invocation (including --seed) writes
 byte-identical output.
@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import List, Optional, Sequence
@@ -36,7 +37,7 @@ from .families import (
     theorem_applicability,
 )
 from .fields import FieldSpec
-from .proof_audit import AuditReport, audit_range
+from .proof_audit import FAIL, AuditSummary, audit_records, iter_json
 from .rationals import format_rational
 from .regularity import (
     PointedCI,
@@ -48,6 +49,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer killed by it
 
 
 def _dump_json(payload) -> str:
@@ -113,14 +115,18 @@ def _cmd_remark1(args, out) -> int:
     return EXIT_OK
 
 
-def _emit_audit(report: AuditReport, fmt: str, out) -> None:
-    if fmt == "json":
-        for chunk in report.iter_json():
-            out.write(chunk)
+def _cmd_audit(args, out) -> int:
+    records = audit_records(
+        args.k_max, args.m_max, tuple_k_max=args.tuple_k_max, tuple_M_max=args.tuple_m_max
+    )
+    summary = AuditSummary()
+    if args.format == "json":
+        for piece in iter_json(summary.watch(records)):
+            out.write(piece)
         out.write("\n")
-    elif fmt == "csv":
+    elif args.format == "csv":
         print("check,params,lhs,rhs,verdict,note", file=out)
-        for record in report.records:
+        for record in summary.watch(records):
             params = ";".join(f"{k}={v}" for k, v in sorted(record.params.items()))
             note = record.note.replace('"', "'")
             print(
@@ -129,28 +135,15 @@ def _emit_audit(report: AuditReport, fmt: str, out) -> None:
                 file=out,
             )
     else:
-        counts: dict = {}
-        for record in report.records:
-            counts[record.verdict] = counts.get(record.verdict, 0) + 1
-        print(f"records: {len(report.records)}", file=out)
-        for verdict in sorted(counts):
-            print(f"  {verdict}: {counts[verdict]}", file=out)
-        for note in report.discrepancy_notes:
+        for _ in summary.watch(records):
+            pass
+        print(f"records: {sum(summary.verdicts.values())}", file=out)
+        for verdict in sorted(summary.verdicts):
+            print(f"  {verdict}: {summary.verdicts[verdict]}", file=out)
+        for note in summary.discrepancy_notes:
             print(f"discrepancy: {note}", file=out)
-        if report.truncated:
-            print("WARNING: report truncated by the record budget", file=out)
-        print(f"aggregate: {'PASS' if report.aggregate_pass else 'FAIL'}", file=out)
-
-
-def _cmd_audit(args, out) -> int:
-    report = audit_range(
-        args.k_max,
-        args.m_max,
-        tuple_k_max=args.tuple_k_max,
-        tuple_M_max=args.tuple_m_max,
-    )
-    _emit_audit(report, args.format, out)
-    return EXIT_OK if report.aggregate_pass else EXIT_CHECK_FAILED
+        print(f"aggregate: {'FAIL' if FAIL in summary.verdicts else 'PASS'}", file=out)
+    return EXIT_CHECK_FAILED if FAIL in summary.verdicts else EXIT_OK
 
 
 def _cmd_regcheck(args, out) -> int:
@@ -312,7 +305,14 @@ def run(argv: Optional[Sequence[str]] = None, out=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout's reader is gone: devnull takes the flush at exit (``signal`` docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(EXIT_BROKEN_PIPE)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

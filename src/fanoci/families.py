@@ -241,28 +241,24 @@ def theorem_applicability(degrees: DegreeTuple) -> FamilyCertificate:
     )
 
 
+def _theorem_test(theorem_id: str) -> FilterPredicate:
+    """The certificate test for an id like "t3", "t4" or "t6:ii"; a bad id raises here."""
+    name, _, case = theorem_id.partition(":")
+    if name not in ("t3", "t4", "t5", "t6"):
+        raise InputError(f"unknown theorem id: {theorem_id!r}")
+    if case and name in ("t3", "t5"):
+        raise InputError(f"{name} has no cases ({theorem_id!r})")
+    if case not in ("", "i", "ii", "iii"):
+        raise InputError(f"unknown case in {theorem_id!r}")
+    field = name if name in ("t3", "t5") else name + "_case"  # a bool, or a case or "none"
+    if case:
+        return lambda cert: getattr(cert, field) == case
+    return lambda cert: getattr(cert, field) not in (False, "none")
+
+
 def theorem_applies(certificate: FamilyCertificate, theorem_id: str) -> bool:
     """Evaluate ids like "t3", "t4", "t6:ii" against a certificate."""
-    name, _, case = theorem_id.partition(":")
-    if name == "t3":
-        value: bool | str = certificate.t3
-    elif name == "t4":
-        value = certificate.t4_case
-    elif name == "t5":
-        value = certificate.t5
-    elif name == "t6":
-        value = certificate.t6_case
-    else:
-        raise InputError(f"unknown theorem id: {theorem_id!r}")
-    if isinstance(value, bool):
-        if case:
-            raise InputError(f"{name} has no cases ({theorem_id!r})")
-        return value
-    if case:
-        if case not in ("i", "ii", "iii"):
-            raise InputError(f"unknown case in {theorem_id!r}")
-        return value == case
-    return value != "none"
+    return _theorem_test(theorem_id)(certificate)
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +334,12 @@ def count_nondecreasing_tuples(k: int, total: int, d_min: int = 2) -> int:
 FilterPredicate = Callable[[FamilyCertificate], bool]
 
 
+def _applies_not(strong: str, weak: str) -> FilterPredicate:
+    """The test that ``strong`` applies and ``weak`` does not; a bad id raises here."""
+    applies, excluded = _theorem_test(strong), _theorem_test(weak)
+    return lambda cert: applies(cert) and not excluded(cert)
+
+
 def parse_family_filter(spec: Optional[str]) -> Optional[FilterPredicate]:
     """Parse a filter token into a predicate on certificates.
 
@@ -345,23 +347,19 @@ def parse_family_filter(spec: Optional[str]) -> Optional[FilterPredicate]:
     "STRONG-not-WEAK" for theorem ids STRONG/WEAK.  The token "t6-not-t4"
     is the catalogued novelty filter: it compares case (ii) of t6 against
     t4, which is the comparison whose result is a fixed finite list; the
-    unrestricted comparison is available as "t6:any-not-t4".
+    unrestricted comparison is available as "t6:any-not-t4".  Every theorem
+    id and case is checked here, so a bad token fails even on an empty box.
     """
     if spec is None or spec == "none":
         return None
     if spec == "ke":
         return lambda cert: cert.ke_metric == "yes"
     if spec == "t6-not-t4":
-        return lambda cert: theorem_applies(cert, "t6:ii") and not theorem_applies(
-            cert, "t4"
-        )
+        return _applies_not("t6:ii", "t4")
     if "-not-" in spec:
         strong, weak = spec.split("-not-", 1)
-        strong = "t6" if strong == "t6:any" else strong
-        return lambda cert: theorem_applies(cert, strong) and not theorem_applies(
-            cert, weak
-        )
-    return lambda cert: theorem_applies(cert, spec)
+        return _applies_not("t6" if strong == "t6:any" else strong, weak)
+    return _theorem_test(spec)
 
 
 def enumerate_families(
@@ -421,11 +419,7 @@ def new_families_vs(
     unqualified comparison ("t6" vs "t4") is the literal one: every tuple
     where t6 applies through any case and t4 through none.
     """
-
-    def predicate(cert: FamilyCertificate) -> bool:
-        return theorem_applies(cert, strong) and not theorem_applies(cert, weak)
-
-    return enumerate_families(predicate=predicate, **box)
+    return enumerate_families(predicate=_applies_not(strong, weak), **box)
 
 
 def remark_families() -> List[DegreeTuple]:

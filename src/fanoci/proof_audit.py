@@ -24,6 +24,9 @@ of a constant or a threshold disagrees with a printed simplification, the
 report carries both and flags the difference without overriding either.
 What the audit must establish is only that every variant follows from
 M >= 3k+4 across the sweep box.
+
+The CLI writes each record as ``audit_records`` makes it, folding the summary
+as it goes (``AuditSummary``); ``audit_range`` collects the records instead.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ FAIL = "fail"
 OUT_OF_HYPOTHESIS = "out-of-hypothesis"
 VACUOUS = "vacuous"
 
-# records per piece of text that AuditReport.iter_json yields
+# records per piece of text that iter_json yields
 _JSON_BATCH = 256
 
 
@@ -565,12 +568,51 @@ def check_threshold_equivalences(k: int, M: int) -> ThresholdReport:
 # ---------------------------------------------------------------------------
 
 
+class AuditSummary:
+    """Verdict counts and discrepancy notes, folded over records as they pass."""
+
+    def __init__(self) -> None:
+        self.verdicts: Dict[str, int] = {}
+        self._tail_diffs: Dict[Tuple[str, str], int] = {}  # by check, difference text
+        self._annotations: Dict[str, list] = {}  # by check: [count, first record]
+
+    def watch(self, records: Iterable[CheckRecord]) -> Iterator[CheckRecord]:
+        """Yield each record unchanged, folding it into the summary."""
+        verdicts, tail_diffs, annotations = self.verdicts, self._tail_diffs, self._annotations
+        for record in records:
+            verdicts[record.verdict] = verdicts.get(record.verdict, 0) + 1
+            if record.check.startswith("tail-bound") and "differs" in record.note:
+                # "printed closed form A differs from the direct bound B by D; ..."
+                key = (record.check, record.note.partition(" by ")[2].partition(";")[0])
+                tail_diffs[key] = tail_diffs.get(key, 0) + 1
+            elif "annotation" in record.check and record.lhs != record.rhs:
+                annotations.setdefault(record.check, [0, record])[0] += 1
+            yield record
+
+    @property
+    def discrepancy_notes(self) -> List[str]:
+        """Deduplicated summary of printed-vs-recomputed disagreements."""
+        tail = sorted(self._tail_diffs.items(), key=lambda kv: (kv[0][0], Fraction(kv[0][1])))
+        notes = [
+            f"{check}: printed closed-form constant exceeds the direct bound by"
+            f" {diff} ({count} tuples)"
+            for (check, diff), count in tail
+        ]
+        for check, (count, first) in sorted(self._annotations.items()):
+            notes.append(
+                f"{check}: derived k-cap differs from the claimed equivalent on"
+                f" {count} (k, M) pairs; e.g. M={first.params.get('M', 0)}: printed"
+                f" bracket holds up to k = {format_rational(first.lhs)}, claimed form"
+                f" up to k = {format_rational(first.rhs)} (recorded, not adjudicated)"
+            )
+        return notes
+
+
 @dataclass(frozen=True)
 class AuditReport:
     """Every check record of a sweep, with the aggregate verdict."""
 
     records: Tuple[CheckRecord, ...]
-    truncated: bool = False
 
     @property
     def aggregate_pass(self) -> bool:
@@ -583,57 +625,26 @@ class AuditReport:
     @property
     def discrepancy_notes(self) -> List[str]:
         """Deduplicated summary of printed-vs-recomputed disagreements."""
-        # counted by the difference as written; parsed once per distinct text
-        diff_texts: Dict[Tuple[str, str], int] = {}
-        annotation_diffs: Dict[str, List[Tuple[int, int, Exact, Exact]]] = {}
-        for r in self.records:
-            if r.check.startswith("tail-bound") and "differs" in r.note:
-                for piece in r.note.split("; "):
-                    if "differs from the direct bound" in piece:
-                        key = (r.check, piece.rsplit(" by ", 1)[1])
-                        diff_texts[key] = diff_texts.get(key, 0) + 1
-            elif "annotation" in r.check and r.lhs != r.rhs:
-                annotation_diffs.setdefault(r.check, []).append(
-                    (r.params.get("k", 0), r.params.get("M", 0), r.lhs, r.rhs)
-                )
-        tail_diffs: Dict[Tuple[str, Fraction], int] = {}
-        for (check, text), count in diff_texts.items():
-            key = (check, Fraction(text))
-            tail_diffs[key] = tail_diffs.get(key, 0) + count
-        notes = [
-            f"{check}: printed closed-form constant exceeds the direct bound by"
-            f" {format_rational(diff)} ({count} tuples)"
-            for (check, diff), count in sorted(tail_diffs.items())
-        ]
-        for check, cases in sorted(annotation_diffs.items()):
-            k0, M0, lhs, rhs = cases[0]
-            notes.append(
-                f"{check}: derived k-cap differs from the claimed equivalent on"
-                f" {len(cases)} (k, M) pairs; e.g. M={M0}: printed bracket holds"
-                f" up to k = {format_rational(lhs)}, claimed form up to"
-                f" k = {format_rational(rhs)} (recorded, not adjudicated)"
-            )
-        return notes
+        summary = AuditSummary()
+        for _ in summary.watch(self.records):
+            pass
+        return summary.discrepancy_notes
 
     def to_json(self) -> list:
         return [r.to_json() for r in self.records]
 
-    def iter_json(self) -> Iterator[str]:
-        """The text of ``json.dumps(self.to_json(), indent=2, sort_keys=True)``.
 
-        It comes in pieces of ``_JSON_BATCH`` records, each record written
-        straight to its text, so neither the list of dicts nor the whole
-        document is ever held.
-        """
-        records = self.records
-        if not records:
-            yield "[]"
-            return
-        for start in range(0, len(records), _JSON_BATCH):
-            yield ("[\n" if start == 0 else ",\n") + ",\n".join(
-                map(_record_json, records[start : start + _JSON_BATCH])
-            )
-        yield "\n]"
+def iter_json(records: Iterable[CheckRecord]) -> Iterator[str]:
+    """The text of ``json.dumps([r.to_json() for r in records], indent=2, sort_keys=True)``.
+
+    It comes in pieces of ``_JSON_BATCH`` records as they are read, each record
+    written straight to its text: neither a list of dicts nor the document is held.
+    """
+    records, opening = iter(records), "[\n"
+    while batch := ",\n".join(map(_record_json, islice(records, _JSON_BATCH))):
+        yield opening + batch
+        opening = ",\n"
+    yield "[]" if opening == "[\n" else "\n]"
 
 
 def _record_json(record: CheckRecord) -> str:
@@ -672,15 +683,14 @@ def _param_prefixes(keys: Tuple[str, ...]) -> Tuple[Tuple[str, str], ...]:
     return tuple((key, f"      {encode_basestring_ascii(key)}: ") for key in sorted(keys))
 
 
-def audit_range(
+def audit_records(
     k_max: int,
     M_max: int,
     *,
     tuple_k_max: int = 5,
     tuple_M_max: int = 60,
-    max_records: int = 2_000_000,
-) -> AuditReport:
-    """Run every check over 2 <= k <= k_max, 3k+4 <= M <= M_max.
+) -> Iterator[CheckRecord]:
+    """Every check over 2 <= k <= k_max, 3k+4 <= M <= M_max, made one by one.
 
     The per-(k, M) checks (staircase bound, quadratic margin, thresholds)
     sweep the full box; the per-tuple checks (square sums, tail bounds)
@@ -692,29 +702,25 @@ def audit_range(
     carry no k, by M (each once per k with 3k+4 <= M); then by k, either
     one vacuous sweep-range record or, by M and within each (k, M) by check
     name, the square sums by shift and the tail bounds by the degree list as
-    text.  If the full report has more than ``max_records`` records, the
-    report is truncated: a marker record, then the first ``max_records``
-    records of the full report.
+    text.  The box is checked here, before any record is made; at most the
+    tail records of one (k, M) are held at a time.
     """
     if k_max < 2 or M_max < 1:
         raise InputError(f"need k_max >= 2 and M_max >= 1, got ({k_max}, {M_max})")
-    budget = max(max_records, 0)
+    return _report_records(k_max, M_max, tuple_k_max, tuple_M_max)
+
+
+def audit_range(k_max: int, M_max: int, **tuple_box: int) -> AuditReport:
+    """``audit_records(k_max, M_max, **tuple_box)``, collected in one report."""
     # a list, then one copy: a tuple grown from the iterator would re-enter
     # the youngest GC generation at each resize, and be scanned there
-    records = list(
-        islice(_report_records(k_max, M_max, tuple_k_max, tuple_M_max), budget + 1)
-    )
-    if len(records) <= budget:
-        return AuditReport(tuple(records))
-    note = "record budget exceeded; the report is partial"
-    marker = CheckRecord("truncation-marker", {}, budget, max_records, VACUOUS, note)
-    return AuditReport((marker, *records[:budget]), truncated=True)
+    return AuditReport(tuple(list(audit_records(k_max, M_max, **tuple_box))))
 
 
 def _report_records(
     k_max: int, M_max: int, tuple_k_max: int, tuple_M_max: int
 ) -> Iterator[CheckRecord]:
-    """Every record of ``audit_range``'s box, made in report order."""
+    """The records of ``audit_records``, for a box it has checked."""
     # the quadratic checks depend on M alone: one run per M, its records
     # repeated once per k in [2, k_max] with 3k+4 <= M
     for M in range(3 * 2 + 4, M_max + 1):

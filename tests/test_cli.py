@@ -2,6 +2,11 @@ import hashlib
 import importlib.util
 import io
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -10,6 +15,7 @@ from fanoci.cli import build_parser, run
 from fanoci.families import DegreeTuple
 from fanoci.fields import FieldSpec
 from fanoci.proof_audit import audit_range
+from fanoci.rationals import format_rational
 from fanoci.regularity import random_complete_intersection
 
 REMARK_TUPLES = [
@@ -139,6 +145,145 @@ def test_audit_bytes_match_the_benchmark_record(size):
         ), fmt
         if fmt == "text":
             assert output.splitlines()[0] == f"records: {expected[size]['records']}"
+
+
+# the boxes of test_audit_order_is_the_params_text_order, as
+# (k_max, M_max, tuple_k_max, tuple_M_max)
+ORDER_BOXES = [(2, 9, 5, 60), (5, 15, 5, 60), (3, 30, 6, 12), (4, 20, 2, 5), (4, 24, 4, 24)]
+
+
+def _collected_output(report, fmt):
+    """The audit output of each format, written from a collected report."""
+    if fmt == "json":
+        return json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
+    if fmt == "csv":
+        lines = ["check,params,lhs,rhs,verdict,note"]
+        for r in report.records:
+            params = ";".join(f"{k}={v}" for k, v in sorted(r.params.items()))
+            lines.append(
+                f'{r.check},"{params}",{format_rational(r.lhs)},{format_rational(r.rhs)},'
+                f'{r.verdict},"{r.note.replace(chr(34), chr(39))}"'
+            )
+        return "\n".join(lines) + "\n"
+    counts = Counter(r.verdict for r in report.records)
+    lines = [f"records: {len(report.records)}"]
+    lines += [f"  {verdict}: {counts[verdict]}" for verdict in sorted(counts)]
+    lines += [f"discrepancy: {note}" for note in report.discrepancy_notes]
+    lines.append(f"aggregate: {'PASS' if report.aggregate_pass else 'FAIL'}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "box", ORDER_BOXES, ids=["vacuous", "mixed", "tuples-wide-k", "no-tuples", "k4"]
+)
+def test_streamed_audit_equals_the_collected_report(box):
+    k_max, M_max, tuple_k_max, tuple_M_max = box
+    report = audit_range(k_max, M_max, tuple_k_max=tuple_k_max, tuple_M_max=tuple_M_max)
+    args = ["--k-max", str(k_max), "--m-max", str(M_max),
+            "--tuple-k-max", str(tuple_k_max), "--tuple-m-max", str(tuple_M_max)]
+    for fmt in ("text", "csv", "json"):
+        code, output = invoke(["audit", *args, "--format", fmt])
+        assert code == (0 if report.aggregate_pass else 1)
+        assert output == _collected_output(report, fmt), fmt
+
+
+class _Discard:
+    """A stdout that keeps nothing of what it is given."""
+
+    def write(self, text):
+        return len(text)
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_audit_holds_no_report(fmt):
+    # the benchmark's standard box makes 24,970 records; collected, their
+    # traced allocations peak at about 9.5 MB
+    sizes, _ = _benchmark_audit_boxes()
+    argv = ["audit", *sizes["standard"]["audit_args"], "--format", fmt]
+    run(["audit", "--k-max", "2", "--m-max", "12", "--format", fmt], out=_Discard())
+    tracemalloc.start()
+    try:
+        code = run(argv, out=_Discard())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 3 * 2**20, peak
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize("box", [["--k-max", "1"], ["--k-max", "3", "--m-max", "0"]])
+def test_audit_outside_the_box_exit_2_with_nothing_written(fmt, box, capsys):
+    code, output = invoke(["audit", *box, "--format", fmt])
+    assert (code, output) == (2, "")
+    assert "need k_max >= 2 and M_max >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "box",
+    [["--ambient", "8"], ["--ambient", "40", "--k", "2"], ["--ambient", "8", "--k", "5"]],
+    ids=["ambient-8", "ambient-40-k2", "empty"],
+)
+@pytest.mark.parametrize(
+    "token, message",
+    [
+        ("t5:ii", "t5 has no cases"),
+        ("t6:iv", "unknown case in 't6:iv'"),
+        ("-not-t4", "unknown theorem id: ''"),
+        ("t3-not-t7", "unknown theorem id: 't7'"),
+    ],
+)
+def test_enumerate_bad_filter_exit_2_on_any_box(box, token, message, capsys):
+    # on the ambient-8 box t3 holds for no tuple, so "t3-not-t7" never reached
+    # t7 when the ids were checked only as they were evaluated; the last box
+    # holds no tuple at all
+    code, output = invoke(["enumerate", *box, f"--filter={token}", "--format", "json"])
+    assert (code, output) == (2, "")
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["audit", "--k-max", "16", "--m-max", "100", "--format", "json"],
+        ["audit", "--k-max", "16", "--m-max", "100", "--format", "csv"],
+        ["enumerate", "--ambient", "30", "--format", "text"],
+    ],
+    ids=["audit-json", "audit-csv", "enumerate-text"],
+)
+def test_closed_stdout_exits_141_without_a_traceback(argv):
+    # ``| head -1`` in a shell: each output is far larger than a pipe's
+    # buffer, so the writer meets the closed pipe
+    proc = _spawn_cli(argv)
+    assert proc.stdout.readline()
+    _assert_broken_pipe_exit(proc)
+
+
+def test_stdout_closed_before_the_final_flush_exits_141():
+    # a small output waits in stdout's buffer until the flush at the end,
+    # and the reader is gone by then
+    proc = _spawn_cli(["audit", "--k-max", "2", "--m-max", "12", "--format", "text"])
+    _assert_broken_pipe_exit(proc)
+
+
+def _spawn_cli(argv):
+    # stdout block-buffered, as it is for a pipe unless PYTHONUNBUFFERED is set
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.Popen(
+        [sys.executable, "-m", "fanoci.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+
+
+def _assert_broken_pipe_exit(proc):
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 141
+    assert "Traceback" not in stderr and "Error" not in stderr, stderr
 
 
 def test_unknown_flag_rejected_with_usage_exit():

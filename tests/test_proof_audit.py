@@ -12,15 +12,18 @@ from fanoci.proof_audit import (
     PASS,
     VACUOUS,
     AuditReport,
+    AuditSummary,
     CheckRecord,
     TailCase,
     _printed_bracket_m3,
     _printed_bracket_m4,
     audit_range,
+    audit_records,
     check_quadratic_margin,
     check_small_degree_codim,
     check_tail_bounds,
     check_threshold_equivalences,
+    iter_json,
     optimize_square_sum,
     reduction_constants,
     weight_sequence,
@@ -421,7 +424,6 @@ def test_threshold_monotonicity_in_m():
 def test_audit_smoke_box():
     report = audit_range(2, 12)
     assert report.aggregate_pass
-    assert not report.truncated
     assert any(r.check == "square-sum" for r in report.records)
     assert any(r.check == "tail-bound-m3" for r in report.records)
     assert report.discrepancy_notes  # the closed-form annotations are present
@@ -475,44 +477,6 @@ def test_audit_vacuous_range_is_noted():
     assert report.aggregate_pass
     assert [r.verdict for r in report.records] == [VACUOUS]
     assert "no M with 3k+4" in report.records[0].note
-
-
-def test_audit_truncation_marker():
-    report = audit_range(2, 12, max_records=10)
-    assert report.truncated
-    assert any(r.check == "truncation-marker" for r in report.records)
-
-
-def _records_text(records):
-    return Counter(json.dumps(r.to_json(), sort_keys=True) for r in records)
-
-
-@pytest.mark.parametrize("k_max, size", [(2, 68), (5, 71)])
-def test_audit_truncation_leaves_one_marker_across_the_budget(k_max, size):
-    # audit_range(k_max, 12) holds 30 per-(k, M) records, the square sums and
-    # tail bounds of k = 2, and one vacuous sweep-range record for each
-    # k = 3..k_max; the budgets cross every boundary and the end of the report
-    full = audit_range(k_max, 12).records
-    assert len(full) == size
-    kept_before = Counter()
-    for budget in range(0, len(full) + 2):
-        report = audit_range(k_max, 12, max_records=budget)
-        markers = [r for r in report.records if r.check == "truncation-marker"]
-        if budget >= len(full):
-            assert not report.truncated and not markers
-            assert _records_text(report.records) == _records_text(full)
-            continue
-        assert report.truncated
-        assert len(report.records) == budget + 1
-        assert len(markers) == 1
-        assert (markers[0].lhs, markers[0].rhs, markers[0].params) == (budget, budget, {})
-        # the marker, then a prefix of the full report
-        assert report.records == (markers[0], *full[:budget])
-        kept = _records_text(r for r in report.records if r is not markers[0])
-        # a larger budget keeps what a smaller one kept, plus one record
-        assert not kept - _records_text(full)
-        assert not kept_before - kept and sum((kept - kept_before).values()) == (budget > 0)
-        kept_before = kept
 
 
 def _public_check_records(k_max, M_max, tuple_k_max, tuple_M_max):
@@ -577,7 +541,6 @@ def test_audit_order_is_the_params_text_order(box):
     "report",
     [
         audit_range(2, 9),  # only the vacuous sweep-range record
-        audit_range(2, 12, max_records=40),  # a marker with params {}
         audit_range(3, 18, tuple_k_max=3, tuple_M_max=18),  # (7,7,7): worst-case notes
         audit_range(4, 20, tuple_k_max=4, tuple_M_max=20),
         AuditReport(()),
@@ -594,11 +557,72 @@ def test_audit_order_is_the_params_text_order(box):
             )
         ),
     ],
-    ids=["vacuous", "truncated", "triple-7", "k4", "empty", "odd-params"],
+    ids=["vacuous", "triple-7", "k4", "empty", "odd-params"],
 )
 def test_iter_json_is_the_indented_sorted_dump(report):
     expected = json.dumps(report.to_json(), indent=2, sort_keys=True)
-    assert "".join(report.iter_json()) == expected
+    assert "".join(iter_json(report.records)) == expected
+    # any iterable will do, read once
+    assert "".join(iter_json(iter(report.records))) == expected
+
+
+@pytest.mark.parametrize("size", [0, 1, 255, 256, 257, 512, 513])
+def test_iter_json_across_the_batch_boundaries(size):
+    record = CheckRecord("c", {"k": 2, "degrees": [2, 3]}, 1, Fraction(1, 2), PASS, "n")
+    expected = json.dumps([record.to_json()] * size, indent=2, sort_keys=True)
+    assert "".join(iter_json([record] * size)) == expected
+
+
+def test_summary_folds_what_the_report_holds():
+    report = audit_range(3, 18, tuple_k_max=3, tuple_M_max=18)
+    summary = AuditSummary()
+    passed = list(summary.watch(iter(report.records)))
+    assert all(a is b for a, b in zip(passed, report.records))
+    assert len(passed) == len(report.records)
+    assert summary.verdicts == Counter(r.verdict for r in report.records)
+    assert summary.discrepancy_notes == report.discrepancy_notes
+    # the notes as the records of one tail check and one annotation check give them
+    assert [note.split(":")[0] for note in report.discrepancy_notes] == [
+        "tail-bound-m3",
+        "tail-bound-m4",
+        "threshold-m4-annotation",
+    ]
+
+
+def test_summary_counts_annotations_and_keeps_the_first():
+    records = [
+        CheckRecord("threshold-m4-annotation", {"k": 2, "M": M}, M - 3, cap, PASS)
+        for M, cap in ((10, 4), (11, 8), (12, 6))
+    ]
+    summary = AuditSummary()
+    assert list(summary.watch(records)) == records
+    assert summary.discrepancy_notes == [
+        "threshold-m4-annotation: derived k-cap differs from the claimed equivalent on"
+        " 2 (k, M) pairs; e.g. M=10: printed bracket holds up to k = 7, claimed form"
+        " up to k = 4 (recorded, not adjudicated)"
+    ]
+
+
+def test_tail_differences_are_ordered_by_value():
+    def tail(diff):
+        note = f"printed closed form 1 differs from the direct bound 0 by {diff}; more"
+        return CheckRecord("tail-bound-m4", {}, 0, 0, PASS, note)
+
+    summary = AuditSummary()
+    list(summary.watch([tail(10), tail(-3), tail(9), tail(10)]))
+    assert [note.split(" by ")[1] for note in summary.discrepancy_notes] == [
+        "-3 (1 tuples)",
+        "9 (1 tuples)",
+        "10 (2 tuples)",
+    ]
+
+
+@pytest.mark.parametrize("box", [(1, 12), (2, 0), (0, 0)])
+def test_audit_records_checks_the_box_before_it_returns(box):
+    with pytest.raises(InputError):
+        audit_records(*box)
+    with pytest.raises(InputError):
+        audit_range(*box)
 
 
 def test_audit_records_sorted_and_json_schema():
