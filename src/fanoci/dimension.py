@@ -47,13 +47,13 @@ It takes the ``trials``, ``seed``, ``extension_degree`` and
 ``enumeration_budget``; ``is_regular_sequence`` with the probabilistic
 kernel calls it with 5 trials, seed j for prefix j and the default
 budget.  The linear members are intersected exactly: their coefficient
-rows join the random slicing rows in one ``fields.nullspace``, so only the
-nonlinear forms are scanned, and the enumeration budget counts the points
-of that smaller subspace.  Those forms are restricted once to it, by
-composing them with its parametrization (``polynomials.parametrize_span``,
-which the reduced regularity check shares), and the scan evaluates the
-restricted forms.  It exists to cross-validate the exact kernel, never to
-replace it.
+rows join the random slicing rows, and one
+``polynomials.restrict_to_common_zeros`` call, the restriction the reduced
+regularity check shares, restricts the nonlinear forms to the common zeros
+of those rows, the graph over m surviving variables.  The scan evaluates
+the restricted forms at the points of GF(p^e)^m only, and the enumeration
+budget counts those; with no nonlinear forms the rank of the rows decides.
+It exists to cross-validate the exact kernel, never to replace it.
 """
 
 from __future__ import annotations
@@ -65,10 +65,9 @@ from random import Random
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import InputError, ResourceBudgetError, UnsupportedModeError
-from .fields import Element, FieldSpec, nullspace, rref
+from .fields import Element, FieldSpec, rref
 from .groebner import GroebnerEngine, staircase_dimension
-from .polynomials import MultiPoly, parametrize_span
-from .rationals import format_rational
+from .polynomials import MultiPoly, restrict_to_common_zeros
 
 EXACT = "exact"
 PROBABILISTIC = "probabilistic"
@@ -90,16 +89,6 @@ class CodimResult:
     confidence: Fraction
     note: str = ""
 
-    def to_json(self) -> dict:
-        data = {
-            "codim": self.codimension,
-            "method": self.method,
-            "confidence": format_rational(self.confidence),
-        }
-        if self.note:
-            data["note"] = self.note
-        return data
-
 
 @dataclass(frozen=True)
 class RegularSequenceResult:
@@ -109,14 +98,6 @@ class RegularSequenceResult:
     trace: Tuple[int, ...]
     failing_prefix: Optional[int] = None
     note: str = ""
-
-    def to_json(self) -> dict:
-        data = {"regular": self.is_regular, "trace": list(self.trace)}
-        if self.failing_prefix is not None:
-            data["failing_prefix"] = self.failing_prefix
-        if self.note:
-            data["note"] = self.note
-        return data
 
 
 def _validate_homogeneous(generators: Sequence[MultiPoly], allow_zero: bool) -> None:
@@ -282,21 +263,29 @@ def _prefix_trace(
 
 def _poly_vanishes_on_subspace(
     polys: Sequence[MultiPoly],
-    kernel_basis: Sequence[Sequence[Element]],
+    rows: Sequence[Sequence[Element]],
     ext: FieldSpec,
     budget: int,
 ) -> bool:
-    """True iff the given forms have a common zero, other than the origin,
-    on the subspace of ext^n spanned by ``kernel_basis``.
+    """True iff the forms ``polys`` have a common zero, other than the
+    origin, on the common zeros in ext^n of the linear forms with the
+    coefficient ``rows``.
 
-    Each form is composed once with the parametrization t -> sum t_i v_i of
-    the subspace; the scan then evaluates the composed forms at projective
-    representatives of ext^m only, and ``budget`` bounds their number.
-    With no forms there is nothing to scan: the answer is m > 0.
+    Those zeros are the graph over m = n - rank surviving variables.  With
+    no polys there is nothing to scan: the answer is m > 0.  Otherwise the
+    polys, which live over ``ext``, are restricted to the graph once
+    (``restrict_to_common_zeros``); the scan then evaluates the restricted
+    polys at projective representatives of ext^m only, and ``budget``
+    bounds their number.
     """
-    m = len(kernel_basis)
-    if m == 0 or not polys:
-        return m > 0
+    if not polys:
+        return len(rref(rows, ext)[1]) < len(rows[0])
+    variables = polys[0].variables
+    forms = [MultiPoly.linear(ext, variables, row) for row in rows]
+    restricted = restrict_to_common_zeros(polys, forms)
+    m = len(restricted[0].variables)
+    if m == 0:
+        return False
     q = ext.size
     count = (q**m - 1) // (q - 1)
     if count > budget:
@@ -304,9 +293,6 @@ def _poly_vanishes_on_subspace(
             f"enumeration of {count} projective points exceeds the budget {budget}"
         )
     elements = ext.elements()
-    params = tuple(f"t{i}" for i in range(1, m + 1))
-    images = parametrize_span(ext, kernel_basis, params, len(kernel_basis[0]))
-    restricted = [poly.substitute(images) for poly in polys]
     for lead in range(m):
         # projective representative: zeros, then 1, then free coordinates
         head = (ext.zero(),) * lead + (ext.one(),)
@@ -348,9 +334,10 @@ def codim_probabilistic(
     enumeration blindness, while a non-generic slice merely keeps extra
     points; the estimate is the smallest j at which one of up to ``trials``
     attempts yields emptiness, giving codimension n - j.  Each attempt
-    intersects the slice with the zeros of the linear generators exactly (one
-    nullspace of the slicing rows and their coefficient rows) and scans only
-    the nonlinear generators there, so ``enumeration_budget`` counts the
+    intersects the slice with the zeros of the linear generators exactly
+    (one ``restrict_to_common_zeros`` of the nonlinear generators to the
+    common zeros of the slicing forms and the linear generators) and scans
+    only the restricted forms there, so ``enumeration_budget`` counts the
     points of that cut subspace; the common zeros, and so the estimate, are
     the same as for a scan of every generator.  Enlarging the
     field tightens both failure modes: conjugate points become visible and
@@ -375,21 +362,22 @@ def codim_probabilistic(
     n = len(variables)
     rng = Random(seed)
     ext = FieldSpec.quadratic(fieldspec.characteristic) if extension_degree == 2 else fieldspec
-    # the linear members cut the slice exactly through the nullspace; only
-    # the other forms are left for the point scan (GF(p) rows are GF(p^2)
-    # rows as they stand: GF(p) is the residues [0, p) there)
+    # the linear members cut the slice exactly; only the other forms are left
+    # for the point scan.  A GF(p) residue is its own GF(p^2) element
+    # (``fields``), so rows and forms are lifted into the scan field as they
+    # stand
     linear_rows = [g.linear_row() for g in generators if g.total_degree() == 1]
-    nonlinear = [g for g in generators if g.total_degree() > 1]
+    nonlinear = [
+        MultiPoly(ext, variables, g.terms) for g in generators if g.total_degree() > 1
+    ]
 
     for j in range(n + 1):
         # slicing with 0 forms is deterministic, so one attempt suffices
         attempts = 1 if j == 0 else trials
         found_empty = False
         for _ in range(attempts):
-            kernel = nullspace(_random_full_rank_forms(rng, ext, n, j) + linear_rows, ext, n)
-            if not _poly_vanishes_on_subspace(
-                nonlinear, kernel, ext, enumeration_budget
-            ):
+            rows = _random_full_rank_forms(rng, ext, n, j) + linear_rows
+            if not _poly_vanishes_on_subspace(nonlinear, rows, ext, enumeration_budget):
                 found_empty = True
                 break
         if found_empty:

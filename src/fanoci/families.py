@@ -375,12 +375,14 @@ def enumerate_families(
     """All degree tuples in a finite box, lexicographically sorted.
 
     The box must be finite: either an ambient value/cap, or a bounded k
-    range together with a degree cap.  ``filter_spec`` (a token from
-    ``parse_family_filter``) or an explicit ``predicate`` restricts the
-    output by certificate properties.
+    range together with a degree cap; a given k is at least 2.
+    ``filter_spec`` (a token from ``parse_family_filter``) or an explicit
+    ``predicate`` restricts the output by certificate properties.
     """
     if predicate is None:
         predicate = parse_family_filter(filter_spec)
+    if k is not None and k < 2:
+        raise InputError(f"need k >= 2 degrees, got k = {k}")
     if ambient is not None and ambient_max is not None:
         raise InputError("give either ambient or ambient_max, not both")
     if ambient is not None:
@@ -396,7 +398,7 @@ def enumerate_families(
 
     results: List[DegreeTuple] = []
     for total in ambients:
-        lo = k if k is not None else 2  # DegreeTuple needs k >= 2
+        lo = k if k is not None else 2
         hi = k if k is not None else min(k_max or total // 2, total // 2)
         for parts in range(lo, hi + 1):
             cap = d_max if d_max is not None else total

@@ -9,6 +9,10 @@ The zero polynomial has an empty term map.  Values are immutable after
 construction and safe to share across threads.  Terms are kept in graded
 reverse lexicographic order (by the declared variable order, descending),
 which makes serialization canonical.
+
+``restrict_to_common_zeros`` is the one restriction to a linear subspace:
+it restricts polynomials to the common zeros of linear forms, which the
+reduced regularity check and the slicing oracle of ``dimension`` both use.
 """
 
 from __future__ import annotations
@@ -118,9 +122,8 @@ def _compose(
     """Term map of sum_e leaves[e] * prod_i images[i]^e[i], by Horner's rule.
 
     ``leaves`` maps exponent vectors of length ``len(images)`` >= 1 to term
-    maps in the images' ring: a coefficient at the images' constant
-    monomial for a plain substitution, a polynomial in the variables that
-    are kept for a restriction.  Written as sum_k x^k * f_k in its last
+    maps in the images' ring, polynomials in the variables that a
+    restriction keeps.  Written as sum_k x^k * f_k in its last
     variable x, the polynomial folds as acc = acc * image + f_k from the
     highest k down, and each f_k, a polynomial in the exponent prefixes, is
     composed the same way; so each prefix is multiplied once, whatever the
@@ -192,11 +195,19 @@ class MultiPoly:
         cls, fieldspec: FieldSpec, variables: Sequence[str], row: Sequence[Element]
     ) -> "MultiPoly":
         """The linear form sum_i row[i] * variables[i]."""
+        variables = tuple(variables)
         n = len(variables)
+        if len(set(variables)) != n:
+            raise InputError(f"duplicate variable names in {variables}")
         if len(row) != n:
             raise InputError(f"coefficient row has length {len(row)}, expected {n}")
-        units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-        return cls.from_terms(fieldspec, variables, zip(units, row))
+        # the unit monomials run grevlex-descending from the first variable to
+        # the last, so the terms are made in canonical order
+        coerce, terms = fieldspec.coerce, {}
+        for i, coeff in enumerate(row):
+            if coeff := coerce(coeff):
+                terms[(0,) * i + (1,) + (0,) * (n - 1 - i)] = coeff
+        return cls(fieldspec, variables, terms)
 
     # -- basic queries -----------------------------------------------------
 
@@ -340,28 +351,6 @@ class MultiPoly:
             raise InputError("restriction requires a nonzero homogeneous linear form")
         return restrict_to_common_zeros([self], [linear])[0]
 
-    def substitute(self, images: Sequence["MultiPoly"]) -> "MultiPoly":
-        """Compose with the substitution of ``images[i]`` for variable i.
-
-        The images share one ring, and the result lives in it; coefficients
-        are coerced into its field, so a form over GF(p) composes with
-        images over GF(p^2).  The composition runs Horner's rule in each
-        variable (``_compose``), so terms that share an exponent prefix
-        share its products.
-        """
-        if len(images) != len(self.variables):
-            raise InputError(
-                f"substitution needs {len(self.variables)} images, got {len(images)}"
-            )
-        fieldspec, variables = images[0].field, images[0].variables
-        for image in images:
-            if image.field != fieldspec or image.variables != variables:
-                raise InputError("polynomials over different rings")
-        one, coerce = (0,) * len(variables), fieldspec.coerce
-        leaves = {exps: {one: coerce(coeff)} for exps, coeff in self.terms.items()}
-        total = _compose(fieldspec, leaves, [image.terms for image in images])
-        return MultiPoly(fieldspec, variables, _canonical(total))
-
     # -- serialization -------------------------------------------------------
 
     def to_json(self) -> dict:
@@ -439,56 +428,45 @@ class MultiPoly:
         return " + ".join(pieces)
 
 
-def parametrize_span(
-    fieldspec: FieldSpec,
-    basis: Sequence[Sequence[Element]],
-    params: Sequence[str],
-    n: int,
-) -> List[MultiPoly]:
-    """Images of the n ambient variables under t -> sum_i t_i * basis[i].
-
-    ``params`` names the t_i.  Composing a polynomial with the images
-    (``MultiPoly.substitute``) restricts it to the span of ``basis``.
-    """
-    return [
-        MultiPoly.linear(fieldspec, params, [vec[i] for vec in basis]) for i in range(n)
-    ]
-
-
 def restrict_to_common_zeros(
     polys: Sequence[MultiPoly], forms: Sequence[MultiPoly]
 ) -> List[MultiPoly]:
-    """Restrict ``polys`` to the common zeros of independent linear ``forms``.
+    """Restrict ``polys`` to the common zeros of the linear ``forms``.
 
-    Each form eliminates one variable: the eliminated ones are the pivots
-    of the forms' coefficient rows reduced from the last column backwards,
-    i.e. the highest-index independent columns.  The subspace is then the
-    graph of a linear map over the surviving variables, and the result lives
-    in those variables.  That graph is unique, so restricting to one
-    hyperplane after another, each time eliminating the highest-index
-    variable the restricted form carries, gives the same polynomials.
+    The common zeros are the graph of a linear map over n - rank surviving
+    variables, and the result lives in those variables: the eliminated ones
+    are the pivots of the forms' coefficient rows reduced from the last
+    column backwards, i.e. the highest-index columns that are independent,
+    so dependent forms eliminate no more than their rank.  With no forms,
+    or only zero ones, the polys come back as they are.  The graph is
+    unique, so restricting to one hyperplane after another, each time
+    eliminating the highest-index variable the restricted form carries and
+    skipping a form that restricts to zero, gives the same polynomials.
     """
+    if not any(forms):  # no hyperplane: the common zeros are the whole space
+        return list(polys)
     fieldspec, variables = forms[0].field, forms[0].variables
     for g in [*polys, *forms]:
         if g.field != fieldspec or g.variables != variables:
             raise InputError("polynomials over different rings")
     n = len(variables)
     backwards = nullspace([form.linear_row()[::-1] for form in forms], fieldspec, n)
-    if len(backwards) != n - len(forms):
-        raise InputError("the linear forms are dependent")
     basis = [vec[::-1] for vec in reversed(backwards)]
     # a kernel vector is 1 at its surviving variable, 0 at the other
     # survivors and nonzero elsewhere only at eliminated variables of higher
     # index, so its first nonzero entry names the survivor
     kept = [next(i for i, c in enumerate(vec) if c) for vec in basis]
     survivors = tuple(variables[i] for i in kept)
-    images = parametrize_span(fieldspec, basis, survivors, n)
-    # a survivor's image is itself, so only the eliminated variables are
-    # composed: each term's survivor exponents go into the leaf (a
-    # polynomial in the survivors) of its eliminated exponents
     eliminated = [i for i in range(n) if i not in kept]
+    # a survivor's image is itself, so only the eliminated variables are
+    # composed, variable i with sum_j basis[j][i] * survivors[j]: each
+    # term's survivor exponents go into the leaf (a polynomial in the
+    # survivors) of its eliminated exponents
+    elim_images = [
+        MultiPoly.linear(fieldspec, survivors, [vec[i] for vec in basis]).terms
+        for i in eliminated
+    ]
     leaf_key, elim_key = _picker(kept), _picker(eliminated)
-    elim_images = [images[i].terms for i in eliminated]
     restricted = []
     for poly in polys:
         leaves: Dict[Exponents, Dict[Exponents, Element]] = {}

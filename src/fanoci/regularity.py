@@ -312,7 +312,7 @@ def regularity_check(
 
     With ``reduce=True`` the k+1 independent linear members (l and the
     tangent parts q_{i,1}) are eliminated first: the other members are
-    restricted in one substitution to the common zeros of those k+1 forms,
+    restricted in one pass to the common zeros of those k+1 forms,
     a subspace parametrized by the M-1 surviving variables, and only the
     remaining M-2 forms are fed to the dimension kernel.  The verdict is
     the same either way; the trace then refers to the shortened sequence.

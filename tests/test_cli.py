@@ -242,6 +242,13 @@ def test_enumerate_bad_filter_exit_2_on_any_box(box, token, message, capsys):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("k", ["-3", "0", "1"])
+def test_enumerate_k_below_2_exit_2(k, capsys):
+    code, output = invoke(["enumerate", "--ambient", "12", "--k", k, "--format", "json"])
+    assert (code, output) == (2, "")
+    assert "need k >= 2 degrees" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

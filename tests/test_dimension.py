@@ -5,7 +5,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fanoci import dimension
 from fanoci.dimension import (
@@ -365,14 +365,23 @@ def test_probabilistic_budget_is_checked_before_listing_the_field(monkeypatch):
     assert "exceeds the budget" in str(err.value)
 
 
+def _projective_points(field, m):
+    """One representative of each point of P^(m-1) over ``field``: zeros, a 1,
+    then any coordinates."""
+    for lead in range(m):
+        for tail in itertools.product(field.elements(), repeat=m - lead - 1):
+            yield (field.zero(),) * lead + (field.one(),) + tail
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 @pytest.mark.parametrize("extension_degree", [1, 2])
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_cutting_by_the_linear_members_keeps_the_common_zeros(p, extension_degree, data):
-    # the full scan of every form on the slice is the reference; the oracle
-    # instead adds the linear forms' rows to the slicing rows and scans the
-    # remaining forms on that smaller subspace
+    # the reference evaluates every form, uncomposed, at the points
+    # sum_i t_i * b_i of the slice, for b a nullspace basis of the slicing
+    # rows; the oracle instead adds the linear forms' rows to the slicing
+    # rows and scans the other forms restricted to the common zeros of both
     field = FieldSpec.prime(p)
     ext = FieldSpec.quadratic(p) if extension_degree == 2 else field
     n = data.draw(st.integers(min_value=2, max_value=4), label="n")
@@ -384,20 +393,36 @@ def test_cutting_by_the_linear_members_keeps_the_common_zeros(p, extension_degre
         label="forms",
     )
     forms = [
-        f
+        MultiPoly(ext, names, f.terms)  # a GF(p) residue is its own GF(p^2) element
         for f in (random_poly(d, names, field, homogeneous=True, seed=s) for d, s in specs)
         if not f.is_zero()
     ]
+    assume(forms)
     element = st.integers(min_value=0, max_value=ext.size - 1)
     rows = data.draw(
         st.lists(st.lists(element, min_size=n, max_size=n), max_size=n - 1), label="rows"
     )
     linear = [f for f in forms if f.total_degree() == 1]
     nonlinear = [f for f in forms if f.total_degree() > 1]
-    budget = 10**6
-    full = _poly_vanishes_on_subspace(forms, nullspace(rows, ext, n), ext, budget)
-    cut_kernel = nullspace(rows + [f.linear_row() for f in linear], ext, n)
-    assert _poly_vanishes_on_subspace(nonlinear, cut_kernel, ext, budget) == full
+    if linear and data.draw(st.booleans(), label="dependent"):
+        # a slicing row in the span of a linear member and another slicing row
+        scale = data.draw(element, label="scale")
+        row = [ext.mul(scale, c) for c in linear[0].linear_row()]
+        if rows:
+            row = [ext.add(a, b) for a, b in zip(row, rows[0])]
+        rows.append(row)
+
+    basis = nullspace(rows, ext, n)
+
+    def common_zero(t):
+        x = [ext.zero()] * n
+        for ti, b in zip(t, basis):
+            x = [ext.add(xk, ext.mul(ti, bk)) for xk, bk in zip(x, b)]
+        return not any(f.evaluate(x) for f in forms)
+
+    expected = any(map(common_zero, _projective_points(ext, len(basis))))
+    cut = rows + [f.linear_row() for f in linear]
+    assert _poly_vanishes_on_subspace(nonlinear, cut, ext, 10**6) == expected
 
 
 def test_probabilistic_linear_forms_need_no_scan():

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from fanoci.errors import InputError
 from fanoci.fields import FieldSpec, nullspace
-from fanoci.polynomials import MultiPoly, random_poly
 
 QUADRATIC = [FieldSpec.quadratic(p) for p in (2, 3, 5)]
 
@@ -56,26 +55,6 @@ def test_nullspace_over_quadratic_field(field):
                 for a, b in zip(row, vec):
                     total = field.add(total, field.mul(a, b))
                 assert total == 0
-
-
-@given(st.integers(min_value=0, max_value=10**9), st.sampled_from([2, 5]))
-@settings(max_examples=30, deadline=None)
-def test_substitution_then_evaluation_is_evaluation_at_the_image(seed, p):
-    rng = Random(seed)
-    base = FieldSpec.prime(p)
-    ext = FieldSpec.quadratic(p)
-    form = random_poly(3, ("x", "y", "z"), base, homogeneous=True, seed=seed)
-    params = ("s", "t")
-    images = [
-        MultiPoly.from_terms(
-            ext, params, {(1, 0): ext.random_element(rng), (0, 1): ext.random_element(rng)}
-        )
-        for _ in form.variables
-    ]
-    point = [ext.random_element(rng) for _ in params]
-    image_point = [image.evaluate(point) for image in images]
-    lifted = MultiPoly.from_terms(ext, form.variables, form.terms)
-    assert form.substitute(images).evaluate(point) == lifted.evaluate(image_point)
 
 
 @pytest.mark.parametrize("tag", [None, 7, True, ["gf:7"], {"gf": 7}, "gf:4", "gf:x", "q"])
