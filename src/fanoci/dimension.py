@@ -34,10 +34,25 @@ it twice at most:
   exceeds an engine budget, on the uncut forms, which gives the verdict,
   the trace and the failing prefix.  A failure on the cut proves nothing.
 
+The cut is decided with its linear forms eliminated exactly, before any
+Groebner work.  Homogeneous forms of positive degree in a polynomial ring
+are a regular sequence iff their ideal has height r, whatever their order
+(Bruns-Herzog, Sec. 1.2 and Prop. 1.5.12), and the quotient by r'
+independent linear forms is again a polynomial ring, in which every height
+is lower by exactly r'.  So the r cut forms are regular iff their linear
+ones are independent and the others, restricted to the common zeros of the
+linear ones (one ``polynomials.restrict_to_common_zeros`` call, whose
+surviving variables give the rank), are regular in the survivors; that
+prefix loop takes them sorted by degree.  The certificate therefore
+succeeds exactly when the loop over all the cut forms would, on fewer
+variables: for the M + k - 1 members of an unreduced regularity check,
+k + 1 of them linear, the engine has M - 2 variables, as the reduced check
+has.
+
 The certificate is one-sided, so it never changes a verdict or a trace.
 It makes the common regular case cheaper: the cut system has one variable
-fewer, and for the r = n - 1 forms of a regularity check its cone is the
-origin alone.
+fewer and no linear forms, and for the r = n - 1 forms of a regularity
+check its cone is the origin alone.
 
 The probabilistic oracle, ``codim_probabilistic``, estimates the cone
 dimension by slicing with random linear subspaces over GF(p^e), e <= 2,
@@ -184,7 +199,12 @@ def is_regular_sequence(
 
     The exact kernel first tries to certify the sequence on the hyperplane
     where the last variable vanishes, and decides it on all n variables
-    only when that certificate fails.
+    only when that certificate fails.  On the hyperplane the linear forms
+    are eliminated first: forms of positive degree are regular iff their
+    ideal has height r, in any order, and the quotient by r' independent
+    linear forms is a polynomial ring with every height lower by r'.  So
+    the cut is certified iff its linear forms are independent and its
+    other forms, restricted to their common zeros, are regular there.
     """
     if kernel not in (EXACT, PROBABILISTIC):
         raise InputError(f"unknown kernel: {kernel!r}")
@@ -198,15 +218,40 @@ def is_regular_sequence(
         _check_budget(n, min(len(generators), n + 1), max_variables, max_generators)
         # regular on x_n = 0 proves every prefix regular (module docstring);
         # a failure there proves nothing
-        if len(generators) < n and not any(g.is_zero() for g in generators):
-            cut = [_cut_last_variable(g) for g in generators]
-            try:
-                certified = _prefix_trace(cut, variables[:-1], EXACT).is_regular
-            except ResourceBudgetError:
-                certified = False
-            if certified:
-                return RegularSequenceResult(True, tuple(range(1, len(generators) + 1)))
+        if len(generators) < n and _certified_on_cut(generators):
+            return RegularSequenceResult(True, tuple(range(1, len(generators) + 1)))
     return _prefix_trace(generators, variables, kernel)
+
+
+def _certified_on_cut(generators: Sequence[MultiPoly]) -> bool:
+    """Whether the forms, cut by x_n = 0, are regular in the other variables.
+
+    The linear cut forms must be independent, and the others, restricted to
+    their common zeros and sorted by degree, regular in the surviving
+    variables (the height argument of the module docstring).  A zero cut
+    form, dependent linear forms, a restricted form that vanishes, a failed
+    prefix or an exceeded engine budget leave the sequence uncertified.
+    """
+    cut = [_cut_last_variable(g) for g in generators]
+    degrees = [f.total_degree() for f in cut]
+    if min(degrees) < 1:  # a cut form vanishes
+        return False
+    linear = [f for f, d in zip(cut, degrees) if d == 1]
+    if len(linear) == len(cut):
+        rows = [f.linear_row() for f in linear]
+        return len(rref(rows, cut[0].field)[1]) == len(linear)
+    nonlinear = sorted((f for f, d in zip(cut, degrees) if d > 1), key=MultiPoly.total_degree)
+    restricted = restrict_to_common_zeros(nonlinear, linear)
+    survivors = restricted[0].variables
+    # the linear forms are independent iff they eliminate one variable each
+    if len(survivors) + len(linear) > len(cut[0].variables):
+        return False
+    if any(f.is_zero() for f in restricted):
+        return False
+    try:
+        return _prefix_trace(restricted, survivors, EXACT).is_regular
+    except ResourceBudgetError:
+        return False
 
 
 def _cut_last_variable(form: MultiPoly) -> MultiPoly:
@@ -279,7 +324,9 @@ def _poly_vanishes_on_subspace(
     bounds their number.
     """
     if not polys:
-        return len(rref(rows, ext)[1]) < len(rows[0])
+        # fewer rows than variables cannot reach full rank
+        n = len(rows[0])
+        return len(rows) < n or len(rref(rows, ext)[1]) < n
     variables = polys[0].variables
     forms = [MultiPoly.linear(ext, variables, row) for row in rows]
     restricted = restrict_to_common_zeros(polys, forms)

@@ -388,15 +388,16 @@ class GroebnerEngine:
             return
         ring = self.ring
         terms = ring.terms(poly)
-        self.max_degree = max(self.max_degree, poly.total_degree())
+        degree = poly.total_degree()
+        self.max_degree = max(self.max_degree, degree)
         if self.staircase is not None and poly.is_homogeneous():
             before = _Staircase(ring, [g.exps for g in self.active])
-            self.before = (before, poly.total_degree())
+            self.before = (before, degree)
         else:
             self.staircase = self.before = None
         remainder = ring.divide([(0, 1, terms)], self.elements)
         if remainder:
-            self._insert(ring.element(remainder), poly.total_degree())
+            self._insert(ring.element(remainder), degree)
         self._complete()
 
     def leading_exponents(self) -> List[Exponents]:

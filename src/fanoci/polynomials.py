@@ -218,11 +218,10 @@ class MultiPoly:
         """Max term degree; -1 for the zero polynomial."""
         if not self.terms:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(map(sum, self.terms))
 
     def is_homogeneous(self) -> bool:
-        degrees = {sum(e) for e in self.terms}
-        return len(degrees) <= 1
+        return len(set(map(sum, self.terms))) <= 1
 
     def coefficient(self, exponents: Exponents) -> Element:
         return self.terms.get(tuple(exponents), self.field.zero())

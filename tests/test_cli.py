@@ -592,6 +592,48 @@ def test_reduced_outputs_pinned(tmp_path, degrees):
     assert tuple(digests) == PINNED_REDUCED_OUTPUTS[degrees]
 
 
+# exit code and sha256 of the stdout of `regcheck` and of `randomci` without
+# `--reduce` on seeded instances over GF(3) and GF(101), as (regcheck,
+# randomci).  Their exact checks are certified on x_n = 0 with the linear
+# members eliminated, or decided by the uncut engine where that fails; the
+# bytes must not depend on which.  Over GF(3) the regcheck is irregular for
+# two of its three sampled forms (trace [1, 2, 3, 3], failing prefix 4) and
+# the randomci run counts one irregular trial.
+PINNED_UNREDUCED_OUTPUTS = {
+    (3, (2, 3), 9): (
+        (1, "883f2732723123da53657cb03e30255a9042d9c7de0ad10d2a87df5f329a9fdd"),
+        (0, "3a1a0cb5085d2059abc1cc368d3c68cf657a15f55e713d2ab7d1a17e47243faf"),
+    ),
+    (101, (3, 3), 3): (
+        (0, "34132cf2343604f4508b1868a117490f2f0dd269dd6685de468eed9d2d19ef87"),
+        (0, "86bc801332975b979f8770b3a2be02c911fae0b55b1c36126f5d1c551e034d23"),
+    ),
+    (101, (2, 2, 3), 3): (
+        (0, "903a6016bd2dffe61e83d88fcafaf3e5b617f0f3ea06e9b2b3dc2416be31e708"),
+        (0, "cb716f4fc4becdc0c035c703e9a3653ddfea1b2eb7ec4c47eface0e7db30abd1"),
+    ),
+}
+
+
+@pytest.mark.parametrize("p, degrees, seed", list(PINNED_UNREDUCED_OUTPUTS))
+def test_unreduced_outputs_pinned(tmp_path, p, degrees, seed):
+    ci = random_complete_intersection(DegreeTuple(degrees), FieldSpec.prime(p), seed=seed)
+    path = tmp_path / "ci.json"
+    path.write_text(json.dumps(ci.to_json()))
+    runs = [
+        ["regcheck", "--input", str(path), "--samples", "3", "--seed", "1"],
+        [
+            "randomci", "--degrees", ",".join(map(str, degrees)), "--field", f"gf:{p}",
+            "--trials", "12", "--samples", "2", "--seed", "3",
+        ],
+    ]
+    results = []
+    for argv in runs:
+        code, output = invoke(argv)
+        results.append((code, hashlib.sha256(output.encode()).hexdigest()))
+    assert tuple(results) == PINNED_UNREDUCED_OUTPUTS[(p, degrees, seed)]
+
+
 # sha256 of the stdout of `regcheck --mode probabilistic` on seeded instances
 # over GF(2), where the slicing oracle is blind often enough that its traces
 # change with the number of trials (5) and the seed (j at prefix j) that

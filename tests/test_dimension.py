@@ -227,15 +227,29 @@ def homogeneous_sequences(draw):
     A form gets a random coefficient on each monomial of its degree (and is
     one monomial if they all vanish).  The sequence is then left as drawn
     (mostly regular over the larger fields) or made irregular: by a common
-    linear factor, by a common zero at (1, 0, ..., 0), by repeating a form
-    or by inserting the zero form.
+    linear factor, by a common zero at (1, 0, ..., 0), by repeating a form,
+    by inserting the zero form or by inserting a member of the ideal of the
+    linear ones among the first two forms (the first is linear): a linear
+    form proportional to the first or in the span of both, or a multiple of
+    one by a form of degree 1 or 2.
+    Two more kinds exercise the elimination of the linear members: every
+    form linear, and n - 1 linear forms, which leave no variable on x_n = 0
+    when they are independent there, with or without one more nonlinear
+    form.
     """
     field = draw(st.sampled_from(CUT_FIELDS))
     n = draw(st.integers(2, 4))
     names = tuple(f"x{i}" for i in range(1, n + 1))
-    kind = draw(st.sampled_from(["drawn", "factor", "zero-point", "repeat", "zero-form"]))
-    grows = kind in ("repeat", "zero-form")
-    r = draw(st.integers(1, n - 1 if grows else n))
+    kind = draw(
+        st.sampled_from(
+            [
+                "drawn", "factor", "zero-point", "repeat", "zero-form",
+                "linear-ideal", "all-linear", "no-survivor",
+            ]
+        )
+    )
+    grows = kind in ("repeat", "zero-form", "linear-ideal")
+    r = n - 1 if kind == "no-survivor" else draw(st.integers(1, n - 1 if grows else n))
 
     def form(degree, common_zero=False):
         monomials = list(monomials_of_degree(n, degree))
@@ -246,8 +260,12 @@ def homogeneous_sequences(draw):
         poly = MultiPoly.from_terms(field, names, zip(monomials, values))
         return poly or MultiPoly.from_terms(field, names, {monomials[-1]: 1})
 
-    degrees = [draw(st.integers(1, 3)) for _ in range(r)]
-    forms = [form(d, common_zero=kind == "zero-point") for d in degrees]
+    def degree(i):
+        if kind in ("all-linear", "no-survivor") or (kind == "linear-ideal" and i == 0):
+            return 1
+        return draw(st.integers(1, 3))
+
+    forms = [form(degree(i), common_zero=kind == "zero-point") for i in range(r)]
     if kind == "factor":
         h = form(1)
         forms = [h * f for f in forms]
@@ -255,6 +273,14 @@ def homogeneous_sequences(draw):
         forms.insert(draw(st.integers(1, r)), forms[draw(st.integers(0, r - 1))])
     elif kind == "zero-form":
         forms.insert(draw(st.integers(0, r)), MultiPoly.zero(field, names))
+    elif kind == "linear-ideal":
+        linear = [f for f in forms[:2] if f.total_degree() == 1]
+        combination = sum(
+            (draw(st.integers(-3, 3)) * f for f in linear), MultiPoly.zero(field, names)
+        )
+        forms.insert(draw(st.integers(1, r)), combination * form(draw(st.integers(0, 2))))
+    elif kind == "no-survivor" and draw(st.booleans()):
+        forms.insert(draw(st.integers(0, r)), form(draw(st.integers(2, 3))))
     return forms
 
 
@@ -284,11 +310,12 @@ def engine_sizes(monkeypatch):
 
 
 def test_regular_form_whose_cut_vanishes_falls_back(engine_sizes):
-    # x*y is regular in (x, y), but it vanishes on y = 0
+    # x*y is regular in (x, y), but it vanishes on y = 0; the zero cut form
+    # is seen before any engine is built
     x, y = fv(("x", "y"))
     assert _cut_last_variable(x * y).is_zero()
     assert is_regular_sequence([x * y]) == RegularSequenceResult(True, (1,))
-    assert engine_sizes == [1, 2]
+    assert engine_sizes == [2]
 
 
 def test_budget_error_on_the_cut_falls_back(monkeypatch):
@@ -316,6 +343,19 @@ def test_regular_reduced_m8_system_is_decided_on_the_cut(engine_sizes):
     report = regularity_check(ci, form, reduce=True)
     assert report.is_regular and report.trace == (1, 2, 3, 4, 5, 6)
     assert engine_sizes == [6]
+
+
+def test_unreduced_check_is_certified_with_its_linear_members_eliminated(engine_sizes):
+    # (2,3): M = 3, and the sequence is 4 forms in M + k = 5 variables, 3 of
+    # them linear; on x_n = 0 the linear ones are eliminated exactly, so the
+    # one engine has M - 2 = 1 variable, as in the reduced check
+    degrees = DegreeTuple((2, 3))
+    field = FieldSpec.prime(101)
+    ci = random_complete_intersection(degrees, field, seed=1)
+    form = MultiPoly.linear(field, ci.variables, range(1, degrees.ambient + 1))
+    report = regularity_check(ci, form)
+    assert report.is_regular and report.trace == (1, 2, 3, 4)
+    assert engine_sizes == [degrees.M - 2]
 
 
 # ---------------------------------------------------------------------------
