@@ -45,14 +45,14 @@ linear ones (one ``polynomials.restrict_to_common_zeros`` call, whose
 surviving variables give the rank), are regular in the survivors; that
 prefix loop takes them sorted by degree.  The certificate therefore
 succeeds exactly when the loop over all the cut forms would, on fewer
-variables: for the M + k - 1 members of an unreduced regularity check,
-k + 1 of them linear, the engine has M - 2 variables, as the reduced check
-has.
+variables.  (``regularity`` makes the same argument one level up: it
+decides an unreduced regularity check by its reduced sequence, whose M - 2
+forms in M - 1 variables this certificate cuts to M - 2 variables.)
 
 The certificate is one-sided, so it never changes a verdict or a trace.
 It makes the common regular case cheaper: the cut system has one variable
-fewer and no linear forms, and for the r = n - 1 forms of a regularity
-check its cone is the origin alone.
+fewer and no linear forms, and for r = n - 1 forms, as in a reduced
+regularity check, its cone is the origin alone.
 
 The probabilistic oracle, ``codim_probabilistic``, estimates the cone
 dimension by slicing with random linear subspaces over GF(p^e), e <= 2,

@@ -14,14 +14,32 @@ the sequence {l} together with {q_{i,j} : (i,j) in I} cuts the origin's
 local ring down by codimension #I + 1, i.e. forms a regular sequence.
 This module assembles that sequence (pairs ordered by (i, j), l first)
 and delegates the prefix codimension decisions to the dimension kernel.
-A form l is admissible when it does not vanish on T_oV, i.e. l . v != 0
-for some vector v of the tangent basis.
 
-The reduced check removes the k+1 independent linear members (l and the
-q_{i,1}) at once: their common zeros are the graph of a linear map over the
-M-1 surviving variables, so the other members are composed with the images
-of the k+1 eliminated variables only (``polynomials.restrict_to_common_zeros``),
-leaving M-2 forms in M-1 variables.
+The k+1 independent linear members (l and the q_{i,1}) are eliminated in
+two stages.  T_oV, the common zeros of the q_{i,1}, depends only on the
+instance: it is kept as the graph of a linear map over M surviving
+variables (``polynomials.linear_graph``), which is also the tangent basis,
+and the members of degree >= 2 are restricted to it once per instance
+(``polynomials.restrict_to_graph``).  Only l changes from one sample to
+the next.  Its row on T_oV, l . v for each basis vector v, is computed
+once per form; it is nonzero iff l does not vanish on T_oV, i.e. iff l is
+admissible, and the restricted members are then restricted once more, to
+the hyperplane where that row vanishes, leaving M-2 forms in M-1
+variables.  The graph of a linear subspace is unique, so the two stages
+give the same polynomials, in the same surviving variables and term
+order, as one ``polynomials.restrict_to_common_zeros`` to the common zeros
+of all k+1 forms.
+
+The reduced check feeds those M-2 forms to the dimension kernel.  The
+unreduced exact check is decided by them as well: forms of positive
+degree are regular iff their ideal has height r, in any order, and the
+quotient by r' independent linear forms is a polynomial ring with every
+height lower by r' (Matsumura, *Commutative Ring Theory*, Thm 16.3;
+Bruns-Herzog, Prop. 1.5.12).  So after the budget refusal on its M+k
+variables the unreduced sequence is regular, with trace (1, ..., M+k-1),
+exactly when the reduced one is; when it is not, the uncut prefix loop
+on the unreduced sequence gives the trace and the failing prefix.  The
+probabilistic kernel checks the unreduced sequence as it stands.
 
 A full check over all admissible l is impossible; ``sampled_regularity_check``
 draws a fixed number of random forms and reports the conjunction, labelled
@@ -45,11 +63,19 @@ from functools import cached_property
 from random import Random
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .dimension import DEFAULT_MAX_VARIABLES, EXACT, is_regular_sequence
+from .dimension import (
+    DEFAULT_MAX_GENERATORS,
+    DEFAULT_MAX_VARIABLES,
+    EXACT,
+    RegularSequenceResult,
+    _check_budget,
+    _prefix_trace,
+    is_regular_sequence,
+)
 from .errors import InputError, ResourceBudgetError
 from .families import DegreeTuple
-from .fields import Element, FieldSpec, nullspace
-from .polynomials import MultiPoly, random_poly, restrict_to_common_zeros
+from .fields import Element, FieldSpec
+from .polynomials import MultiPoly, linear_graph, random_poly, restrict_to_graph
 
 REGULAR = "regular"
 IRREGULAR = "irregular"
@@ -101,25 +127,34 @@ def index_set(degrees: DegreeTuple) -> IndexSet:
 
 @dataclass(frozen=True)
 class TangentSpace:
-    """Common kernel of the linear parts: a basis plus a dependence flag."""
+    """Common kernel of the linear parts, plus a dependence flag.
+
+    The kernel is kept as the graph of a linear map over the surviving
+    variables ``kept`` (``polynomials.linear_graph``): ``basis[j]`` is 1 at
+    ``kept[j]`` and 0 at the other survivors.
+    """
 
     basis: Tuple[Tuple[Element, ...], ...]
     codimension: int
     is_singular: bool  # the forms were dependent (kernel larger than expected)
+    kept: Tuple[int, ...]
 
-    def is_annihilated_by(self, row: Sequence[Element], field: FieldSpec) -> bool:
-        """Whether the linear form with coefficient ``row`` vanishes on the space.
+    def row_on(self, row: Sequence[Element], field: FieldSpec) -> List[Element]:
+        """The linear form with coefficient ``row`` restricted to the space:
+        its coefficient row . basis[j] at each survivor j.
 
-        The annihilator of the kernel of the linear parts is their span, so
-        this is membership of ``row`` in that span.
+        It is zero iff the form vanishes on the space, i.e. lies in the span
+        of the linear parts.
         """
+        mul, add = field.mul, field.add
+        restricted = []
         for vec in self.basis:
             total = field.zero()
             for a, b in zip(row, vec):
-                total = field.add(total, field.mul(a, b))
-            if total:
-                return False
-        return True
+                if a and b:
+                    total = add(total, mul(a, b))
+            restricted.append(total)
+        return restricted
 
 
 def tangent_space(linear_parts: Sequence[MultiPoly]) -> TangentSpace:
@@ -127,15 +162,11 @@ def tangent_space(linear_parts: Sequence[MultiPoly]) -> TangentSpace:
     if not linear_parts:
         raise InputError("need at least one linear form")
     n = len(linear_parts[0].variables)
-    basis = nullspace(
+    kept, basis = linear_graph(
         [form.linear_row() for form in linear_parts], linear_parts[0].field, n
     )
     rank = n - len(basis)
-    return TangentSpace(
-        basis=tuple(basis),
-        codimension=rank,
-        is_singular=rank < len(linear_parts),
-    )
+    return TangentSpace(basis, rank, rank < len(linear_parts), kept)
 
 
 # ---------------------------------------------------------------------------
@@ -185,12 +216,13 @@ class PointedCI:
     def variables(self) -> Tuple[str, ...]:
         return self.equations[0].variables
 
-    # The parts and the tangent space depend only on the instance, so each is
-    # computed once, when first asked for.  A check asks for nearly every
-    # part, so the first part asked for splits every equation in one scan.
-    # The tangent space reads the linear parts off a scan of its own, so an
-    # instance that is only tested for smoothness keeps no parts.  Neither
-    # is a field, so equality is unchanged.
+    # The parts, the tangent space, the index pairs and the tail restricted
+    # to the tangent space depend only on the instance, so each is computed
+    # once, when first asked for.  A check asks for nearly every part, so
+    # the first part asked for splits every equation in one scan.  The
+    # tangent space reads the linear parts off a scan of its own, so an
+    # instance that is only tested for smoothness keeps no parts.  None is
+    # a field, so equality is unchanged.
     @cached_property
     def _parts(self) -> Tuple[Dict[int, MultiPoly], ...]:
         return tuple(f.homogeneous_components() for f in self.equations)
@@ -198,6 +230,18 @@ class PointedCI:
     @cached_property
     def _tangent(self) -> TangentSpace:
         return tangent_space([f.homogeneous_part(1) for f in self.equations])
+
+    @cached_property
+    def index_pairs(self) -> Tuple[Tuple[int, int], ...]:
+        """The pairs (i, j) of the index set I, in (i, j) order."""
+        return tuple(index_set(self.degrees).sorted_pairs)
+
+    @cached_property
+    def _tail_on_tangent(self) -> Tuple[MultiPoly, ...]:
+        # the members q_{i,j}, j >= 2, in (i, j) order, on the graph of T_oV
+        tangent = self.tangent()
+        tail = [self.part(i, j) for i, j in self.index_pairs if j >= 2]
+        return tuple(restrict_to_graph(tail, tangent.kept, tangent.basis))
 
     def part(self, i: int, j: int) -> MultiPoly:
         """Homogeneous degree-j part of f_i (1-based i); may be zero."""
@@ -209,6 +253,20 @@ class PointedCI:
 
     def tangent(self) -> TangentSpace:
         return self._tangent
+
+    def reduced_sequence(self, tangent_row: Sequence[Element]) -> List[MultiPoly]:
+        """The members of degree >= 2 restricted to T_oV ∩ {l = 0}.
+
+        ``tangent_row`` is l's row on the tangent space
+        (``TangentSpace.row_on``), nonzero for an admissible l.  The members
+        restricted to T_oV are cached, so each l costs one hyperplane: the
+        one where l restricted to T_oV vanishes.  The graph of a linear
+        subspace is unique, so this gives the same polynomials, in the same
+        surviving variables, as one restriction to the common zeros of l and
+        the q_{i,1} (``polynomials.restrict_to_common_zeros``).
+        """
+        kept, basis = linear_graph([tangent_row], self.field, len(tangent_row))
+        return restrict_to_graph(self._tail_on_tangent, kept, basis)
 
     @property
     def is_smooth_at_origin(self) -> bool:
@@ -271,9 +329,7 @@ class RegularityReport:
 
 def assemble_sequence(ci: PointedCI, linear_form: MultiPoly) -> List[MultiPoly]:
     """The test sequence: l first, then the indexed parts ordered by (i, j)."""
-    return [linear_form] + [
-        ci.part(i, j) for i, j in index_set(ci.degrees).sorted_pairs
-    ]
+    return [linear_form] + [ci.part(i, j) for i, j in ci.index_pairs]
 
 
 def _singular_report(ci: PointedCI, linear_form: Optional[MultiPoly]) -> RegularityReport:
@@ -281,23 +337,50 @@ def _singular_report(ci: PointedCI, linear_form: Optional[MultiPoly]) -> Regular
         SINGULAR,
         (),
         linear_form,
-        target_codimension=len(index_set(ci.degrees)) + 1,
+        target_codimension=len(ci.index_pairs) + 1,
         note="dependent linear parts: the intersection is singular at the origin",
     )
 
 
 def _validate_linear_form(
-    ci: PointedCI, linear_form: MultiPoly, tangent: TangentSpace
-) -> None:
+    ci: PointedCI,
+    linear_form: MultiPoly,
+    tangent: TangentSpace,
+    tangent_row: Optional[Sequence[Element]],
+) -> Sequence[Element]:
+    """Check l and return its row on the tangent space, computed if not given."""
     if linear_form.field != ci.field or linear_form.variables != ci.variables:
         raise InputError("linear form must live in the ambient ring")
     if linear_form.is_zero() or linear_form.total_degree() != 1 or not linear_form.is_homogeneous():
         raise InputError("l must be a nonzero homogeneous linear form")
-    if tangent.is_annihilated_by(linear_form.linear_row(), ci.field):
+    if tangent_row is None:
+        tangent_row = tangent.row_on(linear_form.linear_row(), ci.field)
+    if not any(tangent_row):
         raise InputError(
             "l vanishes identically on the tangent space at the origin; "
             "the regularity condition only quantifies over forms that do not"
         )
+    return tangent_row
+
+
+def _unreduced_exact(
+    ci: PointedCI,
+    linear_form: MultiPoly,
+    tangent_row: Sequence[Element],
+    max_variables: int,
+) -> RegularSequenceResult:
+    """The exact kernel's result on the unreduced sequence, decided on the
+    reduced one (module docstring): regular with trace (1, ..., M + k - 1)
+    when that is, otherwise the uncut prefix loop's trace."""
+    length = len(ci.index_pairs) + 1
+    n = len(ci.variables)
+    # the unreduced sequence's budget, refused before any restriction
+    _check_budget(n, length, max_variables, DEFAULT_MAX_GENERATORS)
+    reduced = is_regular_sequence(ci.reduced_sequence(tangent_row), max_variables=max_variables)
+    if reduced.is_regular:
+        return RegularSequenceResult(True, tuple(range(1, length + 1)))
+    # an irregular sequence has no cut certificate, so the loop runs uncut
+    return _prefix_trace(assemble_sequence(ci, linear_form), ci.variables, EXACT)
 
 
 def regularity_check(
@@ -307,35 +390,56 @@ def regularity_check(
     reduce: bool = False,
     kernel: str = EXACT,
     max_variables: int = DEFAULT_MAX_VARIABLES,
+    tangent_row: Optional[Sequence[Element]] = None,
 ) -> RegularityReport:
     """Decide regularity of ``ci`` at the origin for one linear form.
 
     With ``reduce=True`` the k+1 independent linear members (l and the
-    tangent parts q_{i,1}) are eliminated first: the other members are
-    restricted in one pass to the common zeros of those k+1 forms,
-    a subspace parametrized by the M-1 surviving variables, and only the
-    remaining M-2 forms are fed to the dimension kernel.  The verdict is
-    the same either way; the trace then refers to the shortened sequence.
+    tangent parts q_{i,1}) are eliminated first, in two stages: the other
+    members are restricted once per instance to T_oV, the common zeros of
+    the q_{i,1}, a graph over M surviving variables, and then, for this l,
+    to the hyperplane where l restricted to T_oV vanishes
+    (``PointedCI.reduced_sequence``), which leaves M-2 forms in M-1
+    variables for the dimension kernel.  The graph is unique, so the two
+    stages give the same polynomials as one restriction to the common zeros
+    of all k+1 forms.  The verdict is the same either way; the trace then
+    refers to the shortened sequence.
+
+    Without ``reduce`` the exact kernel refuses the sequence's M + k
+    variables beyond ``max_variables``, as ``is_regular_sequence`` would,
+    and then decides the reduced sequence: forms of positive degree are
+    regular iff their ideal has height r, and the quotient by the k+1
+    independent linear members is a polynomial ring with every height
+    lower by k+1, so the two verdicts agree.  A regular one gives the trace
+    (1, ..., M + k - 1); an irregular one runs the uncut prefix loop on
+    ``assemble_sequence(ci, l)`` for the trace and the failing prefix.  The
+    probabilistic kernel runs on the unreduced sequence as it stands.
+
     ``kernel`` picks the exact or the probabilistic kernel and
     ``max_variables`` is the exact kernel's variable budget.
+    ``tangent_row`` is l's row on the tangent space
+    (``TangentSpace.row_on``), for a caller that has it already.
     """
     tangent = ci.tangent()
     if tangent.is_singular:
         return _singular_report(ci, linear_form)
-    _validate_linear_form(ci, linear_form, tangent)
-    pairs = index_set(ci.degrees)
+    tangent_row = _validate_linear_form(ci, linear_form, tangent, tangent_row)
     if reduce:
-        tail = [ci.part(i, j) for i, j in pairs.sorted_pairs if j >= 2]
-        sequence = restrict_to_common_zeros(tail, [linear_form] + ci.linear_parts())
+        result = is_regular_sequence(
+            ci.reduced_sequence(tangent_row), kernel=kernel, max_variables=max_variables
+        )
+    elif kernel == EXACT:
+        result = _unreduced_exact(ci, linear_form, tangent_row, max_variables)
     else:
-        sequence = assemble_sequence(ci, linear_form)
-    result = is_regular_sequence(sequence, kernel=kernel, max_variables=max_variables)
+        result = is_regular_sequence(
+            assemble_sequence(ci, linear_form), kernel=kernel, max_variables=max_variables
+        )
     return RegularityReport(
         REGULAR if result.is_regular else IRREGULAR,
         result.trace,
         linear_form,
         result.failing_prefix,
-        len(pairs) + 1,
+        len(ci.index_pairs) + 1,
         reduce,
         result.note,
     )
@@ -379,16 +483,17 @@ class SampledRegularityReport:
 
 def _random_admissible_form(
     ci: PointedCI, rng: Random, tangent: TangentSpace, max_tries: int = 200
-) -> MultiPoly:
+) -> Tuple[MultiPoly, List[Element]]:
+    """A random form that does not vanish on T_oV, with its row there."""
     field = ci.field
     n = ci.degrees.ambient
     for _ in range(max_tries):
         coeffs = [field.random_element(rng) for _ in range(n)]
         if not any(coeffs):
             continue
-        if tangent.is_annihilated_by(coeffs, field):
-            continue
-        return MultiPoly.linear(field, ci.variables, coeffs)
+        row = tangent.row_on(coeffs, field)
+        if any(row):
+            return MultiPoly.linear(field, ci.variables, coeffs), row
     raise ResourceBudgetError(
         f"failed to sample a linear form off the tangent span in {max_tries} tries"
     )
@@ -412,10 +517,15 @@ def sampled_regularity_check(
     rng = Random(seed)
     reports = []
     for _ in range(samples):
-        form = _random_admissible_form(ci, rng, tangent)
+        form, row = _random_admissible_form(ci, rng, tangent)
         reports.append(
             regularity_check(
-                ci, form, reduce=reduce, kernel=kernel, max_variables=max_variables
+                ci,
+                form,
+                reduce=reduce,
+                kernel=kernel,
+                max_variables=max_variables,
+                tangent_row=row,
             )
         )
     return SampledRegularityReport(tuple(reports), samples)

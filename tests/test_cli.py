@@ -593,24 +593,39 @@ def test_reduced_outputs_pinned(tmp_path, degrees):
 
 
 # exit code and sha256 of the stdout of `regcheck` and of `randomci` without
-# `--reduce` on seeded instances over GF(3) and GF(101), as (regcheck,
-# randomci).  Their exact checks are certified on x_n = 0 with the linear
-# members eliminated, or decided by the uncut engine where that fails; the
-# bytes must not depend on which.  Over GF(3) the regcheck is irregular for
-# two of its three sampled forms (trace [1, 2, 3, 3], failing prefix 4) and
-# the randomci run counts one irregular trial.
+# `--reduce` on seeded instances over GF(2), GF(3) and GF(101), as
+# (regcheck --samples 3, randomci, default regcheck in text, default
+# regcheck in json); the default regcheck draws 8 forms.  Their exact
+# checks are decided on the reduced sequence and traced by the uncut
+# prefix loop where that is irregular; the bytes are those of the uncut
+# engine.  Over GF(3) the 3-form regcheck is irregular for two of its three
+# sampled forms (trace [1, 2, 3, 3], failing prefix 4) and the randomci run
+# counts one irregular trial; over GF(2) the 8-form regcheck is irregular
+# for five of them (trace [1, 2, 3, 4, 4], failing prefix 5).
 PINNED_UNREDUCED_OUTPUTS = {
     (3, (2, 3), 9): (
         (1, "883f2732723123da53657cb03e30255a9042d9c7de0ad10d2a87df5f329a9fdd"),
         (0, "3a1a0cb5085d2059abc1cc368d3c68cf657a15f55e713d2ab7d1a17e47243faf"),
+        (1, "3e9c67dc1675ecacf84e8639ef67a71e47c72500494c04d467a80351c3986e7b"),
+        (1, "fc013dbc53b8890def55bddcf5f65a1a6c1af29d7db27359b113b2e7a1f8273f"),
     ),
     (101, (3, 3), 3): (
         (0, "34132cf2343604f4508b1868a117490f2f0dd269dd6685de468eed9d2d19ef87"),
         (0, "86bc801332975b979f8770b3a2be02c911fae0b55b1c36126f5d1c551e034d23"),
+        (0, "a24363bff26d99371927e56d0c1373b8758f64ce7a402b81b2d306b11acf862f"),
+        (0, "a705a9b35097ca576b8dc9b57d86541d222911481af99e244059284eafd6e0d2"),
     ),
     (101, (2, 2, 3), 3): (
         (0, "903a6016bd2dffe61e83d88fcafaf3e5b617f0f3ea06e9b2b3dc2416be31e708"),
         (0, "cb716f4fc4becdc0c035c703e9a3653ddfea1b2eb7ec4c47eface0e7db30abd1"),
+        (0, "90e5df17a5afe4df7f1b070345ccfce92bf3ba97d3a3d9f37864f1fd755ba90d"),
+        (0, "74ab65db1aadfb7d849e1c676184c7a20fe62c4adf15015c257fe9d3d82d7a2f"),
+    ),
+    (2, (3, 3), 10): (
+        (0, "b521538fa96c723cb2f70f173b9a65ba9c314925f561b06ede196c9f9171a45c"),
+        (0, "fae7ef2ab29ad658def084604cb111ac653db50517b88ec084802025121c5b20"),
+        (1, "b0c1ce8b85e5d63b8cac32db2ab89e60359d3bce755e9304340b31759a256808"),
+        (1, "9f029bb39836150e50f61a31352c45ee884a1fe5802b09d8245d2f5ebcaba0ab"),
     ),
 }
 
@@ -626,6 +641,8 @@ def test_unreduced_outputs_pinned(tmp_path, p, degrees, seed):
             "randomci", "--degrees", ",".join(map(str, degrees)), "--field", f"gf:{p}",
             "--trials", "12", "--samples", "2", "--seed", "3",
         ],
+        ["regcheck", "--input", str(path), "--format", "text"],
+        ["regcheck", "--input", str(path)],
     ]
     results = []
     for argv in runs:

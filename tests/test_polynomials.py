@@ -11,8 +11,10 @@ from fanoci.polynomials import (
     _descending,
     grevlex_key,
     monomials_of_degree,
+    linear_graph,
     random_poly,
     restrict_to_common_zeros,
+    restrict_to_graph,
 )
 
 Q = FieldSpec.rationals()
@@ -335,7 +337,14 @@ def test_restriction_matches_substitution_and_the_hyperplane_chain(
     images = [MultiPoly.linear(field, survivors, [vec[i] for vec in basis]) for i in range(n)]
     by_substitution = [_substitute_by_power_tables(f, images) for f in polys]
     by_hyperplanes = _restrict_one_hyperplane_at_a_time(polys, forms)
-    for expected in (by_substitution, by_hyperplanes):
+    # two stages: the graph of the first forms, then the common zeros of the
+    # others, restricted to that graph
+    split = len(forms) // 2
+    graph = linear_graph([form.linear_row() for form in forms[:split]], field, n)
+    by_stages = restrict_to_common_zeros(
+        restrict_to_graph(polys, *graph), restrict_to_graph(forms[split:], *graph)
+    )
+    for expected in (by_substitution, by_hyperplanes, by_stages):
         assert [g.variables for g in got] == [g.variables for g in expected]
         assert [list(g.terms.items()) for g in got] == [
             list(g.terms.items()) for g in expected
@@ -351,6 +360,9 @@ def test_restriction_to_no_forms_is_the_identity():
         (g.variables, list(g.terms.items())) for g in polys
     ]
     assert restrict_to_common_zeros([], []) == []
+    whole_space = linear_graph([[0, 0, 0]], F5, 3)
+    assert whole_space[0] == (0, 1, 2)
+    assert restrict_to_graph(polys, *whole_space) == polys
 
 
 def test_linear_form_row_roundtrip():
@@ -442,6 +454,15 @@ def test_json_names_the_offending_term(entry, message, tag):
         MultiPoly.from_json(data)
 
 
+def test_json_names_the_first_malformed_term_whichever_field_it_lacks():
+    # the second term lacks its exponents, the first only its coefficient
+    terms = [{"exponents": [1, 0]}, {"coeff": "1"}]
+    data = {"field": "gf:5", "variables": ["x", "y"], "terms": terms}
+    with pytest.raises(InputError, match=r"malformed polynomial term: \{'exponents'") as info:
+        MultiPoly.from_json(data)
+    assert isinstance(info.value.__cause__, KeyError)
+
+
 @pytest.mark.parametrize("field", [F5, Q], ids=["gf5", "q"])
 def test_json_load_puts_terms_in_canonical_order(field):
     f = random_poly(3, ("x", "y", "z"), field, homogeneous=True, seed=4)
@@ -449,6 +470,18 @@ def test_json_load_puts_terms_in_canonical_order(field):
     data["terms"].reverse()
     data["terms"].append({"coeff": "0", "exponents": [0, 0, 0]})
     assert list(MultiPoly.from_json(data).terms.items()) == list(f.terms.items())
+
+
+@pytest.mark.parametrize("field", [F5, Q], ids=["gf5", "q"])
+def test_json_load_drops_a_zero_term_from_canonical_input(field):
+    # terms in canonical order, as dumped, are kept as they come, but not a
+    # zero coefficient among them
+    f = random_poly(3, ("x", "y", "z"), field, seed=4)
+    data = f.to_json()
+    zeroed = data["terms"][len(data["terms"]) // 2]
+    zeroed["coeff"] = "0"
+    expected = [(e, c) for e, c in f.terms.items() if list(e) != zeroed["exponents"]]
+    assert list(MultiPoly.from_json(data).terms.items()) == expected
 
 
 def test_terms_stored_in_grevlex_descending_order():

@@ -4,13 +4,15 @@ from random import Random
 
 import pytest
 
+import fanoci.polynomials as polynomials
 from fanoci.dimension import PROBABILISTIC, is_regular_sequence
 from fanoci.errors import InputError, ResourceBudgetError
 from fanoci.families import DegreeTuple
 from fanoci.fields import FieldSpec
-from fanoci.polynomials import MultiPoly
+from fanoci.polynomials import MultiPoly, restrict_to_common_zeros
 from fanoci.regularity import (
     PointedCI,
+    RegularityReport,
     ambient_variables,
     assemble_sequence,
     index_set,
@@ -224,6 +226,121 @@ def test_reduced_mode_equivalence_random_instances():
         rep = sampled_regularity_check(ci, samples=2, seed=seed)
         red = sampled_regularity_check(ci, samples=2, seed=seed, reduce=True)
         assert rep.is_regular == red.is_regular
+
+
+def _admissible_forms(ci, count, seed):
+    """``count`` random linear forms that do not vanish on T_oV, with their rows there."""
+    rng, tangent, forms = Random(seed), ci.tangent(), []
+    while len(forms) < count:
+        coeffs = [ci.field.random_element(rng) for _ in ci.variables]
+        row = tangent.row_on(coeffs, ci.field)
+        if any(row):
+            forms.append((MultiPoly.linear(ci.field, ci.variables, coeffs), row))
+    return forms
+
+
+def _smooth_instances(degrees, p, count):
+    field, seed, found = FieldSpec.prime(p), 0, []
+    while len(found) < count:
+        ci = random_complete_intersection(DegreeTuple(degrees), field, seed=seed)
+        seed += 1
+        if ci.is_smooth_at_origin:
+            found.append(ci)
+    return found
+
+
+KINDS = [(2, 3), (3, 3), (2, 2, 2), (2, 4), (3, 4), (2, 2, 3)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 101])
+@pytest.mark.parametrize("degrees", KINDS)
+def test_reduced_sequence_equals_the_one_shot_restriction(degrees, p):
+    # the tail restricted to T_oV, then to the hyperplane of l's row there,
+    # against one restriction to the common zeros of l and the linear parts
+    for ci in _smooth_instances(degrees, p, 2):
+        tail = [ci.part(i, j) for i, j in ci.index_pairs if j >= 2]
+        for form, row in _admissible_forms(ci, 3, seed=p):
+            chained = ci.reduced_sequence(row)
+            one_shot = restrict_to_common_zeros(tail, [form] + ci.linear_parts())
+            assert len(chained) == len(one_shot) == ci.degrees.M - 2
+            for a, b in zip(chained, one_shot):
+                assert a.variables == b.variables
+                assert len(a.variables) == ci.degrees.M - 1
+                assert list(a.terms.items()) == list(b.terms.items())
+
+
+def _uncut_report(ci, form):
+    result = is_regular_sequence(assemble_sequence(ci, form))
+    return RegularityReport(
+        "regular" if result.is_regular else "irregular",
+        result.trace,
+        form,
+        result.failing_prefix,
+        len(index_set(ci.degrees)) + 1,
+        False,
+        result.note,
+    )
+
+
+# seeded instances whose sampled forms are often irregular, and regular ones
+UNREDUCED_CASES = [
+    (2, (2, 4), (0, 1, 6)),
+    (2, (3, 3), (8, 10)),
+    (3, (2, 3), (9,)),
+    (3, (2, 2, 2), (0, 1)),
+    (101, (2, 4), (0,)),
+]
+
+
+def test_unreduced_exact_report_equals_the_uncut_decision():
+    verdicts = []
+    for p, degrees, seeds in UNREDUCED_CASES:
+        for seed in seeds:
+            ci = random_complete_intersection(DegreeTuple(degrees), FieldSpec.prime(p), seed=seed)
+            for form, _ in _admissible_forms(ci, 4, seed=1):
+                report = regularity_check(ci, form)
+                assert report == _uncut_report(ci, form)
+                verdicts.append(report.verdict)
+    ci, ell, _ = _instance_2()  # over Q, irregular at prefix 3
+    assert regularity_check(ci, ell) == _uncut_report(ci, ell)
+    assert verdicts.count("regular") >= 5 and verdicts.count("irregular") >= 5
+
+
+def test_unreduced_exact_budget_refused_before_any_restriction(monkeypatch):
+    import fanoci.regularity as regularity
+
+    (ci,) = _smooth_instances((2, 3), 101, 1)
+    ((form, _),) = _admissible_forms(ci, 1, seed=0)
+    with pytest.raises(ResourceBudgetError) as expected:
+        is_regular_sequence(assemble_sequence(ci, form), max_variables=4)
+
+    def no_restriction(*args):
+        raise AssertionError("restricted before the budget check")
+
+    monkeypatch.setattr(regularity, "restrict_to_graph", no_restriction)
+    with pytest.raises(ResourceBudgetError) as raised:
+        regularity_check(ci, form, max_variables=4)
+    assert str(raised.value) == str(expected.value)
+    with pytest.raises(ResourceBudgetError, match="5 variables exceed"):
+        sampled_regularity_check(ci, samples=8, max_variables=4)
+
+
+@pytest.mark.parametrize("reduce", [False, True])
+def test_sampled_check_restricts_by_the_linear_parts_once(monkeypatch, reduce):
+    # one graph of the k linear parts per instance, one hyperplane per form
+    (drawn,) = _smooth_instances((3, 3), 101, 1)
+    ci = PointedCI.from_json(drawn.to_json())  # nothing cached yet
+    rows_per_graph = []
+    nullspace = polynomials.nullspace
+
+    def spy(rows, field, n):
+        rows_per_graph.append(len(rows))
+        return nullspace(rows, field, n)
+
+    monkeypatch.setattr(polynomials, "nullspace", spy)
+    report = sampled_regularity_check(ci, samples=8, reduce=reduce)
+    assert report.is_regular
+    assert rows_per_graph == [2] + [1] * 8
 
 
 def test_probabilistic_kernel_agrees_on_small_instance():
