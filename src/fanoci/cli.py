@@ -20,13 +20,7 @@ import sys
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
-from .dimension import (
-    DEFAULT_MAX_GENERATORS,
-    DEFAULT_MAX_VARIABLES,
-    EXACT,
-    PROBABILISTIC,
-    _check_budget,
-)
+from .dimension import EXACT, PROBABILISTIC, check_exact_budget
 from .errors import InputError, ResourceBudgetError
 from .families import (
     DegreeTuple,
@@ -184,7 +178,7 @@ def _cmd_randomci(args, out) -> int:
     # exhaust memory long before the check would refuse it: refuse a box
     # beyond the kernel's budget first, on the variables the check sees
     n = degrees.M - 1 if args.reduce else degrees.ambient
-    _check_budget(n, n - 1, DEFAULT_MAX_VARIABLES, DEFAULT_MAX_GENERATORS)
+    check_exact_budget(n, n - 1)
     stats = {"trials": args.trials, "smooth": 0, "singular": 0, "regular": 0, "irregular": 0}
     for trial in range(args.trials):
         ci = random_complete_intersection(degrees, field, seed=args.seed + trial)

@@ -13,7 +13,9 @@ The exact codimension is read off one engine: the forms are added to a
 terms of its minimal basis (they are those of the reduced basis), under
 grevlex.  ``projective_codim`` adds every form at once.  Both it and
 ``is_regular_sequence`` refuse inputs beyond ``max_variables`` and
-``max_generators`` with ``ResourceBudgetError``.
+``max_generators`` with ``ResourceBudgetError``; ``check_exact_budget``
+applies the sequence rule on its own, for a caller that must refuse a
+sequence before it builds it.
 
 Regularity at the origin is decided through the same cone codimension: an
 ordered sequence of homogeneous forms is regular iff every length-j prefix
@@ -21,7 +23,8 @@ cuts the cone down to codimension exactly j.  (For homogeneous elements of
 the local ring at the origin the two notions agree.)  One prefix loop
 (``_prefix_trace``) adds one form per prefix to an engine and stops at the
 first prefix whose codimension is not its length.  The exact kernel runs
-it twice at most:
+it twice at most (``exact_prefix_trace`` runs the second step alone, for a
+sequence already known to be irregular):
 
 * First on the cut: r < n nonzero forms restricted to the hyperplane
   x_n = 0, which drops every term that holds the last variable.  If the
@@ -34,25 +37,17 @@ it twice at most:
   exceeds an engine budget, on the uncut forms, which gives the verdict,
   the trace and the failing prefix.  A failure on the cut proves nothing.
 
-The cut is decided with its linear forms eliminated exactly, before any
-Groebner work.  Homogeneous forms of positive degree in a polynomial ring
-are a regular sequence iff their ideal has height r, whatever their order
-(Bruns-Herzog, Sec. 1.2 and Prop. 1.5.12), and the quotient by r'
-independent linear forms is again a polynomial ring, in which every height
-is lower by exactly r'.  So the r cut forms are regular iff their linear
-ones are independent and the others, restricted to the common zeros of the
-linear ones (one ``polynomials.restrict_to_common_zeros`` call, whose
-surviving variables give the rank), are regular in the survivors; that
-prefix loop takes them sorted by degree.  The certificate therefore
-succeeds exactly when the loop over all the cut forms would, on fewer
-variables.  (``regularity`` makes the same argument one level up: it
-decides an unreduced regularity check by its reduced sequence, whose M - 2
-forms in M - 1 variables this certificate cuts to M - 2 variables.)
+The cut forms go to the loop sorted by degree.  Homogeneous forms of
+positive degree in a polynomial ring are a regular sequence iff their
+ideal has height r, whatever their order (Bruns-Herzog, Sec. 1.2 and
+Prop. 1.5.12), so the order changes no verdict.
 
 The certificate is one-sided, so it never changes a verdict or a trace.
 It makes the common regular case cheaper: the cut system has one variable
-fewer and no linear forms, and for r = n - 1 forms, as in a reduced
-regularity check, its cone is the origin alone.
+fewer, and for r = n - 1 forms, as in a reduced regularity check, its
+cone is the origin alone.  (``regularity`` eliminates the linear members
+of a regularity check itself and decides an unreduced check by its
+reduced sequence, so this kernel sees no linear forms from it.)
 
 The probabilistic oracle, ``codim_probabilistic``, estimates the cone
 dimension by slicing with random linear subspaces over GF(p^e), e <= 2,
@@ -150,6 +145,22 @@ def _check_budget(
         )
 
 
+def check_exact_budget(
+    n_vars: int,
+    length: int,
+    *,
+    max_variables: int = DEFAULT_MAX_VARIABLES,
+    max_generators: int = DEFAULT_MAX_GENERATORS,
+) -> None:
+    """Refuse, as ``is_regular_sequence``'s exact kernel does, a sequence of
+    ``length`` forms in ``n_vars`` variables beyond the budget.
+
+    The prefix loop stops by prefix n + 1, so a longer sequence counts as
+    n + 1 generators.
+    """
+    _check_budget(n_vars, min(length, n_vars + 1), max_variables, max_generators)
+
+
 def projective_codim(
     generators: Sequence[MultiPoly],
     *,
@@ -199,12 +210,7 @@ def is_regular_sequence(
 
     The exact kernel first tries to certify the sequence on the hyperplane
     where the last variable vanishes, and decides it on all n variables
-    only when that certificate fails.  On the hyperplane the linear forms
-    are eliminated first: forms of positive degree are regular iff their
-    ideal has height r, in any order, and the quotient by r' independent
-    linear forms is a polynomial ring with every height lower by r'.  So
-    the cut is certified iff its linear forms are independent and its
-    other forms, restricted to their common zeros, are regular there.
+    only when that certificate fails.
     """
     if kernel not in (EXACT, PROBABILISTIC):
         raise InputError(f"unknown kernel: {kernel!r}")
@@ -215,7 +221,9 @@ def is_regular_sequence(
     _validate_homogeneous(generators, allow_zero=True)
     n = len(variables)
     if kernel == EXACT:
-        _check_budget(n, min(len(generators), n + 1), max_variables, max_generators)
+        check_exact_budget(
+            n, len(generators), max_variables=max_variables, max_generators=max_generators
+        )
         # regular on x_n = 0 proves every prefix regular (module docstring);
         # a failure there proves nothing
         if len(generators) < n and _certified_on_cut(generators):
@@ -224,34 +232,38 @@ def is_regular_sequence(
 
 
 def _certified_on_cut(generators: Sequence[MultiPoly]) -> bool:
-    """Whether the forms, cut by x_n = 0, are regular in the other variables.
+    """Whether the forms, cut by x_n = 0 and sorted by degree, are regular
+    in the other variables.
 
-    The linear cut forms must be independent, and the others, restricted to
-    their common zeros and sorted by degree, regular in the surviving
-    variables (the height argument of the module docstring).  A zero cut
-    form, dependent linear forms, a restricted form that vanishes, a failed
-    prefix or an exceeded engine budget leave the sequence uncertified.
+    A zero cut form, a failed prefix or an exceeded engine budget leave the
+    sequence uncertified.
     """
     cut = [_cut_last_variable(g) for g in generators]
-    degrees = [f.total_degree() for f in cut]
-    if min(degrees) < 1:  # a cut form vanishes
-        return False
-    linear = [f for f, d in zip(cut, degrees) if d == 1]
-    if len(linear) == len(cut):
-        rows = [f.linear_row() for f in linear]
-        return len(rref(rows, cut[0].field)[1]) == len(linear)
-    nonlinear = sorted((f for f, d in zip(cut, degrees) if d > 1), key=MultiPoly.total_degree)
-    restricted = restrict_to_common_zeros(nonlinear, linear)
-    survivors = restricted[0].variables
-    # the linear forms are independent iff they eliminate one variable each
-    if len(survivors) + len(linear) > len(cut[0].variables):
-        return False
-    if any(f.is_zero() for f in restricted):
+    if any(f.is_zero() for f in cut):
         return False
     try:
-        return _prefix_trace(restricted, survivors, EXACT).is_regular
+        return _prefix_trace(
+            sorted(cut, key=MultiPoly.total_degree), cut[0].variables, EXACT
+        ).is_regular
     except ResourceBudgetError:
         return False
+
+
+def exact_prefix_trace(
+    generators: Sequence[MultiPoly], *, max_variables: int = DEFAULT_MAX_VARIABLES
+) -> RegularSequenceResult:
+    """The exact kernel's decision on all n variables, without the
+    certificate on the cut.
+
+    The result, validation and budget are those of ``is_regular_sequence``
+    on a nonempty sequence; it is for a caller that already knows the
+    sequence is irregular, where the certificate cannot succeed.
+    """
+    generators = list(generators)
+    _, variables = _common_ring(generators)
+    _validate_homogeneous(generators, allow_zero=True)
+    check_exact_budget(len(variables), len(generators), max_variables=max_variables)
+    return _prefix_trace(generators, variables, EXACT)
 
 
 def _cut_last_variable(form: MultiPoly) -> MultiPoly:

@@ -22,7 +22,7 @@ variables (``polynomials.linear_graph``), which is also the tangent basis,
 and the members of degree >= 2 are restricted to it once per instance
 (``polynomials.restrict_to_graph``).  Only l changes from one sample to
 the next.  Its row on T_oV, l . v for each basis vector v, is computed
-once per form; it is nonzero iff l does not vanish on T_oV, i.e. iff l is
+once per check; it is nonzero iff l does not vanish on T_oV, i.e. iff l is
 admissible, and the restricted members are then restricted once more, to
 the hyperplane where that row vanishes, leaving M-2 forms in M-1
 variables.  The graph of a linear subspace is unique, so the two stages
@@ -36,10 +36,12 @@ degree are regular iff their ideal has height r, in any order, and the
 quotient by r' independent linear forms is a polynomial ring with every
 height lower by r' (Matsumura, *Commutative Ring Theory*, Thm 16.3;
 Bruns-Herzog, Prop. 1.5.12).  So after the budget refusal on its M+k
-variables the unreduced sequence is regular, with trace (1, ..., M+k-1),
-exactly when the reduced one is; when it is not, the uncut prefix loop
-on the unreduced sequence gives the trace and the failing prefix.  The
-probabilistic kernel checks the unreduced sequence as it stands.
+variables (``dimension.check_exact_budget``) the unreduced sequence is
+regular, with trace (1, ..., M+k-1), exactly when the reduced one is;
+when it is not, the prefix loop on the unreduced sequence, without the
+certificate on the cut (``dimension.exact_prefix_trace``), gives the trace
+and the failing prefix.  The probabilistic kernel checks the unreduced
+sequence as it stands.
 
 A full check over all admissible l is impossible; ``sampled_regularity_check``
 draws a fixed number of random forms and reports the conjunction, labelled
@@ -52,8 +54,8 @@ Notes:
   * The default of 8 sampled forms is a tool choice, not a derived value;
     pass ``samples`` explicitly where the evidence level matters.
   * ``kernel`` and ``max_variables`` are the only settings passed on to
-    ``dimension.is_regular_sequence``; the generator budget and the
-    probabilistic oracle's trials and seeds are fixed there.
+    ``dimension``; the generator budget and the probabilistic oracle's
+    trials and seeds are fixed there.
 """
 
 from __future__ import annotations
@@ -64,12 +66,11 @@ from random import Random
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .dimension import (
-    DEFAULT_MAX_GENERATORS,
     DEFAULT_MAX_VARIABLES,
     EXACT,
     RegularSequenceResult,
-    _check_budget,
-    _prefix_trace,
+    check_exact_budget,
+    exact_prefix_trace,
     is_regular_sequence,
 )
 from .errors import InputError, ResourceBudgetError
@@ -248,9 +249,6 @@ class PointedCI:
         parts = self._parts[i - 1]
         return parts[j] if j in parts else MultiPoly(self.field, self.variables)
 
-    def linear_parts(self) -> List[MultiPoly]:
-        return [self.part(i, 1) for i in range(1, self.degrees.k + 1)]
-
     def tangent(self) -> TangentSpace:
         return self._tangent
 
@@ -343,18 +341,14 @@ def _singular_report(ci: PointedCI, linear_form: Optional[MultiPoly]) -> Regular
 
 
 def _validate_linear_form(
-    ci: PointedCI,
-    linear_form: MultiPoly,
-    tangent: TangentSpace,
-    tangent_row: Optional[Sequence[Element]],
-) -> Sequence[Element]:
-    """Check l and return its row on the tangent space, computed if not given."""
+    ci: PointedCI, linear_form: MultiPoly, tangent: TangentSpace
+) -> List[Element]:
+    """Check l and return its row on the tangent space."""
     if linear_form.field != ci.field or linear_form.variables != ci.variables:
         raise InputError("linear form must live in the ambient ring")
     if linear_form.is_zero() or linear_form.total_degree() != 1 or not linear_form.is_homogeneous():
         raise InputError("l must be a nonzero homogeneous linear form")
-    if tangent_row is None:
-        tangent_row = tangent.row_on(linear_form.linear_row(), ci.field)
+    tangent_row = tangent.row_on(linear_form.linear_row(), ci.field)
     if not any(tangent_row):
         raise InputError(
             "l vanishes identically on the tangent space at the origin; "
@@ -373,14 +367,13 @@ def _unreduced_exact(
     reduced one (module docstring): regular with trace (1, ..., M + k - 1)
     when that is, otherwise the uncut prefix loop's trace."""
     length = len(ci.index_pairs) + 1
-    n = len(ci.variables)
     # the unreduced sequence's budget, refused before any restriction
-    _check_budget(n, length, max_variables, DEFAULT_MAX_GENERATORS)
+    check_exact_budget(len(ci.variables), length, max_variables=max_variables)
     reduced = is_regular_sequence(ci.reduced_sequence(tangent_row), max_variables=max_variables)
     if reduced.is_regular:
         return RegularSequenceResult(True, tuple(range(1, length + 1)))
     # an irregular sequence has no cut certificate, so the loop runs uncut
-    return _prefix_trace(assemble_sequence(ci, linear_form), ci.variables, EXACT)
+    return exact_prefix_trace(assemble_sequence(ci, linear_form), max_variables=max_variables)
 
 
 def regularity_check(
@@ -390,7 +383,6 @@ def regularity_check(
     reduce: bool = False,
     kernel: str = EXACT,
     max_variables: int = DEFAULT_MAX_VARIABLES,
-    tangent_row: Optional[Sequence[Element]] = None,
 ) -> RegularityReport:
     """Decide regularity of ``ci`` at the origin for one linear form.
 
@@ -417,13 +409,11 @@ def regularity_check(
 
     ``kernel`` picks the exact or the probabilistic kernel and
     ``max_variables`` is the exact kernel's variable budget.
-    ``tangent_row`` is l's row on the tangent space
-    (``TangentSpace.row_on``), for a caller that has it already.
     """
     tangent = ci.tangent()
     if tangent.is_singular:
         return _singular_report(ci, linear_form)
-    tangent_row = _validate_linear_form(ci, linear_form, tangent, tangent_row)
+    tangent_row = _validate_linear_form(ci, linear_form, tangent)
     if reduce:
         result = is_regular_sequence(
             ci.reduced_sequence(tangent_row), kernel=kernel, max_variables=max_variables
@@ -483,17 +473,16 @@ class SampledRegularityReport:
 
 def _random_admissible_form(
     ci: PointedCI, rng: Random, tangent: TangentSpace, max_tries: int = 200
-) -> Tuple[MultiPoly, List[Element]]:
-    """A random form that does not vanish on T_oV, with its row there."""
+) -> MultiPoly:
+    """A random linear form that does not vanish on T_oV."""
     field = ci.field
     n = ci.degrees.ambient
     for _ in range(max_tries):
         coeffs = [field.random_element(rng) for _ in range(n)]
         if not any(coeffs):
             continue
-        row = tangent.row_on(coeffs, field)
-        if any(row):
-            return MultiPoly.linear(field, ci.variables, coeffs), row
+        if any(tangent.row_on(coeffs, field)):
+            return MultiPoly.linear(field, ci.variables, coeffs)
     raise ResourceBudgetError(
         f"failed to sample a linear form off the tangent span in {max_tries} tries"
     )
@@ -517,15 +506,10 @@ def sampled_regularity_check(
     rng = Random(seed)
     reports = []
     for _ in range(samples):
-        form, row = _random_admissible_form(ci, rng, tangent)
+        form = _random_admissible_form(ci, rng, tangent)
         reports.append(
             regularity_check(
-                ci,
-                form,
-                reduce=reduce,
-                kernel=kernel,
-                max_variables=max_variables,
-                tangent_row=row,
+                ci, form, reduce=reduce, kernel=kernel, max_variables=max_variables
             )
         )
     return SampledRegularityReport(tuple(reports), samples)

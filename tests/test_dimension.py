@@ -15,6 +15,7 @@ from fanoci.dimension import (
     _poly_vanishes_on_subspace,
     _prefix_trace,
     codim_probabilistic,
+    exact_prefix_trace,
     is_regular_sequence,
     projective_codim,
 )
@@ -232,10 +233,9 @@ def homogeneous_sequences(draw):
     linear ones among the first two forms (the first is linear): a linear
     form proportional to the first or in the span of both, or a multiple of
     one by a form of degree 1 or 2.
-    Two more kinds exercise the elimination of the linear members: every
-    form linear, and n - 1 linear forms, which leave no variable on x_n = 0
-    when they are independent there, with or without one more nonlinear
-    form.
+    Two more kinds put linear forms on the cut: every form linear, and
+    n - 1 linear forms, which leave no point but the origin on x_n = 0 when
+    they are independent there, with or without one more nonlinear form.
     """
     field = draw(st.sampled_from(CUT_FIELDS))
     n = draw(st.integers(2, 4))
@@ -288,7 +288,8 @@ def homogeneous_sequences(draw):
 @settings(max_examples=400, deadline=None)
 def test_cut_then_fallback_matches_the_uncut_loop(forms):
     variables = forms[0].variables
-    assert is_regular_sequence(forms) == _prefix_trace(forms, variables, EXACT)
+    uncut = _prefix_trace(forms, variables, EXACT)
+    assert is_regular_sequence(forms) == exact_prefix_trace(forms) == uncut
     for f in forms:
         cut = _cut_last_variable(f)
         assert cut.variables == variables[:-1]
@@ -347,8 +348,9 @@ def test_regular_reduced_m8_system_is_decided_on_the_cut(engine_sizes):
 
 def test_unreduced_check_is_certified_with_its_linear_members_eliminated(engine_sizes):
     # (2,3): M = 3, and the sequence is 4 forms in M + k = 5 variables, 3 of
-    # them linear; on x_n = 0 the linear ones are eliminated exactly, so the
-    # one engine has M - 2 = 1 variable, as in the reduced check
+    # them linear; the check eliminates the linear ones exactly and decides
+    # the reduced sequence, so the one engine has M - 2 = 1 variable, as in
+    # the reduced check
     degrees = DegreeTuple((2, 3))
     field = FieldSpec.prime(101)
     ci = random_complete_intersection(degrees, field, seed=1)

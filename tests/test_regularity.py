@@ -211,7 +211,7 @@ def test_reduced_trace_on_a_sparse_instance(second_quadric, verdict, reduced_tra
     assert full.verdict == reduced.verdict == verdict
     assert reduced.trace == reduced_trace
     linear_first = is_regular_sequence(
-        [ell] + ci.linear_parts() + [ci.part(1, 2), ci.part(2, 2)]
+        [ell, ci.part(1, 1), ci.part(2, 1), ci.part(1, 2), ci.part(2, 2)]
     )
     assert linear_first.trace[:3] == (1, 2, 3)
     assert reduced.trace == tuple(c - 3 for c in linear_first.trace[3:])
@@ -261,7 +261,8 @@ def test_reduced_sequence_equals_the_one_shot_restriction(degrees, p):
         tail = [ci.part(i, j) for i, j in ci.index_pairs if j >= 2]
         for form, row in _admissible_forms(ci, 3, seed=p):
             chained = ci.reduced_sequence(row)
-            one_shot = restrict_to_common_zeros(tail, [form] + ci.linear_parts())
+            linear_parts = [ci.part(i, 1) for i in range(1, ci.degrees.k + 1)]
+            one_shot = restrict_to_common_zeros(tail, [form] + linear_parts)
             assert len(chained) == len(one_shot) == ci.degrees.M - 2
             for a, b in zip(chained, one_shot):
                 assert a.variables == b.variables
@@ -357,7 +358,7 @@ def test_tangent_shift_preserves_regular_verdict():
     ci, ell = _instance_3()
     base = regularity_check(ci, ell)
     assert base.is_regular
-    parts = ci.linear_parts()
+    parts = [ci.part(1, 1), ci.part(2, 1)]
     rng = Random(0)
     for _ in range(4):
         shift = parts[0].scale(rng.randrange(1, 7)) + parts[1].scale(rng.randrange(7))
