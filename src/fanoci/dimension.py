@@ -21,10 +21,22 @@ Regularity at the origin is decided through the same cone codimension: an
 ordered sequence of homogeneous forms is regular iff every length-j prefix
 cuts the cone down to codimension exactly j.  (For homogeneous elements of
 the local ring at the origin the two notions agree.)  One prefix loop
-(``_prefix_trace``) adds one form per prefix to an engine and stops at the
-first prefix whose codimension is not its length.  The exact kernel runs
-it twice at most (``exact_prefix_trace`` runs the second step alone, for a
-sequence already known to be irregular):
+(``_prefix_trace``), shared by both kernels, stops at the first prefix
+whose codimension is not its length.
+
+Some prefixes are forced: their codimension needs no kernel, so the loop
+decides them exactly, under either kernel.  While every form is linear,
+the cone is the common kernel of their coefficient rows, and the
+codimension is the rank of the rows (``fields.rref``).  One nonzero form
+alone cuts out a hypersurface, of codimension 1 (Krull's principal ideal
+theorem).  The engine would give the same numbers: its staircase
+dimension is n - rank for linear forms, and n - 1 for one form.  So the
+loop builds the exact engine at the first prefix that is not forced, adds
+the earlier forms to it there, and then adds one form per prefix; the
+probabilistic oracle is called for the unforced prefixes only.
+
+The exact kernel runs the loop twice at most (``exact_prefix_trace`` runs
+the second step alone, for a sequence already known to be irregular):
 
 * First on the cut: r < n nonzero forms restricted to the hyperplane
   x_n = 0, which drops every term that holds the last variable.  If the
@@ -45,9 +57,11 @@ Prop. 1.5.12), so the order changes no verdict.
 The certificate is one-sided, so it never changes a verdict or a trace.
 It makes the common regular case cheaper: the cut system has one variable
 fewer, and for r = n - 1 forms, as in a reduced regularity check, its
-cone is the origin alone.  (``regularity`` eliminates the linear members
-of a regularity check itself and decides an unreduced check by its
-reduced sequence, so this kernel sees no linear forms from it.)
+cone is the origin alone.  A sequence whose every prefix is forced (one
+form, or linear forms only) skips it, since the uncut loop builds no
+engine for it.  (``regularity`` eliminates the linear members of a
+regularity check itself and decides an unreduced check by its reduced
+sequence, so the exact kernel sees no linear forms from it.)
 
 The probabilistic oracle, ``codim_probabilistic``, estimates the cone
 dimension by slicing with random linear subspaces over GF(p^e), e <= 2,
@@ -55,8 +69,12 @@ and testing by point enumeration whether anything beyond the origin
 survives (the default e = 2 scan covers the GF(p)-points inside GF(p^2)).
 It takes the ``trials``, ``seed``, ``extension_degree`` and
 ``enumeration_budget``; ``is_regular_sequence`` with the probabilistic
-kernel calls it with 5 trials, seed j for prefix j and the default
-budget.  The linear members are intersected exactly: their coefficient
+kernel calls it for each unforced prefix j with 5 trials, seed j and the
+default budget, so a prefix's draws do not depend on which other prefixes
+are forced.  Over a field that is not prime the probabilistic kernel
+refuses the sequence before the loop (``UnsupportedModeError``), even when
+every prefix is forced, unless its first form is zero, which ends the loop
+at once.  The linear members are intersected exactly: their coefficient
 rows join the random slicing rows, and one
 ``polynomials.restrict_to_common_zeros`` call, the restriction the reduced
 regularity check shares, restricts the nonlinear forms to the common zeros
@@ -210,14 +228,15 @@ def is_regular_sequence(
 
     The exact kernel first tries to certify the sequence on the hyperplane
     where the last variable vanishes, and decides it on all n variables
-    only when that certificate fails.
+    only when that certificate fails.  A sequence whose prefixes are all
+    forced (module docstring) is decided directly.
     """
     if kernel not in (EXACT, PROBABILISTIC):
         raise InputError(f"unknown kernel: {kernel!r}")
     generators = list(generators)
     if not generators:
         return RegularSequenceResult(True, ())
-    _, variables = _common_ring(generators)
+    fieldspec, variables = _common_ring(generators)
     _validate_homogeneous(generators, allow_zero=True)
     n = len(variables)
     if kernel == EXACT:
@@ -225,9 +244,18 @@ def is_regular_sequence(
             n, len(generators), max_variables=max_variables, max_generators=max_generators
         )
         # regular on x_n = 0 proves every prefix regular (module docstring);
-        # a failure there proves nothing
-        if len(generators) < n and _certified_on_cut(generators):
+        # a failure there proves nothing.  Forced prefixes cost the uncut loop
+        # no engine, so they need no certificate
+        if (
+            len(generators) < n
+            and not _every_prefix_forced(generators)
+            and _certified_on_cut(generators)
+        ):
             return RegularSequenceResult(True, tuple(range(1, len(generators) + 1)))
+    elif not fieldspec.is_prime_field and not generators[0].is_zero():
+        # the oracle's refusal, made here since a forced prefix never calls
+        # the oracle; a zero first form ends the loop before any prefix does
+        raise UnsupportedModeError("probabilistic codimension requires a prime field")
     return _prefix_trace(generators, variables, kernel)
 
 
@@ -277,15 +305,27 @@ def _cut_last_variable(form: MultiPoly) -> MultiPoly:
     return MultiPoly(form.field, form.variables[:-1], terms)
 
 
+def _every_prefix_forced(generators: Sequence[MultiPoly]) -> bool:
+    """Whether ``_prefix_trace`` decides every prefix without a kernel: the
+    forms are all linear, or there is one form."""
+    return len(generators) == 1 or all(g.total_degree() == 1 for g in generators)
+
+
 def _prefix_trace(
     generators: Sequence[MultiPoly], variables: Tuple[str, ...], kernel: str
 ) -> RegularSequenceResult:
     """The prefix codimensions of homogeneous ``generators`` in ``variables``,
-    up to the first prefix whose codimension is not its length."""
+    up to the first prefix whose codimension is not its length.
+
+    A forced prefix (module docstring) is decided without a kernel.  The
+    exact engine is built at the first prefix that is not forced, with the
+    earlier forms, and then takes one form per prefix.
+    """
     n = len(variables)
+    field = generators[0].field
     trace: List[int] = []
-    engine = GroebnerEngine(generators[0].field, variables) if kernel == EXACT else None
-    current: List[MultiPoly] = []
+    engine: Optional[GroebnerEngine] = None
+    linear_rows: Optional[List[List[Element]]] = []  # None from the first nonlinear form
     codim = 0
     for j, g in enumerate(generators, start=1):
         if j > n:
@@ -299,14 +339,25 @@ def _prefix_trace(
             return RegularSequenceResult(
                 False, tuple(trace), j, f"zero polynomial at position {j}"
             )
-        current.append(g)
-        if kernel == EXACT:
-            # the engine keeps the basis of the previous prefix, so only the
-            # pairs with the new form's elements are formed and reduced
-            engine.add(g)
-            codim = n - staircase_dimension(engine.leading_exponents(), n)
+        if linear_rows is not None and g.total_degree() == 1:
+            # the cone of linear forms is their kernel
+            linear_rows.append(g.linear_row())
+            codim = len(rref(linear_rows, field)[1])
         else:
-            codim = codim_probabilistic(current, seed=j).codimension
+            linear_rows = None
+            if j == 1:
+                codim = 1  # a hypersurface (Krull's principal ideal theorem)
+            elif kernel == EXACT:
+                if engine is None:
+                    engine = GroebnerEngine(field, variables)
+                    for f in generators[: j - 1]:
+                        engine.add(f)
+                # the engine keeps the basis of the previous prefix, so only
+                # the pairs with the new form's elements are formed and reduced
+                engine.add(g)
+                codim = n - staircase_dimension(engine.leading_exponents(), n)
+            else:
+                codim = codim_probabilistic(generators[:j], seed=j).codimension
         trace.append(codim)
         if codim != j:
             return RegularSequenceResult(False, tuple(trace), j)

@@ -262,8 +262,13 @@ class _PrimeField(FieldSpec):
         return list(range(self.characteristic))
 
     def random_element(self, rng: Random) -> Element:
-        """Uniform over GF(p), zero included."""
-        return rng.randrange(self.characteristic)
+        """Uniform over GF(p), zero included: ``rng.randrange(p)``, inlined."""
+        p = self.characteristic
+        bits = p.bit_length()
+        r = rng.getrandbits(bits)
+        while r >= p:
+            r = rng.getrandbits(bits)
+        return r
 
 
 @dataclass(frozen=True)
@@ -330,10 +335,18 @@ class _QuadraticField(FieldSpec):
         return [a + b * p for a in range(p) for b in range(p)]
 
     def random_element(self, rng: Random) -> Element:
-        """Uniform: the real part is drawn first, then the t-coefficient."""
+        """Uniform: the real part is drawn first, then the t-coefficient, each
+        as ``rng.randrange(p)`` (inlined) would draw it."""
         p = self.characteristic
-        a = rng.randrange(p)
-        return a + rng.randrange(p) * p
+        bits = p.bit_length()
+        getrandbits = rng.getrandbits
+        a = getrandbits(bits)
+        while a >= p:
+            a = getrandbits(bits)
+        b = getrandbits(bits)
+        while b >= p:
+            b = getrandbits(bits)
+        return a + b * p
 
 
 # ---------------------------------------------------------------------------

@@ -344,7 +344,7 @@ class TailBoundReport:
 
     def records(self) -> List[CheckRecord]:
         return _tail_records(
-            self.cases, self.degrees.k, self.degrees.M, list(self.degrees.degrees)
+            self.cases, self.degrees.k, self.degrees.M, _DegreeList(self.degrees.degrees)
         )
 
     @property
@@ -402,7 +402,7 @@ def _tail_cases(d: Tuple[int, ...], k: int, M: int) -> Tuple[tuple, tuple]:
 
 
 def _tail_records(
-    cases: Iterable[tuple], k: int, M: int, degrees: List[int]
+    cases: Iterable[tuple], k: int, M: int, degrees: _DegreeList
 ) -> List[CheckRecord]:
     """The records of both tail cases (``TailCase`` field order) of one tuple."""
     in_hyp = M >= 3 * k + 4
@@ -668,13 +668,31 @@ def _params_json(params: Dict[str, object]) -> str:
         value = params[key]
         if type(value) is int:
             items.append(prefix + str(value))
-        elif type(value) is list and value and all(type(x) is int for x in value):
-            text = ",\n        ".join(map(str, value))
-            items.append(prefix + "[\n        " + text + "\n      ]")
+        elif type(value) is _DegreeList:
+            items.append(prefix + value.json_text())
         else:
             text = json.dumps(value, indent=2, sort_keys=True)
             items.append(prefix + text.replace("\n", "\n      "))
     return "{\n" + ",\n".join(items) + "\n    }"
+
+
+class _DegreeList(list):
+    """The degree list of a tuple's two tail records, which share it.
+
+    Its text in the JSON audit is made once, when the first of the two
+    records is written, and kept for the second.  Records are not changed
+    after they are made, so the text stays that of the list.
+    """
+
+    __slots__ = ("_text",)
+
+    def json_text(self) -> str:
+        """The list as the encoder writes it as a params value."""
+        try:
+            return self._text
+        except AttributeError:
+            self._text = "[\n        " + ",\n        ".join(map(str, self)) + "\n      ]"
+            return self._text
 
 
 @lru_cache(maxsize=64)
@@ -749,7 +767,7 @@ def _report_records(
                 # these sum to M + k
                 tuples = nondecreasing_degree_tuples(k, M + k, 2, M + k)
                 tails = [
-                    _tail_records(_tail_cases(d, k, M), k, M, list(d))
+                    _tail_records(_tail_cases(d, k, M), k, M, _DegreeList(d))
                     for d in sorted(tuples, key=str)
                 ]
                 yield from (m3 for _, m3 in tails)

@@ -414,6 +414,19 @@ def regularity_check(
     if tangent.is_singular:
         return _singular_report(ci, linear_form)
     tangent_row = _validate_linear_form(ci, linear_form, tangent)
+    return _checked_form_report(ci, linear_form, tangent_row, reduce, kernel, max_variables)
+
+
+def _checked_form_report(
+    ci: PointedCI,
+    linear_form: MultiPoly,
+    tangent_row: Sequence[Element],
+    reduce: bool,
+    kernel: str,
+    max_variables: int,
+) -> RegularityReport:
+    """``regularity_check`` of a smooth ``ci`` for an admissible l whose row
+    on the tangent space, ``tangent_row``, is already computed from l."""
     if reduce:
         result = is_regular_sequence(
             ci.reduced_sequence(tangent_row), kernel=kernel, max_variables=max_variables
@@ -473,16 +486,17 @@ class SampledRegularityReport:
 
 def _random_admissible_form(
     ci: PointedCI, rng: Random, tangent: TangentSpace, max_tries: int = 200
-) -> MultiPoly:
-    """A random linear form that does not vanish on T_oV."""
+) -> Tuple[MultiPoly, List[Element]]:
+    """A random linear form that does not vanish on T_oV, and its row there."""
     field = ci.field
     n = ci.degrees.ambient
     for _ in range(max_tries):
         coeffs = [field.random_element(rng) for _ in range(n)]
         if not any(coeffs):
             continue
-        if any(tangent.row_on(coeffs, field)):
-            return MultiPoly.linear(field, ci.variables, coeffs)
+        tangent_row = tangent.row_on(coeffs, field)
+        if any(tangent_row):
+            return MultiPoly.linear(field, ci.variables, coeffs), tangent_row
     raise ResourceBudgetError(
         f"failed to sample a linear form off the tangent span in {max_tries} tries"
     )
@@ -497,7 +511,11 @@ def sampled_regularity_check(
     kernel: str = EXACT,
     max_variables: int = DEFAULT_MAX_VARIABLES,
 ) -> SampledRegularityReport:
-    """Run ``regularity_check`` against ``samples`` random admissible forms."""
+    """Run ``regularity_check`` against ``samples`` random admissible forms.
+
+    A drawn form is admissible by construction, so each check takes the
+    row on the tangent space that the draw computed.
+    """
     if samples < 1:
         raise InputError("samples must be >= 1")
     tangent = ci.tangent()
@@ -506,11 +524,9 @@ def sampled_regularity_check(
     rng = Random(seed)
     reports = []
     for _ in range(samples):
-        form = _random_admissible_form(ci, rng, tangent)
+        form, tangent_row = _random_admissible_form(ci, rng, tangent)
         reports.append(
-            regularity_check(
-                ci, form, reduce=reduce, kernel=kernel, max_variables=max_variables
-            )
+            _checked_form_report(ci, form, tangent_row, reduce, kernel, max_variables)
         )
     return SampledRegularityReport(tuple(reports), samples)
 

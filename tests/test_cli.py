@@ -341,6 +341,47 @@ def test_regcheck_probabilistic_over_a_large_prime_exit_3(tmp_path):
     assert code == 3
 
 
+def test_regcheck_probabilistic_reduced_over_a_large_prime_exit_0(tmp_path):
+    # reduced, (2,3) leaves one quadratic, a forced prefix: its codimension
+    # is 1 without a scan of GF(32003^2)
+    ci = random_complete_intersection(
+        DegreeTuple((2, 3)), FieldSpec.prime(32003), seed=0
+    )
+    path = tmp_path / "ci.json"
+    path.write_text(json.dumps(ci.to_json()))
+    code, output = invoke(
+        [
+            "regcheck", "--input", str(path), "--mode", "probabilistic", "--samples", "1",
+            "--reduce",
+        ]
+    )
+    assert code == 0
+    (report,) = json.loads(output)["reports"]
+    assert (report["verdict"], report["trace"]) == ("regular", [1])
+
+
+@pytest.mark.parametrize("extra", [[], ["--reduce"]], ids=["unreduced", "reduce"])
+def test_regcheck_probabilistic_over_the_rationals_exit_2(tmp_path, capsys, extra):
+    # reduced, the sequence is one quadratic, which no longer asks the
+    # oracle; the refusal must still come, with the oracle's message
+    from fanoci.polynomials import MultiPoly
+    from fanoci.regularity import PointedCI, ambient_variables
+
+    Q = FieldSpec.rationals()
+    names = ambient_variables(5)
+    z1, z2, z3, z4, z5 = (MultiPoly.variable(Q, names, n) for n in names)
+    ci = PointedCI(DegreeTuple((2, 3)), Q, (z4 + z1 * z1, z5 + z2 * z3 + z2**3))
+    path = tmp_path / "ci.json"
+    path.write_text(json.dumps(ci.to_json()))
+    code, output = invoke(
+        ["regcheck", "--input", str(path), "--mode", "probabilistic", *extra]
+    )
+    assert (code, output) == (2, "")
+    assert capsys.readouterr().err == (
+        "input error: probabilistic codimension requires a prime field\n"
+    )
+
+
 def test_regcheck_probabilistic_past_the_uncut_budget_exit_0(tmp_path):
     # scanning every member on each slice would enumerate 10,172,526 points
     # of P^5(GF(25)) here, over the budget; cut by the linear members, the
@@ -656,7 +697,7 @@ def test_unreduced_outputs_pinned(tmp_path, p, degrees, seed):
 # change with the number of trials (5) and the seed (j at prefix j) that
 # is_regular_sequence gives it.
 PINNED_PROBABILISTIC_OUTPUTS = {
-    ((2, 4), 1): "031f4112889431f5aca36164873fd1a34a54025849f1c417059d910bb3b801b5",
+    ((2, 4), 1): "89e29532b77b7108e80dea4ba755662b8edd66179f3514048a5a989a7e0d2da3",
     ((3, 3), 4): "95803384fad2ad693c1c785fe41b65a68f4e72ef40da1ab5b0c96fc03948286e",
 }
 

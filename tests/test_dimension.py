@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from fanoci import dimension
 from fanoci.dimension import (
     EXACT,
+    PROBABILISTIC,
     RegularSequenceResult,
     _cut_last_variable,
     _poly_vanishes_on_subspace,
@@ -311,12 +312,13 @@ def engine_sizes(monkeypatch):
 
 
 def test_regular_form_whose_cut_vanishes_falls_back(engine_sizes):
-    # x*y is regular in (x, y), but it vanishes on y = 0; the zero cut form
-    # is seen before any engine is built
-    x, y = fv(("x", "y"))
-    assert _cut_last_variable(x * y).is_zero()
-    assert is_regular_sequence([x * y]) == RegularSequenceResult(True, (1,))
-    assert engine_sizes == [2]
+    # x*z, y^2 is regular in (x, y, z), but x*z vanishes on z = 0; the zero
+    # cut form is seen before any engine is built, and the uncut loop builds
+    # its one engine at prefix 2, the first that is not forced
+    x, y, z = fv()
+    assert _cut_last_variable(x * z).is_zero()
+    assert is_regular_sequence([x * z, y * y]) == RegularSequenceResult(True, (1, 2))
+    assert engine_sizes == [3]
 
 
 def test_budget_error_on_the_cut_falls_back(monkeypatch):
@@ -347,17 +349,145 @@ def test_regular_reduced_m8_system_is_decided_on_the_cut(engine_sizes):
 
 
 def test_unreduced_check_is_certified_with_its_linear_members_eliminated(engine_sizes):
-    # (2,3): M = 3, and the sequence is 4 forms in M + k = 5 variables, 3 of
+    # (3,3): M = 4, and the sequence is 5 forms in M + k = 6 variables, 3 of
     # them linear; the check eliminates the linear ones exactly and decides
-    # the reduced sequence, so the one engine has M - 2 = 1 variable, as in
-    # the reduced check
-    degrees = DegreeTuple((2, 3))
+    # the reduced sequence of 2 forms on its cut, so the one engine has
+    # M - 2 = 2 variables, as in the reduced check
+    degrees = DegreeTuple((3, 3))
     field = FieldSpec.prime(101)
     ci = random_complete_intersection(degrees, field, seed=1)
     form = MultiPoly.linear(field, ci.variables, range(1, degrees.ambient + 1))
     report = regularity_check(ci, form)
-    assert report.is_regular and report.trace == (1, 2, 3, 4)
+    assert report.is_regular and report.trace == (1, 2, 3, 4, 5)
     assert engine_sizes == [degrees.M - 2]
+
+
+# ---------------------------------------------------------------------------
+# Forced prefixes
+# ---------------------------------------------------------------------------
+
+FORCED_FIELDS = [FieldSpec.prime(2), FieldSpec.prime(101), Q]
+
+
+def reference_trace(forms, variables):
+    """The prefix loop with an engine on every prefix, forced or not."""
+    n = len(variables)
+    engine = GroebnerEngine(forms[0].field, variables)
+    trace = []
+    codim = 0
+    for j, g in enumerate(forms, start=1):
+        if j > n:
+            trace.append(codim)
+            note = f"sequence longer than the {n} variables"
+            return RegularSequenceResult(False, tuple(trace), j, note)
+        if g.is_zero():
+            trace.append(codim)
+            return RegularSequenceResult(False, tuple(trace), j, f"zero polynomial at position {j}")
+        engine.add(g)
+        codim = n - staircase_dimension(engine.leading_exponents(), n)
+        trace.append(codim)
+        if codim != j:
+            return RegularSequenceResult(False, tuple(trace), j)
+    return RegularSequenceResult(True, tuple(trace))
+
+
+@st.composite
+def mixed_sequences(draw, fields=FORCED_FIELDS, max_n=4):
+    """Sequences of zero, linear and nonlinear forms, up to two longer than n.
+
+    Linear forms lead more often than not, and their coefficients are
+    small, so dependent linear prefixes are common.
+    """
+    field = draw(st.sampled_from(fields))
+    n = draw(st.integers(1, max_n))
+    names = tuple(f"x{i}" for i in range(1, n + 1))
+    linear_run = draw(st.integers(0, n + 1))
+    length = draw(st.integers(max(1, linear_run), n + 2))
+    forms = []
+    for i in range(length):
+        if i < linear_run:
+            kind = draw(st.sampled_from(["linear"] * 6 + ["zero"]))
+        else:
+            kind = draw(st.sampled_from(["linear", "nonlinear", "nonlinear", "zero"]))
+        if kind == "zero":
+            forms.append(MultiPoly.zero(field, names))
+            continue
+        degree = 1 if kind == "linear" else draw(st.integers(2, 3))
+        monomials = list(monomials_of_degree(n, degree))
+        values = draw(st.lists(st.integers(-2, 2), min_size=len(monomials), max_size=len(monomials)))
+        poly = MultiPoly.from_terms(field, names, zip(monomials, values))
+        forms.append(poly or MultiPoly.from_terms(field, names, {monomials[-1]: 1}))
+    return forms
+
+
+@given(mixed_sequences())
+@settings(max_examples=300, deadline=None)
+def test_forced_prefixes_match_the_engine_on_every_prefix(forms):
+    variables = forms[0].variables
+    assert _prefix_trace(forms, variables, EXACT) == reference_trace(forms, variables)
+
+
+def _forced(forms, j):
+    return j == 1 or all(f.total_degree() == 1 for f in forms[:j])
+
+
+@given(
+    mixed_sequences(fields=[FieldSpec.prime(2), FieldSpec.prime(3)], max_n=3),
+    st.integers(0, 2**32),
+)
+@settings(max_examples=80, deadline=None)
+def test_forced_prefixes_are_exact_under_the_probabilistic_kernel(forms, shift):
+    # the oracle is asked for the unforced prefixes only, so its draws,
+    # here shifted to any seed, cannot change a forced prefix's codimension
+    def oracle(prefix, seed):
+        assert not _forced(forms, len(prefix))
+        return codim_probabilistic(prefix, seed=seed + shift)
+
+    variables = forms[0].variables
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dimension, "codim_probabilistic", oracle)
+        result = _prefix_trace(forms, variables, PROBABILISTIC)
+    exact = reference_trace(forms, variables)
+    forced = [j for j in range(1, len(result.trace) + 1) if _forced(forms, j)]
+    assert [result.trace[j - 1] for j in forced] == [exact.trace[j - 1] for j in forced]
+    if result.failing_prefix in forced:
+        assert result == exact
+
+
+def test_lone_form_builds_no_engine(engine_sizes):
+    x, y, z = fv()
+    for forms in ([x * x + y * z], [x, y, z], [x, x + y, z]):
+        expected = reference_trace(forms, V3)
+        assert is_regular_sequence(forms) == expected
+        assert is_regular_sequence(forms, kernel=PROBABILISTIC) == expected
+    # a reduced (2,3) check is one quadratic in M - 1 = 2 variables, and the
+    # unreduced exact check is decided by it
+    degrees = DegreeTuple((2, 3))
+    field = FieldSpec.prime(101)
+    ci = random_complete_intersection(degrees, field, seed=1)
+    form = MultiPoly.linear(field, ci.variables, range(1, degrees.ambient + 1))
+    assert regularity_check(ci, form, reduce=True).trace == (1,)
+    assert regularity_check(ci, form).trace == (1, 2, 3, 4)
+    assert engine_sizes == []
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda x, y: [x], lambda x, y: [x * y], lambda x, y: [x, y], lambda x, y: [x, x * y]],
+    ids=["linear", "lone-quadratic", "all-linear", "unforced"],
+)
+def test_probabilistic_kernel_refuses_the_rationals_even_when_forced(make):
+    x, y, z = fv(field=Q)
+    with pytest.raises(UnsupportedModeError, match="requires a prime field"):
+        is_regular_sequence(make(x, y), kernel=PROBABILISTIC)
+
+
+def test_probabilistic_kernel_over_the_rationals_stops_at_a_zero_first_form():
+    # the loop ends at prefix 1 before any codimension is asked for, as it
+    # did when the oracle made the refusal
+    x, y, z = fv(field=Q)
+    result = is_regular_sequence([MultiPoly.zero(Q, V3), x], kernel=PROBABILISTIC)
+    assert (result.is_regular, result.trace, result.failing_prefix) == (False, (0,), 1)
 
 
 # ---------------------------------------------------------------------------

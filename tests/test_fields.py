@@ -61,3 +61,17 @@ def test_nullspace_over_quadratic_field(field):
 def test_bad_field_tags_are_input_errors(tag):
     with pytest.raises(InputError):
         FieldSpec.from_json_tag(tag)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 101, 32003])
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3])
+def test_random_elements_are_the_randrange_draws(p, seed):
+    # the draws are inlined, so they must stay those of ``randrange(p)`` for
+    # every seeded instance, sampled form and slice to keep its value
+    expected, ours = Random(seed), Random(seed)
+    prime, quadratic = FieldSpec.prime(p), FieldSpec.quadratic(p)
+    for _ in range(200):
+        assert prime.random_element(ours) == expected.randrange(p)
+        a = expected.randrange(p)
+        assert quadratic.random_element(ours) == a + expected.randrange(p) * p
+    assert ours.getstate() == expected.getstate()

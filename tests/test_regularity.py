@@ -13,6 +13,7 @@ from fanoci.polynomials import MultiPoly, restrict_to_common_zeros
 from fanoci.regularity import (
     PointedCI,
     RegularityReport,
+    TangentSpace,
     ambient_variables,
     assemble_sequence,
     index_set,
@@ -342,6 +343,27 @@ def test_sampled_check_restricts_by_the_linear_parts_once(monkeypatch, reduce):
     report = sampled_regularity_check(ci, samples=8, reduce=reduce)
     assert report.is_regular
     assert rows_per_graph == [2] + [1] * 8
+
+
+@pytest.mark.parametrize("reduce", [False, True])
+def test_sampled_check_takes_each_form_row_from_its_draw(monkeypatch, reduce):
+    # the row on the tangent space is computed once per drawn form, and the
+    # reports are those of the public check, which computes it from l itself
+    (ci,) = _smooth_instances((3, 3), 5, 1)
+    rows = []
+    row_on = TangentSpace.row_on
+
+    def spy(self, row, field):
+        rows.append(tuple(row))
+        return row_on(self, row, field)
+
+    monkeypatch.setattr(TangentSpace, "row_on", spy)
+    report = sampled_regularity_check(ci, samples=6, seed=2, reduce=reduce)
+    drawn = [tuple(r.linear_form.linear_row()) for r in report.reports]
+    assert [rows.count(row) for row in drawn] == [1] * len(drawn)
+    assert report.reports == tuple(
+        regularity_check(ci, r.linear_form, reduce=reduce) for r in report.reports
+    )
 
 
 def test_probabilistic_kernel_agrees_on_small_instance():
