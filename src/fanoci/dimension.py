@@ -86,11 +86,10 @@ It exists to cross-validate the exact kernel, never to replace it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from random import Random
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import InputError, ResourceBudgetError, UnsupportedModeError
 from .fields import Element, FieldSpec, rref
@@ -108,8 +107,7 @@ DEFAULT_MAX_GENERATORS = 12
 DEFAULT_ENUMERATION_BUDGET = 2_000_000
 
 
-@dataclass(frozen=True)
-class CodimResult:
+class CodimResult(NamedTuple):
     """Codimension verdict with its provenance and confidence."""
 
     codimension: int
@@ -118,8 +116,7 @@ class CodimResult:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class RegularSequenceResult:
+class RegularSequenceResult(NamedTuple):
     """Outcome of a prefix-by-prefix regularity decision."""
 
     is_regular: bool

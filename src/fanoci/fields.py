@@ -21,10 +21,9 @@ residue, and read by the grammars ``-?[0-9]+(/[0-9]+)?`` resp. ``-?[0-9]+``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
-from typing import ClassVar, List, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 from .errors import InputError
 from .rationals import format_rational, parse_rational
@@ -37,6 +36,12 @@ Element = Union[Fraction, int]
 # digits is in this grammar, which is checked on all strings at once.
 _DECIMAL = re.compile(r"-?[0-9]+")
 _DROP_DECIMAL_CHARS = str.maketrans("", "", "-0123456789")
+
+# Sets an attribute past the ``__setattr__`` that makes a value immutable.
+# Writing to ``self.__dict__`` instead would be quicker to construct, but
+# it gives the instance a materialized dict, and every later attribute read
+# slower.
+_init_field = object.__setattr__
 
 # Deterministic Miller-Rabin witnesses, valid for all n < 3.3 * 10**24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -68,17 +73,43 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class FieldSpec:
     """An exact coefficient field: the rationals, GF(p), or GF(p^2).
 
     Build one with ``rationals()``, ``prime(p)`` or ``from_json_tag``.  Each
     kind is a subclass implementing ``coerce``, ``add``, ``sub``, ``mul``,
     ``inv`` and ``random_element``; the other operations fall back on those.
+
+    A field is an immutable value: two are equal when they are of the same
+    kind and characteristic, and equal fields hash alike.
     """
 
-    characteristic: int = 0
-    is_prime_field: ClassVar[bool] = False
+    is_prime_field = False
+
+    def __init__(self, characteristic: int = 0) -> None:
+        _init_field(self, "characteristic", characteristic)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.characteristic == other.characteristic
+        return NotImplemented
+
+    def __ne__(self, other):
+        if other.__class__ is self.__class__:
+            return self.characteristic != other.characteristic
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.characteristic,))
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(characteristic={self.characteristic!r})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
     # -- constructors -----------------------------------------------------
 
@@ -157,7 +188,6 @@ class FieldSpec:
         return self._parse(values)
 
 
-@dataclass(frozen=True)
 class _Rationals(FieldSpec):
     json_tag = "rational"
 
@@ -204,13 +234,13 @@ class _Rationals(FieldSpec):
         return Fraction(rng.randint(-9, 9))
 
 
-@dataclass(frozen=True)
 class _PrimeField(FieldSpec):
     is_prime_field = True
 
-    def __post_init__(self) -> None:
-        if not is_prime(self.characteristic):
-            raise InputError(f"{self.characteristic} is not prime")
+    def __init__(self, characteristic: int = 0) -> None:
+        _init_field(self, "characteristic", characteristic)
+        if not is_prime(characteristic):
+            raise InputError(f"{characteristic} is not prime")
 
     @property
     def json_tag(self) -> str:
@@ -271,13 +301,13 @@ class _PrimeField(FieldSpec):
         return r
 
 
-@dataclass(frozen=True)
 class _QuadraticField(FieldSpec):
     """GF(p)[t]/(t^2 - s*t - r): s = 0 and r the smallest non-residue for
     odd p, s = r = 1 (t^2 = t + 1) for p = 2."""
 
-    def __post_init__(self) -> None:
-        p = self.characteristic
+    def __init__(self, characteristic: int = 0) -> None:
+        _init_field(self, "characteristic", characteristic)
+        p = characteristic
         if not is_prime(p):
             raise InputError(f"{p} is not prime")
         if p == 2:
@@ -285,8 +315,9 @@ class _QuadraticField(FieldSpec):
         else:
             s = 0
             r = next(r for r in range(2, p) if pow(r, (p - 1) // 2, p) == p - 1)
-        object.__setattr__(self, "_s", s)
-        object.__setattr__(self, "_r", r)
+        # s and r follow from p, so they are not compared, hashed or shown
+        _init_field(self, "_s", s)
+        _init_field(self, "_r", r)
 
     def coerce(self, value) -> Element:
         """Accept an element already encoded as ``a + b*p``."""

@@ -61,9 +61,8 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Sequence, Tuple
 
 from .errors import InputError, ResourceBudgetError
 from .fields import Element, FieldSpec
@@ -328,8 +327,7 @@ def s_polynomial(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     return ring.poly(f.variables, terms)
 
 
-@dataclass(frozen=True)
-class GroebnerBasis:
+class GroebnerBasis(NamedTuple):
     """A reduced monic grevlex Groebner basis, largest leading term first."""
 
     generators: Tuple[MultiPoly, ...]

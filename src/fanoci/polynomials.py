@@ -16,14 +16,14 @@ regularity check and the slicing oracle of ``dimension`` both use.  Its
 two halves are public too: ``linear_graph`` writes the common zeros as a
 graph over surviving variables and ``restrict_to_graph`` composes with it,
 so a caller that restricts to one subspace many times computes its graph
-once.
+once.  ``hyperplane_graph`` is the graph of one form, written down without
+row reduction.
 """
 
 from __future__ import annotations
 
 import operator
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import chain, pairwise, repeat, starmap
 from random import Random
 from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
@@ -32,6 +32,9 @@ from .errors import InputError
 from .fields import Element, FieldSpec, nullspace
 
 Exponents = Tuple[int, ...]
+
+# sets an attribute past the ``__setattr__`` that makes a value immutable
+_init_field = object.__setattr__
 
 
 def grevlex_key(exponents: Exponents):
@@ -158,13 +161,49 @@ def _compose(
     return acc
 
 
-@dataclass(frozen=True)
 class MultiPoly:
-    """Immutable sparse polynomial over a ``FieldSpec``."""
+    """Immutable sparse polynomial over a ``FieldSpec``.
 
-    field: FieldSpec
-    variables: Tuple[str, ...]
-    terms: Mapping[Exponents, Element] = field(default_factory=dict)
+    ``MultiPoly(field, variables, terms)`` stores ``terms`` as given, so it
+    must already be canonical (see ``_canonical``); ``from_terms`` makes
+    any term map canonical.  Two polynomials are equal when their field,
+    variables and terms are; hashing one raises ``TypeError``, since the
+    terms are a dict.
+    """
+
+    def __init__(
+        self,
+        field: FieldSpec,
+        variables: Tuple[str, ...],
+        terms: Mapping[Exponents, Element] | None = None,
+    ) -> None:
+        _init_field(self, "field", field)
+        _init_field(self, "variables", variables)
+        _init_field(self, "terms", {} if terms is None else terms)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.field, self.variables, self.terms) == (
+                other.field,
+                other.variables,
+                other.terms,
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.field, self.variables, self.terms))
+
+    def __repr__(self) -> str:
+        return (
+            f"{self.__class__.__qualname__}(field={self.field!r},"
+            f" variables={self.variables!r}, terms={self.terms!r})"
+        )
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
     # -- constructors -----------------------------------------------------
 
@@ -464,6 +503,32 @@ def linear_graph(
     # index, so its first nonzero entry names the survivor
     kept = tuple(next(i for i, c in enumerate(vec) if c) for vec in basis)
     return kept, basis
+
+
+def hyperplane_graph(
+    row: Sequence[Element], fieldspec: FieldSpec
+) -> Tuple[Tuple[int, ...], Tuple[Tuple[Element, ...], ...]]:
+    """``linear_graph([row], fieldspec, len(row))``, written down directly.
+
+    One nonzero row eliminates its last nonzero entry p, and survivor j's
+    basis vector is 1 at j and -row[j]/row[p] at p, which is what the row
+    reduction in ``linear_graph`` computes.  A zero row goes to
+    ``linear_graph``.
+    """
+    n = len(row)
+    pivot = next((i for i in range(n - 1, -1, -1) if row[i]), None)
+    if pivot is None:
+        return linear_graph([row], fieldspec, n)
+    zero, one, inv = fieldspec.zero(), fieldspec.one(), fieldspec.inv(row[pivot])
+    neg, mul = fieldspec.neg, fieldspec.mul
+    kept = (*range(pivot), *range(pivot + 1, n))
+    basis = []
+    for j in kept:
+        vec = [zero] * n
+        vec[j] = one
+        vec[pivot] = neg(mul(row[j], inv))
+        basis.append(tuple(vec))
+    return kept, tuple(basis)
 
 
 def restrict_to_graph(

@@ -32,7 +32,6 @@ as it goes (``AuditSummary``); ``audit_range`` collects the records instead.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice, repeat
@@ -101,8 +100,7 @@ def _record(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WeightSequence:
+class WeightSequence(NamedTuple):
     """Degrees >= 2 of the homogeneous parts, with the counting function k_d."""
 
     degrees: DegreeTuple
@@ -130,8 +128,7 @@ def weight_sequence(degrees: DegreeTuple) -> WeightSequence:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReductionConstants:
+class ReductionConstants(NamedTuple):
     """The dimension counts entering the incidence-variety reduction."""
 
     k: int
@@ -245,8 +242,7 @@ def check_quadratic_margin(M: int) -> List[CheckRecord]:
     return [margin, identity]
 
 
-@dataclass(frozen=True)
-class SquareSumResult:
+class SquareSumResult(NamedTuple):
     """Exact integer minimum, with its witnesses, against the relaxation bound."""
 
     k: int
@@ -335,8 +331,7 @@ class TailCase(NamedTuple):
 _TAIL_CHECKS = ("tail-bound-m4", "tail-bound-m3")
 
 
-@dataclass(frozen=True)
-class TailBoundReport:
+class TailBoundReport(NamedTuple):
     """Both tail cases for one tuple, with all recomputed constants."""
 
     degrees: DegreeTuple
@@ -439,8 +434,7 @@ def _tail_records(
     return out
 
 
-@dataclass(frozen=True)
-class ThresholdReport:
+class ThresholdReport(NamedTuple):
     """The four threshold predicates plus independently derived k-caps."""
 
     k: int
@@ -608,8 +602,7 @@ class AuditSummary:
         return notes
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(NamedTuple):
     """Every check record of a sweep, with the aggregate verdict."""
 
     records: Tuple[CheckRecord, ...]

@@ -60,10 +60,9 @@ Notes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from random import Random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .dimension import (
     DEFAULT_MAX_VARIABLES,
@@ -76,11 +75,20 @@ from .dimension import (
 from .errors import InputError, ResourceBudgetError
 from .families import DegreeTuple
 from .fields import Element, FieldSpec
-from .polynomials import MultiPoly, linear_graph, random_poly, restrict_to_graph
+from .polynomials import (
+    MultiPoly,
+    hyperplane_graph,
+    linear_graph,
+    random_poly,
+    restrict_to_graph,
+)
 
 REGULAR = "regular"
 IRREGULAR = "irregular"
 SINGULAR = "singular-at-point"
+
+# sets an attribute past the ``__setattr__`` that makes a value immutable
+_init_field = object.__setattr__
 
 
 # ---------------------------------------------------------------------------
@@ -88,8 +96,7 @@ SINGULAR = "singular-at-point"
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IndexSet:
+class IndexSet(NamedTuple):
     """Labels (i, j) of the homogeneous parts entering the regularity test."""
 
     pairs: frozenset
@@ -100,6 +107,7 @@ class IndexSet:
         return sorted(self.pairs)
 
     def __len__(self) -> int:
+        # |I|, the number of pairs, not the number of fields
         return len(self.pairs)
 
 
@@ -126,8 +134,7 @@ def index_set(degrees: DegreeTuple) -> IndexSet:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TangentSpace:
+class TangentSpace(NamedTuple):
     """Common kernel of the linear parts, plus a dependence flag.
 
     The kernel is kept as the graph of a linear map over the surviving
@@ -179,15 +186,19 @@ def ambient_variables(n: int) -> Tuple[str, ...]:
     return tuple(f"z{i}" for i in range(1, n + 1))
 
 
-@dataclass(frozen=True)
 class PointedCI:
-    """Affine equations of a complete intersection, based at the origin."""
+    """Affine equations of a complete intersection, based at the origin.
 
-    degrees: DegreeTuple
-    field: FieldSpec
-    equations: Tuple[MultiPoly, ...]
+    An immutable value: two instances are equal when their degrees, field
+    and equations are.
+    """
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, degrees: DegreeTuple, field: FieldSpec, equations: Tuple[MultiPoly, ...]
+    ) -> None:
+        _init_field(self, "degrees", degrees)
+        _init_field(self, "field", field)
+        _init_field(self, "equations", equations)
         d = self.degrees.degrees
         n = self.degrees.ambient
         if len(self.equations) != self.degrees.k:
@@ -212,6 +223,30 @@ class PointedCI:
                 raise InputError(
                     f"equation degree {f.total_degree()} does not match {degree}"
                 )
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.degrees, self.field, self.equations) == (
+                other.degrees,
+                other.field,
+                other.equations,
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.degrees, self.field, self.equations))
+
+    def __repr__(self) -> str:
+        return (
+            f"{self.__class__.__qualname__}(degrees={self.degrees!r},"
+            f" field={self.field!r}, equations={self.equations!r})"
+        )
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @property
     def variables(self) -> Tuple[str, ...]:
@@ -258,12 +293,14 @@ class PointedCI:
         ``tangent_row`` is l's row on the tangent space
         (``TangentSpace.row_on``), nonzero for an admissible l.  The members
         restricted to T_oV are cached, so each l costs one hyperplane: the
-        one where l restricted to T_oV vanishes.  The graph of a linear
-        subspace is unique, so this gives the same polynomials, in the same
-        surviving variables, as one restriction to the common zeros of l and
-        the q_{i,1} (``polynomials.restrict_to_common_zeros``).
+        one where l restricted to T_oV vanishes, whose graph is written
+        down without row reduction (``polynomials.hyperplane_graph``).  The
+        graph of a linear subspace is unique, so this gives the same
+        polynomials, in the same surviving variables, as one restriction to
+        the common zeros of l and the q_{i,1}
+        (``polynomials.restrict_to_common_zeros``).
         """
-        kept, basis = linear_graph([tangent_row], self.field, len(tangent_row))
+        kept, basis = hyperplane_graph(tangent_row, self.field)
         return restrict_to_graph(self._tail_on_tangent, kept, basis)
 
     @property
@@ -293,8 +330,7 @@ class PointedCI:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RegularityReport:
+class RegularityReport(NamedTuple):
     """Verdict of one regularity check, with the prefix codimension trace."""
 
     verdict: str  # regular | irregular | singular-at-point
@@ -453,8 +489,7 @@ def _checked_form_report(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SampledRegularityReport:
+class SampledRegularityReport(NamedTuple):
     """Conjunction of regularity checks over randomly sampled linear forms."""
 
     reports: Tuple[RegularityReport, ...]

@@ -10,6 +10,7 @@ from fanoci.polynomials import (
     MultiPoly,
     _descending,
     grevlex_key,
+    hyperplane_graph,
     monomials_of_degree,
     linear_graph,
     random_poly,
@@ -363,6 +364,50 @@ def test_restriction_to_no_forms_is_the_identity():
     whole_space = linear_graph([[0, 0, 0]], F5, 3)
     assert whole_space[0] == (0, 1, 2)
     assert restrict_to_graph(polys, *whole_space) == polys
+
+
+@st.composite
+def _field_and_row(draw):
+    """A field and a row of its elements, often with zeros, sometimes all zero."""
+    field = draw(
+        st.sampled_from(
+            [FieldSpec.prime(2), FieldSpec.prime(101), FieldSpec.prime(32003), Q]
+        )
+    )
+    if field.characteristic:
+        top = field.characteristic - 1
+        element = st.one_of(st.just(0), st.integers(0, top), st.just(top))
+    else:
+        element = st.one_of(
+            st.just(0),
+            st.fractions(min_value=-9, max_value=9, max_denominator=7),
+        )
+    row = draw(st.lists(element, min_size=1, max_size=7))
+    return field, [field.coerce(c) for c in row]
+
+
+@given(_field_and_row())
+@settings(max_examples=300, deadline=None)
+def test_hyperplane_graph_is_the_one_row_linear_graph(field_and_row):
+    field, row = field_and_row
+    kept, basis = hyperplane_graph(row, field)
+    assert (kept, basis) == linear_graph([row], field, len(row))
+    nonzero = [i for i, c in enumerate(row) if c]
+    # the last nonzero entry is eliminated, and only that one
+    assert kept == tuple(i for i in range(len(row)) if not nonzero or i != nonzero[-1])
+
+
+def test_hyperplane_graph_eliminates_the_last_nonzero_entry():
+    row = [Fraction(c) for c in (3, 0, 5, 7, 0)]
+    kept, basis = hyperplane_graph(row, Q)
+    assert kept == (0, 1, 2, 4)
+    # survivor j is 1 at j and -row[j] / row[3] at the eliminated index 3
+    assert basis == (
+        (1, 0, 0, Fraction(-3, 7), 0),
+        (0, 1, 0, 0, 0),
+        (0, 0, 1, Fraction(-5, 7), 0),
+        (0, 0, 0, 0, 1),
+    )
 
 
 def test_linear_form_row_roundtrip():

@@ -329,17 +329,25 @@ def test_unreduced_exact_budget_refused_before_any_restriction(monkeypatch):
 
 @pytest.mark.parametrize("reduce", [False, True])
 def test_sampled_check_restricts_by_the_linear_parts_once(monkeypatch, reduce):
-    # one graph of the k linear parts per instance, one hyperplane per form
+    # one graph of the k linear parts per instance, row-reduced, and one
+    # hyperplane per form, whose graph is written down directly
+    import fanoci.regularity as regularity
+
     (drawn,) = _smooth_instances((3, 3), 101, 1)
     ci = PointedCI.from_json(drawn.to_json())  # nothing cached yet
     rows_per_graph = []
-    nullspace = polynomials.nullspace
+    nullspace, hyperplane_graph = polynomials.nullspace, regularity.hyperplane_graph
 
     def spy(rows, field, n):
         rows_per_graph.append(len(rows))
         return nullspace(rows, field, n)
 
+    def hyperplane_spy(row, field):
+        rows_per_graph.append(1)
+        return hyperplane_graph(row, field)
+
     monkeypatch.setattr(polynomials, "nullspace", spy)
+    monkeypatch.setattr(regularity, "hyperplane_graph", hyperplane_spy)
     report = sampled_regularity_check(ci, samples=8, reduce=reduce)
     assert report.is_regular
     assert rows_per_graph == [2] + [1] * 8
