@@ -26,28 +26,26 @@ Division keeps the pending terms in a dictionary and their keys in a
 max-heap (heapq on negated keys), so each step pops the largest term
 instead of scanning for it; coefficients mod p are reduced when popped.
 
-The state is incremental (``GroebnerEngine``): adding a generator reduces
-it by the current basis and forms only the pairs that involve the new
-element.  The Gebauer-Moeller update (Gebauer & Moeller 1988) keeps one
-pair per minimal lcm among the new pairs, drops pairs with coprime leading
-terms, deletes old pairs by the chain criterion and retires elements whose
+The state is incremental (``GroebnerEngine``) and takes homogeneous forms
+only, so every reduction keeps its degree: adding a generator reduces it by
+the current basis and forms only the pairs that involve the new element.
+The Gebauer-Moeller update (Gebauer & Moeller 1988) keeps one pair per
+minimal lcm among the new pairs, drops pairs with coprime leading terms,
+deletes old pairs by the chain criterion and retires elements whose
 leading term the new one divides.  The pending pairs sit in a heap ordered
-by sugar, then lcm: for homogeneous input the sugar of a pair is the
-degree of its lcm, so this is the normal strategy (smallest lcm degree,
-then smallest lcm).  Inhomogeneous input stays supported, and there a
-reduction can lower the degree; the sugar, the degree the input would have
-had homogenized (Giovini et al. 1991), keeps the pairs in the order of a
-homogeneous run and the run from wandering into high degrees.  Retired
-elements stay in the ideal and keep serving as reducers, oldest first.
-While the input is homogeneous the engine also keeps the staircase of its
-leading terms and skips every pair of a degree in which the leading terms
-already span the ideal, which the Hilbert function of the ideal before
-the new generator bounds (Traverso 1996); on a regular sequence no
-S-polynomial then reduces to zero.  After every ``add`` the active
-elements form a minimal Groebner basis of the ideal so far; ``reduced``
-tail-reduces them into the reduced basis, and ``groebner_basis`` feeds
-every generator and then does exactly that.  Runs are deterministic for a
-fixed input.
+by lcm key, whose top slot is the degree: this is the normal strategy,
+smallest lcm degree first, then smallest lcm.  Retired elements stay in
+the ideal and keep serving as reducers, oldest first.  The engine keeps
+the staircase of its leading terms and skips every pair of a degree in
+which the leading terms already span the ideal, which the Hilbert function
+of the ideal before the new generator bounds (Traverso 1996); on a regular
+sequence no S-polynomial then reduces to zero.  After every ``add`` the
+active elements form a minimal Groebner basis of the ideal so far;
+``reduced`` tail-reduces them into the reduced basis, and
+``groebner_basis`` feeds every generator and then does exactly that.  The
+budgets ``MAX_PAIRS`` and ``MAX_BASIS`` abort a pathological run with
+``ResourceBudgetError`` instead of letting it hang.  Runs are
+deterministic for a fixed input.
 
 Dimension of the quotient ring is read off the staircase: it is the size
 of the largest subset S of variables such that no leading term of the
@@ -70,6 +68,8 @@ from .polynomials import Exponents, MultiPoly, grevlex_key
 
 _SLOT = 32  # bits per packed exponent slot, the top one a guard bit
 _LIMIT = 1 << (_SLOT - 1)  # every slot value stays below this
+MAX_PAIRS = 200_000  # S-pairs reduced over an engine's life
+MAX_BASIS = 2_000  # elements stored over an engine's life
 
 
 def _check_degree(degree: int) -> None:
@@ -98,7 +98,7 @@ class _Element:
     """A monic polynomial: leading key, tail terms in descending order, and
     the slotwise maximum of its keys (to guard the products it enters)."""
 
-    __slots__ = ("key", "exps", "tail", "bound", "index", "sugar")
+    __slots__ = ("key", "exps", "tail", "bound", "index")
 
     def __init__(self, key: int, exps: int, tail: List[Term], bound: int) -> None:
         self.key = key
@@ -106,7 +106,6 @@ class _Element:
         self.tail = tail
         self.bound = bound
         self.index = -1  # position in its engine, once added
-        self.sugar = 0  # its degree had the input been homogenized
 
 
 class _Ring:
@@ -302,11 +301,14 @@ class _Staircase:
 def normal_form(poly: MultiPoly, basis: Sequence[MultiPoly]) -> MultiPoly:
     """Remainder of multivariate division of ``poly`` by ``basis``.
 
-    The basis need not be monic; each term, largest first, is reduced by the
-    first basis element whose leading term divides it.
+    The basis lives in the ring of ``poly`` and need not be monic; each
+    term, largest first, is reduced by the first basis element whose leading
+    term divides it.
     """
     if not basis:
         return poly
+    if any(g.field != poly.field or g.variables != poly.variables for g in basis):
+        raise InputError("generators live in different rings")
     if any(g.is_zero() for g in basis):
         raise InputError("zero polynomial has no leading term")
     ring = _Ring(poly.field, len(poly.variables))
@@ -316,7 +318,9 @@ def normal_form(poly: MultiPoly, basis: Sequence[MultiPoly]) -> MultiPoly:
 
 
 def s_polynomial(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    """S-polynomial of the monic multiples of ``f`` and ``g``."""
+    """S-polynomial of the monic multiples of ``f`` and ``g``, in one ring."""
+    if f.field != g.field or f.variables != g.variables:
+        raise InputError("generators live in different rings")
     if f.is_zero() or g.is_zero():
         raise InputError("zero polynomial has no leading term")
     ring = _Ring(f.field, len(f.variables))
@@ -334,69 +338,46 @@ class GroebnerBasis(NamedTuple):
     field: FieldSpec
     variables: Tuple[str, ...]
 
-    def leading_exponents(self) -> List[Exponents]:
-        return [leading_term(g)[0] for g in self.generators]
-
-    def reduce(self, poly: MultiPoly) -> MultiPoly:
-        return normal_form(poly, self.generators)
-
-    def contains(self, poly: MultiPoly) -> bool:
-        return self.reduce(poly).is_zero()
-
 
 class GroebnerEngine:
-    """Buchberger's algorithm, extended one generator at a time.
+    """Buchberger's algorithm on homogeneous forms, one generator at a time.
 
     After every ``add`` the active elements are a minimal Groebner basis of
-    the ideal generated so far.  ``max_pairs`` bounds the S-pairs reduced
-    and ``max_basis`` the elements stored, over the engine's whole life;
+    the ideal generated so far.  ``MAX_PAIRS`` bounds the S-pairs reduced
+    and ``MAX_BASIS`` the elements stored, over the engine's whole life;
     exceeding either raises ``ResourceBudgetError``.
     """
 
-    def __init__(
-        self,
-        field: FieldSpec,
-        variables: Sequence[str],
-        *,
-        max_pairs: int = 200_000,
-        max_basis: int = 2_000,
-    ) -> None:
+    def __init__(self, field: FieldSpec, variables: Sequence[str]) -> None:
         self.field = field
         self.variables = tuple(variables)
         self.ring = _Ring(field, len(self.variables))
-        self.max_pairs = max_pairs
-        self.max_basis = max_basis
         # every element ever added, by index; all of them reduce, oldest
         # first, since a retired element is still in the ideal
         self.elements: List[_Element] = []
         self.active: List[_Element] = []  # the minimal basis
-        self.pairs: list = []  # heap of (sugar, lcm key, i, j, lcm exponents)
+        self.pairs: list = []  # heap of (lcm key, i, j, lcm exponents)
         self.pairs_reduced = 0
         self.max_degree = 0
-        # while every generator is homogeneous: the staircase of the leading
-        # terms, and while adding one, that of the ideal before it and its degree
-        self.staircase: _Staircase | None = _Staircase(self.ring, ())
-        self.before: Tuple[_Staircase, int] | None = None
+        self.staircase = _Staircase(self.ring, ())  # of the leading terms
 
     def add(self, poly: MultiPoly) -> None:
-        """Extend the ideal by ``poly`` and complete the basis."""
+        """Extend the ideal by the form ``poly`` and complete the basis."""
         if poly.field != self.field or poly.variables != self.variables:
             raise InputError("generators live in different rings")
         if poly.is_zero():
             return
+        if not poly.is_homogeneous():
+            raise InputError("the Groebner engine takes homogeneous forms only")
         ring = self.ring
         terms = ring.terms(poly)
         degree = poly.total_degree()
         self.max_degree = max(self.max_degree, degree)
-        if self.staircase is not None and poly.is_homogeneous():
-            before = _Staircase(ring, [g.exps for g in self.active])
-            self.before = (before, degree)
-        else:
-            self.staircase = self.before = None
+        before = _Staircase(ring, [g.exps for g in self.active])
         remainder = ring.divide([(0, 1, terms)], self.elements)
         if remainder:
-            self._insert(ring.element(remainder), degree)
-        self._complete()
+            self._insert(ring.element(remainder))
+        self._complete(before, degree)
 
     def leading_exponents(self) -> List[Exponents]:
         return [self.ring.exponents(g.key) for g in self.active]
@@ -428,17 +409,19 @@ class GroebnerEngine:
             f" elements and largest degree {self.max_degree}"
         )
 
-    def _complete(self) -> None:
+    def _complete(self, before: _Staircase, d: int) -> None:
+        """Reduce the pending pairs, smallest lcm first, after a form of
+        degree ``d`` joined the ideal whose staircase is ``before``."""
         ring = self.ring
         p = ring.p
         minus_one = p - 1 if p else -1
         while self.pairs:
-            sugar, lcm, i, j, _ = heappop(self.pairs)
-            if self._degree_complete(sugar):
+            lcm, i, j, _ = heappop(self.pairs)
+            if self._degree_complete(ring.degree(lcm), before, d):
                 continue
-            if self.pairs_reduced >= self.max_pairs:
+            if self.pairs_reduced >= MAX_PAIRS:
                 raise ResourceBudgetError(
-                    f"Groebner computation exceeded the pair budget ({self.max_pairs})"
+                    f"Groebner computation exceeded the pair budget ({MAX_PAIRS})"
                     f" {self._progress()}"
                 )
             self.pairs_reduced += 1
@@ -447,42 +430,37 @@ class GroebnerEngine:
                 [(lcm - f.key, 1, f), (lcm - g.key, minus_one, g)], self.elements
             )
             if remainder:
-                self._insert(ring.element(remainder), sugar)
+                self._insert(ring.element(remainder))
 
-    def _degree_complete(self, degree: int) -> bool:
+    def _degree_complete(self, degree: int, before: _Staircase, d: int) -> bool:
         """Whether the leading terms already span the ideal in ``degree``.
 
-        Only for homogeneous input, where a pair's sugar is its degree.
-        Adding f of degree d to an ideal I, multiplication by f maps
-        (R/I)_(D-d) onto (I + f)/I in degree D, so dim (R/(I + f))_D >=
-        dim (R/I)_D - dim (R/I)_(D-d), with equality when f is a
-        nonzerodivisor.  The staircase of the current leading terms counts
-        at least dim (R/(I + f))_D; equality means that the leading terms
-        span the ideal in degree D and every S-polynomial of that degree
-        reduces to zero, so it is skipped.  On a regular sequence this
-        skips every reduction to zero (Traverso's Hilbert-driven
-        Buchberger algorithm).
+        Adding f of degree d to an ideal I with the staircase ``before``,
+        multiplication by f maps (R/I)_(D-d) onto (I + f)/I in degree D, so
+        dim (R/(I + f))_D >= dim (R/I)_D - dim (R/I)_(D-d), with equality
+        when f is a nonzerodivisor.  The staircase of the current leading
+        terms counts at least dim (R/(I + f))_D; equality means that the
+        leading terms span the ideal in degree D and every S-polynomial of
+        that degree reduces to zero, so it is skipped.  On a regular
+        sequence this skips every reduction to zero (Traverso's
+        Hilbert-driven Buchberger algorithm).
         """
-        if self.before is None:
-            return False
-        before, d = self.before
         bound = before.count(degree) - before.count(degree - d)
         return self.staircase.count(degree) == bound
 
-    def _insert(self, h: _Element, sugar: int) -> None:
+    def _insert(self, h: _Element) -> None:
         """Add ``h``, reduced by the active elements: the Gebauer-Moeller update."""
         ring = self.ring
         guard = ring.guard
-        if len(self.elements) >= self.max_basis:
+        if len(self.elements) >= MAX_BASIS:
             raise ResourceBudgetError(
-                f"Groebner basis exceeded the size budget ({self.max_basis})"
+                f"Groebner basis exceeded the size budget ({MAX_BASIS})"
                 f" {self._progress()}"
             )
         degree = ring.degree(h.key)
         _check_degree(degree)
         self.max_degree = max(self.max_degree, degree)
         h.index = len(self.elements)
-        h.sugar = sugar
         self.elements.append(h)
         hx = h.exps
         # new pairs, smallest lcm first and a coprime pair first among equal
@@ -499,19 +477,17 @@ class GroebnerEngine:
                 continue
             kept.append(lcm)
             if not_coprime:
-                g = self.elements[i]
-                lift = max(sugar - degree, g.sugar - ring.degree(g.key))
-                new_pairs.append((ring.degree(key) + lift, key, i, h.index, lcm))
+                new_pairs.append((key, i, h.index, lcm))
         # chain criterion: drop an old pair (i, j) when LT(h) divides its lcm
         # and the lcms of (i, h) and (j, h) both differ from it
         elements = self.elements
 
         def redundant(pair) -> bool:
-            lcm = pair[4]
+            lcm = pair[3]
             return (
                 not (lcm - hx) & guard
+                and ring.slot_max(elements[pair[1]].exps, hx) != lcm
                 and ring.slot_max(elements[pair[2]].exps, hx) != lcm
-                and ring.slot_max(elements[pair[3]].exps, hx) != lcm
             )
 
         survivors = [pair for pair in self.pairs if not redundant(pair)]
@@ -521,28 +497,19 @@ class GroebnerEngine:
         for pair in new_pairs:
             heappush(self.pairs, pair)
         self.active = [g for g in self.active if (g.exps - hx) & guard] + [h]
-        if self.staircase is not None:
-            self.staircase.insert(hx)
+        self.staircase.insert(hx)
 
 
-def groebner_basis(
-    generators: Sequence[MultiPoly],
-    *,
-    max_pairs: int = 200_000,
-    max_basis: int = 2_000,
-) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal generated by ``generators``.
+def groebner_basis(generators: Sequence[MultiPoly]) -> GroebnerBasis:
+    """Reduced Groebner basis of the ideal generated by the forms ``generators``.
 
-    The zero ideal (no nonzero generators) yields the empty basis.  The
-    ``max_pairs``/``max_basis`` budgets abort pathological runs with a
-    ``ResourceBudgetError`` instead of hanging.
+    The zero ideal (no nonzero generators) yields the empty basis.  A
+    generator that is not homogeneous raises ``InputError``.
     """
     if not generators:
         raise InputError("cannot infer ring from an empty generator list")
     g0 = generators[0]
-    engine = GroebnerEngine(
-        g0.field, g0.variables, max_pairs=max_pairs, max_basis=max_basis
-    )
+    engine = GroebnerEngine(g0.field, g0.variables)
     for g in generators:
         engine.add(g)
     return engine.reduced()

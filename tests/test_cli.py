@@ -398,17 +398,12 @@ def test_regcheck_probabilistic_past_the_uncut_budget_exit_0(tmp_path):
 
 def test_regcheck_kernel_pair_budget_exit_3(tmp_path, monkeypatch, capsys):
     # a kernel budget abort exits 3 and reports how far the run got
-    import functools
-
-    from fanoci import dimension
-    from fanoci.groebner import GroebnerEngine
+    from fanoci import groebner
 
     ci = random_complete_intersection(DegreeTuple((3, 4)), FieldSpec.prime(101), seed=0)
     path = tmp_path / "ci.json"
     path.write_text(json.dumps(ci.to_json()))
-    monkeypatch.setattr(
-        dimension, "GroebnerEngine", functools.partial(GroebnerEngine, max_pairs=2)
-    )
+    monkeypatch.setattr(groebner, "MAX_PAIRS", 2)
     code, output = invoke(["regcheck", "--input", str(path), "--samples", "1"])
     assert (code, output) == (3, "")
     err = capsys.readouterr().err
@@ -430,7 +425,7 @@ def test_regcheck_packing_guard_exit_3(tmp_path, monkeypatch, capsys):
     x, y = (MultiPoly.variable(Q, ("x", "y"), n) for n in ("x", "y"))
 
     def oversized(*args, **kwargs):
-        groebner_basis([x ** (2**31) - y, x * y])
+        groebner_basis([x ** (2**31) - y ** (2**31), x * y])
 
     ci = random_complete_intersection(DegreeTuple((2, 3)), FieldSpec.prime(101), seed=0)
     path = tmp_path / "ci.json"

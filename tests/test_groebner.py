@@ -4,6 +4,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fanoci import groebner
 from fanoci.dimension import is_regular_sequence
 from fanoci.errors import InputError, ResourceBudgetError
 from fanoci.families import DegreeTuple
@@ -46,9 +47,9 @@ def test_monomial_generators_are_self_reduced():
 
 def test_single_generator_made_monic():
     x, y = qv(("x", "y"))
-    basis = groebner_basis([3 * x**2 + 6 * y])
+    basis = groebner_basis([3 * x**2 + 6 * y**2])
     (g,) = basis.generators
-    assert g.terms == (x**2 + 2 * y).terms
+    assert g.terms == (x**2 + 2 * y**2).terms
 
 
 def test_zero_ideal_yields_empty_basis():
@@ -60,8 +61,8 @@ def test_zero_ideal_yields_empty_basis():
 def test_basis_is_reduced_and_monic_on_random_inputs():
     for seed in range(15):
         gens = [
-            random_poly(2, ("x", "y", "z"), F5, homogeneous=False, seed=seed * 3 + i)
-            for i in range(3)
+            random_poly(d, ("x", "y", "z"), F5, homogeneous=True, seed=seed * 3 + i)
+            for i, d in enumerate((2, 2, 3))
         ]
         basis = groebner_basis(gens)
         lts = [leading_term(g) for g in basis.generators]
@@ -94,15 +95,15 @@ def test_every_s_polynomial_reduces_to_zero():
 def test_input_generators_reduce_to_zero():
     for seed in range(10):
         gens = [
-            random_poly(3, ("x", "y"), F5, homogeneous=False, seed=seed * 11 + i)
-            for i in range(3)
+            random_poly(d, ("x", "y", "z"), F5, homogeneous=True, seed=seed * 11 + i)
+            for i, d in enumerate((1, 2, 3))
         ]
         nonzero = [g for g in gens if not g.is_zero()]
         if not nonzero:
             continue
         basis = groebner_basis(nonzero)
         for g in nonzero:
-            assert basis.contains(g)
+            assert normal_form(g, basis.generators).is_zero()
 
 
 def test_mixed_rings_rejected():
@@ -112,14 +113,53 @@ def test_mixed_rings_rejected():
         groebner_basis([x, other])
 
 
-def test_groebner_pair_budget():
-    # katsura-like dense quadrics exceed a tiny pair budget immediately
-    gens = [
-        random_poly(2, ("x", "y", "z", "w"), F5, homogeneous=False, seed=i)
+def test_normal_form_and_s_polynomial_refuse_mixed_rings():
+    # c's exponents do not fit x*y's two slots, and GF(5) is not Q
+    x, y = qv(("x", "y"))
+    a, b, c = qv(("a", "b", "c"))
+    u, v = (MultiPoly.variable(F5, ("x", "y"), n) for n in ("x", "y"))
+    for call in (
+        lambda: normal_form(x * y, [c]),
+        lambda: s_polynomial(x * y, a * b),
+        lambda: normal_form(x * y, [u]),
+        lambda: s_polynomial(x * y, u * v),
+    ):
+        with pytest.raises(InputError, match="generators live in different rings"):
+            call()
+
+
+def test_engine_refuses_a_form_that_is_not_homogeneous():
+    x, y = qv(("x", "y"))
+    engine = GroebnerEngine(Q, ("x", "y"))
+    engine.add(x * y)
+    before = (engine.pairs_reduced, len(engine.elements), engine.max_degree)
+    with pytest.raises(InputError, match="homogeneous forms only"):
+        engine.add(x**2 + y)
+    assert (engine.pairs_reduced, len(engine.elements), engine.max_degree) == before
+    assert engine.leading_exponents() == [(1, 1)]
+    engine.add(x**2 - y**2)
+    assert engine.reduced().generators == (y**3, x**2 - y**2, x * y)
+    with pytest.raises(InputError, match="homogeneous forms only"):
+        groebner_basis([x * y, x**2 + y])
+    # the regularity check refuses it first, with its own message
+    with pytest.raises(
+        InputError, match="generators must be homogeneous of positive degree"
+    ):
+        is_regular_sequence([x * y, x**2 + y])
+
+
+def dense_quadrics():
+    return [
+        random_poly(2, ("x", "y", "z", "w"), F5, homogeneous=True, seed=i)
         for i in range(4)
     ]
+
+
+def test_groebner_pair_budget(monkeypatch):
+    # dense quadrics exceed a tiny pair budget immediately
+    monkeypatch.setattr(groebner, "MAX_PAIRS", 1)
     with pytest.raises(ResourceBudgetError) as info:
-        groebner_basis(gens, max_pairs=1)
+        groebner_basis(dense_quadrics())
     # the message says how far the run got
     assert re.fullmatch(
         r"Groebner computation exceeded the pair budget \(1\) after 1 pairs,"
@@ -128,13 +168,10 @@ def test_groebner_pair_budget():
     )
 
 
-def test_groebner_basis_size_budget():
-    gens = [
-        random_poly(2, ("x", "y", "z", "w"), F5, homogeneous=False, seed=i)
-        for i in range(4)
-    ]
+def test_groebner_basis_size_budget(monkeypatch):
+    monkeypatch.setattr(groebner, "MAX_BASIS", 2)
     with pytest.raises(ResourceBudgetError) as info:
-        groebner_basis(gens, max_basis=2)
+        groebner_basis(dense_quadrics())
     assert re.fullmatch(
         r"Groebner basis exceeded the size budget \(2\) after \d+ pairs,"
         r" with 2 basis elements and largest degree \d+",
@@ -201,8 +238,32 @@ def test_incremental_prefixes_equal_bases_from_scratch(sequence):
     for j in range(1, len(sequence) + 1):
         engine.add(sequence[j - 1])
         scratch = groebner_basis(sequence[:j])
-        assert sorted(engine.leading_exponents()) == sorted(scratch.leading_exponents())
+        assert sorted(engine.leading_exponents()) == sorted(
+            leading_term(g)[0] for g in scratch.generators
+        )
         assert engine.reduced().generators == scratch.generators
+
+
+@pytest.mark.parametrize(
+    "sequence, regular, counters",
+    [
+        (reduced_m6_sequence(), True, [(0, 1, 2), (1, 3, 4), (6, 9, 5), (17, 21, 7)]),
+        (irregular_sequence(), False, [(0, 1, 2), (1, 3, 3), (4, 7, 5), (4, 7, 5), (15, 18, 6)]),
+    ],
+    ids=["reduced-m6-gf32003", "irregular-gf5"],
+)
+def test_engine_counters_pinned(sequence, regular, counters):
+    # (pairs reduced, elements, largest degree) after each prefix: a change to
+    # the pair order or to the criteria that drop pairs shows here
+    engine = GroebnerEngine(sequence[0].field, sequence[0].variables)
+    for j, (form, expected) in enumerate(zip(sequence, counters), 1):
+        engine.add(form)
+        assert (engine.pairs_reduced, len(engine.elements), engine.max_degree) == expected
+        if regular:
+            # the Hilbert-driven skip leaves no pair that reduces to zero, so
+            # each form and each reduced pair adds one element
+            assert len(engine.elements) - engine.pairs_reduced == j
+    assert j == len(sequence)
 
 
 def test_irregular_sequence_trace_pinned():
@@ -219,17 +280,21 @@ def test_irregular_sequence_trace_pinned():
 
 
 def test_exponent_beyond_a_small_slot_is_exact():
-    # 70000 needs more than 16 bits; the basis is the one computed before
-    # monomials were packed
+    # 70000 needs more than 16 bits; by hand, the S-polynomial of the two
+    # generators is -y^70001, and it adds the only new element.  x*y goes
+    # first: its staircase has two monomials per degree, so the Hilbert
+    # bound counts them up to degree 70001 in well under a second
     x, y = qv(("x", "y"))
-    basis = groebner_basis([x**70000 - y, x * y])
-    assert [str(g) for g in basis.generators] == ["x^70000 + -1*y", "x*y", "y^2"]
+    basis = groebner_basis([x * y, x**70000 - y**70000])
+    assert [str(g) for g in basis.generators] == [
+        "y^70001", "x^70000 + -1*y^70000", "x*y",
+    ]
 
 
 def test_exponent_beyond_the_packed_range_is_a_budget_error():
     x, y = qv(("x", "y"))
     with pytest.raises(ResourceBudgetError, match="packed"):
-        groebner_basis([x ** (2**31) - y, x * y])
+        groebner_basis([x ** (2**31) - y ** (2**31), x * y])
     with pytest.raises(ResourceBudgetError, match="packed"):
         normal_form(x ** (2**31), [x * y])
 
@@ -270,22 +335,24 @@ def test_packed_keys_order_monomials_as_multipoly_stores_them(exponents):
 @given(
     n=st.integers(1, 4),
     degrees=st.lists(st.integers(1, 3), min_size=1, max_size=3),
-    homogeneous=st.booleans(),
     seed=st.integers(0, 2**32),
 )
 @settings(max_examples=40, deadline=None)
-def test_engine_results_are_stored_in_canonical_order(n, degrees, homogeneous, seed):
+def test_engine_results_are_stored_in_canonical_order(n, degrees, seed):
     # needs no sympy, unlike the oracle, and covers normal_form and s_polynomial
     gens = [
-        random_poly(d, NAMES[:n], F5, homogeneous=homogeneous, seed=seed + i)
+        random_poly(d, NAMES[:n], F5, homogeneous=True, seed=seed + i)
         for i, d in enumerate(degrees)
     ]
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return
     basis = groebner_basis(gens)
-    # reduced by part of the basis, the generators leave nonzero remainders
-    results = list(basis.generators) + [normal_form(g, basis.generators[1:]) for g in gens]
+    # reduced by part of the basis, the generators leave nonzero remainders;
+    # division takes any polynomial, so their sum of mixed degrees goes too
+    results = list(basis.generators) + [
+        normal_form(g, basis.generators[1:]) for g in [*gens, sum(gens[1:], gens[0])]
+    ]
     if len(gens) > 1:
         results.append(s_polynomial(gens[0], gens[1]))
     for g in results:
@@ -293,11 +360,12 @@ def test_engine_results_are_stored_in_canonical_order(n, degrees, homogeneous, s
 
 
 def test_hand_built_polynomial_in_another_order():
-    # the plain constructor keeps terms as given: x before y^2 here
+    # the plain constructor keeps terms as given: y^2 before x*y here
     names = ("x", "y")
     x, y = (MultiPoly.variable(F5, names, n) for n in names)
-    poly = MultiPoly(F5, names, {(1, 0): 1, (0, 2): 1})
+    poly = MultiPoly(F5, names, {(0, 2): 1, (1, 1): 1})
     assert list(poly.terms) != _descending(poly.terms)
-    assert leading_term(poly) == ((0, 2), 1)
-    assert normal_form(y**3, [poly]) == 4 * x * y
-    assert groebner_basis([poly]).generators == (y * y + x,)
+    assert leading_term(poly) == ((1, 1), 1)
+    # x^2*y -> -x*y^2 -> y^3, each step by the leading term x*y
+    assert normal_form(x * x * y, [poly]) == y**3
+    assert groebner_basis([poly]).generators == (x * y + y * y,)

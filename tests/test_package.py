@@ -151,7 +151,7 @@ GF5 = FieldSpec.prime(5)
 
 
 def _poly():
-    return MultiPoly.from_terms(GF5, ("x", "y"), {(2, 0): 1, (1, 1): 3, (0, 1): 2})
+    return MultiPoly.from_terms(GF5, ("x", "y"), {(2, 0): 1, (1, 1): 3, (0, 2): 2})
 
 
 def _pointed():
@@ -192,7 +192,7 @@ VALUE_TYPES = [
         "terms",
         False,
         "MultiPoly(field=_PrimeField(characteristic=5), variables=('x', 'y'),"
-        " terms={(2, 0): 1, (1, 1): 3, (0, 1): 2})",
+        " terms={(2, 0): 1, (1, 1): 3, (0, 2): 2})",
     ),
     ("DegreeTuple", lambda: DegreeTuple((2, 3)), "degrees", True, "DegreeTuple(degrees=(2, 3))"),
     (
@@ -227,7 +227,7 @@ VALUE_TYPES = [
         "generators",
         False,
         "GroebnerBasis(generators=(MultiPoly(field=_PrimeField(characteristic=5),"
-        " variables=('x', 'y'), terms={(2, 0): 1, (1, 1): 3, (0, 1): 2}),),"
+        " variables=('x', 'y'), terms={(2, 0): 1, (1, 1): 3, (0, 2): 2}),),"
         " field=_PrimeField(characteristic=5), variables=('x', 'y'))",
     ),
     (
