@@ -2,20 +2,20 @@
 
 Codimension convention: for homogeneous q_1..q_j in n variables, the
 vanishing locus Z(q_1..q_j) in affine n-space is a cone through the origin;
-we report codim = n - dim Z, where dim Z comes from the Groebner staircase.
+we report codim = n - dim Z, where dim Z comes from the Groebner leading terms.
 This equals the minimum over irreducible components of their projective
 codimension, because the dimension of a reducible variety is the maximum
 over components.  A cone equal to {0} alone (dim 0) has empty projective
 locus and codimension n.
 
 The exact codimension is read off one engine: the forms are added to a
-``GroebnerEngine`` and dim Z is ``staircase_dimension`` of the leading
-terms of its minimal basis (they are those of the reduced basis), under
-grevlex.  ``projective_codim`` adds every form at once.  Both it and
-``is_regular_sequence`` refuse inputs beyond ``max_variables`` and
-``max_generators`` with ``ResourceBudgetError``; ``check_exact_budget``
-applies the sequence rule on its own, for a caller that must refuse a
-sequence before it builds it.
+``GroebnerEngine``, and dim Z is the dimension of the ideal of its leading
+terms under grevlex, read off the Hilbert series numerator that the engine
+keeps of them (``engine.staircase.dimension()``).  ``projective_codim``
+adds every form at once.  Both it and ``is_regular_sequence`` refuse
+inputs beyond ``max_variables`` and ``max_generators`` with
+``ResourceBudgetError``; ``check_exact_budget`` applies the sequence rule
+on its own, for a caller that must refuse a sequence before it builds it.
 
 Regularity at the origin is decided through the same cone codimension: an
 ordered sequence of homogeneous forms is regular iff every length-j prefix
@@ -29,8 +29,8 @@ decides them exactly, under either kernel.  While every form is linear,
 the cone is the common kernel of their coefficient rows, and the
 codimension is the rank of the rows (``fields.rref``).  One nonzero form
 alone cuts out a hypersurface, of codimension 1 (Krull's principal ideal
-theorem).  The engine would give the same numbers: its staircase
-dimension is n - rank for linear forms, and n - 1 for one form.  So the
+theorem).  The engine would give the same numbers: its leading terms
+have dimension n - rank for linear forms, and n - 1 for one form.  So the
 loop builds the exact engine at the first prefix that is not forced, adds
 the earlier forms to it there, and then adds one form per prefix; the
 probabilistic oracle is called for the unforced prefixes only.
@@ -93,7 +93,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import InputError, ResourceBudgetError, UnsupportedModeError
 from .fields import Element, FieldSpec, rref
-from .groebner import GroebnerEngine, staircase_dimension
+from .groebner import GroebnerEngine
 from .polynomials import MultiPoly, restrict_to_common_zeros
 
 EXACT = "exact"
@@ -203,7 +203,7 @@ def projective_codim(
     engine = GroebnerEngine(fieldspec, variables)
     for g in nonzero:
         engine.add(g)
-    dim = staircase_dimension(engine.leading_exponents(), n)
+    dim = engine.staircase.dimension()
     note = "empty projective locus" if dim == 0 else ""
     return CodimResult(n - dim, "exact-groebner", Fraction(1), note)
 
@@ -352,7 +352,7 @@ def _prefix_trace(
                 # the engine keeps the basis of the previous prefix, so only
                 # the pairs with the new form's elements are formed and reduced
                 engine.add(g)
-                codim = n - staircase_dimension(engine.leading_exponents(), n)
+                codim = n - engine.staircase.dimension()
             else:
                 codim = codim_probabilistic(generators[:j], seed=j).codimension
         trace.append(codim)

@@ -35,24 +35,22 @@ deletes old pairs by the chain criterion and retires elements whose
 leading term the new one divides.  The pending pairs sit in a heap ordered
 by lcm key, whose top slot is the degree: this is the normal strategy,
 smallest lcm degree first, then smallest lcm.  Retired elements stay in
-the ideal and keep serving as reducers, oldest first.  The engine keeps
-the staircase of its leading terms and skips every pair of a degree in
-which the leading terms already span the ideal, which the Hilbert function
-of the ideal before the new generator bounds (Traverso 1996); on a regular
-sequence no S-polynomial then reduces to zero.  After every ``add`` the
-active elements form a minimal Groebner basis of the ideal so far;
+the ideal and keep serving as reducers, oldest first.  After every ``add``
+the active elements form a minimal Groebner basis of the ideal so far;
 ``reduced`` tail-reduces them into the reduced basis, and
 ``groebner_basis`` feeds every generator and then does exactly that.  The
 budgets ``MAX_PAIRS`` and ``MAX_BASIS`` abort a pathological run with
 ``ResourceBudgetError`` instead of letting it hang.  Runs are
 deterministic for a fixed input.
 
-Dimension of the quotient ring is read off the staircase: it is the size
-of the largest subset S of variables such that no leading term of the
-basis involves only variables from S.  For an ideal I this equals the
-Krull dimension of k[x]/I because passing to the leading-term ideal
-preserves dimension, and for monomial ideals the combinatorial rule is
-exact (any term order).
+The engine keeps the ideal in(I) of its leading terms as the numerator HN
+of its Hilbert series HN(t)/(1 - t)^n, which each new leading term
+updates, and skips every pair of a degree in which the leading terms
+already span the ideal, which the Hilbert function of the ideal before the
+new generator bounds (Traverso 1996); on a regular sequence no
+S-polynomial then reduces to zero.  Since in(I) has the Hilbert function
+of I (any term order), the Krull dimension of k[x]/I is n minus the order
+of the root t = 1 of HN.
 """
 
 from __future__ import annotations
@@ -60,6 +58,7 @@ from __future__ import annotations
 import itertools
 import operator
 from heapq import heapify, heappop, heappush
+from math import comb
 from typing import Iterable, List, NamedTuple, Sequence, Tuple
 
 from .errors import InputError, ResourceBudgetError
@@ -247,55 +246,64 @@ class _Ring:
         return remainder
 
 
-class _Staircase:
-    """Standard monomials, degree by degree, of a monomial ideal.
+def _count(numerator: dict, n: int, degree: int) -> int:
+    """The Hilbert function at ``degree`` of the series HN(t)/(1 - t)^n."""
+    return sum(
+        h * comb(degree - j + n - 1, n - 1) for j, h in numerator.items() if j <= degree
+    )
 
-    The ideal is given by exponent packings of its generators.  A monomial
-    of degree D is standard iff it is no generator and each of its
-    quotients by one variable is standard, so each degree is built from
-    the one below; ``count(D)`` is the Hilbert function at D.
+
+class _Staircase:
+    """A monomial ideal as its Hilbert series numerator.
+
+    The ideal is kept as its minimal generators (exponent packings) and the
+    numerator HN of its Hilbert series HN(t)/(1 - t)^n, a dict from degree
+    to nonzero coefficient.  Inserting m applies
+    HN(I + m) = HN(I) - t^deg(m) HN(I : m) (Bayer & Stillman 1992), where
+    the colon ideal I : m is again a monomial ideal, built the same way.
     """
 
-    def __init__(self, ring: _Ring, generators: Iterable[int]) -> None:
+    def __init__(self, ring: _Ring, generators: Iterable[int] = ()) -> None:
         self.ring = ring
-        self.units = [1 << shift for shift in ring.shifts]
-        self.generators: dict = {}  # degree -> exponent packings
-        self.sets = {0: {0}}
+        self.generators: List[int] = []
+        self.numerator = {0: 1}  # an insert replaces it, never changes it
         for exps in generators:
             self.insert(exps)
 
     def count(self, degree: int) -> int:
-        if degree < 0:
-            return 0
-        guard, units = self.ring.guard, self.units
-        top = max(self.sets)
-        while top < degree:
-            below = self.sets[top]
-            top += 1
-            generators = self.generators.get(top, ())
-            seen = set()
-            standard = set()
-            for m in below:
-                for unit in units:
-                    u = m + unit
-                    if u in seen:
-                        continue
-                    seen.add(u)
-                    if u not in generators and all(
-                        u - v in below for v in units if not (u - v) & guard
-                    ):
-                        standard.add(u)
-            self.sets[top] = standard
-        return len(self.sets[degree])
+        """The Hilbert function at ``degree``: its number of standard monomials."""
+        return _count(self.numerator, len(self.ring.shifts), degree)
+
+    def dimension(self) -> int:
+        """Krull dimension of the quotient: n minus the order of HN at t = 1."""
+        if not self.numerator:
+            raise InputError("unit leading term: the ideal is the whole ring")
+        coefficients = [self.numerator.get(j, 0) for j in range(max(self.numerator) + 1)]
+        order = 0
+        while not sum(coefficients):  # divide by 1 - t
+            coefficients = list(itertools.accumulate(coefficients))[:-1]
+            order += 1
+        return len(self.ring.shifts) - order
 
     def insert(self, exps: int) -> None:
-        degree = self.ring.degree(self.ring.key_of(exps))
-        self.generators.setdefault(degree, set()).add(exps)
-        for d in [d for d in self.sets if d >= degree]:
-            if d == degree:
-                self.sets[d].discard(exps)
-            else:
-                del self.sets[d]
+        ring, guard = self.ring, self.ring.guard
+        # I : m is generated by the quotients g / gcd(g, m) of the generators
+        quotients = [ring.slot_max(g, exps) - exps for g in self.generators]
+        if 0 in quotients:
+            return  # a generator divides m: m is already in the ideal
+        inner = self.numerator  # I : m = I if m is coprime to every generator
+        if quotients != self.generators:
+            colon, rest = [], sorted(quotients)  # a divisor before its multiples
+            while rest:  # the smallest is minimal: keep it, drop its multiples
+                colon.append(rest[0])
+                rest = [q for q in rest if (q - colon[-1]) & guard]
+            inner = _Staircase(ring, colon).numerator
+        degree = ring.degree(ring.key_of(exps))
+        numerator = dict(self.numerator)
+        for j, h in inner.items():
+            numerator[j + degree] = numerator.get(j + degree, 0) - h
+        self.numerator = {j: h for j, h in numerator.items() if h}
+        self.generators = [g for g in self.generators if (g - exps) & guard] + [exps]
 
 
 def normal_form(poly: MultiPoly, basis: Sequence[MultiPoly]) -> MultiPoly:
@@ -359,7 +367,7 @@ class GroebnerEngine:
         self.pairs: list = []  # heap of (lcm key, i, j, lcm exponents)
         self.pairs_reduced = 0
         self.max_degree = 0
-        self.staircase = _Staircase(self.ring, ())  # of the leading terms
+        self.staircase = _Staircase(self.ring)  # of the leading terms
 
     def add(self, poly: MultiPoly) -> None:
         """Extend the ideal by the form ``poly`` and complete the basis."""
@@ -373,7 +381,7 @@ class GroebnerEngine:
         terms = ring.terms(poly)
         degree = poly.total_degree()
         self.max_degree = max(self.max_degree, degree)
-        before = _Staircase(ring, [g.exps for g in self.active])
+        before = self.staircase.numerator
         remainder = ring.divide([(0, 1, terms)], self.elements)
         if remainder:
             self._insert(ring.element(remainder))
@@ -409,9 +417,9 @@ class GroebnerEngine:
             f" elements and largest degree {self.max_degree}"
         )
 
-    def _complete(self, before: _Staircase, d: int) -> None:
+    def _complete(self, before: dict, d: int) -> None:
         """Reduce the pending pairs, smallest lcm first, after a form of
-        degree ``d`` joined the ideal whose staircase is ``before``."""
+        degree ``d`` joined the ideal whose Hilbert numerator is ``before``."""
         ring = self.ring
         p = ring.p
         minus_one = p - 1 if p else -1
@@ -432,20 +440,22 @@ class GroebnerEngine:
             if remainder:
                 self._insert(ring.element(remainder))
 
-    def _degree_complete(self, degree: int, before: _Staircase, d: int) -> bool:
+    def _degree_complete(self, degree: int, before: dict, d: int) -> bool:
         """Whether the leading terms already span the ideal in ``degree``.
 
-        Adding f of degree d to an ideal I with the staircase ``before``,
-        multiplication by f maps (R/I)_(D-d) onto (I + f)/I in degree D, so
+        Adding f of degree d to an ideal I whose leading terms have the
+        Hilbert numerator ``before``, multiplication by f maps (R/I)_(D-d)
+        onto (I + f)/I in degree D, so
         dim (R/(I + f))_D >= dim (R/I)_D - dim (R/I)_(D-d), with equality
-        when f is a nonzerodivisor.  The staircase of the current leading
-        terms counts at least dim (R/(I + f))_D; equality means that the
+        when f is a nonzerodivisor.  The current leading terms count at
+        least dim (R/(I + f))_D standard monomials; equality means that the
         leading terms span the ideal in degree D and every S-polynomial of
         that degree reduces to zero, so it is skipped.  On a regular
         sequence this skips every reduction to zero (Traverso's
         Hilbert-driven Buchberger algorithm).
         """
-        bound = before.count(degree) - before.count(degree - d)
+        n = len(self.variables)
+        bound = _count(before, n, degree) - _count(before, n, degree - d)
         return self.staircase.count(degree) == bound
 
     def _insert(self, h: _Element) -> None:
@@ -516,20 +526,8 @@ def groebner_basis(generators: Sequence[MultiPoly]) -> GroebnerBasis:
 
 
 def staircase_dimension(leading_exponents: Sequence[Exponents], n_vars: int) -> int:
-    """Krull dimension of k[x_1..x_n]/I from the leading-term staircase.
-
-    Returns the size of the largest variable subset S such that no leading
-    term is supported entirely inside S.  The empty staircase (zero ideal)
-    gives n.
-    """
-    supports = [frozenset(i for i, e in enumerate(exps) if e) for exps in leading_exponents]
-    if any(not s for s in supports):
-        raise InputError("unit leading term: the ideal is the whole ring")
-    if not supports:
-        return n_vars
-    for size in range(n_vars, -1, -1):
-        for subset in itertools.combinations(range(n_vars), size):
-            chosen = frozenset(subset)
-            if not any(s <= chosen for s in supports):
-                return size
-    raise AssertionError("unreachable: the empty subset is always independent")
+    """Krull dimension of k[x_1..x_n]/I from the leading terms of a basis of I:
+    n for none, and ``InputError`` for a unit one (I is the whole ring)."""
+    ring = _Ring(FieldSpec.rationals(), n_vars)
+    packings = [ring.exps_of(ring.key(e)) for e in leading_exponents]
+    return _Staircase(ring, packings).dimension()

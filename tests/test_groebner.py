@@ -1,3 +1,4 @@
+import itertools
 import re
 from random import Random
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fanoci import groebner
-from fanoci.dimension import is_regular_sequence
+from fanoci.dimension import _cut_last_variable, is_regular_sequence
 from fanoci.errors import InputError, ResourceBudgetError
 from fanoci.families import DegreeTuple
 from fanoci.fields import FieldSpec
@@ -192,6 +193,113 @@ def test_staircase_dimension_rules():
         staircase_dimension([(0, 0)], 2)  # unit leading term
 
 
+def test_unit_ideal_has_no_dimension():
+    # a nonzero constant makes the ideal the whole ring: its Hilbert series
+    # numerator is 0, which has no order at t = 1
+    engine = GroebnerEngine(Q, ("x", "y"))
+    engine.add(MultiPoly.constant(Q, ("x", "y"), 3))
+    assert engine.staircase.numerator == {}
+    assert [engine.staircase.count(d) for d in range(4)] == [0, 0, 0, 0]
+    with pytest.raises(InputError, match="whole ring"):
+        engine.staircase.dimension()
+
+
+# ---------------------------------------------------------------------------
+# The Hilbert series numerator against the standard monomials themselves
+# ---------------------------------------------------------------------------
+
+
+class SetStaircase:
+    """Reference: the standard monomials of a monomial ideal, degree by degree.
+
+    A monomial of degree D is standard iff it is no generator and each of
+    its quotients by one variable is standard, so each degree is built from
+    the one below; ``count(D)`` is the Hilbert function at D.
+    """
+
+    def __init__(self, ring):
+        self.ring = ring
+        self.units = [1 << shift for shift in ring.shifts]
+        self.generators = {}  # degree -> exponent packings
+        self.sets = {0: {0}}
+
+    def count(self, degree):
+        if degree < 0:
+            return 0
+        guard, units = self.ring.guard, self.units
+        top = max(self.sets)
+        while top < degree:
+            below = self.sets[top]
+            top += 1
+            generators = self.generators.get(top, ())
+            self.sets[top] = {
+                u
+                for u in {m + unit for m in below for unit in units}
+                if u not in generators
+                and all(u - v in below for v in units if not (u - v) & guard)
+            }
+        return len(self.sets[degree])
+
+    def insert(self, exps):
+        degree = self.ring.degree(self.ring.key_of(exps))
+        self.generators.setdefault(degree, set()).add(exps)
+        for d in [d for d in self.sets if d >= degree]:
+            if d == degree:
+                self.sets[d].discard(exps)
+            else:
+                del self.sets[d]
+
+
+def subset_dimension(leading_exponents, n):
+    """Reference: the size of the largest variable subset that contains the
+    support of no leading term (the Krull dimension of the quotient)."""
+    supports = [{i for i, e in enumerate(exps) if e} for exps in leading_exponents]
+    for size in range(n, -1, -1):
+        for subset in itertools.combinations(range(n), size):
+            if not any(s <= set(subset) for s in supports):
+                return size
+    return None  # a unit leading term: no subset qualifies
+
+
+@st.composite
+def monomial_insertions(draw):
+    """Up to 7 monomials in n <= 5 variables, exponents <= 4, in random order,
+    with repeats and multiples of others among them."""
+    n = draw(st.integers(1, 5))
+    vector = st.lists(st.integers(0, 4), min_size=n, max_size=n).map(tuple)
+    base = draw(st.lists(vector, min_size=1, max_size=5))
+    repeats = draw(st.lists(st.sampled_from(base), max_size=1))
+    multiples = [
+        tuple(min(4, a + b) for a, b in zip(g, draw(vector)))
+        for g in draw(st.lists(st.sampled_from(base), max_size=1))
+    ]
+    return n, draw(st.permutations(base + repeats + multiples))
+
+
+@given(monomial_insertions())
+@settings(max_examples=200, deadline=None)
+def test_numerator_counts_and_dimension_match_the_references(case):
+    n, monomials = case
+    ring = _Ring(Q, n)
+    staircase, reference = groebner._Staircase(ring), SetStaircase(ring)
+    for j, exponents in enumerate(monomials, 1):
+        exps = ring.exps_of(ring.key(exponents))
+        staircase.insert(exps)
+        reference.insert(exps)
+        assert [staircase.count(d) for d in range(13)] == [
+            reference.count(d) for d in range(13)
+        ]
+        expected = subset_dimension(monomials[:j], n)
+        if expected is None:
+            with pytest.raises(InputError):
+                staircase.dimension()
+            with pytest.raises(InputError):
+                staircase_dimension(monomials[:j], n)
+        else:
+            assert staircase.dimension() == expected
+            assert staircase_dimension(monomials[:j], n) == expected
+
+
 # ---------------------------------------------------------------------------
 # Incremental extension
 # ---------------------------------------------------------------------------
@@ -214,6 +322,20 @@ def irregular_sequence():
     )
     v, w, x, y, z = (MultiPoly.variable(F5, names, n) for n in names)
     return [q1, q2, q3, x * z * q1 + y * y * q2 + w * q3, v * w * w + z**3]
+
+
+def rung_m7_cut_sequence():
+    """The forms the engine takes in the reduced check of the seeded M = 7
+    rung, (4,5) over GF(32003) with sampling seed 0: the reduced sequence,
+    cut by x_n = 0 and sorted by degree, as the cut certificate feeds it."""
+    degrees = (4, 5)
+    ci = random_complete_intersection(
+        DegreeTuple(degrees), FieldSpec.prime(32003),
+        seed=Random(f"1/{degrees}").getrandbits(32),
+    )
+    _, row = _random_admissible_form(ci, Random(0), ci.tangent())
+    cut = [_cut_last_variable(g) for g in ci.reduced_sequence(row)]
+    return sorted(cut, key=MultiPoly.total_degree)
 
 
 def small_sequences():
@@ -249,8 +371,13 @@ def test_incremental_prefixes_equal_bases_from_scratch(sequence):
     [
         (reduced_m6_sequence(), True, [(0, 1, 2), (1, 3, 4), (6, 9, 5), (17, 21, 7)]),
         (irregular_sequence(), False, [(0, 1, 2), (1, 3, 3), (4, 7, 5), (4, 7, 5), (15, 18, 6)]),
+        (
+            rung_m7_cut_sequence(),
+            True,
+            [(0, 1, 2), (1, 3, 3), (4, 7, 5), (15, 19, 7), (49, 54, 10)],
+        ),
     ],
-    ids=["reduced-m6-gf32003", "irregular-gf5"],
+    ids=["reduced-m6-gf32003", "irregular-gf5", "rung-m7-cut-gf32003"],
 )
 def test_engine_counters_pinned(sequence, regular, counters):
     # (pairs reduced, elements, largest degree) after each prefix: a change to
@@ -266,6 +393,60 @@ def test_engine_counters_pinned(sequence, regular, counters):
     assert j == len(sequence)
 
 
+def product_numerator(degrees):
+    """The coefficients of the product of the (1 - t^d) over ``degrees``."""
+    numerator = {0: 1}
+    for d in degrees:
+        shifted = {j + d: -h for j, h in numerator.items()}
+        numerator = {
+            j: c
+            for j in numerator.keys() | shifted.keys()
+            if (c := numerator.get(j, 0) + shifted.get(j, 0))
+        }
+    return numerator
+
+
+def seeded_reduced_sequences():
+    """The reduced sequences of seeded smooth instances, one form each, as
+    params: 26 regular, and (2,2,2) over GF(2) with seed 0 irregular."""
+    boxes = [
+        (p, degrees, seed)
+        for p in (2, 3)
+        for degrees in ((2, 3), (3, 3), (2, 2, 2))
+        for seed in range(4)
+    ] + [(32003, degrees, 0) for degrees in ((4, 4), (3, 5), (2, 6))]
+    for p, degrees, seed in boxes:
+        ci = random_complete_intersection(DegreeTuple(degrees), FieldSpec.prime(p), seed=seed)
+        if ci.is_smooth_at_origin:
+            _, row = _random_admissible_form(ci, Random(seed), ci.tangent())
+            name = f"seeded-gf{p}-{'-'.join(map(str, degrees))}-{seed}"
+            yield pytest.param(ci.reduced_sequence(row), id=name)
+
+
+@pytest.mark.parametrize(
+    "sequence",
+    [
+        pytest.param(reduced_m6_sequence(), id="reduced-m6-gf32003"),
+        pytest.param(irregular_sequence(), id="irregular-gf5"),
+        *(
+            pytest.param(sequence, id=f"small-{f}-{s}")
+            for sequence, (f, s) in zip(
+                small_sequences(), itertools.product(("q", "gf5"), range(3))
+            )
+        ),
+        pytest.param(rung_m7_cut_sequence(), id="rung-m7-cut-gf32003"),
+        *seeded_reduced_sequences(),
+    ],
+)
+def test_numerator_is_the_product_exactly_when_regular(sequence):
+    # HN = prod (1 - t^d_i) characterises a regular sequence of forms
+    engine = GroebnerEngine(sequence[0].field, sequence[0].variables)
+    for form in sequence:
+        engine.add(form)
+    product = product_numerator(g.total_degree() for g in sequence)
+    assert (engine.staircase.numerator == product) == is_regular_sequence(sequence).is_regular
+
+
 def test_irregular_sequence_trace_pinned():
     # trace and failing prefix as computed before the incremental kernel
     result = is_regular_sequence(irregular_sequence())
@@ -279,13 +460,13 @@ def test_irregular_sequence_trace_pinned():
 # ---------------------------------------------------------------------------
 
 
-def test_exponent_beyond_a_small_slot_is_exact():
+@pytest.mark.parametrize("xy_first", [True, False], ids=["xy-first", "xy-last"])
+def test_exponent_beyond_a_small_slot_is_exact(xy_first):
     # 70000 needs more than 16 bits; by hand, the S-polynomial of the two
-    # generators is -y^70001, and it adds the only new element.  x*y goes
-    # first: its staircase has two monomials per degree, so the Hilbert
-    # bound counts them up to degree 70001 in well under a second
+    # generators is -y^70001, and it adds the only new element, in either order
     x, y = qv(("x", "y"))
-    basis = groebner_basis([x * y, x**70000 - y**70000])
+    generators = [x * y, x**70000 - y**70000]
+    basis = groebner_basis(generators if xy_first else generators[::-1])
     assert [str(g) for g in basis.generators] == [
         "y^70001", "x^70000 + -1*y^70000", "x*y",
     ]
