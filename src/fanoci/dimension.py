@@ -13,7 +13,7 @@ The exact codimension is read off one engine: the forms are added to a
 terms under grevlex, read off the Hilbert series numerator that the engine
 keeps of them (``engine.staircase.dimension()``).  ``projective_codim``
 adds every form at once.  Both it and ``is_regular_sequence`` refuse
-inputs beyond ``max_variables`` and ``max_generators`` with
+inputs beyond ``max_variables`` variables or ``MAX_GENERATORS`` forms with
 ``ResourceBudgetError``; ``check_exact_budget`` applies the sequence rule
 on its own, for a caller that must refuse a sequence before it builds it.
 
@@ -100,9 +100,9 @@ EXACT = "exact"
 PROBABILISTIC = "probabilistic"
 
 # Groebner bases are doubly exponential in the worst case: refuse oversized
-# inputs loudly unless the caller overrides.
+# inputs loudly.  A caller may raise the variable budget, not the other.
 DEFAULT_MAX_VARIABLES = 8
-DEFAULT_MAX_GENERATORS = 12
+MAX_GENERATORS = 12
 
 DEFAULT_ENUMERATION_BUDGET = 2_000_000
 
@@ -145,27 +145,20 @@ def _common_ring(generators: Sequence[MultiPoly]) -> Tuple[FieldSpec, Tuple[str,
     return first.field, first.variables
 
 
-def _check_budget(
-    n_vars: int, n_gens: int, max_variables: int, max_generators: int
-) -> None:
+def _check_budget(n_vars: int, n_gens: int, max_variables: int) -> None:
     if n_vars > max_variables:
         raise ResourceBudgetError(
             f"{n_vars} variables exceed the exact-kernel budget of {max_variables}"
             " (pass a larger max_variables to override)"
         )
-    if n_gens > max_generators:
+    if n_gens > MAX_GENERATORS:
         raise ResourceBudgetError(
-            f"{n_gens} generators exceed the exact-kernel budget of {max_generators}"
-            " (pass a larger max_generators to override)"
+            f"{n_gens} generators exceed the exact-kernel budget of {MAX_GENERATORS}"
         )
 
 
 def check_exact_budget(
-    n_vars: int,
-    length: int,
-    *,
-    max_variables: int = DEFAULT_MAX_VARIABLES,
-    max_generators: int = DEFAULT_MAX_GENERATORS,
+    n_vars: int, length: int, *, max_variables: int = DEFAULT_MAX_VARIABLES
 ) -> None:
     """Refuse, as ``is_regular_sequence``'s exact kernel does, a sequence of
     ``length`` forms in ``n_vars`` variables beyond the budget.
@@ -173,14 +166,11 @@ def check_exact_budget(
     The prefix loop stops by prefix n + 1, so a longer sequence counts as
     n + 1 generators.
     """
-    _check_budget(n_vars, min(length, n_vars + 1), max_variables, max_generators)
+    _check_budget(n_vars, min(length, n_vars + 1), max_variables)
 
 
 def projective_codim(
-    generators: Sequence[MultiPoly],
-    *,
-    max_variables: int = DEFAULT_MAX_VARIABLES,
-    max_generators: int = DEFAULT_MAX_GENERATORS,
+    generators: Sequence[MultiPoly], *, max_variables: int = DEFAULT_MAX_VARIABLES
 ) -> CodimResult:
     """Exact codimension of the projective locus cut out by homogeneous forms.
 
@@ -199,7 +189,7 @@ def projective_codim(
         raise InputError("all generators are zero")
     _validate_homogeneous(nonzero, allow_zero=False)
     n = len(variables)
-    _check_budget(n, len(nonzero), max_variables, max_generators)
+    _check_budget(n, len(nonzero), max_variables)
     engine = GroebnerEngine(fieldspec, variables)
     for g in nonzero:
         engine.add(g)
@@ -213,7 +203,6 @@ def is_regular_sequence(
     *,
     kernel: str = EXACT,
     max_variables: int = DEFAULT_MAX_VARIABLES,
-    max_generators: int = DEFAULT_MAX_GENERATORS,
 ) -> RegularSequenceResult:
     """Decide whether an ordered list of homogeneous forms is regular at 0.
 
@@ -237,9 +226,7 @@ def is_regular_sequence(
     _validate_homogeneous(generators, allow_zero=True)
     n = len(variables)
     if kernel == EXACT:
-        check_exact_budget(
-            n, len(generators), max_variables=max_variables, max_generators=max_generators
-        )
+        check_exact_budget(n, len(generators), max_variables=max_variables)
         # regular on x_n = 0 proves every prefix regular (module docstring);
         # a failure there proves nothing.  Forced prefixes cost the uncut loop
         # no engine, so they need no certificate

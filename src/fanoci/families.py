@@ -38,11 +38,9 @@ import warnings
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
+from ._value import Value
 from .errors import InputError
 from .rationals import format_rational
-
-# sets an attribute past the ``__setattr__`` that makes a value immutable
-_init_field = object.__setattr__
 
 GENERICITY_CAVEAT = (
     "conclusions hold for generic members of the family"
@@ -50,14 +48,16 @@ GENERICITY_CAVEAT = (
 )
 
 
-class DegreeTuple:
+class DegreeTuple(Value):
     """Nondecreasing degrees (d_1, ..., d_k), k >= 2, d_1 >= 2.
 
     An immutable value: equal degrees make equal, equally hashed tuples.
     """
 
+    _fields = ("degrees",)
+
     def __init__(self, degrees: Tuple[int, ...]) -> None:
-        _init_field(self, "degrees", degrees)
+        self._set("degrees", degrees)
         d = degrees
         if len(d) < 2:
             raise InputError(f"need k >= 2 degrees, got {d}")
@@ -66,23 +66,6 @@ class DegreeTuple:
         if any(d[i] > d[i + 1] for i in range(len(d) - 1)):
             raise InputError(f"degrees must be nondecreasing, got {d}")
         assert self.M == sum(d) - self.k and self.ambient == sum(d)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.degrees == other.degrees
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.degrees,))
-
-    def __repr__(self) -> str:
-        return f"{self.__class__.__qualname__}(degrees={self.degrees!r})"
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
 
     @property
     def k(self) -> int:

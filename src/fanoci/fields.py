@@ -11,7 +11,10 @@ cheap:
     zero is falsy and a GF(p) residue is its own image in GF(p^2)
 
 GF(p^2) only serves the probabilistic slicing oracle and has no JSON form.
-JSON tag format: ``"rational"`` or ``"gf:<p>"``.  Element strings are
+JSON tag format: ``"rational"`` or ``"gf:<p>"``, with p in the ASCII grammar
+``[0-9]+``.  A characteristic p must be a prime below
+psi_13 = 3,317,044,064,679,887,385,961,981 (about 3.3e24), where the
+primality test is exact; a larger one is refused.  Element strings are
 written in the "num/den" rational format resp. as the canonical decimal
 residue, and read by the grammars ``-?[0-9]+(/[0-9]+)?`` resp. ``-?[0-9]+``.
 
@@ -25,6 +28,7 @@ from fractions import Fraction
 from random import Random
 from typing import List, Sequence, Tuple, Union
 
+from ._value import Value
 from .errors import InputError
 from .rationals import format_rational, parse_rational
 
@@ -36,19 +40,17 @@ Element = Union[Fraction, int]
 # digits is in this grammar, which is checked on all strings at once.
 _DECIMAL = re.compile(r"-?[0-9]+")
 _DROP_DECIMAL_CHARS = str.maketrans("", "", "-0123456789")
+_PRIME_TAG = re.compile(r"gf:([0-9]+)")  # ASCII digits only, for the same reason
 
-# Sets an attribute past the ``__setattr__`` that makes a value immutable.
-# Writing to ``self.__dict__`` instead would be quicker to construct, but
-# it gives the instance a materialized dict, and every later attribute read
-# slower.
-_init_field = object.__setattr__
-
-# Deterministic Miller-Rabin witnesses, valid for all n < 3.3 * 10**24.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Deterministic Miller-Rabin witnesses: the primes up to 41 are exact below
+# psi_13, up to 37 only below psi_12 = 318,665,857,834,031,151,167,461
+# (Sorenson & Webster 2017, "Strong pseudoprimes to twelve prime bases").
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981  # psi_13
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test (exact for n < 3.3e24)."""
+    """Deterministic Miller-Rabin primality test (exact for n < psi_13)."""
     if n < 2:
         return False
     for small in _MR_WITNESSES:
@@ -73,7 +75,18 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class FieldSpec:
+def _require_prime(p: int) -> None:
+    """Refuse a characteristic that is not prime, or too large to be sure."""
+    if p >= _MR_EXACT_BELOW:
+        raise InputError(
+            f"characteristic {p} is refused: primality is decided exactly"
+            f" only for p < {_MR_EXACT_BELOW}"
+        )
+    if not is_prime(p):
+        raise InputError(f"{p} is not prime")
+
+
+class FieldSpec(Value):
     """An exact coefficient field: the rationals, GF(p), or GF(p^2).
 
     Build one with ``rationals()``, ``prime(p)`` or ``from_json_tag``.  Each
@@ -85,31 +98,10 @@ class FieldSpec:
     """
 
     is_prime_field = False
+    _fields = ("characteristic",)
 
     def __init__(self, characteristic: int = 0) -> None:
-        _init_field(self, "characteristic", characteristic)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.characteristic == other.characteristic
-        return NotImplemented
-
-    def __ne__(self, other):
-        if other.__class__ is self.__class__:
-            return self.characteristic != other.characteristic
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.characteristic,))
-
-    def __repr__(self) -> str:
-        return f"{self.__class__.__qualname__}(characteristic={self.characteristic!r})"
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
+        self._set("characteristic", characteristic)
 
     # -- constructors -----------------------------------------------------
 
@@ -132,13 +124,14 @@ class FieldSpec:
             raise InputError(f"field tag must be a string, got {tag!r}")
         if tag == "rational":
             return cls.rationals()
-        if tag.startswith("gf:"):
-            try:
-                p = int(tag[3:])
-            except ValueError as exc:
-                raise InputError(f"bad field tag: {tag!r}") from exc
-            return cls.prime(p)
-        raise InputError(f"bad field tag: {tag!r}")
+        match = _PRIME_TAG.fullmatch(tag)
+        if match is None:
+            raise InputError(f"bad field tag: {tag!r}")
+        try:
+            p = int(match[1])
+        except ValueError as exc:  # more digits than ``int`` converts
+            raise InputError(f"bad field tag: {tag!r}") from exc
+        return cls.prime(p)
 
     # -- element arithmetic -------------------------------------------------
 
@@ -238,9 +231,8 @@ class _PrimeField(FieldSpec):
     is_prime_field = True
 
     def __init__(self, characteristic: int = 0) -> None:
-        _init_field(self, "characteristic", characteristic)
-        if not is_prime(characteristic):
-            raise InputError(f"{characteristic} is not prime")
+        self._set("characteristic", characteristic)
+        _require_prime(characteristic)
 
     @property
     def json_tag(self) -> str:
@@ -305,19 +297,17 @@ class _QuadraticField(FieldSpec):
     """GF(p)[t]/(t^2 - s*t - r): s = 0 and r the smallest non-residue for
     odd p, s = r = 1 (t^2 = t + 1) for p = 2."""
 
-    def __init__(self, characteristic: int = 0) -> None:
-        _init_field(self, "characteristic", characteristic)
-        p = characteristic
-        if not is_prime(p):
-            raise InputError(f"{p} is not prime")
+    def __init__(self, p: int = 0) -> None:
+        self._set("characteristic", p)
+        _require_prime(p)
         if p == 2:
             s = r = 1
         else:
             s = 0
             r = next(r for r in range(2, p) if pow(r, (p - 1) // 2, p) == p - 1)
         # s and r follow from p, so they are not compared, hashed or shown
-        _init_field(self, "_s", s)
-        _init_field(self, "_r", r)
+        self._set("_s", s)
+        self._set("_r", r)
 
     def coerce(self, value) -> Element:
         """Accept an element already encoded as ``a + b*p``."""

@@ -253,6 +253,14 @@ def _count(numerator: dict, n: int, degree: int) -> int:
     )
 
 
+def _minus_shifted(a: dict, b: dict, shift: int) -> dict:
+    """a(t) - t^shift b(t), each a dict from degree to nonzero coefficient."""
+    difference = dict(a)
+    for j, h in b.items():
+        difference[j + shift] = difference.get(j + shift, 0) - h
+    return {j: h for j, h in difference.items() if h}
+
+
 class _Staircase:
     """A monomial ideal as its Hilbert series numerator.
 
@@ -299,10 +307,7 @@ class _Staircase:
                 rest = [q for q in rest if (q - colon[-1]) & guard]
             inner = _Staircase(ring, colon).numerator
         degree = ring.degree(ring.key_of(exps))
-        numerator = dict(self.numerator)
-        for j, h in inner.items():
-            numerator[j + degree] = numerator.get(j + degree, 0) - h
-        self.numerator = {j: h for j, h in numerator.items() if h}
+        self.numerator = _minus_shifted(self.numerator, inner, degree)
         self.generators = [g for g in self.generators if (g - exps) & guard] + [exps]
 
 
@@ -385,7 +390,7 @@ class GroebnerEngine:
         remainder = ring.divide([(0, 1, terms)], self.elements)
         if remainder:
             self._insert(ring.element(remainder))
-        self._complete(before, degree)
+        self._complete(_minus_shifted(before, before, degree))
 
     def leading_exponents(self) -> List[Exponents]:
         return [self.ring.exponents(g.key) for g in self.active]
@@ -417,15 +422,30 @@ class GroebnerEngine:
             f" elements and largest degree {self.max_degree}"
         )
 
-    def _complete(self, before: dict, d: int) -> None:
-        """Reduce the pending pairs, smallest lcm first, after a form of
-        degree ``d`` joined the ideal whose Hilbert numerator is ``before``."""
-        ring = self.ring
+    def _complete(self, bound: dict) -> None:
+        """Reduce the pending pairs, smallest lcm first, after a form f of
+        degree d joined the ideal I, skipping every degree D in which the
+        leading terms already span the ideal.
+
+        If the leading terms of I have the Hilbert numerator HN_before,
+        multiplication by f maps (R/I)_(D-d) onto (I + f)/I in degree D, so
+        dim (R/(I + f))_D >= dim (R/I)_D - dim (R/I)_(D-d), with equality
+        when f is a nonzerodivisor.  The right-hand side is the Hilbert
+        function at D of the numerator ``bound`` = HN_before (1 - t^d).
+        The current leading terms count at least dim (R/(I + f))_D standard
+        monomials; equality means that they span the ideal in degree D and
+        every S-polynomial of that degree reduces to zero, so it is skipped.
+        On a regular sequence this skips every reduction to zero (Traverso's
+        Hilbert-driven Buchberger algorithm).
+        """
+        ring, staircase = self.ring, self.staircase
+        n = len(self.variables)
         p = ring.p
         minus_one = p - 1 if p else -1
         while self.pairs:
             lcm, i, j, _ = heappop(self.pairs)
-            if self._degree_complete(ring.degree(lcm), before, d):
+            degree = ring.degree(lcm)
+            if staircase.count(degree) == _count(bound, n, degree):
                 continue
             if self.pairs_reduced >= MAX_PAIRS:
                 raise ResourceBudgetError(
@@ -439,24 +459,6 @@ class GroebnerEngine:
             )
             if remainder:
                 self._insert(ring.element(remainder))
-
-    def _degree_complete(self, degree: int, before: dict, d: int) -> bool:
-        """Whether the leading terms already span the ideal in ``degree``.
-
-        Adding f of degree d to an ideal I whose leading terms have the
-        Hilbert numerator ``before``, multiplication by f maps (R/I)_(D-d)
-        onto (I + f)/I in degree D, so
-        dim (R/(I + f))_D >= dim (R/I)_D - dim (R/I)_(D-d), with equality
-        when f is a nonzerodivisor.  The current leading terms count at
-        least dim (R/(I + f))_D standard monomials; equality means that the
-        leading terms span the ideal in degree D and every S-polynomial of
-        that degree reduces to zero, so it is skipped.  On a regular
-        sequence this skips every reduction to zero (Traverso's
-        Hilbert-driven Buchberger algorithm).
-        """
-        n = len(self.variables)
-        bound = _count(before, n, degree) - _count(before, n, degree - d)
-        return self.staircase.count(degree) == bound
 
     def _insert(self, h: _Element) -> None:
         """Add ``h``, reduced by the active elements: the Gebauer-Moeller update."""

@@ -28,13 +28,11 @@ from itertools import chain, pairwise, repeat, starmap
 from random import Random
 from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
+from ._value import Value
 from .errors import InputError
 from .fields import Element, FieldSpec, nullspace
 
 Exponents = Tuple[int, ...]
-
-# sets an attribute past the ``__setattr__`` that makes a value immutable
-_init_field = object.__setattr__
 
 
 def grevlex_key(exponents: Exponents):
@@ -161,7 +159,7 @@ def _compose(
     return acc
 
 
-class MultiPoly:
+class MultiPoly(Value):
     """Immutable sparse polynomial over a ``FieldSpec``.
 
     ``MultiPoly(field, variables, terms)`` stores ``terms`` as given, so it
@@ -171,39 +169,17 @@ class MultiPoly:
     terms are a dict.
     """
 
+    _fields = ("field", "variables", "terms")
+
     def __init__(
         self,
         field: FieldSpec,
         variables: Tuple[str, ...],
         terms: Mapping[Exponents, Element] | None = None,
     ) -> None:
-        _init_field(self, "field", field)
-        _init_field(self, "variables", variables)
-        _init_field(self, "terms", {} if terms is None else terms)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.field, self.variables, self.terms) == (
-                other.field,
-                other.variables,
-                other.terms,
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.variables, self.terms))
-
-    def __repr__(self) -> str:
-        return (
-            f"{self.__class__.__qualname__}(field={self.field!r},"
-            f" variables={self.variables!r}, terms={self.terms!r})"
-        )
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
+        self._set("field", field)
+        self._set("variables", variables)
+        self._set("terms", {} if terms is None else terms)
 
     # -- constructors -----------------------------------------------------
 

@@ -64,6 +64,7 @@ from functools import cached_property
 from random import Random
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
+from ._value import Value
 from .dimension import (
     DEFAULT_MAX_VARIABLES,
     EXACT,
@@ -86,9 +87,6 @@ from .polynomials import (
 REGULAR = "regular"
 IRREGULAR = "irregular"
 SINGULAR = "singular-at-point"
-
-# sets an attribute past the ``__setattr__`` that makes a value immutable
-_init_field = object.__setattr__
 
 
 # ---------------------------------------------------------------------------
@@ -186,19 +184,21 @@ def ambient_variables(n: int) -> Tuple[str, ...]:
     return tuple(f"z{i}" for i in range(1, n + 1))
 
 
-class PointedCI:
+class PointedCI(Value):
     """Affine equations of a complete intersection, based at the origin.
 
     An immutable value: two instances are equal when their degrees, field
     and equations are.
     """
 
+    _fields = ("degrees", "field", "equations")
+
     def __init__(
         self, degrees: DegreeTuple, field: FieldSpec, equations: Tuple[MultiPoly, ...]
     ) -> None:
-        _init_field(self, "degrees", degrees)
-        _init_field(self, "field", field)
-        _init_field(self, "equations", equations)
+        self._set("degrees", degrees)
+        self._set("field", field)
+        self._set("equations", equations)
         d = self.degrees.degrees
         n = self.degrees.ambient
         if len(self.equations) != self.degrees.k:
@@ -224,30 +224,6 @@ class PointedCI:
                     f"equation degree {f.total_degree()} does not match {degree}"
                 )
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.degrees, self.field, self.equations) == (
-                other.degrees,
-                other.field,
-                other.equations,
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.degrees, self.field, self.equations))
-
-    def __repr__(self) -> str:
-        return (
-            f"{self.__class__.__qualname__}(degrees={self.degrees!r},"
-            f" field={self.field!r}, equations={self.equations!r})"
-        )
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
     @property
     def variables(self) -> Tuple[str, ...]:
         return self.equations[0].variables
@@ -258,7 +234,7 @@ class PointedCI:
     # the first part asked for splits every equation in one scan.  The
     # tangent space reads the linear parts off a scan of its own, so an
     # instance that is only tested for smoothness keeps no parts.  None is
-    # a field, so equality is unchanged.
+    # in ``_fields``, so equality is unchanged.
     @cached_property
     def _parts(self) -> Tuple[Dict[int, MultiPoly], ...]:
         return tuple(f.homogeneous_components() for f in self.equations)

@@ -503,6 +503,12 @@ def test_randomci_rejects_negative_trials():
     assert json.loads(output)["trials"] == 0
 
 
+def test_randomci_field_tag_outside_the_grammar_exit_2(capsys):
+    code, output = invoke(["randomci", "--degrees", "2,3", "--field", "gf:1_01"])
+    assert (code, output) == (2, "")
+    assert capsys.readouterr().err.startswith("input error:")
+
+
 def test_randomci_rejects_zero_samples_before_drawing():
     # checked up front: with no trials no instance reaches the sampled check
     for trials in ("0", "3"):

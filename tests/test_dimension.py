@@ -114,6 +114,22 @@ def test_codim_budget_refuses_oversized_input():
     assert projective_codim([x0], max_variables=9).codimension == 1
 
 
+def test_generator_budget_refuses_before_building_an_engine(monkeypatch):
+    def build(*args, **kwargs):
+        raise AssertionError("an engine was built")
+
+    def thirteen_linear_forms(n):
+        names = tuple(f"x{i}" for i in range(n))
+        forms = [MultiPoly.variable(F5, names, name) for name in names]
+        return forms + [forms[0] + forms[i] for i in range(1, 14 - n)]
+
+    monkeypatch.setattr(dimension, "GroebnerEngine", build)
+    with pytest.raises(ResourceBudgetError, match="13 generators"):
+        projective_codim(thirteen_linear_forms(8))
+    with pytest.raises(ResourceBudgetError, match="13 generators"):
+        is_regular_sequence(thirteen_linear_forms(12), max_variables=12)
+
+
 @pytest.mark.parametrize("field", [F5, FieldSpec.prime(101), Q], ids=["gf5", "gf101", "q"])
 def test_codim_matches_the_reduced_basis_staircase(field):
     # reference: the staircase of the leading terms of the reduced basis

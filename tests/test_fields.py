@@ -57,10 +57,26 @@ def test_nullspace_over_quadratic_field(field):
                 assert total == 0
 
 
-@pytest.mark.parametrize("tag", [None, 7, True, ["gf:7"], {"gf": 7}, "gf:4", "gf:x", "q"])
+@pytest.mark.parametrize(
+    "tag",
+    [
+        None, 7, True, ["gf:7"], {"gf": 7}, "gf:4", "gf:x", "q",
+        # outside the ASCII grammar gf:[0-9]+, though ``int`` reads them
+        "gf:1_01", "gf: 7", "gf:+5", "gf:\u0663",
+        # psi_12, a strong pseudoprime to the bases up to 37, and psi_13,
+        # where the exact primality range ends
+        "gf:318665857834031151167461", "gf:3317044064679887385961981",
+    ],
+)
 def test_bad_field_tags_are_input_errors(tag):
     with pytest.raises(InputError):
         FieldSpec.from_json_tag(tag)
+
+
+@pytest.mark.parametrize("p", [32003, 2**61 - 1])
+def test_prime_field_tags_are_accepted(p):
+    field = FieldSpec.from_json_tag(f"gf:{p}")
+    assert field == FieldSpec.prime(p) and field.json_tag == f"gf:{p}"
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 101, 32003])
