@@ -48,6 +48,19 @@ _PRIME_TAG = re.compile(r"gf:([0-9]+)")  # ASCII digits only, for the same reaso
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981  # psi_13
 
+# An error message shows at most this many characters of a rejected tag or
+# characteristic, so a huge one cannot flood it.
+_SHOWN_CHARS = 40
+
+
+def _shown(value) -> str:
+    """``repr(value)`` for an error message, cut after ``_SHOWN_CHARS``
+    characters, with the count of those left out."""
+    text = repr(value)
+    if len(text) <= _SHOWN_CHARS:
+        return text
+    return f"{text[:_SHOWN_CHARS]}... ({len(text) - _SHOWN_CHARS} more characters)"
+
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test (exact for n < psi_13)."""
@@ -79,7 +92,7 @@ def _require_prime(p: int) -> None:
     """Refuse a characteristic that is not prime, or too large to be sure."""
     if p >= _MR_EXACT_BELOW:
         raise InputError(
-            f"characteristic {p} is refused: primality is decided exactly"
+            f"characteristic {_shown(p)} is refused: primality is decided exactly"
             f" only for p < {_MR_EXACT_BELOW}"
         )
     if not is_prime(p):
@@ -121,16 +134,16 @@ class FieldSpec(Value):
     @classmethod
     def from_json_tag(cls, tag: str) -> "FieldSpec":
         if not isinstance(tag, str):
-            raise InputError(f"field tag must be a string, got {tag!r}")
+            raise InputError(f"field tag must be a string, got {_shown(tag)}")
         if tag == "rational":
             return cls.rationals()
         match = _PRIME_TAG.fullmatch(tag)
         if match is None:
-            raise InputError(f"bad field tag: {tag!r}")
+            raise InputError(f"bad field tag: {_shown(tag)}")
         try:
             p = int(match[1])
         except ValueError as exc:  # more digits than ``int`` converts
-            raise InputError(f"bad field tag: {tag!r}") from exc
+            raise InputError(f"bad field tag: {_shown(tag)}") from exc
         return cls.prime(p)
 
     # -- element arithmetic -------------------------------------------------

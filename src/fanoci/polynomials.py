@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import operator
 from collections import Counter
-from itertools import chain, pairwise, repeat, starmap
+from itertools import chain, groupby, islice, pairwise, repeat, starmap
 from random import Random
 from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
@@ -141,21 +141,32 @@ def _compose(
     variable x, the polynomial folds as acc = acc * image + f_k from the
     highest k down, and each f_k, a polynomial in the exponent prefixes, is
     composed the same way; so each prefix is multiplied once, whatever the
-    images are.  Terms that cancel may be left with a zero coefficient.
+    images are.  Each step folds acc * image and f_k into one new map, or
+    takes f_k itself while acc is empty, so the result may be one of the
+    leaves, which the caller only reads.  Terms that cancel are left with a
+    zero coefficient.
     """
-    add = fieldspec.add
-    image, inner = images[-1], images[:-1]
+    mul, add, vector_sum = fieldspec.mul, fieldspec.add, operator.add
+    image, inner = images[-1].items(), images[:-1]
     by_last: Dict[int, Dict[Exponents, Mapping[Exponents, Element]]] = {}
     for exps, leaf in leaves.items():
         by_last.setdefault(exps[-1], {})[exps[:-1]] = leaf
     acc: Dict[Exponents, Element] = {}
     for k in range(max(by_last, default=0), -1, -1):
-        acc = _product(fieldspec, acc, image)
-        if k not in by_last:
-            continue
-        part = _compose(fieldspec, by_last[k], inner) if inner else by_last[k][()]
-        for key, value in part.items():
-            acc[key] = add(acc[key], value) if key in acc else value
+        step: Dict[Exponents, Element] = {}
+        for ea, ca in acc.items():
+            for eb, cb in image:
+                exps = tuple(map(vector_sum, ea, eb))
+                coeff = mul(ca, cb)
+                step[exps] = add(step[exps], coeff) if exps in step else coeff
+        if k in by_last:
+            part = _compose(fieldspec, by_last[k], inner) if inner else by_last[k][()]
+            if step:
+                for exps, coeff in part.items():
+                    step[exps] = add(step[exps], coeff) if exps in step else coeff
+            else:
+                step = part
+        acc = step
     return acc
 
 
@@ -352,20 +363,25 @@ class MultiPoly(Value):
         return total
 
     def homogeneous_components(self) -> Dict[int, "MultiPoly"]:
-        """Decompose into {degree: homogeneous part}; only nonzero parts appear."""
-        buckets: Dict[int, Dict[Exponents, Element]] = {}
-        for exps, coeff in self.terms.items():
-            buckets.setdefault(sum(exps), {})[exps] = coeff
+        """Decompose into {degree: homogeneous part}; only nonzero parts appear.
+
+        Canonical terms come in one run per degree, so each part is a slice
+        of the terms.  A hand-built polynomial whose terms are out of order
+        may have a degree in two runs; its terms are bucketed instead.
+        """
+        runs = [(d, len(list(run))) for d, run in groupby(map(sum, self.terms))]
+        if len(runs) == len(dict(runs)):
+            items = iter(self.terms.items())
+            parts = {d: dict(islice(items, count)) for d, count in runs}
+        else:
+            parts = {}
+            for exps, coeff in self.terms.items():
+                parts.setdefault(sum(exps), {})[exps] = coeff
         # a subset of canonical terms, kept in order, is canonical
         return {
             d: MultiPoly(self.field, self.variables, terms)
-            for d, terms in sorted(buckets.items())
+            for d, terms in sorted(parts.items())
         }
-
-    def homogeneous_part(self, degree: int) -> "MultiPoly":
-        # a subset of canonical terms, kept in order, is canonical
-        terms = {e: c for e, c in self.terms.items() if sum(e) == degree}
-        return MultiPoly(self.field, self.variables, terms)
 
     def restrict_to_hyperplane(self, linear: "MultiPoly") -> "MultiPoly":
         """Substitute the hyperplane {linear = 0} into this polynomial.
@@ -522,23 +538,25 @@ def restrict_to_graph(
     if not polys:
         return []
     fieldspec, variables = polys[0].field, polys[0].variables
-    eliminated = [i for i in range(len(variables)) if i not in kept]
+    kept_set = set(kept)
+    eliminated = [i for i in range(len(variables)) if i not in kept_set]
     if not eliminated:  # the graph is the whole space
         return list(polys)
-    survivors = tuple(variables[i] for i in kept)
     m = len(kept)
     units = [(0,) * j + (1,) + (0,) * (m - 1 - j) for j in range(m)]
     elim_images = [
-        {unit: vec[i] for unit, vec in zip(units, basis) if vec[i]} for i in eliminated
+        {unit: c for unit, vec in zip(units, basis) if (c := vec[i])} for i in eliminated
     ]
     leaf_key, elim_key = _picker(kept), _picker(eliminated)
+    survivors = leaf_key(variables)
     restricted = []
     for poly in polys:
         leaves: Dict[Exponents, Dict[Exponents, Element]] = {}
         for exps, coeff in poly.terms.items():
             leaves.setdefault(elim_key(exps), {})[leaf_key(exps)] = coeff
-        total = _compose(fieldspec, leaves, elim_images)
-        restricted.append(MultiPoly(fieldspec, survivors, _canonical(total)))
+        # the zeros that cancellation left are dropped here, once
+        total = _canonical(_compose(fieldspec, leaves, elim_images))
+        restricted.append(MultiPoly(fieldspec, survivors, total))
     return restricted
 
 
@@ -597,6 +615,16 @@ def monomials_of_degree(n_vars: int, degree: int) -> Iterator[Exponents]:
         exps[0] = rest
 
 
+def _draw_terms(
+    monomials: Sequence[Exponents], fieldspec: FieldSpec, seed: int
+) -> Dict[Exponents, Element]:
+    """One coefficient per monomial, drawn in list order from ``Random(seed)``;
+    the nonzero terms, in list order."""
+    draw, rng = fieldspec.random_element, Random(seed)
+    coeffs = [draw(rng) for _ in monomials]
+    return {exps: coeff for exps, coeff in zip(monomials, coeffs) if coeff}
+
+
 def random_poly(
     degree: int,
     variables: Sequence[str],
@@ -616,18 +644,13 @@ def random_poly(
     variables = tuple(variables)
     if len(set(variables)) != len(variables):
         raise InputError(f"duplicate variable names in {variables}")
-    n, draw, rng = len(variables), fieldspec.random_element, Random(seed)
+    n = len(variables)
+    if homogeneous:
+        monomials = list(monomials_of_degree(n, degree))
+        return MultiPoly(fieldspec, variables, _draw_terms(monomials, fieldspec, seed))
     # drawn from degree 0 up, each degree grevlex-descending; stored from the
     # top degree down, which is the canonical order, so nothing is re-sorted
-    parts = []
-    for d in [degree] if homogeneous else range(degree + 1):
-        part: Dict[Exponents, Element] = {}
-        for exps in monomials_of_degree(n, d):
-            coeff = draw(rng)
-            if coeff:
-                part[exps] = coeff
-        parts.append(part)
-    terms: Dict[Exponents, Element] = {}
-    for part in reversed(parts):
-        terms.update(part)
+    by_degree = [list(monomials_of_degree(n, d)) for d in range(degree + 1)]
+    drawn = _draw_terms(list(chain.from_iterable(by_degree)), fieldspec, seed)
+    terms = {e: drawn[e] for part in reversed(by_degree) for e in part if e in drawn}
     return MultiPoly(fieldspec, variables, terms)

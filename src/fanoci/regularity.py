@@ -78,9 +78,10 @@ from .families import DegreeTuple
 from .fields import Element, FieldSpec
 from .polynomials import (
     MultiPoly,
+    _draw_terms,
     hyperplane_graph,
     linear_graph,
-    random_poly,
+    monomials_of_degree,
     restrict_to_graph,
 )
 
@@ -150,15 +151,18 @@ class TangentSpace(NamedTuple):
         its coefficient row . basis[j] at each survivor j.
 
         It is zero iff the form vanishes on the space, i.e. lies in the span
-        of the linear parts.
+        of the linear parts.  ``basis[j]`` is 1 at ``kept[j]`` and 0 at the
+        other survivors, so the product is ``row[kept[j]]`` plus the products
+        at the eliminated variables.  The entries of ``row`` are field
+        elements.
         """
         mul, add = field.mul, field.add
+        eliminated = sorted(set(range(len(row))).difference(self.kept))
         restricted = []
-        for vec in self.basis:
-            total = field.zero()
-            for a, b in zip(row, vec):
-                if a and b:
-                    total = add(total, mul(a, b))
+        for survivor, vec in zip(self.kept, self.basis):
+            total = row[survivor]
+            for i in eliminated:
+                total = add(total, mul(row[i], vec[i]))
             restricted.append(total)
         return restricted
 
@@ -230,18 +234,17 @@ class PointedCI(Value):
 
     # The parts, the tangent space, the index pairs and the tail restricted
     # to the tangent space depend only on the instance, so each is computed
-    # once, when first asked for.  A check asks for nearly every part, so
-    # the first part asked for splits every equation in one scan.  The
-    # tangent space reads the linear parts off a scan of its own, so an
-    # instance that is only tested for smoothness keeps no parts.  None is
-    # in ``_fields``, so equality is unchanged.
+    # once, when first asked for.  The first part asked for splits every
+    # equation, one slice per degree; the tangent space reads the linear
+    # parts off that split, so an instance that is tested for smoothness
+    # keeps its parts too.  None is in ``_fields``, so equality is unchanged.
     @cached_property
     def _parts(self) -> Tuple[Dict[int, MultiPoly], ...]:
         return tuple(f.homogeneous_components() for f in self.equations)
 
     @cached_property
     def _tangent(self) -> TangentSpace:
-        return tangent_space([f.homogeneous_part(1) for f in self.equations])
+        return tangent_space([self.part(i, 1) for i in range(1, self.degrees.k + 1)])
 
     @cached_property
     def index_pairs(self) -> Tuple[Tuple[int, int], ...]:
@@ -500,14 +503,21 @@ def _random_admissible_form(
 ) -> Tuple[MultiPoly, List[Element]]:
     """A random linear form that does not vanish on T_oV, and its row there."""
     field = ci.field
+    draw = field.random_element
     n = ci.degrees.ambient
     for _ in range(max_tries):
-        coeffs = [field.random_element(rng) for _ in range(n)]
+        coeffs = [draw(rng) for _ in range(n)]
         if not any(coeffs):
             continue
         tangent_row = tangent.row_on(coeffs, field)
         if any(tangent_row):
-            return MultiPoly.linear(field, ci.variables, coeffs), tangent_row
+            # the drawn residues are field elements, and the unit monomials
+            # run grevlex-descending from the first variable, so the terms
+            # are canonical as made
+            terms = {
+                (0,) * i + (1,) + (0,) * (n - 1 - i): c for i, c in enumerate(coeffs) if c
+            }
+            return MultiPoly(field, ci.variables, terms), tangent_row
     raise ResourceBudgetError(
         f"failed to sample a linear form off the tangent span in {max_tries} tries"
     )
@@ -561,6 +571,13 @@ def random_complete_intersection(
     if not field.is_prime_field:
         raise InputError("random complete intersections are drawn over GF(p)")
     variables = ambient_variables(degrees.ambient)
+    # every part of degree j, of every equation and in every attempt, is
+    # drawn over one list of the degree-j monomials, so the equations share
+    # their exponent tuples
+    monomials = {
+        j: list(monomials_of_degree(len(variables), j))
+        for j in range(1, max(degrees.degrees) + 1)
+    }
     master = Random(seed)
     instance = None
     for _ in range(max_attempts):
@@ -570,17 +587,15 @@ def random_complete_intersection(
             for j in range(1, d + 1):
                 # only the top-degree part must be nonzero; it is redrawn
                 for _ in range(1 + max_part_redraws):
-                    part = random_poly(
-                        j, variables, field, homogeneous=True, seed=master.getrandbits(63)
-                    )
-                    if j < d or not part.is_zero():
+                    part = _draw_terms(monomials[j], field, master.getrandbits(63))
+                    if j < d or part:
                         break
                 else:
                     raise ResourceBudgetError(
                         "could not draw a nonzero top-degree part"
                         f" in {max_part_redraws} redraws"
                     )
-                parts.append(part.terms)
+                parts.append(part)
             # each part is canonical and of its own degree, so the parts from
             # the top degree down make the canonical term order
             terms = {}

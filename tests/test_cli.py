@@ -509,6 +509,24 @@ def test_randomci_field_tag_outside_the_grammar_exit_2(capsys):
     assert capsys.readouterr().err.startswith("input error:")
 
 
+@pytest.mark.parametrize(
+    "digits, shown",
+    [
+        # more digits than ``int`` converts: a bad tag
+        (5000, "bad field tag: 'gf:1111"),
+        # converted, and refused as beyond the exact primality range
+        (4000, "characteristic 1111"),
+    ],
+    ids=["5000 digits", "4000 digits"],
+)
+def test_randomci_huge_field_tag_exit_2_with_a_short_message(capsys, digits, shown):
+    code, output = invoke(["randomci", "--degrees", "2,3", "--field", "gf:" + "1" * digits])
+    assert (code, output) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("input error: " + shown)
+    assert len(err) < 200 and "more characters)" in err
+
+
 def test_randomci_rejects_zero_samples_before_drawing():
     # checked up front: with no trials no instance reaches the sampled check
     for trials in ("0", "3"):

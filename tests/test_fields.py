@@ -73,6 +73,23 @@ def test_bad_field_tags_are_input_errors(tag):
         FieldSpec.from_json_tag(tag)
 
 
+@pytest.mark.parametrize(
+    "tag",
+    ["gf:" + "7" * 5000, "gf:" + "7" * 3000, "x" * 5000, ["gf:7"] * 5000],
+    ids=["5000 digits", "3000 digits", "5000 letters", "a list of 5000 tags"],
+)
+def test_a_huge_rejected_tag_is_shown_cut(tag):
+    with pytest.raises(InputError) as info:
+        FieldSpec.from_json_tag(tag)
+    message = str(info.value)
+    assert len(message) < 200 and "more characters)" in message
+
+
+def test_a_short_rejected_tag_is_shown_whole():
+    with pytest.raises(InputError, match=r"^bad field tag: 'gf:x'$"):
+        FieldSpec.from_json_tag("gf:x")
+
+
 @pytest.mark.parametrize("p", [32003, 2**61 - 1])
 def test_prime_field_tags_are_accepted(p):
     field = FieldSpec.from_json_tag(f"gf:{p}")

@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fanoci.errors import InputError
 from fanoci.fields import FieldSpec, rref
@@ -62,6 +62,33 @@ def test_homogeneous_components_examples():
     cubic = z1**2 * z4
     assert list((cubic).homogeneous_components()) == [3]
     assert MultiPoly.zero(Q, V).homogeneous_components() == {}
+
+
+def _bucketed_components(f):
+    """Reference split: each term into its degree's bucket, in term order."""
+    buckets = {}
+    for exps, coeff in f.terms.items():
+        buckets.setdefault(sum(exps), {})[exps] = coeff
+    return {d: list(terms.items()) for d, terms in sorted(buckets.items())}
+
+
+@given(
+    terms=st.dictionaries(
+        st.tuples(*[st.integers(min_value=0, max_value=3)] * 3),
+        st.integers(min_value=1, max_value=4),
+        max_size=12,
+    )
+)
+@example(terms={(1, 0, 0): 1, (2, 0, 0): 3, (0, 1, 0): 2})  # degree 1 in two runs
+@settings(max_examples=200, deadline=None)
+def test_homogeneous_components_of_a_hand_built_polynomial_out_of_order(terms):
+    # stored as given, in any order: a degree may come in two runs
+    f = MultiPoly(F5, ("x", "y", "z"), terms)
+    components = f.homogeneous_components()
+    assert list(components) == sorted(components)
+    assert {d: list(g.terms.items()) for d, g in components.items()} == (
+        _bucketed_components(f)
+    )
 
 
 def test_restriction_examples():
@@ -364,6 +391,41 @@ def test_restriction_to_no_forms_is_the_identity():
     whole_space = linear_graph([[0, 0, 0]], F5, 3)
     assert whole_space[0] == (0, 1, 2)
     assert restrict_to_graph(polys, *whole_space) == polys
+
+
+@pytest.mark.parametrize("field", [F5, FieldSpec.prime(101), Q])
+@pytest.mark.parametrize("graph", ["whole space", "no survivors", "one hyperplane"])
+def test_restriction_to_a_graph_edge_cases_match_substitution(field, graph):
+    V = ("z1", "z2", "z3")
+    rows = {
+        "whole space": [[0, 0, 0]],
+        "no survivors": [[1, 2, 0], [0, 1, 3], [1, 0, 1]],  # determinant 7
+        "one hyperplane": [[2, 0, 3]],
+    }[graph]
+    forms = [MultiPoly.linear(field, V, row) for row in rows]
+    # a zero polynomial among the inputs, and one with a constant term
+    polys = [
+        random_poly(3, V, field, seed=4),
+        MultiPoly.zero(field, V),
+        random_poly(2, V, field, homogeneous=True, seed=5),
+    ]
+    kept, basis = linear_graph([form.linear_row() for form in forms], field, 3)
+    got = restrict_to_graph(polys, kept, basis)
+
+    survivors, reference_basis = _graph_basis(field, V, forms)
+    assert [list(vec) for vec in basis] == [list(vec) for vec in reference_basis]
+    images = [
+        MultiPoly.linear(field, survivors, [vec[i] for vec in reference_basis])
+        for i in range(3)
+    ]
+    expected = [_substitute_by_power_tables(f, images) for f in polys]
+    assert [g.variables for g in got] == [survivors] * 3
+    assert [list(g.terms.items()) for g in got] == [list(g.terms.items()) for g in expected]
+    assert got[1].is_zero()
+    if graph == "no survivors":  # only the constant term is left
+        assert survivors == () and got[0].terms == {
+            (): c for e, c in polys[0].terms.items() if not any(e)
+        }
 
 
 @st.composite

@@ -3,13 +3,14 @@ import json
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fanoci.polynomials as polynomials
 from fanoci.dimension import PROBABILISTIC, is_regular_sequence
 from fanoci.errors import InputError, ResourceBudgetError
 from fanoci.families import DegreeTuple
 from fanoci.fields import FieldSpec
-from fanoci.polynomials import MultiPoly, restrict_to_common_zeros
+from fanoci.polynomials import MultiPoly, linear_graph, restrict_to_common_zeros
 from fanoci.regularity import (
     PointedCI,
     RegularityReport,
@@ -96,6 +97,32 @@ def test_tangent_space_rank_two_system():
     result = tangent_space([v["z1"] + v["z2"], v["z2"] + v["z3"]])
     assert not result.is_singular
     assert result.codimension == 2 and len(result.basis) == 2
+
+
+@given(
+    field=st.sampled_from([FieldSpec.prime(2), FieldSpec.prime(5), Q]),
+    n=st.integers(min_value=1, max_value=6),
+    rows=st.lists(
+        st.lists(st.integers(min_value=-4, max_value=4), min_size=6, max_size=6),
+        max_size=4,
+    ),
+    row=st.lists(st.integers(min_value=-4, max_value=4), min_size=6, max_size=6),
+)
+@settings(max_examples=200, deadline=None)
+def test_row_on_is_the_dot_product_with_each_basis_vector(field, n, rows, row):
+    # dependent, zero and no rows too: the graph may be the whole space or
+    # leave no survivor
+    rows = [[field.coerce(c) for c in r[:n]] for r in rows]
+    row = [field.coerce(c) for c in row[:n]]
+    kept, basis = linear_graph(rows, field, n)
+    tangent = TangentSpace(basis, n - len(basis), False, kept)
+    expected = []
+    for vec in basis:
+        total = field.zero()
+        for i in range(n):
+            total = field.add(total, field.mul(row[i], vec[i]))
+        expected.append(total)
+    assert tangent.row_on(row, field) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -476,13 +503,14 @@ def test_random_ci_top_part_redraw_budget(monkeypatch, zero_top_draws, raises):
 
     draws = []
 
-    def fake_random_poly(degree, variables, field, homogeneous, seed):
+    def fake_draw_terms(monomials, field, seed):
+        degree = sum(monomials[0])
         draws.append((degree, seed))
         if degree == 2 and len(draws) <= zero_top_draws + 1:
-            return MultiPoly.zero(field, variables)
-        return MultiPoly.variable(field, variables, variables[0]) ** degree
+            return {}
+        return {monomials[0]: 1}  # z1^degree
 
-    monkeypatch.setattr(regularity, "random_poly", fake_random_poly)
+    monkeypatch.setattr(regularity, "_draw_terms", fake_draw_terms)
     # the first part of f_1 is linear, then up to 1 + 3 top-degree draws
     if raises:
         with pytest.raises(ResourceBudgetError):
@@ -557,3 +585,31 @@ def test_seeded_instance_bytes_are_pinned(degrees, tag, seed, digest):
         DegreeTuple(degrees), FieldSpec.from_json_tag(tag), seed=seed
     )
     assert hashlib.sha256(json.dumps(ci.to_json()).encode()).hexdigest() == digest
+
+
+# sha256 of the concatenated JSON dumps of the seeded instances over one
+# field, for each degree tuple below and the instance seeds the benchmark
+# draws, Random(f"{s}/{degrees}").getrandbits(32) for s = 0, 1, 2
+_PINNED_FIELD_DIGESTS = {
+    "gf:2": "ef22e100514ca431e15224ca51a6c92ac473dbbf5024fcd1465b820b87a46de2",
+    "gf:101": "744d8ce7d86d3a53d0a1d1c291d69b932a59a72ad096c1b66ce8fc72d3d55333",
+    "gf:32003": "88bf3ecea832ad3d6a889e3156940a645e2295761d36555efb23dbd27ac8f9ab",
+    "gf:4294967291": "2f768d06a94603512be95717d1933f8dffde6afd2561d73527f2e82940981be0",
+    "gf:18446744073709551557": (
+        "8a27b44f85f3354f2eef657c56a0f6c582989a0d0b6fb2feb1e6d7fe77222855"
+    ),
+}
+
+
+@pytest.mark.parametrize("tag", sorted(_PINNED_FIELD_DIGESTS))
+def test_benchmark_seeded_instance_bytes_are_pinned(tag):
+    # every part of every equation and redraw is drawn from its own stream,
+    # in one fixed order: a change to how the draws are made cannot change
+    # an instance unnoticed, over small, medium and 64-bit characteristics
+    field, digest = FieldSpec.from_json_tag(tag), hashlib.sha256()
+    for degrees in [(2, 3), (3, 3), (2, 2, 2), (2, 6), (5, 6)]:
+        for s in range(3):
+            seed = Random(f"{s}/{degrees}").getrandbits(32)
+            ci = random_complete_intersection(DegreeTuple(degrees), field, seed=seed)
+            digest.update(json.dumps(ci.to_json()).encode())
+    assert digest.hexdigest() == _PINNED_FIELD_DIGESTS[tag]
