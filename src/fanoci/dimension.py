@@ -401,7 +401,8 @@ def _random_full_rank_forms(
     rng: Random, ext: FieldSpec, n: int, j: int, max_tries: int = 64
 ) -> List[List[Element]]:
     for _ in range(max_tries):
-        rows = [[ext.random_element(rng) for _ in range(n)] for _ in range(j)]
+        draws = ext.random_elements(rng, j * n)
+        rows = [draws[i:i + n] for i in range(0, j * n, n)]
         if len(rref(rows, ext)[1]) == j:
             return rows
     raise ResourceBudgetError(

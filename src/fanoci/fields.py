@@ -18,6 +18,14 @@ primality test is exact; a larger one is refused.  Element strings are
 written in the "num/den" rational format resp. as the canonical decimal
 residue, and read by the grammars ``-?[0-9]+(/[0-9]+)?`` resp. ``-?[0-9]+``.
 
+``random_element(rng)`` draws one element: uniform over a finite field, a
+small integer over Q.  ``random_elements(rng, count)`` is its bulk
+counterpart, in the way ``parse_elements`` is one for parsing: it returns
+the elements that ``count`` calls of ``random_element`` would, in order,
+and leaves ``rng`` in the same state, so a caller may switch between the
+two without changing a seeded stream.  Over GF(p) it draws without a
+Python call per element.
+
 ``rref`` and ``nullspace`` are the exact linear algebra over any of them.
 """
 
@@ -25,6 +33,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import repeat
 from random import Random
 from typing import List, Sequence, Tuple, Union
 
@@ -55,8 +64,14 @@ _SHOWN_CHARS = 40
 
 def _shown(value) -> str:
     """``repr(value)`` for an error message, cut after ``_SHOWN_CHARS``
-    characters, with the count of those left out."""
-    text = repr(value)
+    characters, with the count of those left out.  An integer past Python's
+    integer-to-string digit limit is shown by its bit length instead."""
+    try:
+        text = repr(value)
+    except ValueError:  # an integer past the limit, or a container holding one
+        if isinstance(value, int):
+            return f"<an integer of {value.bit_length()} bits>"
+        return f"<a {type(value).__name__} holding an integer too long to show>"
     if len(text) <= _SHOWN_CHARS:
         return text
     return f"{text[:_SHOWN_CHARS]}... ({len(text) - _SHOWN_CHARS} more characters)"
@@ -96,7 +111,7 @@ def _require_prime(p: int) -> None:
             f" only for p < {_MR_EXACT_BELOW}"
         )
     if not is_prime(p):
-        raise InputError(f"{p} is not prime")
+        raise InputError(f"{_shown(p)} is not prime")
 
 
 class FieldSpec(Value):
@@ -104,7 +119,8 @@ class FieldSpec(Value):
 
     Build one with ``rationals()``, ``prime(p)`` or ``from_json_tag``.  Each
     kind is a subclass implementing ``coerce``, ``add``, ``sub``, ``mul``,
-    ``inv`` and ``random_element``; the other operations fall back on those.
+    ``inv`` and ``random_element``; the other operations, ``random_elements``
+    among them, fall back on those.
 
     A field is an immutable value: two are equal when they are of the same
     kind and characteristic, and equal fields hash alike.
@@ -184,6 +200,10 @@ class FieldSpec(Value):
 
     def format_element(self, a: Element) -> str:
         return str(a)
+
+    def random_elements(self, rng: Random, count: int) -> List[Element]:
+        """``count`` calls of ``random_element`` on ``rng``, in one list."""
+        return [self.random_element(rng) for _ in range(count)]
 
     def parse_elements(self, values: Sequence) -> List[Element]:
         """Read JSON coefficients: each a string or an integer, never a bool."""
@@ -304,6 +324,24 @@ class _PrimeField(FieldSpec):
         while r >= p:
             r = rng.getrandbits(bits)
         return r
+
+    def random_elements(self, rng: Random, count: int) -> List[Element]:
+        """``count`` calls of ``random_element``, most of them in one pass.
+
+        Those calls keep the draws of ``getrandbits(p.bit_length())`` that
+        are below p, in stream order, and stop at the count-th one kept.
+        Making ``count`` draws at once and keeping those below p, then
+        drawing one at a time until none is missing, keeps the same draws
+        and makes the same calls on ``rng``.
+        """
+        p = self.characteristic
+        bits, getrandbits = p.bit_length(), rng.getrandbits
+        residues = [r for r in map(getrandbits, repeat(bits, count)) if r < p]
+        while len(residues) < count:
+            r = getrandbits(bits)
+            if r < p:
+                residues.append(r)
+        return residues
 
 
 class _QuadraticField(FieldSpec):

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import operator
 from collections import Counter
-from itertools import chain, groupby, islice, pairwise, repeat, starmap
+from itertools import chain, compress, groupby, islice, pairwise, repeat, starmap
 from random import Random
 from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
@@ -437,14 +437,15 @@ class MultiPoly(Value):
                     raise InputError(f"malformed polynomial term: {entry!r}") from exc
             raise
         coeffs = fieldspec.parse_elements(coeffs)
-        # each check looks at every term at once; when one fails, the first
-        # offending term is looked up to name it
-        n, flat = len(variables), chain.from_iterable
+        # each check looks at every term at once, the entries' types and
+        # signs in one walk; when one fails, the first offending term is
+        # looked up to name it
+        n = len(variables)
         if (
             not all(map(isinstance, exponents, repeat(list)))
-            or {*map(type, flat(exponents))} - {int}
             or {*map(len, exponents)} - {n}
-            or min(flat(exponents), default=0) < 0
+            # the offending entries, as a list: ``any`` would miss a False
+            or [e for exps in exponents for e in exps if type(e) is not int or e < 0]
         ):
             for exps in exponents:
                 _check_exponents(exps, n)
@@ -620,9 +621,8 @@ def _draw_terms(
 ) -> Dict[Exponents, Element]:
     """One coefficient per monomial, drawn in list order from ``Random(seed)``;
     the nonzero terms, in list order."""
-    draw, rng = fieldspec.random_element, Random(seed)
-    coeffs = [draw(rng) for _ in monomials]
-    return {exps: coeff for exps, coeff in zip(monomials, coeffs) if coeff}
+    coeffs = fieldspec.random_elements(Random(seed), len(monomials))
+    return dict(compress(zip(monomials, coeffs), coeffs))
 
 
 def random_poly(

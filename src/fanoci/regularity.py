@@ -15,6 +15,12 @@ local ring down by codimension #I + 1, i.e. forms a regular sequence.
 This module assembles that sequence (pairs ordered by (i, j), l first)
 and delegates the prefix codimension decisions to the dimension kernel.
 
+An instance is split into its parts q_{i,j} once, and every use reads that
+split: validation (no part of degree 0, a top part of degree d_i), the
+tangent space and the members.  A loaded instance splits each equation
+when it is validated; a random one (``random_complete_intersection``) keeps
+the parts it was drawn from, so its equations are never split.
+
 The k+1 independent linear members (l and the q_{i,1}) are eliminated in
 two stages.  T_oV, the common zeros of the q_{i,1}, depends only on the
 instance: it is kept as the graph of a linear map over M surviving
@@ -209,7 +215,9 @@ class PointedCI(Value):
             raise InputError(
                 f"expected {self.degrees.k} equations, got {len(self.equations)}"
             )
-        for f, degree in zip(self.equations, d):
+        # the degrees are read off the split, which the tangent space and
+        # the tail read as well
+        for f, parts, degree in zip(self.equations, self._parts, d):
             if f.field != self.field:
                 raise InputError("equation field does not match")
             if f.variables != self.equations[0].variables:
@@ -221,12 +229,27 @@ class PointedCI(Value):
                 raise InputError(
                     f"equations must use {n} ambient variables, got {len(f.variables)}"
                 )
-            if f.coefficient((0,) * n):
+            if 0 in parts:
                 raise InputError("equations must vanish at the origin")
-            if f.total_degree() != degree:
-                raise InputError(
-                    f"equation degree {f.total_degree()} does not match {degree}"
-                )
+            top = max(parts, default=-1)
+            if top != degree:
+                raise InputError(f"equation degree {top} does not match {degree}")
+
+    @classmethod
+    def _with_parts(
+        cls,
+        degrees: DegreeTuple,
+        field: FieldSpec,
+        equations: Tuple[MultiPoly, ...],
+        parts: Tuple[Dict[int, MultiPoly], ...],
+    ) -> "PointedCI":
+        """``PointedCI(degrees, field, equations)``, given the split of each
+        equation that ``_parts`` would compute: its nonzero homogeneous
+        parts by ascending degree, each canonical."""
+        ci = cls.__new__(cls)
+        ci._set("_parts", parts)
+        ci.__init__(degrees, field, equations)
+        return ci
 
     @property
     def variables(self) -> Tuple[str, ...]:
@@ -234,10 +257,11 @@ class PointedCI(Value):
 
     # The parts, the tangent space, the index pairs and the tail restricted
     # to the tangent space depend only on the instance, so each is computed
-    # once, when first asked for.  The first part asked for splits every
-    # equation, one slice per degree; the tangent space reads the linear
-    # parts off that split, so an instance that is tested for smoothness
-    # keeps its parts too.  None is in ``_fields``, so equality is unchanged.
+    # once, when first asked for.  The parts come first: validation splits
+    # every equation, one slice per degree, unless the instance was drawn,
+    # and then it keeps the parts it was drawn from (``_with_parts``).  The
+    # tangent space reads the linear parts off that split.  None is in
+    # ``_fields``, so equality is unchanged.
     @cached_property
     def _parts(self) -> Tuple[Dict[int, MultiPoly], ...]:
         return tuple(f.homogeneous_components() for f in self.equations)
@@ -503,10 +527,9 @@ def _random_admissible_form(
 ) -> Tuple[MultiPoly, List[Element]]:
     """A random linear form that does not vanish on T_oV, and its row there."""
     field = ci.field
-    draw = field.random_element
     n = ci.degrees.ambient
     for _ in range(max_tries):
-        coeffs = [draw(rng) for _ in range(n)]
+        coeffs = field.random_elements(rng, n)
         if not any(coeffs):
             continue
         tangent_row = tangent.row_on(coeffs, field)
@@ -581,28 +604,30 @@ def random_complete_intersection(
     master = Random(seed)
     instance = None
     for _ in range(max_attempts):
-        equations = []
+        equations, parts = [], []
         for d in degrees.degrees:
-            parts = []
+            drawn = {}
             for j in range(1, d + 1):
                 # only the top-degree part must be nonzero; it is redrawn
                 for _ in range(1 + max_part_redraws):
-                    part = _draw_terms(monomials[j], field, master.getrandbits(63))
-                    if j < d or part:
+                    terms = _draw_terms(monomials[j], field, master.getrandbits(63))
+                    if j < d or terms:
                         break
                 else:
                     raise ResourceBudgetError(
                         "could not draw a nonzero top-degree part"
                         f" in {max_part_redraws} redraws"
                     )
-                parts.append(part)
+                if terms:
+                    drawn[j] = MultiPoly(field, variables, terms)
             # each part is canonical and of its own degree, so the parts from
             # the top degree down make the canonical term order
-            terms = {}
-            for part in reversed(parts):
-                terms.update(part)
-            equations.append(MultiPoly(field, variables, terms))
-        instance = PointedCI(degrees, field, tuple(equations))
+            merged = {}
+            for part in reversed(drawn.values()):
+                merged.update(part.terms)
+            equations.append(MultiPoly(field, variables, merged))
+            parts.append(drawn)
+        instance = PointedCI._with_parts(degrees, field, tuple(equations), tuple(parts))
         if instance.is_smooth_at_origin:
             return instance
     return instance

@@ -108,3 +108,37 @@ def test_random_elements_are_the_randrange_draws(p, seed):
         a = expected.randrange(p)
         assert quadratic.random_element(ours) == a + expected.randrange(p) * p
     assert ours.getstate() == expected.getstate()
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        *(FieldSpec.from_json_tag(f"gf:{p}") for p in (2, 5, 101, 32003, 18446744073709551557)),
+        FieldSpec.quadratic(5),
+        FieldSpec.rationals(),
+    ],
+    ids=lambda f: f.json_tag if f.is_prime_field or f.characteristic == 0 else "GF(5^2)",
+)
+@pytest.mark.parametrize("seed", [0, 3, 2**40 + 3])
+def test_random_elements_are_the_single_draws(field, seed):
+    # the bulk draw must give what as many single draws give, and leave the
+    # stream where they leave it, for any count, so that callers may switch
+    expected, ours = Random(seed), Random(seed)
+    for count in [0, 1, 2, 7, 64, 1000, 3]:
+        single = [field.random_element(expected) for _ in range(count)]
+        assert field.random_elements(ours, count) == single
+        assert ours.getstate() == expected.getstate()
+
+
+@pytest.mark.parametrize(
+    "p", [10**5000, -(10**5000), 2**20000], ids=["10^5000", "-10^5000", "2^20000"]
+)
+def test_a_characteristic_past_the_digit_limit_is_an_input_error(p):
+    # Python refuses to write an int of more than 4,300 digits in decimal;
+    # the refusal shows its bit length instead
+    with pytest.raises(InputError, match=rf"<an integer of {p.bit_length()} bits>"):
+        FieldSpec.prime(p)
+    with pytest.raises(InputError, match="field tag must be a string"):
+        FieldSpec.from_json_tag(p)
+    with pytest.raises(InputError, match="holding an integer too long to show"):
+        FieldSpec.from_json_tag([p])

@@ -561,6 +561,25 @@ def test_json_names_the_offending_term(entry, message, tag):
         MultiPoly.from_json(data)
 
 
+@pytest.mark.parametrize(
+    "exponents, message",
+    [
+        ([0, False], "list of integers"),
+        ([False, 0], "list of integers"),
+        ([1.0, 0], "list of integers"),
+        ([0, -1], "negative exponent"),
+    ],
+)
+def test_json_refuses_each_bad_exponent_entry_after_good_terms(exponents, message):
+    # the entries of all terms are screened in one walk; a falsy offender
+    # such as False or 0.0 must fail the screen as much as any other
+    good = [{"coeff": "1", "exponents": [1, 1]}, {"coeff": "1", "exponents": [0, 1]}]
+    terms = [*good, {"coeff": "1", "exponents": exponents}]
+    data = {"field": "gf:5", "variables": ["x", "y"], "terms": terms}
+    with pytest.raises(InputError, match=message):
+        MultiPoly.from_json(data)
+
+
 def test_json_names_the_first_malformed_term_whichever_field_it_lacks():
     # the second term lacks its exponents, the first only its coefficient
     terms = [{"exponents": [1, 0]}, {"coeff": "1"}]

@@ -535,16 +535,109 @@ def test_pointed_ci_json_roundtrip():
 
 def test_pointed_ci_validation():
     names, v = variables_of(4)
-    with pytest.raises(InputError):  # wrong degree
+    with pytest.raises(InputError, match="equation degree 1 does not match 2"):
         PointedCI(DegreeTuple((2, 2)), Q, (v["z3"], v["z4"] + v["z2"] ** 2))
-    with pytest.raises(InputError):  # constant term
+    with pytest.raises(InputError, match="must vanish at the origin"):
         PointedCI(
             DegreeTuple((2, 2)),
             Q,
             (v["z3"] + v["z1"] ** 2 + 1, v["z4"] + v["z2"] ** 2),
         )
-    with pytest.raises(InputError):  # wrong equation count
+    with pytest.raises(InputError, match="expected 2 equations, got 1"):
         PointedCI(DegreeTuple((2, 2)), Q, (v["z3"] + v["z1"] ** 2,))
+
+
+def _refused_equations(case):
+    """Equations for a (2, 2) instance over Q in z1..z4, wrong as ``case`` says."""
+    names, v = variables_of(4)
+    good = (v["z3"] + v["z1"] ** 2, v["z4"] + v["z2"] ** 2)
+    over_f101 = MultiPoly(F101, names, good[1].terms)
+    _, w = variables_of(5)
+    if case == "field":
+        return (good[0], over_f101)
+    if case == "ambient size":
+        return (w["z3"] + w["z5"] ** 2, w["z4"] + w["z2"] ** 2)
+    if case == "constant term":
+        return (good[0], good[1] + 3)
+    if case == "degree too high":
+        return (good[0], v["z4"] + v["z2"] ** 3)
+    if case == "zero equation":
+        return (good[0], MultiPoly.zero(Q, names))
+    # two faults: the first equation's is met first, then the checks of one
+    # equation run in the order field, variables, size, constant, degree
+    if case == "constant before a later field":
+        return (good[0] + 1, over_f101)
+    if case == "size before constant":
+        return (w["z3"] + w["z5"] ** 2 + 1, w["z4"] + w["z2"] ** 2)
+    if case == "constant before degree":
+        return (good[0], v["z2"] ** 3 + 1)
+    raise AssertionError(case)
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("field", "equation field does not match"),
+        ("ambient size", "equations must use 4 ambient variables, got 5"),
+        ("constant term", "equations must vanish at the origin"),
+        ("degree too high", "equation degree 3 does not match 2"),
+        ("zero equation", "equation degree -1 does not match 2"),
+        ("constant before a later field", "equations must vanish at the origin"),
+        ("size before constant", "equations must use 4 ambient variables, got 5"),
+        ("constant before degree", "equations must vanish at the origin"),
+    ],
+)
+def test_pointed_ci_refusals_and_their_order(case, message):
+    with pytest.raises(InputError, match=f"^{message}$"):
+        PointedCI(DegreeTuple((2, 2)), Q, _refused_equations(case))
+
+
+def test_pointed_ci_takes_valid_equations_out_of_term_order():
+    # a hand-built equation need not list its terms in canonical order; the
+    # parts are its degree slices all the same
+    names, v = variables_of(4)
+    canonical = v["z3"] + v["z1"] ** 2 + v["z1"] * v["z2"]
+    shuffled = MultiPoly(Q, names, dict(reversed(canonical.terms.items())))
+    assert list(shuffled.terms) != list(canonical.terms)
+    second = v["z4"] + v["z2"] ** 2
+    ci = PointedCI(DegreeTuple((2, 2)), Q, (shuffled, second))
+    expected = PointedCI(DegreeTuple((2, 2)), Q, (canonical, second))
+    assert ci == expected and ci.equations[0] is shuffled
+    assert [ci.part(1, j) for j in range(4)] == [expected.part(1, j) for j in range(4)]
+    ell = MultiPoly.linear(Q, names, [1, 2, 0, 0])
+    assert regularity_check(ci, ell) == regularity_check(expected, ell)
+
+
+@pytest.mark.parametrize("tag", ["gf:2", "gf:101", "gf:32003"])
+@pytest.mark.parametrize("degrees", [(2, 3), (3, 3), (2, 2, 2), (2, 6)])
+def test_drawn_parts_are_the_split_of_the_equations(degrees, tag):
+    # a drawn instance keeps the parts it was drawn from instead of splitting
+    # its equations; they must be that split, canonical order included
+    for seed in range(3):
+        ci = random_complete_intersection(
+            DegreeTuple(degrees), FieldSpec.from_json_tag(tag), seed=seed
+        )
+        assert len(ci._parts) == len(ci.equations)
+        for parts, f in zip(ci._parts, ci.equations):
+            split = f.homogeneous_components()
+            assert list(parts) == list(split)
+            for j, part in parts.items():
+                assert list(part.terms.items()) == list(split[j].terms.items())
+                assert part.variables == f.variables and part.field == f.field
+
+
+@pytest.mark.parametrize("tag", ["gf:5", "gf:101", "gf:32003"])
+@pytest.mark.parametrize("degrees", [(2, 3), (3, 3), (2, 2, 2)])
+def test_a_loaded_instance_equals_the_drawn_one(degrees, tag):
+    # the drawn instance validates from its drawn parts, the loaded one from
+    # the split of its equations: the two must agree on everything
+    ci = random_complete_intersection(DegreeTuple(degrees), FieldSpec.from_json_tag(tag), seed=4)
+    loaded = PointedCI.from_json(json.loads(json.dumps(ci.to_json())))
+    assert loaded == ci and loaded.to_json() == ci.to_json()
+    for reduce in (False, True):
+        drawn = sampled_regularity_check(ci, samples=2, seed=9, reduce=reduce)
+        again = sampled_regularity_check(loaded, samples=2, seed=9, reduce=reduce)
+        assert drawn.to_json() == again.to_json()
 
 
 @pytest.mark.parametrize("degrees", [(2, 3), (3, 3), (2, 4)])
@@ -576,6 +669,13 @@ def test_pointed_ci_rejects_equations_over_different_variables(other):
         ((4, 4), "gf:32003", 7, "0b8d663edaa5663451ae43537bfa19927fc55c05708d66d3bab3777fcdbcbdbd"),
         ((2, 6), "gf:32003", 3, "5db4712f1a303bf0786b9a114f3723bd364e52fe25ef118ab0950a09b565da0a"),
         ((3, 3), "gf:7", 11, "99f9e02343cc2f62ef0de718076677cc6b40a4a5f401cf772b8e97659a7fee7d"),
+        # the largest instance the benchmark draws, at its seed 0
+        (
+            (6, 6),
+            "gf:32003",
+            Random("0/(6, 6)").getrandbits(32),
+            "addeddfc669263bc4b48ccc2255fbfbbc3cf685a737cce2a72bcdbbc2ad238a0",
+        ),
     ],
 )
 def test_seeded_instance_bytes_are_pinned(degrees, tag, seed, digest):
