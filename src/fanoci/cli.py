@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
-from .dimension import EXACT, PROBABILISTIC, check_exact_budget
+from .dimension import EXACT, PROBABILISTIC
 from .errors import InputError, ResourceBudgetError
 from .families import (
     DegreeTuple,
@@ -35,6 +35,7 @@ from .proof_audit import FAIL, AuditSummary, audit_records, iter_json
 from .rationals import format_rational
 from .regularity import (
     PointedCI,
+    check_budget,
     random_complete_intersection,
     sampled_regularity_check,
 )
@@ -176,9 +177,8 @@ def _cmd_randomci(args, out) -> int:
     field = FieldSpec.from_json_tag(args.field)
     # drawing an instance lists every monomial of each degree, which can
     # exhaust memory long before the check would refuse it: refuse a box
-    # beyond the kernel's budget first, on the variables the check sees
-    n = degrees.M - 1 if args.reduce else degrees.ambient
-    check_exact_budget(n, n - 1)
+    # beyond the kernel's budget first
+    check_budget(degrees, args.reduce)
     stats = {"trials": args.trials, "smooth": 0, "singular": 0, "regular": 0, "irregular": 0}
     for trial in range(args.trials):
         ci = random_complete_intersection(degrees, field, seed=args.seed + trial)

@@ -35,8 +35,7 @@ loop builds the exact engine at the first prefix that is not forced, adds
 the earlier forms to it there, and then adds one form per prefix; the
 probabilistic oracle is called for the unforced prefixes only.
 
-The exact kernel runs the loop twice at most (``exact_prefix_trace`` runs
-the second step alone, for a sequence already known to be irregular):
+The exact kernel runs the loop twice at most:
 
 * First on the cut: r < n nonzero forms restricted to the hyperplane
   x_n = 0, which drops every term that holds the last variable.  If the
@@ -61,7 +60,8 @@ cone is the origin alone.  A sequence whose every prefix is forced (one
 form, or linear forms only) skips it, since the uncut loop builds no
 engine for it.  (``regularity`` eliminates the linear members of a
 regularity check itself and decides an unreduced check by its reduced
-sequence, so the exact kernel sees no linear forms from it.)
+sequence; only an irregular unreduced check brings its linear members
+here, for its trace, and then the cut cannot certify it.)
 
 The probabilistic oracle, ``codim_probabilistic``, estimates the cone
 dimension by slicing with random linear subspaces over GF(p^e), e <= 2,
@@ -125,23 +125,17 @@ class RegularSequenceResult(NamedTuple):
     note: str = ""
 
 
-def _validate_homogeneous(generators: Sequence[MultiPoly], allow_zero: bool) -> None:
+def _common_ring(generators: Sequence[MultiPoly]) -> Tuple[FieldSpec, Tuple[str, ...]]:
+    """The field and variables that every generator shares; each must be
+    zero or homogeneous of positive degree."""
+    first = generators[0]
+    if any(g.field != first.field or g.variables != first.variables for g in generators):
+        raise InputError("generators live in different rings")
     for g in generators:
-        if g.is_zero():
-            if allow_zero:
-                continue
-            raise InputError("zero polynomial among the generators")
-        if not g.is_homogeneous() or g.total_degree() < 1:
+        if not g.is_zero() and (not g.is_homogeneous() or g.total_degree() < 1):
             raise InputError(
                 f"generators must be homogeneous of positive degree, got {g}"
             )
-
-
-def _common_ring(generators: Sequence[MultiPoly]) -> Tuple[FieldSpec, Tuple[str, ...]]:
-    first = generators[0]
-    for g in generators:
-        if g.field != first.field or g.variables != first.variables:
-            raise InputError("generators live in different rings")
     return first.field, first.variables
 
 
@@ -187,7 +181,6 @@ def projective_codim(
     nonzero = [g for g in generators if not g.is_zero()]
     if not nonzero:
         raise InputError("all generators are zero")
-    _validate_homogeneous(nonzero, allow_zero=False)
     n = len(variables)
     _check_budget(n, len(nonzero), max_variables)
     engine = GroebnerEngine(fieldspec, variables)
@@ -223,7 +216,6 @@ def is_regular_sequence(
     if not generators:
         return RegularSequenceResult(True, ())
     fieldspec, variables = _common_ring(generators)
-    _validate_homogeneous(generators, allow_zero=True)
     n = len(variables)
     if kernel == EXACT:
         check_exact_budget(n, len(generators), max_variables=max_variables)
@@ -259,23 +251,6 @@ def _certified_on_cut(generators: Sequence[MultiPoly]) -> bool:
         ).is_regular
     except ResourceBudgetError:
         return False
-
-
-def exact_prefix_trace(
-    generators: Sequence[MultiPoly], *, max_variables: int = DEFAULT_MAX_VARIABLES
-) -> RegularSequenceResult:
-    """The exact kernel's decision on all n variables, without the
-    certificate on the cut.
-
-    The result, validation and budget are those of ``is_regular_sequence``
-    on a nonempty sequence; it is for a caller that already knows the
-    sequence is irregular, where the certificate cannot succeed.
-    """
-    generators = list(generators)
-    _, variables = _common_ring(generators)
-    _validate_homogeneous(generators, allow_zero=True)
-    check_exact_budget(len(variables), len(generators), max_variables=max_variables)
-    return _prefix_trace(generators, variables, EXACT)
 
 
 def _cut_last_variable(form: MultiPoly) -> MultiPoly:
@@ -451,7 +426,6 @@ def codim_probabilistic(
     fieldspec, variables = _common_ring(generators)
     if not fieldspec.is_prime_field:
         raise UnsupportedModeError("probabilistic codimension requires a prime field")
-    _validate_homogeneous(generators, allow_zero=False)
     if extension_degree not in (1, 2):
         raise InputError("extension_degree must be 1 or 2")
     n = len(variables)

@@ -369,15 +369,14 @@ def enumerate_families(
     ambient: Optional[int] = None,
     ambient_max: Optional[int] = None,
     k: Optional[int] = None,
-    k_max: Optional[int] = None,
     d_max: Optional[int] = None,
     filter_spec: Optional[str] = None,
     predicate: Optional[FilterPredicate] = None,
 ) -> List[DegreeTuple]:
     """All degree tuples in a finite box, lexicographically sorted.
 
-    The box must be finite: either an ambient value/cap, or a bounded k
-    range together with a degree cap; a given k is at least 2.
+    The box is finite: give ``ambient`` or ``ambient_max``; a given k is
+    at least 2.
     ``filter_spec`` (a token from ``parse_family_filter``) or an explicit
     ``predicate`` restricts the output by certificate properties.
     """
@@ -391,17 +390,13 @@ def enumerate_families(
         ambients: Sequence[int] = [ambient]
     elif ambient_max is not None:
         ambients = range(4, ambient_max + 1)
-    elif k_max is not None and d_max is not None:
-        ambients = range(4, k_max * d_max + 1)
     else:
-        raise InputError(
-            "unbounded search box: give ambient, ambient_max, or k_max with d_max"
-        )
+        raise InputError("unbounded search box: give ambient or ambient_max")
 
     results: List[DegreeTuple] = []
     for total in ambients:
         lo = k if k is not None else 2
-        hi = k if k is not None else min(k_max or total // 2, total // 2)
+        hi = k if k is not None else total // 2
         for parts in range(lo, hi + 1):
             cap = d_max if d_max is not None else total
             for degrees in nondecreasing_degree_tuples(parts, total, 2, cap):

@@ -41,13 +41,18 @@ unreduced exact check is decided by them as well: forms of positive
 degree are regular iff their ideal has height r, in any order, and the
 quotient by r' independent linear forms is a polynomial ring with every
 height lower by r' (Matsumura, *Commutative Ring Theory*, Thm 16.3;
-Bruns-Herzog, Prop. 1.5.12).  So after the budget refusal on its M+k
-variables (``dimension.check_exact_budget``) the unreduced sequence is
-regular, with trace (1, ..., M+k-1), exactly when the reduced one is;
-when it is not, the prefix loop on the unreduced sequence, without the
-certificate on the cut (``dimension.exact_prefix_trace``), gives the trace
-and the failing prefix.  The probabilistic kernel checks the unreduced
-sequence as it stands.
+Bruns-Herzog, Prop. 1.5.12).  So the unreduced sequence is regular, with
+trace (1, ..., M+k-1), exactly when the reduced one is; when it is not,
+``dimension.is_regular_sequence`` on the unreduced sequence gives the
+trace and the failing prefix (its certificate on the cut is one-sided and
+cannot pass, so that is the uncut loop's result).  The probabilistic
+kernel checks the unreduced sequence as it stands.
+
+An exact check is refused once, by ``check_budget``, before anything is
+restricted or drawn: its kernel sees M+k variables, or M-1 with
+``reduce``, and the refusal is the one ``is_regular_sequence`` would give
+that sequence.  ``fanoci randomci`` applies the same rule before it draws
+an instance.  The probabilistic kernel has no variable budget.
 
 A full check over all admissible l is impossible; ``sampled_regularity_check``
 draws a fixed number of random forms and reports the conjunction, labelled
@@ -76,7 +81,6 @@ from .dimension import (
     EXACT,
     RegularSequenceResult,
     check_exact_budget,
-    exact_prefix_trace,
     is_regular_sequence,
 )
 from .errors import InputError, ResourceBudgetError
@@ -396,23 +400,17 @@ def _validate_linear_form(
     return tangent_row
 
 
-def _unreduced_exact(
-    ci: PointedCI,
-    linear_form: MultiPoly,
-    tangent_row: Sequence[Element],
-    max_variables: int,
-) -> RegularSequenceResult:
-    """The exact kernel's result on the unreduced sequence, decided on the
-    reduced one (module docstring): regular with trace (1, ..., M + k - 1)
-    when that is, otherwise the uncut prefix loop's trace."""
-    length = len(ci.index_pairs) + 1
-    # the unreduced sequence's budget, refused before any restriction
-    check_exact_budget(len(ci.variables), length, max_variables=max_variables)
-    reduced = is_regular_sequence(ci.reduced_sequence(tangent_row), max_variables=max_variables)
-    if reduced.is_regular:
-        return RegularSequenceResult(True, tuple(range(1, length + 1)))
-    # an irregular sequence has no cut certificate, so the loop runs uncut
-    return exact_prefix_trace(assemble_sequence(ci, linear_form), max_variables=max_variables)
+def check_budget(
+    degrees: DegreeTuple, reduce: bool, *, max_variables: int = DEFAULT_MAX_VARIABLES
+) -> None:
+    """Refuse, as the exact kernel would, a check of an instance of
+    ``degrees`` beyond the budget, before anything is restricted or drawn.
+
+    The kernel sees the M + k - 1 members in the M + k ambient variables,
+    or with ``reduce`` the M - 2 restricted members in M - 1 variables.
+    """
+    n = degrees.M - 1 if reduce else degrees.ambient
+    check_exact_budget(n, n - 1, max_variables=max_variables)
 
 
 def regularity_check(
@@ -436,15 +434,15 @@ def regularity_check(
     of all k+1 forms.  The verdict is the same either way; the trace then
     refers to the shortened sequence.
 
-    Without ``reduce`` the exact kernel refuses the sequence's M + k
-    variables beyond ``max_variables``, as ``is_regular_sequence`` would,
-    and then decides the reduced sequence: forms of positive degree are
-    regular iff their ideal has height r, and the quotient by the k+1
-    independent linear members is a polynomial ring with every height
-    lower by k+1, so the two verdicts agree.  A regular one gives the trace
-    (1, ..., M + k - 1); an irregular one runs the uncut prefix loop on
-    ``assemble_sequence(ci, l)`` for the trace and the failing prefix.  The
-    probabilistic kernel runs on the unreduced sequence as it stands.
+    The exact kernel first refuses a check beyond ``max_variables``
+    (``check_budget``).  Without ``reduce`` it then decides the reduced
+    sequence: forms of positive degree are regular iff their ideal has
+    height r, and the quotient by the k+1 independent linear members is a
+    polynomial ring with every height lower by k+1, so the two verdicts
+    agree.  A regular one gives the trace (1, ..., M + k - 1); an irregular
+    one runs ``is_regular_sequence`` on ``assemble_sequence(ci, l)`` for the
+    trace and the failing prefix.  The probabilistic kernel runs on the
+    unreduced sequence as it stands.
 
     ``kernel`` picks the exact or the probabilistic kernel and
     ``max_variables`` is the exact kernel's variable budget.
@@ -453,6 +451,8 @@ def regularity_check(
     if tangent.is_singular:
         return _singular_report(ci, linear_form)
     tangent_row = _validate_linear_form(ci, linear_form, tangent)
+    if kernel == EXACT:
+        check_budget(ci.degrees, reduce, max_variables=max_variables)
     return _checked_form_report(ci, linear_form, tangent_row, reduce, kernel, max_variables)
 
 
@@ -465,14 +465,21 @@ def _checked_form_report(
     max_variables: int,
 ) -> RegularityReport:
     """``regularity_check`` of a smooth ``ci`` for an admissible l whose row
-    on the tangent space, ``tangent_row``, is already computed from l."""
+    on the tangent space, ``tangent_row``, is already computed from l, once
+    the budget is checked."""
+    length = len(ci.index_pairs) + 1
     if reduce:
         result = is_regular_sequence(
             ci.reduced_sequence(tangent_row), kernel=kernel, max_variables=max_variables
         )
-    elif kernel == EXACT:
-        result = _unreduced_exact(ci, linear_form, tangent_row, max_variables)
+    elif kernel == EXACT and is_regular_sequence(
+        ci.reduced_sequence(tangent_row), max_variables=max_variables
+    ).is_regular:
+        # the reduced sequence decides the unreduced one (module docstring)
+        result = RegularSequenceResult(True, tuple(range(1, length + 1)))
     else:
+        # the probabilistic kernel's sequence, or an irregular exact one,
+        # which the cut cannot certify, for its trace
         result = is_regular_sequence(
             assemble_sequence(ci, linear_form), kernel=kernel, max_variables=max_variables
         )
@@ -481,7 +488,7 @@ def _checked_form_report(
         result.trace,
         linear_form,
         result.failing_prefix,
-        len(ci.index_pairs) + 1,
+        length,
         reduce,
         result.note,
     )
@@ -558,13 +565,16 @@ def sampled_regularity_check(
     """Run ``regularity_check`` against ``samples`` random admissible forms.
 
     A drawn form is admissible by construction, so each check takes the
-    row on the tangent space that the draw computed.
+    row on the tangent space that the draw computed.  The exact kernel's
+    budget is checked once, before the first draw.
     """
     if samples < 1:
         raise InputError("samples must be >= 1")
     tangent = ci.tangent()
     if tangent.is_singular:
         return SampledRegularityReport((_singular_report(ci, None),), samples)
+    if kernel == EXACT:
+        check_budget(ci.degrees, reduce, max_variables=max_variables)
     rng = Random(seed)
     reports = []
     for _ in range(samples):

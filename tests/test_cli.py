@@ -558,6 +558,39 @@ def test_randomci_refuses_a_box_beyond_the_budget_before_drawing(
         )
 
 
+def _sparse_instance(d):
+    """The sparse (2, d) instance over GF(32003): f1 = z1 + ... + z_d +
+    z_{d+2} + z1^2, f2 = z_{d+1} + z_{d+2}^(d-2) + z1^d.  Its tail part
+    z_{d+2}^(d-2) restricts to a dense power of a d-term linear form."""
+    from fanoci.polynomials import MultiPoly
+    from fanoci.regularity import PointedCI, ambient_variables
+
+    field = FieldSpec.prime(32003)
+    names = ambient_variables(d + 2)
+    z = [MultiPoly.variable(field, names, n) for n in names]
+    f1 = sum(z[:d], z[d + 1]) + z[0] ** 2
+    f2 = z[d] + z[d + 1] ** (d - 2) + z[0] ** d
+    return PointedCI(DegreeTuple((2, d)), field, (f1, f2))
+
+
+def test_regcheck_reduce_beyond_the_budget_exit_3_before_any_restriction(
+    tmp_path, monkeypatch, capsys
+):
+    # reduced, (2,10) leaves 8 forms in M - 1 = 9 variables
+    def no_restriction(*args):
+        raise AssertionError("restricted before the budget check")
+
+    path = tmp_path / "ci.json"
+    path.write_text(json.dumps(_sparse_instance(10).to_json()))
+    monkeypatch.setattr("fanoci.regularity.restrict_to_graph", no_restriction)
+    code, output = invoke(["regcheck", "--input", str(path), "--reduce"])
+    assert (code, output) == (3, "")
+    assert capsys.readouterr().err == (
+        "resource budget exceeded: 9 variables exceed the exact-kernel budget of 8"
+        " (pass a larger max_variables to override)\n"
+    )
+
+
 def _with_coefficients(data, convert):
     for equation in data["equations"]:
         for term in equation["terms"]:
@@ -709,6 +742,55 @@ def test_unreduced_outputs_pinned(tmp_path, p, degrees, seed):
         code, output = invoke(argv)
         results.append((code, hashlib.sha256(output.encode()).hexdigest()))
     assert tuple(results) == PINNED_UNREDUCED_OUTPUTS[(p, degrees, seed)]
+
+
+# exit code and sha256 of the stdout of the unreduced exact `regcheck
+# --samples 4`, in json and in text, on seeded instances over GF(2) and
+# GF(3) with both regular and irregular samples.  An irregular sample's
+# trace and failing prefix come from the unreduced sequence; (2,4) and (3,3)
+# share the ambient space, so over GF(3) their reports coincide.
+PINNED_IRREGULAR_OUTPUTS = {
+    (2, (2, 2, 2), 0): (
+        (1, "d78c8da5cf0061400eac1172570fd70802413f4b65ee2322c227ed536b79d3f8"),
+        (1, "7903161d9c1383c3166a72d1834cefaf5a5a2149466ac7797bf5f4bc8ec198bb"),
+    ),
+    (2, (2, 4), 0): (
+        (1, "5173b2452f9f9c5903f8be54cb5f8c0bcf660e1e32eba9439298028a3da908cf"),
+        (1, "041601b798b31f072f60bf9baa55861b8fddb07d48cbf005b15bebc92567c2f6"),
+    ),
+    (2, (3, 3), 8): (
+        (1, "014a66134d01e5ae7c15ae137e124e53a0f49c7d806dee2d36d491723c84e13f"),
+        (1, "e66458f044d0aa26855f15eda1ada277986873349ecdb7303fca2c8fd9a6bdf6"),
+    ),
+    (3, (2, 2, 2), 9): (
+        (1, "1ce51b6eff8022a46f341f48706ff5cd7ea1927721d890de36b049941cf7a27a"),
+        (1, "e66458f044d0aa26855f15eda1ada277986873349ecdb7303fca2c8fd9a6bdf6"),
+    ),
+    (3, (2, 4), 18): (
+        (1, "8b59b5fe466f51589e35656e108ed76f271769748cb9dfe796073fa561c5f236"),
+        (1, "0b859439655fabf36aba473a076699f7866659e2feb7179667d1349bf45e2db1"),
+    ),
+    (3, (3, 3), 14): (
+        (1, "8b59b5fe466f51589e35656e108ed76f271769748cb9dfe796073fa561c5f236"),
+        (1, "0b859439655fabf36aba473a076699f7866659e2feb7179667d1349bf45e2db1"),
+    ),
+}
+
+
+@pytest.mark.parametrize("p, degrees, seed", list(PINNED_IRREGULAR_OUTPUTS))
+def test_unreduced_irregular_outputs_pinned(tmp_path, p, degrees, seed):
+    ci = random_complete_intersection(DegreeTuple(degrees), FieldSpec.prime(p), seed=seed)
+    path = tmp_path / "ci.json"
+    path.write_text(json.dumps(ci.to_json()))
+    results, outputs = [], {}
+    for fmt in ("json", "text"):
+        code, outputs[fmt] = invoke(
+            ["regcheck", "--input", str(path), "--samples", "4", "--format", fmt]
+        )
+        results.append((code, hashlib.sha256(outputs[fmt].encode()).hexdigest()))
+    assert tuple(results) == PINNED_IRREGULAR_OUTPUTS[(p, degrees, seed)]
+    verdicts = {r["verdict"] for r in json.loads(outputs["json"])["reports"]}
+    assert verdicts == {"regular", "irregular"}
 
 
 # sha256 of the stdout of `regcheck --mode probabilistic` on seeded instances

@@ -335,23 +335,33 @@ def test_unreduced_exact_report_equals_the_uncut_decision():
     assert verdicts.count("regular") >= 5 and verdicts.count("irregular") >= 5
 
 
-def test_unreduced_exact_budget_refused_before_any_restriction(monkeypatch):
+@pytest.mark.parametrize(
+    "reduce, max_variables, n_vars", [(False, 4, 5), (True, 1, 2)], ids=["unreduced", "reduce"]
+)
+def test_exact_budget_refused_before_any_restriction(monkeypatch, reduce, max_variables, n_vars):
+    # (2,3): unreduced, 4 forms in the 5 ambient variables; reduced, 1 form
+    # in 2.  Either check is refused once, with the message that
+    # is_regular_sequence gives its sequence, before any restriction
     import fanoci.regularity as regularity
 
-    (ci,) = _smooth_instances((2, 3), 101, 1)
-    ((form, _),) = _admissible_forms(ci, 1, seed=0)
+    (drawn,) = _smooth_instances((2, 3), 101, 1)
+    ((form, row),) = _admissible_forms(drawn, 1, seed=0)
+    sequence = drawn.reduced_sequence(row) if reduce else assemble_sequence(drawn, form)
     with pytest.raises(ResourceBudgetError) as expected:
-        is_regular_sequence(assemble_sequence(ci, form), max_variables=4)
+        is_regular_sequence(sequence, max_variables=max_variables)
+    assert str(expected.value).startswith(f"{n_vars} variables exceed")
 
     def no_restriction(*args):
         raise AssertionError("restricted before the budget check")
 
     monkeypatch.setattr(regularity, "restrict_to_graph", no_restriction)
+    ci = PointedCI.from_json(drawn.to_json())  # nothing restricted yet
     with pytest.raises(ResourceBudgetError) as raised:
-        regularity_check(ci, form, max_variables=4)
+        regularity_check(ci, form, reduce=reduce, max_variables=max_variables)
     assert str(raised.value) == str(expected.value)
-    with pytest.raises(ResourceBudgetError, match="5 variables exceed"):
-        sampled_regularity_check(ci, samples=8, max_variables=4)
+    with pytest.raises(ResourceBudgetError) as raised:
+        sampled_regularity_check(ci, samples=8, reduce=reduce, max_variables=max_variables)
+    assert str(raised.value) == str(expected.value)
 
 
 @pytest.mark.parametrize("reduce", [False, True])
