@@ -38,7 +38,8 @@ probabilistic oracle is called for the unforced prefixes only.
 The exact kernel runs the loop twice at most:
 
 * First on the cut: r < n nonzero forms restricted to the hyperplane
-  x_n = 0, which drops every term that holds the last variable.  If the
+  x_n = 0 through its graph (``polynomials.hyperplane_graph`` of the unit
+  row e_n), which drops every term that holds the last variable.  If the
   cut forms are regular in the n - 1 remaining variables, then x_n,
   f_1..f_r is regular; a permutation and a prefix of a homogeneous regular
   sequence are regular (Matsumura, *Commutative Ring Theory*, Thm 16.3;
@@ -75,12 +76,12 @@ are forced.  Over a field that is not prime the probabilistic kernel
 refuses the sequence before the loop (``UnsupportedModeError``), even when
 every prefix is forced, unless its first form is zero, which ends the loop
 at once.  The linear members are intersected exactly: their coefficient
-rows join the random slicing rows, and one
-``polynomials.restrict_to_common_zeros`` call, the restriction the reduced
-regularity check shares, restricts the nonlinear forms to the common zeros
-of those rows, the graph over m surviving variables.  The scan evaluates
-the restricted forms at the points of GF(p^e)^m only, and the enumeration
-budget counts those; with no nonlinear forms the rank of the rows decides.
+rows join the random slicing rows, whose common zeros are one graph over
+m surviving variables (``polynomials.linear_graph``), and the nonlinear
+forms are restricted to it (``polynomials.restrict_to_graph``, the
+restriction the reduced regularity check shares).  The scan evaluates the
+restricted forms at the points of GF(p^e)^m only, and the enumeration
+budget counts those; with no nonlinear forms, whether m > 0 decides.
 It exists to cross-validate the exact kernel, never to replace it.
 """
 
@@ -94,7 +95,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 from .errors import InputError, ResourceBudgetError, UnsupportedModeError
 from .fields import Element, FieldSpec, rref
 from .groebner import GroebnerEngine
-from .polynomials import MultiPoly, restrict_to_common_zeros
+from .polynomials import MultiPoly, hyperplane_graph, linear_graph, restrict_to_graph
 
 EXACT = "exact"
 PROBABILISTIC = "probabilistic"
@@ -105,6 +106,8 @@ DEFAULT_MAX_VARIABLES = 8
 MAX_GENERATORS = 12
 
 DEFAULT_ENUMERATION_BUDGET = 2_000_000
+# draws of a slice until its random forms are independent
+_MAX_SLICE_DRAWS = 64
 
 
 class CodimResult(NamedTuple):
@@ -242,7 +245,9 @@ def _certified_on_cut(generators: Sequence[MultiPoly]) -> bool:
     A zero cut form, a failed prefix or an exceeded engine budget leave the
     sequence uncertified.
     """
-    cut = [_cut_last_variable(g) for g in generators]
+    field, n = generators[0].field, len(generators[0].variables)
+    unit_row = [field.zero()] * (n - 1) + [field.one()]
+    cut = restrict_to_graph(generators, *hyperplane_graph(unit_row, field))
     if any(f.is_zero() for f in cut):
         return False
     try:
@@ -251,17 +256,6 @@ def _certified_on_cut(generators: Sequence[MultiPoly]) -> bool:
         ).is_regular
     except ResourceBudgetError:
         return False
-
-
-def _cut_last_variable(form: MultiPoly) -> MultiPoly:
-    """``form`` on the hyperplane where the last variable vanishes.
-
-    The terms that hold the last variable are dropped and so is the
-    variable.  The grevlex order of the rest does not depend on it, so the
-    kept terms stay in stored order.
-    """
-    terms = {e[:-1]: c for e, c in form.terms.items() if not e[-1]}
-    return MultiPoly(form.field, form.variables[:-1], terms)
 
 
 def _every_prefix_forced(generators: Sequence[MultiPoly]) -> bool:
@@ -332,29 +326,28 @@ def _poly_vanishes_on_subspace(
     polys: Sequence[MultiPoly],
     rows: Sequence[Sequence[Element]],
     ext: FieldSpec,
+    n: int,
     budget: int,
 ) -> bool:
     """True iff the forms ``polys`` have a common zero, other than the
     origin, on the common zeros in ext^n of the linear forms with the
     coefficient ``rows``.
 
-    Those zeros are the graph over m = n - rank surviving variables.  With
-    no polys there is nothing to scan: the answer is m > 0.  Otherwise the
+    Those zeros are the graph over m = n - rank surviving variables
+    (``linear_graph``).  With m = 0 only the origin is left, and with no
+    polys there is nothing to scan: the answer is m > 0.  Otherwise the
     polys, which live over ``ext``, are restricted to the graph once
-    (``restrict_to_common_zeros``); the scan then evaluates the restricted
-    polys at projective representatives of ext^m only, and ``budget``
-    bounds their number.
+    (``restrict_to_graph``); the scan then evaluates the restricted polys
+    at projective representatives of ext^m only, and ``budget`` bounds
+    their number.
     """
-    if not polys:
-        # fewer rows than variables cannot reach full rank
-        n = len(rows[0])
-        return len(rows) < n or len(rref(rows, ext)[1]) < n
-    variables = polys[0].variables
-    forms = [MultiPoly.linear(ext, variables, row) for row in rows]
-    restricted = restrict_to_common_zeros(polys, forms)
-    m = len(restricted[0].variables)
-    if m == 0:
+    kept, images = linear_graph(rows, ext, n)
+    if not kept:
         return False
+    if not polys:
+        return True
+    restricted = restrict_to_graph(polys, kept, images)
+    m = len(kept)
     q = ext.size
     count = (q**m - 1) // (q - 1)
     if count > budget:
@@ -373,9 +366,9 @@ def _poly_vanishes_on_subspace(
 
 
 def _random_full_rank_forms(
-    rng: Random, ext: FieldSpec, n: int, j: int, max_tries: int = 64
+    rng: Random, ext: FieldSpec, n: int, j: int
 ) -> List[List[Element]]:
-    for _ in range(max_tries):
+    for _ in range(_MAX_SLICE_DRAWS):
         draws = ext.random_elements(rng, j * n)
         rows = [draws[i:i + n] for i in range(0, j * n, n)]
         if len(rref(rows, ext)[1]) == j:
@@ -405,7 +398,7 @@ def codim_probabilistic(
     points; the estimate is the smallest j at which one of up to ``trials``
     attempts yields emptiness, giving codimension n - j.  Each attempt
     intersects the slice with the zeros of the linear generators exactly
-    (one ``restrict_to_common_zeros`` of the nonlinear generators to the
+    (one restriction of the nonlinear generators to the graph of the
     common zeros of the slicing forms and the linear generators) and scans
     only the restricted forms there, so ``enumeration_budget`` counts the
     points of that cut subspace; the common zeros, and so the estimate, are
@@ -446,7 +439,7 @@ def codim_probabilistic(
         found_empty = False
         for _ in range(attempts):
             rows = _random_full_rank_forms(rng, ext, n, j) + linear_rows
-            if not _poly_vanishes_on_subspace(nonlinear, rows, ext, enumeration_budget):
+            if not _poly_vanishes_on_subspace(nonlinear, rows, ext, n, enumeration_budget):
                 found_empty = True
                 break
         if found_empty:

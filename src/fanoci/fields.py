@@ -26,7 +26,7 @@ and leaves ``rng`` in the same state, so a caller may switch between the
 two without changing a seeded stream.  Over GF(p) it draws without a
 Python call per element.
 
-``rref`` and ``nullspace`` are the exact linear algebra over any of them.
+``rref`` is the exact linear algebra over any of them.
 """
 
 from __future__ import annotations
@@ -452,18 +452,3 @@ def rref(
         rank += 1
     return work, pivots
 
-
-def nullspace(
-    rows: Sequence[Sequence[Element]], field: FieldSpec, n: int
-) -> List[Tuple[Element, ...]]:
-    """Basis of the common kernel in ``field^n`` of the linear forms ``rows``."""
-    work, pivots = rref(rows, field)
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [field.zero()] * n
-        vec[f] = field.one()
-        for r, c in enumerate(pivots):
-            vec[c] = field.neg(work[r][f])
-        basis.append(tuple(vec))
-    return basis

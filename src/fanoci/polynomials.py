@@ -11,13 +11,16 @@ reverse lexicographic order (by the declared variable order, descending),
 which makes serialization canonical.
 
 ``restrict_to_common_zeros`` is the one restriction to a linear subspace:
-it restricts polynomials to the common zeros of linear forms, which the
-regularity check and the slicing oracle of ``dimension`` both use.  Its
-two halves are public too: ``linear_graph`` writes the common zeros as a
-graph over surviving variables and ``restrict_to_graph`` composes with it,
-so a caller that restricts to one subspace many times computes its graph
-once.  ``hyperplane_graph`` is the graph of one form, written down without
-row reduction.
+it restricts polynomials to the common zeros of linear forms.  Its two
+halves are public too: ``linear_graph`` writes the common zeros as a
+graph and ``restrict_to_graph`` composes with it, so a caller that
+restricts to one subspace many times computes its graph once.  A graph
+is a pair (kept, images): the surviving variables in increasing order,
+and a map from each eliminated variable, in increasing order, to its
+coefficient row over them.  Only this module reads a graph's entries;
+the regularity check and ``dimension`` pass graphs on.
+``hyperplane_graph`` writes the graph of one form down without row
+reduction, and ``restrict_row`` restricts a linear form's row to a graph.
 """
 
 from __future__ import annotations
@@ -30,9 +33,10 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 from ._value import Value
 from .errors import InputError
-from .fields import Element, FieldSpec, nullspace
+from .fields import Element, FieldSpec, rref
 
 Exponents = Tuple[int, ...]
+Graph = Tuple[Tuple[int, ...], Dict[int, Tuple[Element, ...]]]
 
 
 def grevlex_key(exponents: Exponents):
@@ -478,77 +482,89 @@ class MultiPoly(Value):
 
 def linear_graph(
     rows: Sequence[Sequence[Element]], fieldspec: FieldSpec, n: int
-) -> Tuple[Tuple[int, ...], Tuple[Tuple[Element, ...], ...]]:
+) -> Graph:
     """The common zeros in ``fieldspec^n`` of the linear forms with
-    coefficient ``rows``, as the graph of a linear map: (kept, basis).
+    coefficient ``rows``, as the graph of a linear map: (kept, images).
 
-    ``kept`` are the surviving variables, in increasing order, and
-    ``basis[j]`` is the kernel vector that is 1 at ``kept[j]`` and 0 at the
-    other survivors.  The eliminated variables are the pivots of the rows
-    reduced from the last column backwards, i.e. the highest-index columns
-    that are independent, so dependent rows eliminate no more than their
-    rank.  The pivots and the basis depend only on the span of the rows.
+    On the common zeros, eliminated variable i is
+    sum_j images[i][j] * x_{kept[j]}.  The eliminated variables are the
+    pivots of the rows reduced from the last column backwards, i.e. the
+    highest-index columns that are independent, so dependent rows eliminate
+    no more than their rank.  The graph depends only on the span of the
+    rows.
     """
-    backwards = nullspace([row[::-1] for row in rows], fieldspec, n)
-    basis = tuple(vec[::-1] for vec in reversed(backwards))
-    # a kernel vector is 1 at its surviving variable, 0 at the other
-    # survivors and nonzero elsewhere only at eliminated variables of higher
-    # index, so its first nonzero entry names the survivor
-    kept = tuple(next(i for i, c in enumerate(vec) if c) for vec in basis)
-    return kept, basis
+    work, pivots = rref([row[::-1] for row in rows], fieldspec)
+    # column c of the reversed rows is variable n - 1 - c; a reduced row is 1
+    # at its eliminated variable and 0 at the others, so on the common zeros
+    # that variable is minus the row at the survivors
+    reduced = dict(zip((n - 1 - c for c in pivots), work))
+    kept = tuple(i for i in range(n) if i not in reduced)
+    neg = fieldspec.neg
+    return kept, {
+        i: tuple(neg(reduced[i][n - 1 - j]) for j in kept) for i in sorted(reduced)
+    }
 
 
-def hyperplane_graph(
-    row: Sequence[Element], fieldspec: FieldSpec
-) -> Tuple[Tuple[int, ...], Tuple[Tuple[Element, ...], ...]]:
+def hyperplane_graph(row: Sequence[Element], fieldspec: FieldSpec) -> Graph:
     """``linear_graph([row], fieldspec, len(row))``, written down directly.
 
-    One nonzero row eliminates its last nonzero entry p, and survivor j's
-    basis vector is 1 at j and -row[j]/row[p] at p, which is what the row
-    reduction in ``linear_graph`` computes.  A zero row goes to
-    ``linear_graph``.
+    One nonzero row eliminates its last nonzero entry p, whose image is
+    -row[j]/row[p] at each survivor j, which is what the row reduction in
+    ``linear_graph`` computes.  A zero row leaves the whole space.
     """
     n = len(row)
     pivot = next((i for i in range(n - 1, -1, -1) if row[i]), None)
     if pivot is None:
-        return linear_graph([row], fieldspec, n)
-    zero, one, inv = fieldspec.zero(), fieldspec.one(), fieldspec.inv(row[pivot])
-    neg, mul = fieldspec.neg, fieldspec.mul
+        return tuple(range(n)), {}
     kept = (*range(pivot), *range(pivot + 1, n))
-    basis = []
-    for j in kept:
-        vec = [zero] * n
-        vec[j] = one
-        vec[pivot] = neg(mul(row[j], inv))
-        basis.append(tuple(vec))
-    return kept, tuple(basis)
+    scale, mul = fieldspec.neg(fieldspec.inv(row[pivot])), fieldspec.mul
+    return kept, {pivot: tuple(mul(row[j], scale) for j in kept)}
+
+
+def restrict_row(
+    row: Sequence[Element],
+    kept: Sequence[int],
+    images: Mapping[int, Sequence[Element]],
+    fieldspec: FieldSpec,
+) -> List[Element]:
+    """The linear form with coefficient ``row`` restricted to the graph
+    (kept, images): its coefficient row over the survivors.
+
+    Survivor j's entry is row[kept[j]] plus row[i] * images[i][j] for each
+    eliminated variable i.  The result is zero iff the form vanishes on the
+    graph, i.e. lies in the span of the rows the graph was made from.
+    """
+    mul, add = fieldspec.mul, fieldspec.add
+    restricted = [row[j] for j in kept]
+    for i, image in images.items():
+        if c := row[i]:
+            restricted = [add(r, mul(c, a)) for r, a in zip(restricted, image)]
+    return restricted
 
 
 def restrict_to_graph(
     polys: Sequence[MultiPoly],
     kept: Sequence[int],
-    basis: Sequence[Sequence[Element]],
+    images: Mapping[int, Sequence[Element]],
 ) -> List[MultiPoly]:
-    """Restrict ``polys`` to the graph (kept, basis) of ``linear_graph``.
+    """Restrict ``polys`` to the graph (kept, images) of ``linear_graph``.
 
     The result lives in the surviving variables.  A survivor's image is
     itself, so only the eliminated variables are composed, variable i with
-    sum_j basis[j][i] * survivors[j]: each term's survivor exponents go into
+    sum_j images[i][j] * survivors[j]: each term's survivor exponents go into
     the leaf (a polynomial in the survivors) of its eliminated exponents.
     """
+    if not images:  # the graph is the whole space
+        return list(polys)
     if not polys:
         return []
     fieldspec, variables = polys[0].field, polys[0].variables
-    kept_set = set(kept)
-    eliminated = [i for i in range(len(variables)) if i not in kept_set]
-    if not eliminated:  # the graph is the whole space
-        return list(polys)
     m = len(kept)
     units = [(0,) * j + (1,) + (0,) * (m - 1 - j) for j in range(m)]
     elim_images = [
-        {unit: c for unit, vec in zip(units, basis) if (c := vec[i])} for i in eliminated
+        {unit: c for unit, c in zip(units, image) if c} for image in images.values()
     ]
-    leaf_key, elim_key = _picker(kept), _picker(eliminated)
+    leaf_key, elim_key = _picker(kept), _picker(tuple(images))
     survivors = leaf_key(variables)
     restricted = []
     for poly in polys:
@@ -581,10 +597,10 @@ def restrict_to_common_zeros(
     for g in [*polys, *forms]:
         if g.field != fieldspec or g.variables != variables:
             raise InputError("polynomials over different rings")
-    kept, basis = linear_graph(
+    kept, images = linear_graph(
         [form.linear_row() for form in forms], fieldspec, len(variables)
     )
-    return restrict_to_graph(polys, kept, basis)
+    return restrict_to_graph(polys, kept, images)
 
 
 def monomials_of_degree(n_vars: int, degree: int) -> Iterator[Exponents]:

@@ -24,17 +24,17 @@ the parts it was drawn from, so its equations are never split.
 The k+1 independent linear members (l and the q_{i,1}) are eliminated in
 two stages.  T_oV, the common zeros of the q_{i,1}, depends only on the
 instance: it is kept as the graph of a linear map over M surviving
-variables (``polynomials.linear_graph``), which is also the tangent basis,
-and the members of degree >= 2 are restricted to it once per instance
-(``polynomials.restrict_to_graph``).  Only l changes from one sample to
-the next.  Its row on T_oV, l . v for each basis vector v, is computed
-once per check; it is nonzero iff l does not vanish on T_oV, i.e. iff l is
-admissible, and the restricted members are then restricted once more, to
-the hyperplane where that row vanishes, leaving M-2 forms in M-1
-variables.  The graph of a linear subspace is unique, so the two stages
-give the same polynomials, in the same surviving variables and term
-order, as one ``polynomials.restrict_to_common_zeros`` to the common zeros
-of all k+1 forms.
+variables (``polynomials.linear_graph``), and the members of degree >= 2
+are restricted to it once per instance (``polynomials.restrict_to_graph``).
+Only l changes from one sample to the next.  Its row on T_oV, l restricted
+to the graph (``polynomials.restrict_row``), is computed once per check;
+it is nonzero iff l does not vanish on T_oV, i.e. iff l is admissible, and
+the restricted members are then restricted once more, to the hyperplane
+where that row vanishes, leaving M-2 forms in M-1 variables.  The graph
+of a linear subspace is unique, so the two stages give the same
+polynomials, in the same surviving variables and term order, as one
+``polynomials.restrict_to_common_zeros`` to the common zeros of all k+1
+forms.
 
 The reduced check feeds those M-2 forms to the dimension kernel.  The
 unreduced exact check is decided by them as well: forms of positive
@@ -92,12 +92,19 @@ from .polynomials import (
     hyperplane_graph,
     linear_graph,
     monomials_of_degree,
+    restrict_row,
     restrict_to_graph,
 )
 
 REGULAR = "regular"
 IRREGULAR = "irregular"
 SINGULAR = "singular-at-point"
+
+# draws of an instance until its linear parts are independent, redraws of
+# a vanishing top-degree part, and draws of a form until one is admissible
+MAX_ATTEMPTS = 10
+MAX_PART_REDRAWS = 100
+_MAX_FORM_DRAWS = 200
 
 
 # ---------------------------------------------------------------------------
@@ -146,35 +153,18 @@ def index_set(degrees: DegreeTuple) -> IndexSet:
 class TangentSpace(NamedTuple):
     """Common kernel of the linear parts, plus a dependence flag.
 
-    The kernel is kept as the graph of a linear map over the surviving
-    variables ``kept`` (``polynomials.linear_graph``): ``basis[j]`` is 1 at
-    ``kept[j]`` and 0 at the other survivors.
+    The kernel is kept as the graph (kept, images) of a linear map over the
+    surviving variables (``polynomials.linear_graph``).
     """
 
-    basis: Tuple[Tuple[Element, ...], ...]
-    codimension: int
-    is_singular: bool  # the forms were dependent (kernel larger than expected)
     kept: Tuple[int, ...]
+    images: Dict[int, Tuple[Element, ...]]
+    is_singular: bool  # the forms were dependent (kernel larger than expected)
 
-    def row_on(self, row: Sequence[Element], field: FieldSpec) -> List[Element]:
-        """The linear form with coefficient ``row`` restricted to the space:
-        its coefficient row . basis[j] at each survivor j.
-
-        It is zero iff the form vanishes on the space, i.e. lies in the span
-        of the linear parts.  ``basis[j]`` is 1 at ``kept[j]`` and 0 at the
-        other survivors, so the product is ``row[kept[j]]`` plus the products
-        at the eliminated variables.  The entries of ``row`` are field
-        elements.
-        """
-        mul, add = field.mul, field.add
-        eliminated = sorted(set(range(len(row))).difference(self.kept))
-        restricted = []
-        for survivor, vec in zip(self.kept, self.basis):
-            total = row[survivor]
-            for i in eliminated:
-                total = add(total, mul(row[i], vec[i]))
-            restricted.append(total)
-        return restricted
+    @property
+    def codimension(self) -> int:
+        # one eliminated variable per independent linear part
+        return len(self.images)
 
 
 def tangent_space(linear_parts: Sequence[MultiPoly]) -> TangentSpace:
@@ -182,11 +172,10 @@ def tangent_space(linear_parts: Sequence[MultiPoly]) -> TangentSpace:
     if not linear_parts:
         raise InputError("need at least one linear form")
     n = len(linear_parts[0].variables)
-    kept, basis = linear_graph(
+    kept, images = linear_graph(
         [form.linear_row() for form in linear_parts], linear_parts[0].field, n
     )
-    rank = n - len(basis)
-    return TangentSpace(basis, rank, rank < len(linear_parts), kept)
+    return TangentSpace(kept, images, len(images) < len(linear_parts))
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +273,7 @@ class PointedCI(Value):
         # the members q_{i,j}, j >= 2, in (i, j) order, on the graph of T_oV
         tangent = self.tangent()
         tail = [self.part(i, j) for i, j in self.index_pairs if j >= 2]
-        return tuple(restrict_to_graph(tail, tangent.kept, tangent.basis))
+        return tuple(restrict_to_graph(tail, tangent.kept, tangent.images))
 
     def part(self, i: int, j: int) -> MultiPoly:
         """Homogeneous degree-j part of f_i (1-based i); may be zero."""
@@ -298,17 +287,17 @@ class PointedCI(Value):
         """The members of degree >= 2 restricted to T_oV ∩ {l = 0}.
 
         ``tangent_row`` is l's row on the tangent space
-        (``TangentSpace.row_on``), nonzero for an admissible l.  The members
-        restricted to T_oV are cached, so each l costs one hyperplane: the
-        one where l restricted to T_oV vanishes, whose graph is written
-        down without row reduction (``polynomials.hyperplane_graph``).  The
-        graph of a linear subspace is unique, so this gives the same
-        polynomials, in the same surviving variables, as one restriction to
-        the common zeros of l and the q_{i,1}
-        (``polynomials.restrict_to_common_zeros``).
+        (``polynomials.restrict_row``), nonzero for an admissible l.  The
+        members restricted to T_oV are cached, so each l costs one
+        hyperplane: the one where l restricted to T_oV vanishes, whose graph
+        is written down without row reduction
+        (``polynomials.hyperplane_graph``).  The graph of a linear subspace
+        is unique, so this gives the same polynomials, in the same surviving
+        variables, as one restriction to the common zeros of l and the
+        q_{i,1} (``polynomials.restrict_to_common_zeros``).
         """
-        kept, basis = hyperplane_graph(tangent_row, self.field)
-        return restrict_to_graph(self._tail_on_tangent, kept, basis)
+        kept, images = hyperplane_graph(tangent_row, self.field)
+        return restrict_to_graph(self._tail_on_tangent, kept, images)
 
     @property
     def is_smooth_at_origin(self) -> bool:
@@ -391,7 +380,9 @@ def _validate_linear_form(
         raise InputError("linear form must live in the ambient ring")
     if linear_form.is_zero() or linear_form.total_degree() != 1 or not linear_form.is_homogeneous():
         raise InputError("l must be a nonzero homogeneous linear form")
-    tangent_row = tangent.row_on(linear_form.linear_row(), ci.field)
+    tangent_row = restrict_row(
+        linear_form.linear_row(), tangent.kept, tangent.images, ci.field
+    )
     if not any(tangent_row):
         raise InputError(
             "l vanishes identically on the tangent space at the origin; "
@@ -530,26 +521,20 @@ class SampledRegularityReport(NamedTuple):
 
 
 def _random_admissible_form(
-    ci: PointedCI, rng: Random, tangent: TangentSpace, max_tries: int = 200
+    ci: PointedCI, rng: Random, tangent: TangentSpace
 ) -> Tuple[MultiPoly, List[Element]]:
     """A random linear form that does not vanish on T_oV, and its row there."""
     field = ci.field
     n = ci.degrees.ambient
-    for _ in range(max_tries):
+    for _ in range(_MAX_FORM_DRAWS):
         coeffs = field.random_elements(rng, n)
         if not any(coeffs):
             continue
-        tangent_row = tangent.row_on(coeffs, field)
+        tangent_row = restrict_row(coeffs, tangent.kept, tangent.images, field)
         if any(tangent_row):
-            # the drawn residues are field elements, and the unit monomials
-            # run grevlex-descending from the first variable, so the terms
-            # are canonical as made
-            terms = {
-                (0,) * i + (1,) + (0,) * (n - 1 - i): c for i, c in enumerate(coeffs) if c
-            }
-            return MultiPoly(field, ci.variables, terms), tangent_row
+            return MultiPoly.linear(field, ci.variables, coeffs), tangent_row
     raise ResourceBudgetError(
-        f"failed to sample a linear form off the tangent span in {max_tries} tries"
+        f"failed to sample a linear form off the tangent span in {_MAX_FORM_DRAWS} tries"
     )
 
 
@@ -586,20 +571,15 @@ def sampled_regularity_check(
 
 
 def random_complete_intersection(
-    degrees: DegreeTuple,
-    field: FieldSpec,
-    seed: int = 0,
-    *,
-    max_attempts: int = 10,
-    max_part_redraws: int = 100,
+    degrees: DegreeTuple, field: FieldSpec, seed: int = 0
 ) -> PointedCI:
     """Seed-deterministic random equations of the prescribed degrees.
 
-    Retries up to ``max_attempts`` times until the linear parts are
+    Retries up to ``MAX_ATTEMPTS`` times until the linear parts are
     independent; when every attempt is degenerate the last (singular)
     instance is returned and callers inspect ``is_smooth_at_origin``.
     Only the inner redraw of a vanishing top-degree part can raise, and
-    then only after ``max_part_redraws`` failures.
+    then only after ``MAX_PART_REDRAWS`` failures.
     """
     if not field.is_prime_field:
         raise InputError("random complete intersections are drawn over GF(p)")
@@ -613,20 +593,20 @@ def random_complete_intersection(
     }
     master = Random(seed)
     instance = None
-    for _ in range(max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         equations, parts = [], []
         for d in degrees.degrees:
             drawn = {}
             for j in range(1, d + 1):
                 # only the top-degree part must be nonzero; it is redrawn
-                for _ in range(1 + max_part_redraws):
+                for _ in range(1 + MAX_PART_REDRAWS):
                     terms = _draw_terms(monomials[j], field, master.getrandbits(63))
                     if j < d or terms:
                         break
                 else:
                     raise ResourceBudgetError(
                         "could not draw a nonzero top-degree part"
-                        f" in {max_part_redraws} redraws"
+                        f" in {MAX_PART_REDRAWS} redraws"
                     )
                 if terms:
                     drawn[j] = MultiPoly(field, variables, terms)

@@ -819,6 +819,35 @@ def test_probabilistic_outputs_pinned(tmp_path, degrees, seed):
     assert digest == PINNED_PROBABILISTIC_OUTPUTS[(degrees, seed)]
 
 
+# sha256 of the stdout of `regcheck --mode probabilistic --reduce` on seeded
+# instances: each form's reduced sequence, restricted through the graph of
+# T_oV and of one hyperplane, goes to the slicing oracle, which restricts it
+# once more to the graph of its slicing rows.  All three exit 1: over GF(2)
+# the oracle is blind often enough that some traces stop at [1, 1], and
+# over GF(3) one of the eight (3,4) traces is [1, 2, 2].
+PINNED_REDUCED_PROBABILISTIC_OUTPUTS = {
+    (2, (2, 4), 1): "16aa11536430fe7d142ad5ff17b88458bcabe2051bd6741ca7cd73de7894d322",
+    (2, (3, 3), 4): "4b54a326b134a1a90ae9ab0613607c47e26b78667d508c82b4db67b4e57291d0",
+    (3, (3, 4), 2): "ddff7847b3ed2b3885d65281bfdc16fc59f575ee166dde61fd1e717f73ecb71c",
+}
+
+
+@pytest.mark.parametrize("p, degrees, seed", list(PINNED_REDUCED_PROBABILISTIC_OUTPUTS))
+def test_reduced_probabilistic_outputs_pinned(tmp_path, p, degrees, seed):
+    ci = random_complete_intersection(DegreeTuple(degrees), FieldSpec.prime(p), seed=seed)
+    path = tmp_path / "ci.json"
+    path.write_text(json.dumps(ci.to_json()))
+    code, output = invoke(
+        [
+            "regcheck", "--input", str(path), "--mode", "probabilistic",
+            "--samples", "8", "--seed", "1", "--reduce",
+        ]
+    )
+    assert code == 1
+    digest = hashlib.sha256(output.encode()).hexdigest()
+    assert digest == PINNED_REDUCED_PROBABILISTIC_OUTPUTS[(p, degrees, seed)]
+
+
 @pytest.mark.parametrize("bad", [1.5, 1.0, True, "1"])
 def test_regcheck_non_integer_exponent_exit_2(tmp_path, bad):
     ci = random_complete_intersection(DegreeTuple((2, 3)), FieldSpec.prime(7), seed=1)

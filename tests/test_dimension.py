@@ -12,7 +12,7 @@ from fanoci.dimension import (
     EXACT,
     PROBABILISTIC,
     RegularSequenceResult,
-    _cut_last_variable,
+    _certified_on_cut,
     _poly_vanishes_on_subspace,
     _prefix_trace,
     codim_probabilistic,
@@ -20,7 +20,7 @@ from fanoci.dimension import (
     projective_codim,
 )
 from fanoci.errors import InputError, ResourceBudgetError, UnsupportedModeError
-from fanoci.fields import FieldSpec, nullspace
+from fanoci.fields import FieldSpec
 from fanoci.families import DegreeTuple
 from fanoci.groebner import (
     GroebnerEngine,
@@ -28,7 +28,15 @@ from fanoci.groebner import (
     leading_term,
     staircase_dimension,
 )
-from fanoci.polynomials import MultiPoly, _descending, monomials_of_degree, random_poly
+from fanoci.polynomials import (
+    MultiPoly,
+    _descending,
+    hyperplane_graph,
+    linear_graph,
+    monomials_of_degree,
+    random_poly,
+    restrict_to_graph,
+)
 from fanoci.regularity import random_complete_intersection, regularity_check
 
 Q = FieldSpec.rationals()
@@ -300,16 +308,60 @@ def homogeneous_sequences(draw):
     return forms
 
 
+def _cut(forms):
+    """The forms on x_n = 0, restricted through the graph of the unit row e_n."""
+    field, n = forms[0].field, len(forms[0].variables)
+    unit_row = [field.zero()] * (n - 1) + [field.one()]
+    return restrict_to_graph(forms, *hyperplane_graph(unit_row, field))
+
+
+def _drop_last_variable(form):
+    """Reference cut: the terms that hold the last variable are dropped, and
+    then the variable; the kept terms stay in stored order."""
+    terms = {e[:-1]: c for e, c in form.terms.items() if not e[-1]}
+    return MultiPoly(form.field, form.variables[:-1], terms)
+
+
+def _terms_in_order(forms):
+    return [(f.variables, list(f.terms.items())) for f in forms]
+
+
 @given(homogeneous_sequences())
 @settings(max_examples=400, deadline=None)
 def test_cut_then_fallback_matches_the_uncut_loop(forms):
     variables = forms[0].variables
     uncut = _prefix_trace(forms, variables, EXACT)
     assert is_regular_sequence(forms) == uncut
-    for f in forms:
-        cut = _cut_last_variable(f)
-        assert cut.variables == variables[:-1]
-        assert list(cut.terms) == _descending(cut.terms)
+    cut = _cut(forms)
+    assert _terms_in_order(cut) == _terms_in_order(map(_drop_last_variable, forms))
+    for f in cut:
+        assert f.variables == variables[:-1]
+        assert list(f.terms) == _descending(f.terms)
+
+
+@pytest.mark.parametrize("field", [Q, FieldSpec.prime(2), FieldSpec.prime(101)])
+def test_the_cut_drops_the_terms_that_hold_the_last_variable(monkeypatch, field):
+    # the certificate's cut, seen by a spy, gives the reference's variables
+    # and term order, a zero form included where every term holds x_n
+    x, y, z = fv(field=field)
+    rng = Random(field.characteristic)
+    forms = [x * z] + [
+        random_poly(d, V3, field, homogeneous=True, seed=rng.getrandbits(32))
+        for d in (1, 2, 2, 3, 3, 4)
+    ]
+    expected = _terms_in_order(map(_drop_last_variable, forms))
+    seen = []
+
+    def spy(polys, kept, images):
+        seen.append(restrict_to_graph(polys, kept, images))
+        return seen[-1]
+
+    monkeypatch.setattr(dimension, "restrict_to_graph", spy)
+    for form in forms:
+        _certified_on_cut([form])
+    assert [_terms_in_order(cut) for cut in seen] == [[e] for e in expected]
+    assert _terms_in_order(_cut(forms)) == expected
+    assert seen[0][0].is_zero()
 
 
 @pytest.fixture
@@ -331,7 +383,7 @@ def test_regular_form_whose_cut_vanishes_falls_back(engine_sizes):
     # cut form is seen before any engine is built, and the uncut loop builds
     # its one engine at prefix 2, the first that is not forced
     x, y, z = fv()
-    assert _cut_last_variable(x * z).is_zero()
+    assert _cut([x * z])[0].is_zero()
     assert is_regular_sequence([x * z, y * y]) == RegularSequenceResult(True, (1, 2))
     assert engine_sizes == [3]
 
@@ -565,10 +617,11 @@ def _projective_points(field, m):
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_cutting_by_the_linear_members_keeps_the_common_zeros(p, extension_degree, data):
-    # the reference evaluates every form, uncomposed, at the points
-    # sum_i t_i * b_i of the slice, for b a nullspace basis of the slicing
-    # rows; the oracle instead adds the linear forms' rows to the slicing
-    # rows and scans the other forms restricted to the common zeros of both
+    # the reference evaluates every form, uncomposed, at the points of the
+    # slice, the graph of the slicing rows alone (whose points
+    # test_polynomials checks against brute force); the oracle instead adds
+    # the linear forms' rows to the slicing rows and scans the other forms
+    # restricted to the common zeros of both
     field = FieldSpec.prime(p)
     ext = FieldSpec.quadratic(p) if extension_degree == 2 else field
     n = data.draw(st.integers(min_value=2, max_value=4), label="n")
@@ -599,17 +652,20 @@ def test_cutting_by_the_linear_members_keeps_the_common_zeros(p, extension_degre
             row = [ext.add(a, b) for a, b in zip(row, rows[0])]
         rows.append(row)
 
-    basis = nullspace(rows, ext, n)
+    kept, images = linear_graph(rows, ext, n)
 
     def common_zero(t):
         x = [ext.zero()] * n
-        for ti, b in zip(t, basis):
-            x = [ext.add(xk, ext.mul(ti, bk)) for xk, bk in zip(x, b)]
+        for j, tj in zip(kept, t):
+            x[j] = tj
+        for i, image in images.items():
+            for tj, c in zip(t, image):
+                x[i] = ext.add(x[i], ext.mul(tj, c))
         return not any(f.evaluate(x) for f in forms)
 
-    expected = any(map(common_zero, _projective_points(ext, len(basis))))
+    expected = any(map(common_zero, _projective_points(ext, len(kept))))
     cut = rows + [f.linear_row() for f in linear]
-    assert _poly_vanishes_on_subspace(nonlinear, cut, ext, 10**6) == expected
+    assert _poly_vanishes_on_subspace(nonlinear, cut, ext, n, 10**6) == expected
 
 
 def test_probabilistic_linear_forms_need_no_scan():

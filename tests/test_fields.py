@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fanoci.errors import InputError
-from fanoci.fields import FieldSpec, nullspace
+from fanoci.fields import FieldSpec
 
 QUADRATIC = [FieldSpec.quadratic(p) for p in (2, 3, 5)]
 
@@ -40,21 +40,6 @@ def test_quadratic_field_is_internal():
         FieldSpec.quadratic(9)
     with pytest.raises(InputError):
         FieldSpec.quadratic(5).coerce(25)
-
-
-@pytest.mark.parametrize("field", QUADRATIC, ids=lambda f: f"GF({f.characteristic}^2)")
-def test_nullspace_over_quadratic_field(field):
-    rng = Random(field.characteristic)
-    for _ in range(20):
-        n = rng.randint(1, 5)
-        rows = [[field.random_element(rng) for _ in range(n)] for _ in range(rng.randint(0, n))]
-        basis = nullspace(rows, field, n)
-        for vec in basis:
-            for row in rows:
-                total = 0
-                for a, b in zip(row, vec):
-                    total = field.add(total, field.mul(a, b))
-                assert total == 0
 
 
 @pytest.mark.parametrize(

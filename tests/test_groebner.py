@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fanoci import groebner
-from fanoci.dimension import _cut_last_variable, is_regular_sequence
+from fanoci.dimension import is_regular_sequence
 from fanoci.errors import InputError, ResourceBudgetError
 from fanoci.families import DegreeTuple
 from fanoci.fields import FieldSpec
@@ -23,8 +23,10 @@ from fanoci.polynomials import (
     MultiPoly,
     _descending,
     grevlex_key,
+    hyperplane_graph,
     random_poly,
     restrict_to_common_zeros,
+    restrict_to_graph,
 )
 from fanoci.regularity import (
     _random_admissible_form,
@@ -334,7 +336,9 @@ def rung_m7_cut_sequence():
         seed=Random(f"1/{degrees}").getrandbits(32),
     )
     _, row = _random_admissible_form(ci, Random(0), ci.tangent())
-    cut = [_cut_last_variable(g) for g in ci.reduced_sequence(row)]
+    forms = ci.reduced_sequence(row)
+    unit_row = [0] * (len(forms[0].variables) - 1) + [1]
+    cut = restrict_to_graph(forms, *hyperplane_graph(unit_row, ci.field))
     return sorted(cut, key=MultiPoly.total_degree)
 
 

@@ -239,10 +239,10 @@ VALUE_TYPES = [
     ),
     (
         "TangentSpace",
-        lambda: TangentSpace(((1, 0, 4),), 2, False, (0,)),
-        "basis",
-        True,
-        "TangentSpace(basis=((1, 0, 4),), codimension=2, is_singular=False, kept=(0,))",
+        lambda: TangentSpace((0,), {1: (0,), 2: (4,)}, False),
+        "images",
+        False,
+        "TangentSpace(kept=(0,), images={1: (0,), 2: (4,)}, is_singular=False)",
     ),
     (
         "PointedCI",

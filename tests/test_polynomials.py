@@ -1,5 +1,7 @@
+import itertools
 from fractions import Fraction
 from math import comb
+from random import Random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -14,6 +16,7 @@ from fanoci.polynomials import (
     monomials_of_degree,
     linear_graph,
     random_poly,
+    restrict_row,
     restrict_to_common_zeros,
     restrict_to_graph,
 )
@@ -315,26 +318,26 @@ def test_one_shot_restriction_equals_the_hyperplane_chain(seed):
     assert [list(g.terms.items()) for g in got] == [list(g.terms.items()) for g in expected]
 
 
-def _graph_basis(field, variables, forms):
-    """The survivors and the basis of the common zeros of ``forms``, solved directly.
+def _solved_graph(field, variables, forms):
+    """The survivors' names and the image of every variable, a linear form in
+    the survivors, on the common zeros of ``forms``, solved directly.
 
     The eliminated variables are the pivots of the rows reduced from the last
-    column backwards.  The basis vector of a survivor is 1 there, 0 at the
-    other survivors, and at an eliminated variable minus the survivor's
-    entry in that variable's reduced row.
+    column backwards.  A survivor's image is itself, and an eliminated
+    variable's is minus its reduced row at the survivors.
     """
     n = len(variables)
     work, pivots = rref([form.linear_row()[::-1] for form in forms], field)
     eliminated = {n - 1 - c: row[::-1] for c, row in zip(pivots, work)}
     kept = [i for i in range(n) if i not in eliminated]
-    basis = []
-    for j in kept:
-        vec = [field.zero()] * n
-        vec[j] = field.one()
-        for i, row in eliminated.items():
-            vec[i] = field.neg(row[j])
-        basis.append(vec)
-    return tuple(variables[j] for j in kept), basis
+    survivors = tuple(variables[j] for j in kept)
+    rows = [
+        [field.neg(eliminated[i][j]) for j in kept]
+        if i in eliminated
+        else [field.one() if j == i else field.zero() for j in kept]
+        for i in range(n)
+    ]
+    return survivors, [MultiPoly.linear(field, survivors, row) for row in rows]
 
 
 @given(
@@ -361,9 +364,8 @@ def test_restriction_matches_substitution_and_the_hyperplane_chain(
     ]
     got = restrict_to_common_zeros(polys, forms)
 
-    survivors, basis = _graph_basis(field, V, forms)
-    images = [MultiPoly.linear(field, survivors, [vec[i] for vec in basis]) for i in range(n)]
-    by_substitution = [_substitute_by_power_tables(f, images) for f in polys]
+    survivors, substitution = _solved_graph(field, V, forms)
+    by_substitution = [_substitute_by_power_tables(f, substitution) for f in polys]
     by_hyperplanes = _restrict_one_hyperplane_at_a_time(polys, forms)
     # two stages: the graph of the first forms, then the common zeros of the
     # others, restricted to that graph
@@ -409,16 +411,18 @@ def test_restriction_to_a_graph_edge_cases_match_substitution(field, graph):
         MultiPoly.zero(field, V),
         random_poly(2, V, field, homogeneous=True, seed=5),
     ]
-    kept, basis = linear_graph([form.linear_row() for form in forms], field, 3)
-    got = restrict_to_graph(polys, kept, basis)
+    kept, images = linear_graph([form.linear_row() for form in forms], field, 3)
+    got = restrict_to_graph(polys, kept, images)
 
-    survivors, reference_basis = _graph_basis(field, V, forms)
-    assert [list(vec) for vec in basis] == [list(vec) for vec in reference_basis]
-    images = [
-        MultiPoly.linear(field, survivors, [vec[i] for vec in reference_basis])
-        for i in range(3)
-    ]
-    expected = [_substitute_by_power_tables(f, images) for f in polys]
+    survivors, substitution = _solved_graph(field, V, forms)
+    assert tuple(V[j] for j in kept) == survivors
+    # each eliminated variable's image, in increasing order, is its solved
+    # linear form over the survivors
+    assert list(images) == sorted(images) == [i for i in range(3) if i not in kept]
+    assert {i: MultiPoly.linear(field, survivors, row) for i, row in images.items()} == {
+        i: substitution[i] for i in images
+    }
+    expected = [_substitute_by_power_tables(f, substitution) for f in polys]
     assert [g.variables for g in got] == [survivors] * 3
     assert [list(g.terms.items()) for g in got] == [list(g.terms.items()) for g in expected]
     assert got[1].is_zero()
@@ -452,8 +456,8 @@ def _field_and_row(draw):
 @settings(max_examples=300, deadline=None)
 def test_hyperplane_graph_is_the_one_row_linear_graph(field_and_row):
     field, row = field_and_row
-    kept, basis = hyperplane_graph(row, field)
-    assert (kept, basis) == linear_graph([row], field, len(row))
+    kept, images = hyperplane_graph(row, field)
+    assert (kept, images) == linear_graph([row], field, len(row))
     nonzero = [i for i, c in enumerate(row) if c]
     # the last nonzero entry is eliminated, and only that one
     assert kept == tuple(i for i in range(len(row)) if not nonzero or i != nonzero[-1])
@@ -461,15 +465,86 @@ def test_hyperplane_graph_is_the_one_row_linear_graph(field_and_row):
 
 def test_hyperplane_graph_eliminates_the_last_nonzero_entry():
     row = [Fraction(c) for c in (3, 0, 5, 7, 0)]
-    kept, basis = hyperplane_graph(row, Q)
+    kept, images = hyperplane_graph(row, Q)
     assert kept == (0, 1, 2, 4)
-    # survivor j is 1 at j and -row[j] / row[3] at the eliminated index 3
-    assert basis == (
-        (1, 0, 0, Fraction(-3, 7), 0),
-        (0, 1, 0, 0, 0),
-        (0, 0, 1, Fraction(-5, 7), 0),
-        (0, 0, 0, 0, 1),
-    )
+    # the eliminated index 3 is -row[j] / row[3] at each survivor j
+    assert images == {3: (Fraction(-3, 7), 0, Fraction(-5, 7), 0)}
+    assert hyperplane_graph([Fraction(0)] * 3, Q) == ((0, 1, 2), {})
+
+
+def _dot(field, row, point):
+    total = field.zero()
+    for a, b in zip(row, point):
+        total = field.add(total, field.mul(a, b))
+    return total
+
+
+SMALL_FIELDS = [
+    FieldSpec.prime(2),
+    FieldSpec.prime(3),
+    FieldSpec.quadratic(2),
+    FieldSpec.quadratic(3),
+    FieldSpec.quadratic(5),
+]
+
+
+@pytest.mark.parametrize("field", SMALL_FIELDS, ids=lambda f: f"GF({f.size})")
+def test_linear_graph_points_are_the_common_zeros(field):
+    # brute force over field^n, n <= 3: the points of the graph, any values
+    # at the survivors and its image at each eliminated variable, are
+    # exactly the points where every row vanishes
+    rng, elements = Random(field.size), field.elements()
+    for _ in range(12):
+        n = rng.randint(1, 3)
+        rows = [field.random_elements(rng, n) for _ in range(rng.randint(0, n))]
+        if rows and rng.random() < 0.5:  # a dependent row
+            scale = field.random_element(rng)
+            rows.insert(rng.randint(0, len(rows)), [field.mul(scale, c) for c in rows[0]])
+        kept, images = linear_graph(rows, field, n)
+        assert list(kept) == sorted(kept) and list(images) == sorted(images)
+        assert sorted([*kept, *images]) == list(range(n))
+        assert all(len(image) == len(kept) for image in images.values())
+        points = set()
+        for values in itertools.product(elements, repeat=len(kept)):
+            point = [None] * n
+            for j, value in zip(kept, values):
+                point[j] = value
+            for i, image in images.items():
+                point[i] = _dot(field, image, values)
+            points.add(tuple(point))
+        zeros = {
+            point
+            for point in itertools.product(elements, repeat=n)
+            if not any(_dot(field, row, point) for row in rows)
+        }
+        assert points == zeros
+
+
+@given(
+    field=st.sampled_from([FieldSpec.prime(2), FieldSpec.prime(5), Q]),
+    n=st.integers(min_value=1, max_value=6),
+    rows=st.lists(
+        st.lists(st.integers(min_value=-4, max_value=4), min_size=6, max_size=6),
+        max_size=4,
+    ),
+    row=st.lists(st.integers(min_value=-4, max_value=4), min_size=6, max_size=6),
+)
+@settings(max_examples=200, deadline=None)
+def test_restrict_row_is_the_dot_product_with_each_graph_basis_vector(field, n, rows, row):
+    # dependent, zero and no rows too: the graph may be the whole space or
+    # leave no survivor
+    rows = [[field.coerce(c) for c in r[:n]] for r in rows]
+    row = [field.coerce(c) for c in row[:n]]
+    kept, images = linear_graph(rows, field, n)
+    expected = []
+    for j, survivor in enumerate(kept):
+        # the point of the graph that is 1 at this survivor, 0 at the others
+        vec = [field.zero()] * n
+        vec[survivor] = field.one()
+        for i, image in images.items():
+            vec[i] = image[j]
+        expected.append(_dot(field, row, vec))
+    assert restrict_row(row, kept, images, field) == expected
 
 
 def test_linear_form_row_roundtrip():
