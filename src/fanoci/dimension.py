@@ -16,6 +16,9 @@ adds every form at once.  Both it and ``is_regular_sequence`` refuse
 inputs beyond ``max_variables`` variables or ``MAX_GENERATORS`` forms with
 ``ResourceBudgetError``; ``check_exact_budget`` applies the sequence rule
 on its own, for a caller that must refuse a sequence before it builds it.
+A sequence in n variables counts as at most n + 1 forms, since the prefix
+loop stops by then, so the sequence rule refuses one for its length only
+when ``max_variables`` is ``MAX_GENERATORS`` or more.
 
 Regularity at the origin is decided through the same cone codimension: an
 ordered sequence of homogeneous forms is regular iff every length-j prefix

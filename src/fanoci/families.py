@@ -25,6 +25,13 @@ The M-caps in cases (i) and (ii) are where the hypertangent ratio
 with d+ = dk if dk1 = dk and d+ = dk - 1 otherwise, stays below (M+1)/M;
 ``max_M_for_bound`` rederives them exactly.
 
+Families are listed one ambient dimension at a time by
+``enumerate_families``, optionally with a fixed k and a cap on every
+degree.  Its one filter is a token of ``parse_family_filter``: a theorem
+id ("t3", "t6:ii", ...), "ke", or "STRONG-not-WEAK".  The token
+"t6-not-t4" is the Remark 1 catalogue of case-(ii) t6 families outside t4
+(``remark_families``); the literal comparison is "t6:any-not-t4".
+
 Notes:
   * t4/t6 carry three cases even though their source phrasing announces
     "two"; all three are evaluated.
@@ -36,7 +43,7 @@ from __future__ import annotations
 
 import warnings
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from ._value import Value
 from .errors import InputError
@@ -101,16 +108,6 @@ def degree_tuple(values: Iterable[int]) -> DegreeTuple:
             stacklevel=2,
         )
     return DegreeTuple(tuple(ordered))
-
-
-def fano_dimension(degrees: DegreeTuple) -> int:
-    """The variety dimension M = sum(d_i) - k."""
-    return degrees.M
-
-
-def d_plus(degrees: DegreeTuple) -> int:
-    """d_k when the top two degrees agree, d_k - 1 otherwise."""
-    return degrees.d_plus
 
 
 def hypertangent_ratio(degrees: DegreeTuple) -> Fraction:
@@ -258,11 +255,6 @@ def _theorem_test(theorem_id: str) -> FilterPredicate:
     return lambda cert: getattr(cert, field) not in (False, "none")
 
 
-def theorem_applies(certificate: FamilyCertificate, theorem_id: str) -> bool:
-    """Evaluate ids like "t3", "t4", "t6:ii" against a certificate."""
-    return _theorem_test(theorem_id)(certificate)
-
-
 # ---------------------------------------------------------------------------
 # Enumeration
 # ---------------------------------------------------------------------------
@@ -315,24 +307,6 @@ def _smallest_completion(m: int, low: int, total: int, high: int) -> Optional[Li
     return [low] * (m - full - 1) + [low + rest] + [high] * full
 
 
-def count_nondecreasing_tuples(k: int, total: int, d_min: int = 2) -> int:
-    """Independent partition-count oracle (dynamic programming, no listing)."""
-    # partitions of `total` into exactly k parts, each >= d_min, equals
-    # partitions of total - k*(d_min-1) into exactly k parts >= 1
-    shifted = total - k * (d_min - 1)
-    if shifted < k:
-        return 0
-    # p(n, k): partitions of n into exactly k parts
-    table = [[0] * (k + 1) for _ in range(shifted + 1)]
-    table[0][0] = 1
-    for n in range(1, shifted + 1):
-        for parts in range(1, k + 1):
-            table[n][parts] = table[n - 1][parts - 1]
-            if n - parts >= 0:
-                table[n][parts] += table[n - parts][parts]
-    return table[shifted][k]
-
-
 FilterPredicate = Callable[[FamilyCertificate], bool]
 
 
@@ -365,60 +339,30 @@ def parse_family_filter(spec: Optional[str]) -> Optional[FilterPredicate]:
 
 
 def enumerate_families(
+    ambient: int,
     *,
-    ambient: Optional[int] = None,
-    ambient_max: Optional[int] = None,
     k: Optional[int] = None,
     d_max: Optional[int] = None,
     filter_spec: Optional[str] = None,
-    predicate: Optional[FilterPredicate] = None,
 ) -> List[DegreeTuple]:
-    """All degree tuples in a finite box, lexicographically sorted.
+    """All degree tuples of one ambient dimension, lexicographically sorted.
 
-    The box is finite: give ``ambient`` or ``ambient_max``; a given k is
-    at least 2.
-    ``filter_spec`` (a token from ``parse_family_filter``) or an explicit
-    ``predicate`` restricts the output by certificate properties.
+    A given k is at least 2 and a given ``d_max`` caps every degree;
+    ``filter_spec``, a token of ``parse_family_filter``, keeps the tuples
+    whose certificates pass it.
     """
-    if predicate is None:
-        predicate = parse_family_filter(filter_spec)
+    predicate = parse_family_filter(filter_spec)
     if k is not None and k < 2:
         raise InputError(f"need k >= 2 degrees, got k = {k}")
-    if ambient is not None and ambient_max is not None:
-        raise InputError("give either ambient or ambient_max, not both")
-    if ambient is not None:
-        ambients: Sequence[int] = [ambient]
-    elif ambient_max is not None:
-        ambients = range(4, ambient_max + 1)
-    else:
-        raise InputError("unbounded search box: give ambient or ambient_max")
-
     results: List[DegreeTuple] = []
-    for total in ambients:
-        lo = k if k is not None else 2
-        hi = k if k is not None else total // 2
-        for parts in range(lo, hi + 1):
-            cap = d_max if d_max is not None else total
-            for degrees in nondecreasing_degree_tuples(parts, total, 2, cap):
-                tup = DegreeTuple(degrees)
-                if predicate is None or predicate(theorem_applicability(tup)):
-                    results.append(tup)
+    cap = d_max if d_max is not None else ambient
+    for parts in [k] if k is not None else range(2, ambient // 2 + 1):
+        for degrees in nondecreasing_degree_tuples(parts, ambient, 2, cap):
+            tup = DegreeTuple(degrees)
+            if predicate is None or predicate(theorem_applicability(tup)):
+                results.append(tup)
     results.sort(key=lambda t: t.degrees)
     return results
-
-
-def new_families_vs(
-    strong: str,
-    weak: str,
-    **box,
-) -> List[DegreeTuple]:
-    """Tuples in the box where ``strong`` applies and ``weak`` does not.
-
-    Theorem ids may carry case qualifiers ("t6:ii").  Note that the
-    unqualified comparison ("t6" vs "t4") is the literal one: every tuple
-    where t6 applies through any case and t4 through none.
-    """
-    return enumerate_families(predicate=_applies_not(strong, weak), **box)
 
 
 def remark_families() -> List[DegreeTuple]:
@@ -427,4 +371,4 @@ def remark_families() -> List[DegreeTuple]:
     These all live in ambient projective dimension 24; the computation
     re-derives the fixed list instead of hard-coding it.
     """
-    return new_families_vs("t6:ii", "t4", ambient=24)
+    return enumerate_families(24, filter_spec="t6-not-t4")

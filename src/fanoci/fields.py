@@ -246,9 +246,6 @@ class _Rationals(FieldSpec):
             raise ZeroDivisionError("inverse of zero field element")
         return 1 / Fraction(a)
 
-    def pow(self, a: Element, e: int) -> Element:
-        return Fraction(a) ** e
-
     def format_element(self, a: Element) -> str:
         return format_rational(a)
 
@@ -292,11 +289,6 @@ class _PrimeField(FieldSpec):
         if not a:
             raise ZeroDivisionError("inverse of zero field element")
         return pow(a, self.characteristic - 2, self.characteristic)
-
-    def pow(self, a: Element, e: int) -> Element:
-        if e < 0:
-            return self.inv(pow(a, -e, self.characteristic))
-        return pow(a, e, self.characteristic)
 
     def _parse(self, values: Sequence) -> List[Element]:
         p = self.characteristic

@@ -266,9 +266,6 @@ class MultiPoly(Value):
     def is_homogeneous(self) -> bool:
         return len(set(map(sum, self.terms))) <= 1
 
-    def coefficient(self, exponents: Exponents) -> Element:
-        return self.terms.get(tuple(exponents), self.field.zero())
-
     def linear_row(self) -> List[Element]:
         """Coefficient row of a homogeneous linear form (zero allowed)."""
         row = [self.field.zero()] * len(self.variables)

@@ -118,14 +118,6 @@ class IndexSet(NamedTuple):
     pairs: frozenset
     excluded: Tuple[Tuple[int, int], Tuple[int, int]]
 
-    @property
-    def sorted_pairs(self) -> List[Tuple[int, int]]:
-        return sorted(self.pairs)
-
-    def __len__(self) -> int:
-        # |I|, the number of pairs, not the number of fields
-        return len(self.pairs)
-
 
 def index_set(degrees: DegreeTuple) -> IndexSet:
     """The index set I for a degree tuple (k >= 2 enforced by the tuple)."""
@@ -266,7 +258,7 @@ class PointedCI(Value):
     @cached_property
     def index_pairs(self) -> Tuple[Tuple[int, int], ...]:
         """The pairs (i, j) of the index set I, in (i, j) order."""
-        return tuple(index_set(self.degrees).sorted_pairs)
+        return tuple(sorted(index_set(self.degrees).pairs))
 
     @cached_property
     def _tail_on_tangent(self) -> Tuple[MultiPoly, ...]:

@@ -62,6 +62,45 @@ def test_remark1_rows():
     assert all(",24," in line for line in lines[1:])
 
 
+# exit code and sha256 of the stdout of the classification commands: the
+# Remark 1 catalogue in every format, the filter token it equals, the literal
+# t6-vs-t4 comparison, a k box, a d_max box, a theorem comparison and two
+# single certificates.
+PINNED_CLASSIFICATION_OUTPUTS = {
+    "remark1 --format json": "90c610937fc2a732ac791208c7a70945ab4b583366638e70455f8dde8e48d7b4",
+    "enumerate --ambient 24 --filter t6-not-t4 --format json": (
+        "90c610937fc2a732ac791208c7a70945ab4b583366638e70455f8dde8e48d7b4"
+    ),
+    "remark1 --format csv": "6a61a8c0b7f6911e5f3ec1034b28680be7cae10187a58ae104f6c641a1ca0f3c",
+    "remark1 --format text": "5396dc558a1380de9da01897742a98beb1bcb0fb09c506f5ddadaece92cf7342",
+    "enumerate --ambient 24 --filter t6:any-not-t4 --format csv": (
+        "a401225aaafb08a0eddc42a37d17b4e246ca93dcc21b7d38b3313a34955bb1b2"
+    ),
+    "enumerate --ambient 12 --k 2 --format text": (
+        "3d9255a09676f899629a5bc3e520356563b6a553cc70d178be369a1b344bb17b"
+    ),
+    "enumerate --ambient 20 --d-max 7 --filter ke --format json": (
+        "6b417e956cb99e2565dd0d5120241dfc04cf57bbf32561e2efa593ab5147e8db"
+    ),
+    "enumerate --ambient 28 --filter t3-not-t5 --format csv": (
+        "2440409ffe72a9967a893dc146d3e2025105bdfdc34d3db08c3da38e502e0a0f"
+    ),
+    "classify --degrees 2,5,5,5,7 --format csv": (
+        "69823276b152d5efd3ed689302ed220370b73d13341cc917daa9f81924eebd98"
+    ),
+    "classify --degrees 6,6 --format text": (
+        "79f5eb934cdf9738951ffddfc431a3fc6125275a9833b7882e0de76ea54249a3"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(PINNED_CLASSIFICATION_OUTPUTS))
+def test_classification_outputs_pinned(command):
+    code, output = invoke(command.split())
+    assert code == 0
+    assert hashlib.sha256(output.encode()).hexdigest() == PINNED_CLASSIFICATION_OUTPUTS[command]
+
+
 def test_float_free_reports():
     for argv in (
         ["classify", "--degrees", "6,6"],

@@ -10,18 +10,14 @@ from fanoci.families import (
     CT_EXCEEDS,
     CT_NONE,
     DegreeTuple,
-    count_nondecreasing_tuples,
-    d_plus,
     degree_tuple,
     enumerate_families,
-    fano_dimension,
     hypertangent_ratio,
     max_M_for_bound,
-    new_families_vs,
     nondecreasing_degree_tuples,
+    parse_family_filter,
     remark_families,
     theorem_applicability,
-    theorem_applies,
 )
 
 REMARK_TUPLES = [
@@ -64,15 +60,15 @@ def test_degree_tuple_sorts_with_notice():
 
 
 def test_fano_dimension_examples():
-    assert fano_dimension(DegreeTuple((6, 6))) == 10
-    assert fano_dimension(DegreeTuple((2, 5, 5, 5, 7))) == 19
-    assert fano_dimension(DegreeTuple((2, 2))) == 2
+    assert DegreeTuple((6, 6)).M == 10
+    assert DegreeTuple((2, 5, 5, 5, 7)).M == 19
+    assert DegreeTuple((2, 2)).M == 2
 
 
 def test_d_plus_examples():
-    assert d_plus(DegreeTuple((2, 7, 7))) == 7
-    assert d_plus(DegreeTuple((2, 6, 7))) == 6
-    assert d_plus(DegreeTuple((8, 8))) == 8
+    assert DegreeTuple((2, 7, 7)).d_plus == 7
+    assert DegreeTuple((2, 6, 7)).d_plus == 6
+    assert DegreeTuple((8, 8)).d_plus == 8
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +174,7 @@ def test_t3_bound_implies_t5_bound_for_k_at_least_3():
 
 def test_certificate_logic_over_box():
     for ambient in range(4, 26):
-        for t in enumerate_families(ambient=ambient):
+        for t in enumerate_families(ambient):
             cert = theorem_applicability(t)
             assert t.ambient == t.M + t.k
             assert (cert.ct_conclusion == CT_EQUALS_ONE) == (cert.t5 or cert.t3)
@@ -213,18 +209,31 @@ def test_certificate_json_schema():
 
 
 def test_enumerate_partitions_of_12_into_two_parts():
-    tuples = enumerate_families(ambient=12, k=2)
+    tuples = enumerate_families(12, k=2)
     assert [t.degrees for t in tuples] == [(2, 10), (3, 9), (4, 8), (5, 7), (6, 6)]
 
 
 def test_enumerate_small_box():
-    tuples = enumerate_families(ambient_max=5, k=2)
+    tuples = [t for ambient in range(4, 6) for t in enumerate_families(ambient, k=2)]
     assert [t.degrees for t in tuples] == [(2, 2), (2, 3)]
 
 
-def test_enumerate_requires_finite_box():
-    with pytest.raises(InputError):
-        enumerate_families(k=3)
+def count_nondecreasing_tuples(k: int, total: int, d_min: int = 2) -> int:
+    """Independent partition-count oracle (dynamic programming, no listing)."""
+    # partitions of `total` into exactly k parts, each >= d_min, equals
+    # partitions of total - k*(d_min-1) into exactly k parts >= 1
+    shifted = total - k * (d_min - 1)
+    if shifted < k:
+        return 0
+    # p(n, k): partitions of n into exactly k parts
+    table = [[0] * (k + 1) for _ in range(shifted + 1)]
+    table[0][0] = 1
+    for n in range(1, shifted + 1):
+        for parts in range(1, k + 1):
+            table[n][parts] = table[n - 1][parts - 1]
+            if n - parts >= 0:
+                table[n][parts] += table[n - parts][parts]
+    return table[shifted][k]
 
 
 def test_enumeration_complete_against_counting_oracle():
@@ -259,7 +268,7 @@ def test_remark_catalogue():
 
 
 def test_filter_token_matches_catalogue():
-    tuples = enumerate_families(ambient=24, filter_spec="t6-not-t4")
+    tuples = enumerate_families(24, filter_spec="t6-not-t4")
     assert [t.degrees for t in tuples] == REMARK_TUPLES
 
 
@@ -267,7 +276,7 @@ def test_unrestricted_comparison_is_larger():
     # the literal "t6 applies and t4 does not" additionally admits the
     # case-(i) tuples at ambient 24; this is the derived arithmetic fact the
     # catalogued filter deliberately excludes
-    full = new_families_vs("t6", "t4", ambient=24)
+    full = enumerate_families(24, filter_spec="t6:any-not-t4")
     assert len(full) == 11
     extra = {t.degrees for t in full} - set(REMARK_TUPLES)
     assert extra == {
@@ -281,23 +290,29 @@ def test_unrestricted_comparison_is_larger():
 
 
 def test_case_iii_gives_nothing_new():
-    assert new_families_vs("t6:iii", "t4:iii", ambient_max=30) == []
+    for ambient in range(4, 31):
+        assert enumerate_families(ambient, filter_spec="t6:iii-not-t4:iii") == []
 
 
 def test_t5_vs_t3_comparisons():
-    assert new_families_vs("t5", "t3", k=2, ambient_max=12) == []
-    reverse = new_families_vs("t3", "t5", k=2, ambient_max=12)
+    for ambient in range(4, 13):
+        assert enumerate_families(ambient, k=2, filter_spec="t5-not-t3") == []
+    reverse = [
+        t
+        for ambient in range(4, 13)
+        for t in enumerate_families(ambient, k=2, filter_spec="t3-not-t5")
+    ]
     assert [t.degrees for t in reverse] == [(2, 9), (3, 8)]
     assert all(t.M == 9 for t in reverse)
 
 
 def test_theorem_applies_parsing():
     cert = theorem_applicability(DegreeTuple((2, 5, 5, 5, 7)))
-    assert theorem_applies(cert, "t6")
-    assert theorem_applies(cert, "t6:ii")
-    assert not theorem_applies(cert, "t6:i")
-    assert not theorem_applies(cert, "t4")
+    assert parse_family_filter("t6")(cert)
+    assert parse_family_filter("t6:ii")(cert)
+    assert not parse_family_filter("t6:i")(cert)
+    assert not parse_family_filter("t4")(cert)
     with pytest.raises(InputError):
-        theorem_applies(cert, "t9")
+        parse_family_filter("t9")
     with pytest.raises(InputError):
-        theorem_applies(cert, "t3:i")
+        parse_family_filter("t3:i")

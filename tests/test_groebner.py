@@ -311,7 +311,7 @@ def reduced_m6_sequence():
     """The forms a reduced regularity check feeds the kernel: (4,4), M = 6."""
     ci = random_complete_intersection(DegreeTuple((4, 4)), FieldSpec.prime(32003), seed=0)
     form, _ = _random_admissible_form(ci, Random(0), ci.tangent())
-    tail = [ci.part(i, j) for i, j in index_set(ci.degrees).sorted_pairs if j >= 2]
+    tail = [ci.part(i, j) for i, j in sorted(index_set(ci.degrees).pairs) if j >= 2]
     return restrict_to_common_zeros(tail, [form, ci.part(1, 1), ci.part(2, 1)])
 
 

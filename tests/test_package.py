@@ -52,13 +52,10 @@ PUBLIC = {
     "families": (
         "DegreeTuple",
         "FamilyCertificate",
-        "d_plus",
         "degree_tuple",
         "enumerate_families",
-        "fano_dimension",
         "hypertangent_ratio",
         "max_M_for_bound",
-        "new_families_vs",
         "remark_families",
         "theorem_applicability",
     ),

@@ -51,7 +51,7 @@ def test_index_set_distinct_top_degrees():
 def test_index_set_cardinality_formula():
     dt = DegreeTuple((2, 5, 5, 5, 7))
     idx = index_set(dt)
-    assert len(idx) == 22 == dt.M + dt.k - 2
+    assert len(idx.pairs) == 22 == dt.M + dt.k - 2
 
 
 def test_index_set_invariants_over_boxes():
@@ -62,7 +62,7 @@ def test_index_set_invariants_over_boxes():
             for degrees in nondecreasing_degree_tuples(k, total):
                 dt = DegreeTuple(degrees)
                 idx = index_set(dt)
-                assert len(idx) == dt.M + dt.k - 2
+                assert len(idx.pairs) == dt.M + dt.k - 2
                 # the degree >= 2 members number M - 2
                 assert sum(1 for _, j in idx.pairs if j >= 2) == dt.M - 2
                 # excluded pairs always have degree >= 2
@@ -276,7 +276,7 @@ def _uncut_report(ci, form):
         result.trace,
         form,
         result.failing_prefix,
-        len(index_set(ci.degrees)) + 1,
+        len(index_set(ci.degrees).pairs) + 1,
         False,
         result.note,
     )
