@@ -79,9 +79,12 @@ def _normalize(
 
 
 def _check_exponents(exps, n: int) -> None:
-    """Raise ``InputError`` unless ``exps`` is a JSON exponent vector of length n."""
+    """Raise ``InputError`` unless ``exps`` is an exponent vector of length n.
+
+    A vector is a list (decoded JSON) or a tuple (a ``to_json`` value).
+    """
     # bool is a subclass of int, and JSON true is no exponent
-    if not isinstance(exps, list) or not all(type(e) is int for e in exps):
+    if not isinstance(exps, (list, tuple)) or not all(type(e) is int for e in exps):
         raise InputError(f"exponents must be a list of integers, got {exps!r}")
     if len(exps) != n:
         raise InputError(
@@ -398,11 +401,13 @@ class MultiPoly(Value):
     # -- serialization -------------------------------------------------------
 
     def to_json(self) -> dict:
+        # each term holds its stored exponent tuple, which ``json.dumps``
+        # writes as the same array a list would give; no copy is made
         return {
             "field": self.field.json_tag,
             "variables": list(self.variables),
             "terms": [
-                {"coeff": self.field.format_element(c), "exponents": list(e)}
+                {"coeff": self.field.format_element(c), "exponents": e}
                 for e, c in self.terms.items()
             ],
         }
@@ -443,7 +448,7 @@ class MultiPoly(Value):
         # looked up to name it
         n = len(variables)
         if (
-            not all(map(isinstance, exponents, repeat(list)))
+            not all(map(isinstance, exponents, repeat((list, tuple))))
             or {*map(len, exponents)} - {n}
             # the offending entries, as a list: ``any`` would miss a False
             or [e for exps in exponents for e in exps if type(e) is not int or e < 0]

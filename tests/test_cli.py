@@ -890,7 +890,8 @@ def test_reduced_probabilistic_outputs_pinned(tmp_path, p, degrees, seed):
 @pytest.mark.parametrize("bad", [1.5, 1.0, True, "1"])
 def test_regcheck_non_integer_exponent_exit_2(tmp_path, bad):
     ci = random_complete_intersection(DegreeTuple((2, 3)), FieldSpec.prime(7), seed=1)
-    data = ci.to_json()
+    # a decoded copy: ``to_json`` gives each exponent vector as its stored tuple
+    data = json.loads(json.dumps(ci.to_json()))
     data["equations"][0]["terms"][0]["exponents"][0] = bad
     path = tmp_path / "ci.json"
     path.write_text(json.dumps(data))

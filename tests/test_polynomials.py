@@ -1,4 +1,5 @@
 import itertools
+import json
 from fractions import Fraction
 from math import comb
 from random import Random
@@ -580,6 +581,11 @@ def test_json_roundtrip():
 
     g = random_poly(3, ("a", "b"), F5, homogeneous=False, seed=5)
     assert MultiPoly.from_json(g.to_json()).terms == g.terms
+    # each term holds its stored exponent tuple, not a copy
+    for p in (f, g):
+        terms = p.to_json()["terms"]
+        assert len(terms) == len(p.terms)
+        assert all(t["exponents"] is e for t, e in zip(terms, p.terms))
 
 
 def test_json_rejects_malformed():
@@ -617,7 +623,7 @@ def test_json_rejects_duplicate_terms():
     "entry, message",
     [
         ({"coeff": "1", "exponents": [1, True]}, "list of integers"),
-        ({"coeff": "1", "exponents": (1, 0)}, "list of integers"),
+        ({"coeff": "1", "exponents": (1, True)}, "list of integers"),
         ({"coeff": "1", "exponents": [1, 0, 0]}, "has length 3, expected 2"),
         ({"coeff": "1", "exponents": [2, -1]}, "negative exponent"),
         ({"coeff": True, "exponents": [1, 0]}, "coefficient"),
@@ -634,6 +640,54 @@ def test_json_names_the_offending_term(entry, message, tag):
     data = {"field": tag, "variables": ["x", "y"], "terms": [good, entry, good]}
     with pytest.raises(InputError, match=message):
         MultiPoly.from_json(data)
+
+
+def test_json_tuple_exponents_load_as_their_list_form():
+    # a ``to_json`` value holds tuples, decoded JSON holds lists: both load
+    as_lists = {
+        "field": "gf:5",
+        "variables": ["x", "y"],
+        "terms": [{"coeff": "2", "exponents": [1, 1]}, {"coeff": "3", "exponents": [0, 2]}],
+    }
+    as_tuples = {
+        **as_lists,
+        "terms": [{**t, "exponents": tuple(t["exponents"])} for t in as_lists["terms"]],
+    }
+    mixed = {**as_lists, "terms": [as_tuples["terms"][0], as_lists["terms"][1]]}
+    expected = MultiPoly.from_json(as_lists)
+    assert expected.terms == {(1, 1): 2, (0, 2): 3}
+    assert MultiPoly.from_json(as_tuples) == expected
+    assert MultiPoly.from_json(mixed) == expected
+
+
+@pytest.mark.parametrize(
+    "exponents, message",
+    [
+        ((1, True), "exponents must be a list of integers, got (1, True)"),
+        ((2, -1), "negative exponent in (2, -1)"),
+        ((1, 0, 0), "exponent vector (1, 0, 0) has length 3, expected 2"),
+    ],
+)
+def test_json_refuses_a_bad_tuple_with_the_list_messages(exponents, message):
+    # a tuple gets the entry checks a list gets, and the same message
+    terms = [{"coeff": "1", "exponents": [0, 1]}, {"coeff": "1", "exponents": exponents}]
+    with pytest.raises(InputError) as info:
+        MultiPoly.from_json({"field": "gf:5", "variables": ["x", "y"], "terms": terms})
+    assert str(info.value) == message
+
+
+def test_json_rational_dump_text_is_unchanged():
+    # the text a list-per-term writer gave: ``json.dumps`` writes a tuple as
+    # the same array
+    x, y, z = qvars("x", "y", "z")
+    f = x**2 * y - Fraction(3, 2) * y * z**2 + Fraction(-7, 5) * z**3 + 4
+    assert json.dumps(f.to_json()) == (
+        '{"field": "rational", "variables": ["x", "y", "z"], "terms": ['
+        '{"coeff": "1", "exponents": [2, 1, 0]}, '
+        '{"coeff": "-3/2", "exponents": [0, 1, 2]}, '
+        '{"coeff": "-7/5", "exponents": [0, 0, 3]}, '
+        '{"coeff": "4", "exponents": [0, 0, 0]}]}'
+    )
 
 
 @pytest.mark.parametrize(
@@ -681,7 +735,7 @@ def test_json_load_drops_a_zero_term_from_canonical_input(field):
     data = f.to_json()
     zeroed = data["terms"][len(data["terms"]) // 2]
     zeroed["coeff"] = "0"
-    expected = [(e, c) for e, c in f.terms.items() if list(e) != zeroed["exponents"]]
+    expected = [(e, c) for e, c in f.terms.items() if e != tuple(zeroed["exponents"])]
     assert list(MultiPoly.from_json(data).terms.items()) == expected
 
 

@@ -659,6 +659,8 @@ def test_pointed_ci_rejects_equations_over_different_variables(other):
             Random("0/(6, 6)").getrandbits(32),
             "addeddfc669263bc4b48ccc2255fbfbbc3cf685a737cce2a72bcdbbc2ad238a0",
         ),
+        # the largest rung of the reach ladder, at M = 10
+        ((6, 6), "gf:32003", 7, "f9d9224750411f5e9fe701d1a44df5e56d2a49642406f4d66d67d01a5287dc65"),
     ],
 )
 def test_seeded_instance_bytes_are_pinned(degrees, tag, seed, digest):
@@ -668,6 +670,22 @@ def test_seeded_instance_bytes_are_pinned(degrees, tag, seed, digest):
         DegreeTuple(degrees), FieldSpec.from_json_tag(tag), seed=seed
     )
     assert hashlib.sha256(json.dumps(ci.to_json()).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "degrees, tag, seed", [((2, 3), "gf:101", 0), ((4, 4), "gf:32003", 7), ((6, 6), "gf:32003", 7)]
+)
+def test_instance_json_value_holds_the_stored_exponent_tuples(degrees, tag, seed):
+    # the JSON value copies no exponent vector, and still loads in memory
+    ci = random_complete_intersection(
+        DegreeTuple(degrees), FieldSpec.from_json_tag(tag), seed=seed
+    )
+    data = ci.to_json()
+    for written, f in zip(data["equations"], ci.equations, strict=True):
+        keys = list(f.terms)
+        assert len(written["terms"]) == len(keys)
+        assert all(t["exponents"] is e for t, e in zip(written["terms"], keys))
+    assert PointedCI.from_json(data) == ci
 
 
 # sha256 of the concatenated JSON dumps of the seeded instances over one
