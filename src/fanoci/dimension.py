@@ -12,13 +12,13 @@ The exact codimension is read off one engine: the forms are added to a
 ``GroebnerEngine``, and dim Z is the dimension of the ideal of its leading
 terms under grevlex, read off the Hilbert series numerator that the engine
 keeps of them (``engine.staircase.dimension()``).  ``projective_codim``
-adds every form at once.  Both it and ``is_regular_sequence`` refuse
-inputs beyond ``max_variables`` variables or ``MAX_GENERATORS`` forms with
-``ResourceBudgetError``; ``check_exact_budget`` applies the sequence rule
-on its own, for a caller that must refuse a sequence before it builds it.
-A sequence in n variables counts as at most n + 1 forms, since the prefix
-loop stops by then, so the sequence rule refuses one for its length only
-when ``max_variables`` is ``MAX_GENERATORS`` or more.
+adds every form at once.  The exact kernel refuses by one rule, written
+once in ``check_exact_budget``: more than ``max_variables`` variables
+raise ``ResourceBudgetError``, however many forms there are.  Both
+``projective_codim`` and ``is_regular_sequence`` call it, and so does a
+caller that must refuse a sequence before it builds it.  The engine's own
+pair and basis budgets (``groebner.MAX_PAIRS`` and ``MAX_BASIS``) bound
+every run that the rule lets through.
 
 Regularity at the origin is decided through the same cone codimension: an
 ordered sequence of homogeneous forms is regular iff every length-j prefix
@@ -104,9 +104,8 @@ EXACT = "exact"
 PROBABILISTIC = "probabilistic"
 
 # Groebner bases are doubly exponential in the worst case: refuse oversized
-# inputs loudly.  A caller may raise the variable budget, not the other.
+# inputs loudly.  A caller may raise the variable budget.
 DEFAULT_MAX_VARIABLES = 8
-MAX_GENERATORS = 12
 
 DEFAULT_ENUMERATION_BUDGET = 2_000_000
 # draws of a slice until its random forms are independent
@@ -145,28 +144,15 @@ def _common_ring(generators: Sequence[MultiPoly]) -> Tuple[FieldSpec, Tuple[str,
     return first.field, first.variables
 
 
-def _check_budget(n_vars: int, n_gens: int, max_variables: int) -> None:
+def check_exact_budget(
+    n_vars: int, *, max_variables: int = DEFAULT_MAX_VARIABLES
+) -> None:
+    """Refuse an exact-kernel input in more than ``max_variables`` variables."""
     if n_vars > max_variables:
         raise ResourceBudgetError(
             f"{n_vars} variables exceed the exact-kernel budget of {max_variables}"
             " (pass a larger max_variables to override)"
         )
-    if n_gens > MAX_GENERATORS:
-        raise ResourceBudgetError(
-            f"{n_gens} generators exceed the exact-kernel budget of {MAX_GENERATORS}"
-        )
-
-
-def check_exact_budget(
-    n_vars: int, length: int, *, max_variables: int = DEFAULT_MAX_VARIABLES
-) -> None:
-    """Refuse, as ``is_regular_sequence``'s exact kernel does, a sequence of
-    ``length`` forms in ``n_vars`` variables beyond the budget.
-
-    The prefix loop stops by prefix n + 1, so a longer sequence counts as
-    n + 1 generators.
-    """
-    _check_budget(n_vars, min(length, n_vars + 1), max_variables)
 
 
 def projective_codim(
@@ -188,7 +174,7 @@ def projective_codim(
     if not nonzero:
         raise InputError("all generators are zero")
     n = len(variables)
-    _check_budget(n, len(nonzero), max_variables)
+    check_exact_budget(n, max_variables=max_variables)
     engine = GroebnerEngine(fieldspec, variables)
     for g in nonzero:
         engine.add(g)
@@ -224,7 +210,7 @@ def is_regular_sequence(
     fieldspec, variables = _common_ring(generators)
     n = len(variables)
     if kernel == EXACT:
-        check_exact_budget(n, len(generators), max_variables=max_variables)
+        check_exact_budget(n, max_variables=max_variables)
         # regular on x_n = 0 proves every prefix regular (module docstring);
         # a failure there proves nothing.  Forced prefixes cost the uncut loop
         # no engine, so they need no certificate

@@ -10,14 +10,13 @@ construction and safe to share across threads.  Terms are kept in graded
 reverse lexicographic order (by the declared variable order, descending),
 which makes serialization canonical.
 
-``restrict_to_common_zeros`` is the one restriction to a linear subspace:
-it restricts polynomials to the common zeros of linear forms.  Its two
-halves are public too: ``linear_graph`` writes the common zeros as a
-graph and ``restrict_to_graph`` composes with it, so a caller that
-restricts to one subspace many times computes its graph once.  A graph
-is a pair (kept, images): the surviving variables in increasing order,
-and a map from each eliminated variable, in increasing order, to its
-coefficient row over them.  Only this module reads a graph's entries;
+Every restriction to a linear subspace is a graph and one composition
+with it.  ``linear_graph`` writes the common zeros of linear forms as a
+graph and ``restrict_to_graph`` restricts polynomials to it, so a caller
+that restricts to one subspace many times computes its graph once.  A
+graph is a pair (kept, images): the surviving variables in increasing
+order, and a map from each eliminated variable, in increasing order, to
+its coefficient row over them.  Only this module reads a graph's entries;
 the regularity check and ``dimension`` pass graphs on.
 ``hyperplane_graph`` writes the graph of one form down without row
 reduction, and ``restrict_row`` restricts a linear form's row to a graph.
@@ -396,7 +395,8 @@ class MultiPoly(Value):
         linear = self._coerce_operand(linear)
         if linear.is_zero() or not linear.is_homogeneous() or linear.total_degree() != 1:
             raise InputError("restriction requires a nonzero homogeneous linear form")
-        return restrict_to_common_zeros([self], [linear])[0]
+        graph = hyperplane_graph(linear.linear_row(), self.field)
+        return restrict_to_graph([self], *graph)[0]
 
     # -- serialization -------------------------------------------------------
 
@@ -577,32 +577,6 @@ def restrict_to_graph(
         total = _canonical(_compose(fieldspec, leaves, elim_images))
         restricted.append(MultiPoly(fieldspec, survivors, total))
     return restricted
-
-
-def restrict_to_common_zeros(
-    polys: Sequence[MultiPoly], forms: Sequence[MultiPoly]
-) -> List[MultiPoly]:
-    """Restrict ``polys`` to the common zeros of the linear ``forms``.
-
-    The common zeros are the graph of a linear map over n - rank surviving
-    variables (``linear_graph``), and the result lives in those variables
-    (``restrict_to_graph``).  With no forms, or only zero ones, the polys
-    come back as they are.  The graph is unique, so restricting to one
-    hyperplane after another, each time eliminating the highest-index
-    variable the restricted form carries and skipping a form that restricts
-    to zero, gives the same polynomials; so does restricting to the common
-    zeros of some of the forms and then to those of the others, restricted.
-    """
-    if not any(forms):  # no hyperplane: the common zeros are the whole space
-        return list(polys)
-    fieldspec, variables = forms[0].field, forms[0].variables
-    for g in [*polys, *forms]:
-        if g.field != fieldspec or g.variables != variables:
-            raise InputError("polynomials over different rings")
-    kept, images = linear_graph(
-        [form.linear_row() for form in forms], fieldspec, len(variables)
-    )
-    return restrict_to_graph(polys, kept, images)
 
 
 def monomials_of_degree(n_vars: int, degree: int) -> Iterator[Exponents]:

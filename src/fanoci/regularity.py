@@ -33,8 +33,10 @@ the restricted members are then restricted once more, to the hyperplane
 where that row vanishes, leaving M-2 forms in M-1 variables.  The graph
 of a linear subspace is unique, so the two stages give the same
 polynomials, in the same surviving variables and term order, as one
-``polynomials.restrict_to_common_zeros`` to the common zeros of all k+1
-forms.
+restriction to the graph of the common zeros of all k+1 forms
+(``polynomials.linear_graph``, then ``polynomials.restrict_to_graph``).
+Only the members up to and including the first zero one are restricted:
+the prefix loop stops at a zero form, so no later member is read.
 
 The reduced check feeds those M-2 forms to the dimension kernel.  The
 unreduced exact check is decided by them as well: forms of positive
@@ -65,8 +67,8 @@ Notes:
   * The default of 8 sampled forms is a tool choice, not a derived value;
     pass ``samples`` explicitly where the evidence level matters.
   * ``kernel`` and ``max_variables`` are the only settings passed on to
-    ``dimension``; the generator budget and the probabilistic oracle's
-    trials and seeds are fixed there.
+    ``dimension``; the probabilistic oracle's trials and seeds are fixed
+    there.
 """
 
 from __future__ import annotations
@@ -262,10 +264,12 @@ class PointedCI(Value):
 
     @cached_property
     def _tail_on_tangent(self) -> Tuple[MultiPoly, ...]:
-        # the members q_{i,j}, j >= 2, in (i, j) order, on the graph of T_oV
+        # the members q_{i,j}, j >= 2, in (i, j) order, on the graph of T_oV,
+        # up to and including the first zero one: the prefix loop stops there
         tangent = self.tangent()
         tail = [self.part(i, j) for i, j in self.index_pairs if j >= 2]
-        return tuple(restrict_to_graph(tail, tangent.kept, tangent.images))
+        zero = next((t for t, g in enumerate(tail) if g.is_zero()), len(tail))
+        return tuple(restrict_to_graph(tail[: zero + 1], tangent.kept, tangent.images))
 
     def part(self, i: int, j: int) -> MultiPoly:
         """Homogeneous degree-j part of f_i (1-based i); may be zero."""
@@ -276,7 +280,8 @@ class PointedCI(Value):
         return self._tangent
 
     def reduced_sequence(self, tangent_row: Sequence[Element]) -> List[MultiPoly]:
-        """The members of degree >= 2 restricted to T_oV ∩ {l = 0}.
+        """The members of degree >= 2 restricted to T_oV ∩ {l = 0}, up to
+        and including the first zero member.
 
         ``tangent_row`` is l's row on the tangent space
         (``polynomials.restrict_row``), nonzero for an admissible l.  The
@@ -285,8 +290,12 @@ class PointedCI(Value):
         is written down without row reduction
         (``polynomials.hyperplane_graph``).  The graph of a linear subspace
         is unique, so this gives the same polynomials, in the same surviving
-        variables, as one restriction to the common zeros of l and the
-        q_{i,1} (``polynomials.restrict_to_common_zeros``).
+        variables, as one restriction to the graph of the common zeros of l
+        and the q_{i,1} (``polynomials.linear_graph``, then
+        ``polynomials.restrict_to_graph``).  The members after a zero one
+        are left out: the prefix loop stops at the zero form, and the cut
+        certificate refuses a sequence that holds one, so they change no
+        verdict, trace or failing prefix.
         """
         kept, images = hyperplane_graph(tangent_row, self.field)
         return restrict_to_graph(self._tail_on_tangent, kept, images)
@@ -393,7 +402,7 @@ def check_budget(
     or with ``reduce`` the M - 2 restricted members in M - 1 variables.
     """
     n = degrees.M - 1 if reduce else degrees.ambient
-    check_exact_budget(n, n - 1, max_variables=max_variables)
+    check_exact_budget(n, max_variables=max_variables)
 
 
 def regularity_check(

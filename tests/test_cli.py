@@ -630,6 +630,34 @@ def test_regcheck_reduce_beyond_the_budget_exit_3_before_any_restriction(
     )
 
 
+def test_regcheck_reduce_probabilistic_stops_restricting_at_a_zero_member(
+    tmp_path, monkeypatch
+):
+    # reduced, the (2,20) check is irregular at prefix 2, where the zero part
+    # (2,2) ends the prefix loop; the part z22^18 after it is never read, so
+    # it must not be restricted (it becomes a dense power of a 20-term form)
+    import fanoci.regularity as regularity
+
+    restrict = regularity.restrict_to_graph
+
+    def spy(polys, kept, images):
+        if any(g.total_degree() > 2 for g in polys):
+            raise AssertionError("restricted a member after the first zero one")
+        return restrict(polys, kept, images)
+
+    path = tmp_path / "ci.json"
+    path.write_text(json.dumps(_sparse_instance(20).to_json()))
+    monkeypatch.setattr(regularity, "restrict_to_graph", spy)
+    code, output = invoke(
+        ["regcheck", "--input", str(path), "--reduce", "--mode", "probabilistic",
+         "--samples", "2", "--format", "text"]
+    )
+    assert code == 1
+    assert output.splitlines()[1:] == [
+        f"  sample {i}: irregular trace=[1, 1] failing_prefix=2" for i in range(2)
+    ]
+
+
 def _with_coefficients(data, convert):
     for equation in data["equations"]:
         for term in equation["terms"]:

@@ -121,7 +121,10 @@ def test_codim_budget_refuses_oversized_input():
     assert projective_codim([x0], max_variables=9).codimension == 1
 
 
-def test_generator_budget_refuses_before_building_an_engine(monkeypatch):
+def test_a_long_sequence_meets_only_the_variable_budget(monkeypatch):
+    # the budget counts variables, not forms: a sequence longer than its
+    # variables fails at prefix n + 1, decided by the rank of its linear
+    # rows with no engine, and every form counts towards a codimension
     def build(*args, **kwargs):
         raise AssertionError("an engine was built")
 
@@ -131,10 +134,13 @@ def test_generator_budget_refuses_before_building_an_engine(monkeypatch):
         return forms + [forms[0] + forms[i] for i in range(1, 14 - n)]
 
     monkeypatch.setattr(dimension, "GroebnerEngine", build)
-    with pytest.raises(ResourceBudgetError, match="13 generators"):
-        projective_codim(thirteen_linear_forms(8))
-    with pytest.raises(ResourceBudgetError, match="13 generators"):
-        is_regular_sequence(thirteen_linear_forms(12), max_variables=12)
+    assert is_regular_sequence(thirteen_linear_forms(12), max_variables=12) == (
+        RegularSequenceResult(
+            False, (*range(1, 13), 12), 13, "sequence longer than the 12 variables"
+        )
+    )
+    monkeypatch.undo()
+    assert projective_codim(thirteen_linear_forms(8)).codimension == 8
 
 
 @pytest.mark.parametrize("field", [F5, FieldSpec.prime(101), Q], ids=["gf5", "gf101", "q"])

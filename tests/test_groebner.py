@@ -24,8 +24,8 @@ from fanoci.polynomials import (
     _descending,
     grevlex_key,
     hyperplane_graph,
+    linear_graph,
     random_poly,
-    restrict_to_common_zeros,
     restrict_to_graph,
 )
 from fanoci.regularity import (
@@ -312,7 +312,8 @@ def reduced_m6_sequence():
     ci = random_complete_intersection(DegreeTuple((4, 4)), FieldSpec.prime(32003), seed=0)
     form, _ = _random_admissible_form(ci, Random(0), ci.tangent())
     tail = [ci.part(i, j) for i, j in sorted(index_set(ci.degrees).pairs) if j >= 2]
-    return restrict_to_common_zeros(tail, [form, ci.part(1, 1), ci.part(2, 1)])
+    rows = [g.linear_row() for g in (form, ci.part(1, 1), ci.part(2, 1))]
+    return restrict_to_graph(tail, *linear_graph(rows, ci.field, len(ci.variables)))
 
 
 def irregular_sequence():

@@ -18,7 +18,6 @@ from fanoci.polynomials import (
     linear_graph,
     random_poly,
     restrict_row,
-    restrict_to_common_zeros,
     restrict_to_graph,
 )
 
@@ -314,7 +313,8 @@ def test_one_shot_restriction_equals_the_hyperplane_chain(seed):
         random_poly(d, V, field, homogeneous=False, seed=seed + 7 * d) for d in (1, 2, 3)
     ]
     expected = _restrict_one_hyperplane_at_a_time(polys, forms)
-    got = restrict_to_common_zeros(polys, forms)
+    rows = [form.linear_row() for form in forms]
+    got = restrict_to_graph(polys, *linear_graph(rows, field, len(V)))
     assert [g.variables for g in got] == [g.variables for g in expected]
     assert [list(g.terms.items()) for g in got] == [list(g.terms.items()) for g in expected]
 
@@ -363,7 +363,8 @@ def test_restriction_matches_substitution_and_the_hyperplane_chain(
     polys = [
         random_poly(d, V, field, homogeneous, seed + i) for i, d in enumerate(degrees)
     ]
-    got = restrict_to_common_zeros(polys, forms)
+    rows = [form.linear_row() for form in forms]
+    got = restrict_to_graph(polys, *linear_graph(rows, field, n))
 
     survivors, substitution = _solved_graph(field, V, forms)
     by_substitution = [_substitute_by_power_tables(f, substitution) for f in polys]
@@ -371,9 +372,10 @@ def test_restriction_matches_substitution_and_the_hyperplane_chain(
     # two stages: the graph of the first forms, then the common zeros of the
     # others, restricted to that graph
     split = len(forms) // 2
-    graph = linear_graph([form.linear_row() for form in forms[:split]], field, n)
-    by_stages = restrict_to_common_zeros(
-        restrict_to_graph(polys, *graph), restrict_to_graph(forms[split:], *graph)
+    graph = linear_graph(rows[:split], field, n)
+    rest = [form.linear_row() for form in restrict_to_graph(forms[split:], *graph)]
+    by_stages = restrict_to_graph(
+        restrict_to_graph(polys, *graph), *linear_graph(rest, field, len(graph[0]))
     )
     for expected in (by_substitution, by_hyperplanes, by_stages):
         assert [g.variables for g in got] == [g.variables for g in expected]
@@ -386,11 +388,11 @@ def test_restriction_matches_substitution_and_the_hyperplane_chain(
 def test_restriction_to_no_forms_is_the_identity():
     V = ("x", "y", "z")
     polys = [random_poly(d, V, F5, seed=d) for d in (0, 1, 3)]
-    restricted = restrict_to_common_zeros(polys, [])
+    restricted = restrict_to_graph(polys, *linear_graph([], F5, 3))
     assert [(g.variables, list(g.terms.items())) for g in restricted] == [
         (g.variables, list(g.terms.items())) for g in polys
     ]
-    assert restrict_to_common_zeros([], []) == []
+    assert restrict_to_graph([], *linear_graph([], F5, 3)) == []
     whole_space = linear_graph([[0, 0, 0]], F5, 3)
     assert whole_space[0] == (0, 1, 2)
     assert restrict_to_graph(polys, *whole_space) == polys

@@ -9,7 +9,7 @@ from fanoci.dimension import PROBABILISTIC, is_regular_sequence
 from fanoci.errors import InputError, ResourceBudgetError
 from fanoci.families import DegreeTuple
 from fanoci.fields import FieldSpec
-from fanoci.polynomials import MultiPoly, restrict_row, restrict_to_common_zeros
+from fanoci.polynomials import MultiPoly, linear_graph, restrict_row, restrict_to_graph
 from fanoci.regularity import (
     PointedCI,
     RegularityReport,
@@ -261,7 +261,10 @@ def test_reduced_sequence_equals_the_one_shot_restriction(degrees, p):
         for form, row in _admissible_forms(ci, 3, seed=p):
             chained = ci.reduced_sequence(row)
             linear_parts = [ci.part(i, 1) for i in range(1, ci.degrees.k + 1)]
-            one_shot = restrict_to_common_zeros(tail, [form] + linear_parts)
+            rows = [g.linear_row() for g in [form] + linear_parts]
+            one_shot = restrict_to_graph(
+                tail, *linear_graph(rows, ci.field, len(ci.variables))
+            )
             assert len(chained) == len(one_shot) == ci.degrees.M - 2
             for a, b in zip(chained, one_shot):
                 assert a.variables == b.variables
