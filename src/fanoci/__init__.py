@@ -46,7 +46,6 @@ _PUBLIC = {
         "check_threshold_equivalences",
         "optimize_square_sum",
         "reduction_constants",
-        "weight_sequence",
     ),
     "rationals": ("Rational", "binomial", "format_rational", "parse_rational"),
     "regularity": (

@@ -17,6 +17,7 @@ import functools
 import json
 import os
 import sys
+import warnings
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
@@ -56,7 +57,13 @@ def _parse_degrees(text: str) -> DegreeTuple:
         values = [int(part) for part in text.split(",") if part.strip() != ""]
     except ValueError as exc:
         raise InputError(f"bad degree list {text!r}") from exc
-    return degree_tuple(values)  # sorts with a notice if given out of order
+    # the sorting notice is one stderr line per call, whatever the filters
+    with warnings.catch_warnings(record=True) as notices:
+        warnings.simplefilter("always")
+        degrees = degree_tuple(values)
+    for notice in notices:
+        print(f"notice: {notice.message}", file=sys.stderr)
+    return degrees
 
 
 # ---------------------------------------------------------------------------

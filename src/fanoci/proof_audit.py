@@ -25,8 +25,11 @@ report carries both and flags the difference without overriding either.
 What the audit must establish is only that every variant follows from
 M >= 3k+4 across the sweep box.
 
-The CLI writes each record as ``audit_records`` makes it, folding the summary
-as it goes (``AuditSummary``); ``audit_range`` collects the records instead.
+Each check returns its ``CheckRecord``s in report order, by check name within
+a (k, M); the square sums come as ``SquareSumResult``, the optimum with its
+witnesses, whose ``records()`` is the one record.  The CLI writes each record
+as ``audit_records`` makes it, folding the summary as it goes
+(``AuditSummary``); ``audit_range`` collects the records instead.
 """
 
 from __future__ import annotations
@@ -96,34 +99,6 @@ def _record(
 
 
 # ---------------------------------------------------------------------------
-# Weight sequences
-# ---------------------------------------------------------------------------
-
-
-class WeightSequence(NamedTuple):
-    """Degrees >= 2 of the homogeneous parts, with the counting function k_d."""
-
-    degrees: DegreeTuple
-    weights: Tuple[int, ...]
-    k_d: Dict[int, int]
-
-    @property
-    def total(self) -> int:
-        return sum(self.weights)
-
-
-def weight_sequence(degrees: DegreeTuple) -> WeightSequence:
-    d = degrees.degrees
-    weights = tuple(sorted(j for deg in d for j in range(2, deg + 1)))
-    k_d = {
-        value: sum(1 for deg in d if deg >= value) for value in range(2, d[-1] + 1)
-    }
-    assert len(weights) == degrees.M
-    assert sum(weights) == sum(deg * (deg + 1) // 2 for deg in d) - degrees.k
-    return WeightSequence(degrees, weights, k_d)
-
-
-# ---------------------------------------------------------------------------
 # Reduction constants
 # ---------------------------------------------------------------------------
 
@@ -177,19 +152,11 @@ def reduction_constants(k: int, M: int) -> ReductionConstants:
 
 
 def check_small_degree_codim(k: int, M: int) -> List[CheckRecord]:
-    """C(M-k+1, 2) >= 2M+1 plus the chain C(M-j+1, 2) >= C(M-k+1, 2), j <= k."""
+    """The chain C(M-j+1, 2) >= C(M-k+1, 2), j <= k, then C(M-k+1, 2) >= 2M+1."""
     if k < 2:
         raise InputError(f"need k >= 2, got {k}")
     in_hyp = M >= 3 * k + 4
     target = binomial(M - k + 1, 2)
-    main = _record(
-        "small-degree-codim",
-        {"k": k, "M": M},
-        target,
-        2 * M + 1,
-        target >= 2 * M + 1,
-        in_hypothesis=in_hyp,
-    )
     chain_lhs = min(binomial(M - j + 1, 2) for j in range(1, k + 1))
     chain = _record(
         "small-degree-chain",
@@ -200,7 +167,15 @@ def check_small_degree_codim(k: int, M: int) -> List[CheckRecord]:
         in_hypothesis=in_hyp,
         note="min over j = 1..k of C(M-j+1, 2) against C(M-k+1, 2)",
     )
-    return [main, chain]
+    codim = _record(
+        "small-degree-codim",
+        {"k": k, "M": M},
+        target,
+        2 * M + 1,
+        target >= 2 * M + 1,
+        in_hypothesis=in_hyp,
+    )
+    return [chain, codim]
 
 
 def check_quadratic_margin(M: int) -> List[CheckRecord]:
@@ -209,6 +184,7 @@ def check_quadratic_margin(M: int) -> List[CheckRecord]:
     Verified three ways: endpoints plus concavity (leading coefficient -1),
     an exhaustive scan of the range, and the defining identity
     (b+3)(M-2-b) - 2M = g(b) at three sample points (enough for quadratics).
+    The records are the identity's, then the margin's.
     """
     if M < 5:
         raise InputError(f"need M >= 5 so that the b-range [0, M-5] exists, got {M}")
@@ -221,15 +197,6 @@ def check_quadratic_margin(M: int) -> List[CheckRecord]:
     scan_min = min(g(b) for b in range(0, M - 4))
     assert scan_min >= endpoints_min  # concavity: interior never below endpoints
     identity_ok = all((b + 3) * (M - 2 - b) - 2 * M == g(b) for b in (0, 1, 2))
-    margin = _record(
-        "quadratic-margin",
-        {"M": M},
-        scan_min,
-        0,
-        scan_min >= 0,
-        in_hypothesis=in_hyp,
-        note=f"min over b in [0, {M - 5}]; endpoints g(0) = g(M-5) = {M - 6}",
-    )
     identity = _record(
         "quadratic-identity",
         {"M": M},
@@ -239,7 +206,16 @@ def check_quadratic_margin(M: int) -> List[CheckRecord]:
         in_hypothesis=in_hyp,
         note="(b+3)(M-2-b) - 2M = -b^2 + (M-5)b + M - 6 at b = 0, 1, 2",
     )
-    return [margin, identity]
+    margin = _record(
+        "quadratic-margin",
+        {"M": M},
+        scan_min,
+        0,
+        scan_min >= 0,
+        in_hypothesis=in_hyp,
+        note=f"min over b in [0, {M - 5}]; endpoints g(0) = g(M-5) = {M - 6}",
+    )
+    return [identity, margin]
 
 
 class SquareSumResult(NamedTuple):
@@ -310,44 +286,10 @@ def optimize_square_sum(k: int, M: int, shift: int) -> SquareSumResult:
     )
 
 
-class TailCase(NamedTuple):
-    """One tail case (b = M-4 or b = M-3) for a concrete degree tuple."""
-
-    b: int
-    sum_weights: int
-    paper_subtraction: int
-    paper_bound: int
-    independent_subtraction: int
-    independent_bound: int
-    printed_closed_form: int
-    test_lhs: int
-    test_rhs: int
-
-    @property
-    def holds(self) -> bool:
-        return self.test_lhs >= self.test_rhs
+_TAIL_CHECKS = ("tail-bound-m3", "tail-bound-m4")
 
 
-_TAIL_CHECKS = ("tail-bound-m4", "tail-bound-m3")
-
-
-class TailBoundReport(NamedTuple):
-    """Both tail cases for one tuple, with all recomputed constants."""
-
-    degrees: DegreeTuple
-    cases: Tuple[TailCase, TailCase]
-
-    def records(self) -> List[CheckRecord]:
-        return _tail_records(
-            self.cases, self.degrees.k, self.degrees.M, _DegreeList(self.degrees.degrees)
-        )
-
-    @property
-    def holds(self) -> bool:
-        return all(case.holds for case in self.cases)
-
-
-def check_tail_bounds(degrees: DegreeTuple) -> TailBoundReport:
+def check_tail_bounds(degrees: DegreeTuple) -> List[CheckRecord]:
     """The two tail cases of the bracket test for one degree tuple.
 
     For b = M-4 the printed lower bound for sum_{i<=b} m_i + m_j subtracts
@@ -357,25 +299,26 @@ def check_tail_bounds(degrees: DegreeTuple) -> TailBoundReport:
     b = M-4, two for b = M-3) and re-derives the printed closed forms
     sum_{l<k} d_l(d_l+1)/2 + (dk-3)(dk-2)/2 + 2 - k   (b = M-4)
     sum_{l<k} d_l(d_l+1)/2 + (dk-2)(dk-1)/2 + 1 - k   (b = M-3)
-    from the subtraction form, flagging constant differences.
+    from the subtraction form, flagging constant differences.  The records
+    are the m3 case's, then the m4 case's, as the audit makes them.
     """
     M, k = degrees.M, degrees.k
     if M < 4:
         raise InputError(f"tail cases need M >= 4, got M = {M}")
-    m4, m3 = _tail_cases(degrees.degrees, k, M)
-    return TailBoundReport(degrees, (TailCase._make(m4), TailCase._make(m3)))
+    return _tail_records(degrees.degrees, k, M)
 
 
 def _tail_cases(d: Tuple[int, ...], k: int, M: int) -> Tuple[tuple, tuple]:
-    """The two tail cases of ``check_tail_bounds`` as plain ``TailCase`` tuples.
+    """The two tail cases of ``check_tail_bounds``, b = M-3 then b = M-4.
 
-    Everything is integer arithmetic on the last three degrees and one sum,
-    without listing the weights: degree x has the weights 2..x, so every
-    weight is dominated by the three weights x, x-1, x-2 (those >= 2) of
-    each of the last three degrees, and the largest weights are among them;
-    sum(m) = sum d_l(d_l+1)/2 - k (see ``weight_sequence``); and
-    (dk-3)(dk-2) and (dk-2)(dk-1) are products of consecutive integers,
-    hence even.
+    Each is the integer tuple (b, sum(m), printed subtraction, printed
+    bound, worst-case subtraction, worst-case bound, printed closed form,
+    test lhs, test rhs).  Everything is integer arithmetic on the last three
+    degrees and one sum, without listing the weights: degree x has the
+    weights 2..x, so every weight is dominated by the three weights x, x-1,
+    x-2 (those >= 2) of each of the last three degrees, and the largest
+    weights are among them; sum(m) = sum d_l(d_l+1)/2 - k; and (dk-3)(dk-2)
+    and (dk-2)(dk-1) are products of consecutive integers, hence even.
     """
     dk, dk1 = d[-1], d[-2]
     dk2 = d[-3] if k > 2 else 0  # a missing degree contributes no weight >= 2
@@ -384,26 +327,25 @@ def _tail_cases(d: Tuple[int, ...], k: int, M: int) -> Tuple[tuple, tuple]:
     top3 = top2 + (max(dk - 1, dk2) if dk1 == dk else max(dk - 2, dk1))
     partial = sum(x * (x + 1) for x in d[:-1]) // 2
     total = partial + dk * (dk + 1) // 2 - k
-    b4, bound4 = M - 4, total - (3 * dk - 1)
     b3, bound3 = M - 3, total - 2 * dk
+    b4, bound4 = M - 4, total - (3 * dk - 1)
     return (
-        (b4, total, 3 * dk - 1, bound4, top3, total - top3,
-         partial + (dk - 3) * (dk - 2) // 2 + 2 - k,
-         (bound4 - b4) * (M - b4 - 2), 2 * M),
         (b3, total, 2 * dk, bound3, top2, total - top2,
          partial + (dk - 2) * (dk - 1) // 2 + 1 - k,
          (bound3 - b3) * (M - b3 - 2), 2 * M),
+        (b4, total, 3 * dk - 1, bound4, top3, total - top3,
+         partial + (dk - 3) * (dk - 2) // 2 + 2 - k,
+         (bound4 - b4) * (M - b4 - 2), 2 * M),
     )
 
 
-def _tail_records(
-    cases: Iterable[tuple], k: int, M: int, degrees: _DegreeList
-) -> List[CheckRecord]:
-    """The records of both tail cases (``TailCase`` field order) of one tuple."""
+def _tail_records(d: Tuple[int, ...], k: int, M: int) -> List[CheckRecord]:
+    """The records of the two tail cases of one tuple, in ``_tail_cases`` order."""
     in_hyp = M >= 3 * k + 4
+    degrees = _DegreeList(d)
     out = []
     for name, (b, _, paper_sub, paper_bound, indep_sub, indep_bound, closed_form,
-               lhs, rhs) in zip(_TAIL_CHECKS, cases):
+               lhs, rhs) in zip(_TAIL_CHECKS, _tail_cases(d, k, M)):
         notes = []
         if closed_form != paper_bound:
             notes.append(
@@ -434,88 +376,6 @@ def _tail_records(
     return out
 
 
-class ThresholdReport(NamedTuple):
-    """The four threshold predicates plus independently derived k-caps."""
-
-    k: int
-    M: int
-    printed_m4: Tuple[Exact, Exact]  # (lhs, rhs) of the bracket test, b = M-4
-    printed_m3: Tuple[Exact, Exact]
-    claimed_m4: Tuple[Exact, Exact]  # (k, (M-3)^2/M)
-    claimed_m3: Tuple[Exact, Exact]  # (k, (M-2)^2/(3M-2))
-    derived_m4_cap: int  # largest integer k satisfying the printed m4 bracket
-    derived_m3_cap: int
-    claimed_m4_cap: int  # largest integer k satisfying the claimed equivalent
-    claimed_m3_cap: int
-
-    @property
-    def in_hypothesis(self) -> bool:
-        return self.M >= 3 * self.k + 4
-
-    @property
-    def all_hold(self) -> bool:
-        return all(
-            lhs >= rhs if name.startswith("printed") else lhs <= rhs
-            for name, (lhs, rhs) in (
-                ("printed_m4", self.printed_m4),
-                ("printed_m3", self.printed_m3),
-                ("claimed_m4", self.claimed_m4),
-                ("claimed_m3", self.claimed_m3),
-            )
-        )
-
-    def records(self) -> List[CheckRecord]:
-        params = {"k": self.k, "M": self.M}
-        in_hyp = self.in_hypothesis
-        recs = [
-            _record(
-                "threshold-m4-printed",
-                params,
-                *self.printed_m4,
-                self.printed_m4[0] >= self.printed_m4[1],
-                in_hypothesis=in_hyp,
-                note="[(M-3+k)^2/2k + (M-3+k)/2 - k - M + 6] * 2 >= 2M as printed",
-            ),
-            _record(
-                "threshold-m3-printed",
-                params,
-                *self.printed_m3,
-                self.printed_m3[0] >= self.printed_m3[1],
-                in_hypothesis=in_hyp,
-                note="[(M-2+k)^2/2k + (M-2+k)/2 - k - M + 3] * 1 >= 2M as printed",
-            ),
-            _record(
-                "threshold-m4-claimed",
-                params,
-                *self.claimed_m4,
-                self.claimed_m4[0] <= self.claimed_m4[1],
-                in_hypothesis=in_hyp,
-                note="claimed equivalent k <= (M-3)^2/M",
-            ),
-            _record(
-                "threshold-m3-claimed",
-                params,
-                *self.claimed_m3,
-                self.claimed_m3[0] <= self.claimed_m3[1],
-                in_hypothesis=in_hyp,
-                note="claimed equivalent k <= (M-2)^2/(3M-2)",
-            ),
-        ]
-        for case, derived, claimed in (
-            ("m4", self.derived_m4_cap, self.claimed_m4_cap),
-            ("m3", self.derived_m3_cap, self.claimed_m3_cap),
-        ):
-            note = (
-                f"largest k satisfying the printed {case} bracket vs the claimed"
-                " equivalent; a difference means the printed inequality and"
-                " its claimed simplification are not equivalent"
-                " (recorded, not adjudicated)"
-            )
-            name = f"threshold-{case}-annotation"
-            recs.append(_record(name, params, derived, claimed, True, note=note))
-        return recs
-
-
 def _exact(num: int, den: int) -> Exact:
     """num/den as an int where it is one, else as a Fraction."""
     quotient, remainder = divmod(num, den)
@@ -534,27 +394,73 @@ def _printed_bracket_m3(k: int, M: int) -> Exact:
     return _exact(s * s + k * s + 2 * k * (3 - k - M), 2 * k)
 
 
-def check_threshold_equivalences(k: int, M: int) -> ThresholdReport:
+def check_threshold_equivalences(k: int, M: int) -> List[CheckRecord]:
     """The printed bracket tests, their claimed closed forms, and derived caps.
 
     The printed m4 bracket simplifies to (M-3)^2/k + M + 3, which is >= 2M
     iff k <= M-3; the printed m3 bracket to (M-2)^2/(2k) + M/2, which is
     >= 2M iff k <= (M-2)^2/(3M).  The derived caps are those bounds.
+
+    The records are the m3 case's, then the m4 case's, each as annotation,
+    claimed and printed.  An annotation sets the derived cap against the
+    largest integer k on the claimed equivalent, and passes either way; a
+    claimed record sets k against the claimed bound; a printed record sets
+    the bracket against 2M.
     """
     if k < 2 or M < 7:
         raise InputError(f"need k >= 2 and M >= 7, got ({k}, {M})")
-    return ThresholdReport(
-        k=k,
-        M=M,
-        printed_m4=(_printed_bracket_m4(k, M), 2 * M),
-        printed_m3=(_printed_bracket_m3(k, M), 2 * M),
-        claimed_m4=(k, _exact((M - 3) ** 2, M)),
-        claimed_m3=(k, _exact((M - 2) ** 2, 3 * M - 2)),
-        derived_m4_cap=M - 3,
-        derived_m3_cap=(M - 2) ** 2 // (3 * M),
-        claimed_m4_cap=(M - 3) ** 2 // M,
-        claimed_m3_cap=(M - 2) ** 2 // (3 * M - 2),
-    )
+    params, in_hyp = {"k": k, "M": M}, M >= 3 * k + 4
+    records = []
+    for case, printed, derived_cap, num, den, printed_note, claimed_note in (
+        (
+            "m3",
+            _printed_bracket_m3(k, M),
+            (M - 2) ** 2 // (3 * M),
+            (M - 2) ** 2,
+            3 * M - 2,
+            "[(M-2+k)^2/2k + (M-2+k)/2 - k - M + 3] * 1 >= 2M as printed",
+            "claimed equivalent k <= (M-2)^2/(3M-2)",
+        ),
+        (
+            "m4",
+            _printed_bracket_m4(k, M),
+            M - 3,
+            (M - 3) ** 2,
+            M,
+            "[(M-3+k)^2/2k + (M-3+k)/2 - k - M + 6] * 2 >= 2M as printed",
+            "claimed equivalent k <= (M-3)^2/M",
+        ),
+    ):
+        claimed = _exact(num, den)
+        note = (
+            f"largest k satisfying the printed {case} bracket vs the claimed"
+            " equivalent; a difference means the printed inequality and"
+            " its claimed simplification are not equivalent"
+            " (recorded, not adjudicated)"
+        )
+        name = f"threshold-{case}-"
+        records += (
+            _record(name + "annotation", params, derived_cap, num // den, True, note=note),
+            _record(
+                name + "claimed",
+                params,
+                k,
+                claimed,
+                k <= claimed,
+                in_hypothesis=in_hyp,
+                note=claimed_note,
+            ),
+            _record(
+                name + "printed",
+                params,
+                printed,
+                2 * M,
+                printed >= 2 * M,
+                in_hypothesis=in_hyp,
+                note=printed_note,
+            ),
+        )
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -736,34 +642,27 @@ def _report_records(
     # repeated once per k in [2, k_max] with 3k+4 <= M
     for M in range(3 * 2 + 4, M_max + 1):
         copies = min(k_max, (M - 4) // 3) - 1
-        margin, identity = check_quadratic_margin(M)
-        yield from repeat(identity, copies)
-        yield from repeat(margin, copies)
+        for record in check_quadratic_margin(M):
+            yield from repeat(record, copies)
     for k in range(2, k_max + 1):
         lo = 3 * k + 4
         if lo > M_max:
             note = f"no M with 3k+4 = {lo} <= M <= {M_max} for k = {k}"
             yield CheckRecord("sweep-range", {"k": k, "M": 0}, lo, M_max, VACUOUS, note)
         for M in range(lo, M_max + 1):
-            codim, chain = check_small_degree_codim(k, M)
-            yield chain
-            yield codim
+            yield from check_small_degree_codim(k, M)
             if k <= tuple_k_max and M <= tuple_M_max:
                 for shift in (2, 3):
                     yield from optimize_square_sum(k, M, shift).records()
-                # the tuples come valid and in range (M >= 3k+4), so the tail
-                # cases are taken straight from the integer core, as
-                # check_tail_bounds does.  They go by the text of the degree
-                # list, "[2, 10, 11]" before "[2, 2, 19]"; a tuple's own text
-                # sorts alike, since its brackets would meet a digit only for
-                # two tuples that differ in the last degree alone, and all of
-                # these sum to M + k
+                # the tuples come valid and in range (M >= 3k+4), so their
+                # tail records are made as check_tail_bounds makes them, with
+                # no DegreeTuple and no refusal.  They go by the text of the
+                # degree list, "[2, 10, 11]" before "[2, 2, 19]"; a tuple's own
+                # text sorts alike, since its brackets would meet a digit only
+                # for two tuples that differ in the last degree alone, and all
+                # of these sum to M + k
                 tuples = nondecreasing_degree_tuples(k, M + k, 2, M + k)
-                tails = [
-                    _tail_records(_tail_cases(d, k, M), k, M, _DegreeList(d))
-                    for d in sorted(tuples, key=str)
-                ]
-                yield from (m3 for _, m3 in tails)
-                yield from (m4 for m4, _ in tails)
-            m4p, m3p, m4c, m3c, m4a, m3a = check_threshold_equivalences(k, M).records()
-            yield from (m3a, m3c, m3p, m4a, m4c, m4p)  # annotation, claimed, printed
+                tails = [_tail_records(d, k, M) for d in sorted(tuples, key=str)]
+                yield from (m3 for m3, _ in tails)
+                yield from (m4 for _, m4 in tails)
+            yield from check_threshold_equivalences(k, M)

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -979,3 +980,18 @@ def test_regcheck_equations_over_different_variables_exit_2(tmp_path, capsys, mo
     code, output = invoke(["regcheck", "--input", str(path), "--samples", "1", *mode])
     assert (code, output) == (2, "")
     assert "share one variable list" in capsys.readouterr().err
+
+
+def test_degrees_out_of_order_give_one_notice_line_per_run(capsys):
+    # the sorting notice is a plain stderr line on every run, even where
+    # warnings are errors, and stdout is that of the sorted degrees
+    code, expected = invoke(["classify", "--degrees", "2,3"])
+    assert code == 0 and capsys.readouterr().err == ""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(2):
+            code, output = invoke(["classify", "--degrees", "3,2"])
+            assert code == 0 and output == expected
+            assert capsys.readouterr().err == (
+                "notice: degrees [3, 2] were not nondecreasing; sorted to [2, 3]\n"
+            )

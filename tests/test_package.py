@@ -24,10 +24,7 @@ from fanoci.proof_audit import (
     AuditReport,
     CheckRecord,
     ReductionConstants,
-    check_tail_bounds,
-    check_threshold_equivalences,
     optimize_square_sum,
-    weight_sequence,
 )
 from fanoci.regularity import (
     IndexSet,
@@ -71,7 +68,6 @@ PUBLIC = {
         "check_threshold_equivalences",
         "optimize_square_sum",
         "reduction_constants",
-        "weight_sequence",
     ),
     "rationals": ("Rational", "binomial", "format_rational", "parse_rational"),
     "regularity": (
@@ -270,14 +266,6 @@ VALUE_TYPES = [
         " note=''),), samples=1)",
     ),
     (
-        "WeightSequence",
-        lambda: weight_sequence(DegreeTuple((2, 3))),
-        "weights",
-        False,
-        "WeightSequence(degrees=DegreeTuple(degrees=(2, 3)), weights=(2, 2, 3),"
-        " k_d={2: 2, 3: 1})",
-    ),
-    (
         "ReductionConstants",
         lambda: ReductionConstants(2, 10),
         "M",
@@ -291,27 +279,6 @@ VALUE_TYPES = [
         True,
         "SquareSumResult(k=2, M=10, shift=2, integer_min=50, relaxation_bound=Fraction(50, 1),"
         " witnesses=(DegreeTuple(degrees=(5, 7)),))",
-    ),
-    (
-        "TailBoundReport",
-        lambda: check_tail_bounds(DegreeTuple((3, 9))),
-        "cases",
-        True,
-        "TailBoundReport(degrees=DegreeTuple(degrees=(3, 9)), cases=(TailCase(b=6,"
-        " sum_weights=49, paper_subtraction=26, paper_bound=23, independent_subtraction=24,"
-        " independent_bound=25, printed_closed_form=27, test_lhs=34, test_rhs=20),"
-        " TailCase(b=7, sum_weights=49, paper_subtraction=18, paper_bound=31,"
-        " independent_subtraction=17, independent_bound=32, printed_closed_form=33,"
-        " test_lhs=24, test_rhs=20)))",
-    ),
-    (
-        "ThresholdReport",
-        lambda: check_threshold_equivalences(2, 10),
-        "derived_m4_cap",
-        True,
-        "ThresholdReport(k=2, M=10, printed_m4=(Fraction(75, 2), 20), printed_m3=(21, 20),"
-        " claimed_m4=(2, Fraction(49, 10)), claimed_m3=(2, Fraction(16, 7)),"
-        " derived_m4_cap=7, derived_m3_cap=2, claimed_m4_cap=4, claimed_m3_cap=2)",
     ),
     (
         "AuditReport",

@@ -1,6 +1,8 @@
+import hashlib
 import json
 from collections import Counter
 from fractions import Fraction
+from typing import Dict, NamedTuple, Tuple
 
 import pytest
 
@@ -14,9 +16,9 @@ from fanoci.proof_audit import (
     AuditReport,
     AuditSummary,
     CheckRecord,
-    TailCase,
     _printed_bracket_m3,
     _printed_bracket_m4,
+    _tail_cases,
     audit_range,
     audit_records,
     check_quadratic_margin,
@@ -26,14 +28,33 @@ from fanoci.proof_audit import (
     iter_json,
     optimize_square_sum,
     reduction_constants,
-    weight_sequence,
 )
 from fanoci.rationals import binomial
 
 
 # ---------------------------------------------------------------------------
-# weight sequences
+# weight sequences: the oracle of the tail cases
 # ---------------------------------------------------------------------------
+
+
+class WeightSequence(NamedTuple):
+    """Degrees >= 2 of the homogeneous parts, with the counting function k_d."""
+
+    degrees: DegreeTuple
+    weights: Tuple[int, ...]
+    k_d: Dict[int, int]
+
+    @property
+    def total(self) -> int:
+        return sum(self.weights)
+
+
+def weight_sequence(degrees: DegreeTuple) -> WeightSequence:
+    """Every weight listed: degree x contributes 2..x, sorted."""
+    d = degrees.degrees
+    weights = tuple(sorted(j for deg in d for j in range(2, deg + 1)))
+    k_d = {value: sum(1 for deg in d if deg >= value) for value in range(2, d[-1] + 1)}
+    return WeightSequence(degrees, weights, k_d)
 
 
 def test_weight_sequence_2_3():
@@ -103,14 +124,14 @@ def test_reduction_constants_range_checks():
 
 
 def test_small_degree_codim_examples():
-    main, chain = check_small_degree_codim(2, 10)
+    chain, main = check_small_degree_codim(2, 10)
     assert (main.lhs, main.rhs, main.verdict) == (36, 21, PASS)
     assert chain.verdict == PASS
 
-    main, _ = check_small_degree_codim(5, 19)
+    _, main = check_small_degree_codim(5, 19)
     assert (main.lhs, main.rhs, main.verdict) == (105, 39, PASS)
 
-    main, _ = check_small_degree_codim(2, 9)
+    _, main = check_small_degree_codim(2, 9)
     assert main.verdict == OUT_OF_HYPOTHESIS
     assert main.lhs == 28 and main.rhs == 19  # still evaluates, informationally
 
@@ -118,7 +139,7 @@ def test_small_degree_codim_examples():
 def test_small_degree_codim_sweep():
     for k in range(2, 31):
         for M in range(3 * k + 4, 201):
-            main, chain = check_small_degree_codim(k, M)
+            chain, main = check_small_degree_codim(k, M)
             assert main.verdict == PASS
             assert chain.verdict == PASS
 
@@ -129,28 +150,28 @@ def test_small_degree_codim_sweep():
 
 
 def test_quadratic_margin_m7():
-    margin, identity = check_quadratic_margin(7)
+    identity, margin = check_quadratic_margin(7)
     # values at b = 0, 1, 2 are 1, 2, 1
     assert margin.lhs == 1 and margin.verdict == PASS
     assert identity.verdict == PASS
 
 
 def test_quadratic_margin_m19():
-    margin, _ = check_quadratic_margin(19)
+    _, margin = check_quadratic_margin(19)
     g = lambda b: -b * b + 14 * b + 13
     assert g(0) == 13 and g(14) == 13
     assert margin.lhs == 13 and margin.verdict == PASS
 
 
 def test_quadratic_margin_m6_out_of_hypothesis():
-    margin, _ = check_quadratic_margin(6)
+    _, margin = check_quadratic_margin(6)
     assert margin.verdict == OUT_OF_HYPOTHESIS
     assert margin.lhs == 0  # g(0) = g(1) = 0 at the boundary
 
 
 def test_quadratic_margin_sweep():
     for M in range(7, 501):
-        margin, identity = check_quadratic_margin(M)
+        identity, margin = check_quadratic_margin(M)
         assert margin.verdict == PASS
         assert identity.verdict == PASS
 
@@ -243,9 +264,36 @@ def test_square_sum_relaxation_is_true_lower_bound():
 # ---------------------------------------------------------------------------
 
 
+class TailCase(NamedTuple):
+    """One tail case of ``_tail_cases``, its fields named."""
+
+    b: int
+    sum_weights: int
+    paper_subtraction: int
+    paper_bound: int
+    independent_subtraction: int
+    independent_bound: int
+    printed_closed_form: int
+    test_lhs: int
+    test_rhs: int
+
+    @property
+    def holds(self) -> bool:
+        return self.test_lhs >= self.test_rhs
+
+
+def tail_cases(degrees):
+    """The m3 case, then the m4 case, of a degree tuple."""
+    dt = DegreeTuple(degrees)
+    return tuple(TailCase._make(case) for case in _tail_cases(dt.degrees, dt.k, dt.M))
+
+
+def tail_bounds_hold(degrees):
+    return all(r.verdict == PASS for r in check_tail_bounds(DegreeTuple(degrees)))
+
+
 def test_tail_bounds_6_6():
-    report = check_tail_bounds(DegreeTuple((6, 6)))
-    m4, m3 = report.cases
+    m3, m4 = tail_cases((6, 6))
     assert m3.b == 7 and m3.sum_weights == 40
     assert m3.paper_bound == 28  # 40 - 2*6
     assert m3.test_lhs == (28 - 7) * 1 == 21 and m3.test_rhs == 20
@@ -254,36 +302,50 @@ def test_tail_bounds_6_6():
     assert m4.b == 6
     assert m4.paper_bound == 40 - 12 - 5 == 23
     assert m4.test_lhs == (23 - 6) * 2 == 34 and m4.holds
+    assert tail_bounds_hold((6, 6))
 
 
 def test_tail_bounds_remark_family():
-    report = check_tail_bounds(DegreeTuple((2, 5, 5, 5, 7)))
-    assert report.holds
-    m4, m3 = report.cases
+    assert tail_bounds_hold((2, 5, 5, 5, 7))
+    m3, m4 = tail_cases((2, 5, 5, 5, 7))
     # margins recorded exactly
     assert m3.test_lhs == 41 and m3.test_rhs == 38
     assert m4.test_lhs == 72 and m4.test_rhs == 38
 
 
+def test_tail_bounds_3_9_every_field():
+    # every field of both cases: the printed subtractions exceed the
+    # worst-case ones (18 > 17, 26 > 24), and the printed closed forms exceed
+    # the direct bounds by 2 and 4
+    assert tail_cases((3, 9)) == (
+        TailCase(7, 49, 18, 31, 17, 32, 33, 24, 20),
+        TailCase(6, 49, 26, 23, 24, 25, 27, 34, 20),
+    )
+    m3, m4 = check_tail_bounds(DegreeTuple((3, 9)))
+    assert (m3.check, m3.lhs, m3.rhs, m3.verdict) == ("tail-bound-m3", 24, 20, PASS)
+    assert (m4.check, m4.lhs, m4.rhs, m4.verdict) == ("tail-bound-m4", 34, 20, PASS)
+    assert m3.params == {"k": 2, "M": 10, "degrees": [3, 9], "b": 7}
+    assert m4.params == {"k": 2, "M": 10, "degrees": [3, 9], "b": 6}
+
+
 def test_tail_bounds_closed_form_discrepancies_flagged():
     # the printed closed forms exceed the direct subtraction bounds by 4 and 2
-    report = check_tail_bounds(DegreeTuple((6, 6)))
-    m4, m3 = report.cases
+    m3, m4 = tail_cases((6, 6))
     assert m4.printed_closed_form - m4.paper_bound == 4
     assert m3.printed_closed_form - m3.paper_bound == 2
-    records = report.records()
+    records = check_tail_bounds(DegreeTuple((6, 6)))
     assert any("differs" in r.note for r in records)
 
 
 def test_tail_bounds_triple_top_degree_worst_case_note():
     # with three equal top degrees the actual worst-case subtraction exceeds
     # the printed one; the note must surface it without failing the check
-    report = check_tail_bounds(DegreeTuple((7, 7, 7)))
-    m4, _ = report.cases
+    _, m4 = tail_cases((7, 7, 7))
     assert m4.independent_subtraction == 21 > m4.paper_subtraction == 20
-    rec = report.records()[0]
+    rec = check_tail_bounds(DegreeTuple((7, 7, 7)))[1]
+    assert rec.check == "tail-bound-m4"
     assert "worst-case weight subtraction" in rec.note
-    assert report.holds
+    assert tail_bounds_hold((7, 7, 7))
 
 
 def test_tail_cases_match_the_weight_sequence():
@@ -297,8 +359,8 @@ def test_tail_cases_match_the_weight_sequence():
                 partial = sum(Fraction(d * (d + 1), 2) for d in degrees[:-1])
                 expected = []
                 for b, paper_sub, closed_form, top in (
-                    (M - 4, 3 * dk - 1, partial + Fraction((dk - 3) * (dk - 2), 2) + 2 - k, 3),
                     (M - 3, 2 * dk, partial + Fraction((dk - 2) * (dk - 1), 2) + 1 - k, 2),
+                    (M - 4, 3 * dk - 1, partial + Fraction((dk - 3) * (dk - 2), 2) + 2 - k, 3),
                 ):
                     indep_sub = sum(ws.weights[-top:])
                     expected.append(
@@ -314,9 +376,14 @@ def test_tail_cases_match_the_weight_sequence():
                             test_rhs=2 * M,
                         )
                     )
-                cases = check_tail_bounds(dt).cases
+                cases = tail_cases(degrees)
                 assert cases == tuple(expected), degrees
                 assert all(type(case.printed_closed_form) is int for case in cases)
+                # the records set the test's sides against each other
+                records = check_tail_bounds(dt)
+                assert [(r.lhs, r.rhs) for r in records] == [
+                    (case.test_lhs, case.test_rhs) for case in cases
+                ]
 
 
 def test_tail_bounds_requires_m_at_least_4():
@@ -326,17 +393,17 @@ def test_tail_bounds_requires_m_at_least_4():
 
 def test_tail_bounds_tight_cases():
     # (5,7) at M = 10 and (4,4,4,5,7) at M = 19 meet the m3 case with equality
-    r1 = check_tail_bounds(DegreeTuple((5, 7)))
-    assert r1.cases[1].test_lhs == 20 == r1.cases[1].test_rhs
-    r2 = check_tail_bounds(DegreeTuple((4, 4, 4, 5, 7)))
-    assert r2.cases[1].test_lhs == 38 == r2.cases[1].test_rhs
+    m3, _ = tail_cases((5, 7))
+    assert m3.test_lhs == 20 == m3.test_rhs
+    m3, _ = tail_cases((4, 4, 4, 5, 7))
+    assert m3.test_lhs == 38 == m3.test_rhs
 
 
 def test_tail_bounds_all_tuples_in_hypothesis_box():
     for k in range(2, 6):
         for M in range(3 * k + 4, 61):
             for degrees in nondecreasing_degree_tuples(k, M + k):
-                assert check_tail_bounds(DegreeTuple(degrees)).holds
+                assert tail_bounds_hold(degrees)
 
 
 # ---------------------------------------------------------------------------
@@ -344,26 +411,66 @@ def test_tail_bounds_all_tuples_in_hypothesis_box():
 # ---------------------------------------------------------------------------
 
 
+def threshold_sides(k, M):
+    """The (lhs, rhs) of each record of ``check_threshold_equivalences``, by check."""
+    return {r.check: (r.lhs, r.rhs) for r in check_threshold_equivalences(k, M)}
+
+
+def thresholds_hold(k, M):
+    return all(r.verdict == PASS for r in check_threshold_equivalences(k, M))
+
+
 def test_thresholds_k2_m10():
-    report = check_threshold_equivalences(2, 10)
-    assert report.claimed_m4 == (2, Fraction(49, 10))
-    assert report.claimed_m3 == (2, Fraction(64, 28))
-    assert report.all_hold
+    sides = threshold_sides(2, 10)
+    assert sides["threshold-m4-claimed"] == (2, Fraction(49, 10))
+    assert sides["threshold-m3-claimed"] == (2, Fraction(64, 28))
+    assert thresholds_hold(2, 10)
+
+
+def test_thresholds_k2_m10_every_side():
+    # the six records in report order, with the sides the threshold report
+    # once printed: printed brackets, claimed bounds, derived and claimed caps
+    records = check_threshold_equivalences(2, 10)
+    assert [(r.check, r.lhs, r.rhs, r.verdict) for r in records] == [
+        ("threshold-m3-annotation", 2, 2, PASS),
+        ("threshold-m3-claimed", 2, Fraction(16, 7), PASS),
+        ("threshold-m3-printed", 21, 20, PASS),
+        ("threshold-m4-annotation", 7, 4, PASS),
+        ("threshold-m4-claimed", 2, Fraction(49, 10), PASS),
+        ("threshold-m4-printed", Fraction(75, 2), 20, PASS),
+    ]
+    assert all(r.params == {"k": 2, "M": 10} for r in records)
 
 
 def test_thresholds_k5_m19():
-    report = check_threshold_equivalences(5, 19)
-    assert report.claimed_m4 == (5, Fraction(256, 19))
-    assert report.claimed_m3 == (5, Fraction(289, 55))
-    assert report.all_hold
+    sides = threshold_sides(5, 19)
+    assert sides["threshold-m4-claimed"] == (5, Fraction(256, 19))
+    assert sides["threshold-m3-claimed"] == (5, Fraction(289, 55))
+    assert thresholds_hold(5, 19)
     # boundary proximity of the m3 claim: 5 <= 289/55 = 5.254...
-    assert report.claimed_m3[1] - 5 < Fraction(1, 3)
+    assert sides["threshold-m3-claimed"][1] - 5 < Fraction(1, 3)
 
 
 def test_thresholds_on_hypothesis_boundary():
     for k in range(2, 31):
-        report = check_threshold_equivalences(k, 3 * k + 4)
-        assert report.all_hold
+        assert thresholds_hold(k, 3 * k + 4)
+
+
+def test_thresholds_out_of_hypothesis_are_marked():
+    # M = 10 < 3k+4 for k = 3: only the annotations keep their pass
+    verdicts = {r.check: r.verdict for r in check_threshold_equivalences(3, 10)}
+    assert verdicts == {
+        "threshold-m3-annotation": PASS,
+        "threshold-m3-claimed": OUT_OF_HYPOTHESIS,
+        "threshold-m3-printed": OUT_OF_HYPOTHESIS,
+        "threshold-m4-annotation": PASS,
+        "threshold-m4-claimed": OUT_OF_HYPOTHESIS,
+        "threshold-m4-printed": OUT_OF_HYPOTHESIS,
+    }
+    with pytest.raises(InputError):
+        check_threshold_equivalences(2, 6)
+    with pytest.raises(InputError):
+        check_threshold_equivalences(1, 10)
 
 
 def test_threshold_derived_caps():
@@ -371,21 +478,25 @@ def test_threshold_derived_caps():
     # claimed (M-3)^2/M; the printed m3 bracket to k <= (M-2)^2/(3M), strictly
     # stronger than the claimed (M-2)^2/(3M-2): the audit records both caps
     for M in (10, 19, 47, 100):
-        report = check_threshold_equivalences(2, M)
-        assert report.derived_m4_cap == M - 3
-        assert report.derived_m4_cap >= report.claimed_m4_cap
-        assert report.derived_m3_cap == int(Fraction((M - 2) ** 2, 3 * M))
-        assert report.derived_m3_cap <= report.claimed_m3_cap
+        sides = threshold_sides(2, M)
+        derived_m4, claimed_m4 = sides["threshold-m4-annotation"]
+        derived_m3, claimed_m3 = sides["threshold-m3-annotation"]
+        assert derived_m4 == M - 3
+        assert claimed_m4 == int(sides["threshold-m4-claimed"][1])
+        assert derived_m4 >= claimed_m4
+        assert derived_m3 == int(Fraction((M - 2) ** 2, 3 * M))
+        assert claimed_m3 == int(sides["threshold-m3-claimed"][1])
+        assert derived_m3 <= claimed_m3
 
 
 def test_threshold_derived_caps_are_the_largest_k_on_the_printed_brackets():
     # evaluated on the printed brackets themselves, not their simplifications;
     # both decrease in k, so holding at cap and failing at cap + 1 pins it
     for M in range(7, 301):
-        report = check_threshold_equivalences(2, M)
-        for bracket, cap in (
-            (_printed_bracket_m4, report.derived_m4_cap),
-            (_printed_bracket_m3, report.derived_m3_cap),
+        sides = threshold_sides(2, M)
+        for bracket, (cap, _) in (
+            (_printed_bracket_m4, sides["threshold-m4-annotation"]),
+            (_printed_bracket_m3, sides["threshold-m3-annotation"]),
         ):
             assert cap >= 1
             assert bracket(cap, M) >= 2 * M
@@ -461,8 +572,6 @@ def test_audit_builds_no_per_tuple_objects(monkeypatch):
 
     monkeypatch.setattr(proof_audit, "DegreeTuple", counting)
     monkeypatch.setattr(proof_audit, "check_tail_bounds", refuse)
-    monkeypatch.setattr(proof_audit, "TailCase", refuse)
-    monkeypatch.setattr(proof_audit, "TailBoundReport", refuse)
     report = audit_range(4, 24, tuple_k_max=4, tuple_M_max=24)
     tails = sum(r.check == "tail-bound-m3" for r in report.records)
     # only the square-sum witnesses are DegreeTuples
@@ -492,12 +601,12 @@ def _public_check_records(k_max, M_max, tuple_k_max, tuple_M_max):
         for M in range(lo, M_max + 1):
             records += check_small_degree_codim(k, M)
             records += check_quadratic_margin(M)
-            records += check_threshold_equivalences(k, M).records()
+            records += check_threshold_equivalences(k, M)
             if k <= tuple_k_max and M <= tuple_M_max:
                 for shift in (2, 3):
                     records += optimize_square_sum(k, M, shift).records()
                 for d in nondecreasing_degree_tuples(k, M + k, 2, M + k):
-                    records += check_tail_bounds(DegreeTuple(d)).records()
+                    records += check_tail_bounds(DegreeTuple(d))
     return records
 
 
@@ -636,3 +745,59 @@ def test_audit_records_sorted_and_json_schema():
         assert isinstance(record["lhs"], str) and isinstance(record["rhs"], str)
         assert record["verdict"] in (PASS, FAIL, OUT_OF_HYPOTHESIS, VACUOUS)
 
+
+# ---------------------------------------------------------------------------
+# the records outside the audit's box
+# ---------------------------------------------------------------------------
+
+
+def _each_check_in_report_order(records):
+    # each check's records come by check name, the order of the report
+    names = [r.check for r in records]
+    assert names == sorted(names)
+    return records
+
+
+def _records_digest(records):
+    lines = sorted(json.dumps(r.to_json(), sort_keys=True) for r in records)
+    return len(lines), hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_records_outside_the_audit_box_are_pinned():
+    # the audit sweeps M >= 3k+4 only, so its bytes never hold the
+    # out-of-hypothesis records; these digests pin them, with the
+    # in-hypothesis ones beside them for the thresholds and the quadratics
+    thresholds = [
+        r
+        for k in range(2, 11)
+        for M in range(7, 41)
+        for r in _each_check_in_report_order(check_threshold_equivalences(k, M))
+    ]
+    assert _records_digest(thresholds) == (
+        1836,
+        "cbf074e02b3f56e4c2ab3288b50fffdf73fe105a1292a74b91aa8713ad94ce8f",
+    )
+    tails = [
+        r
+        for k in range(2, 6)
+        for M in range(4, 3 * k + 4)
+        for d in nondecreasing_degree_tuples(k, M + k, 2, M + k)
+        for r in _each_check_in_report_order(check_tail_bounds(DegreeTuple(d)))
+    ]
+    assert _records_digest(tails) == (
+        890,
+        "5bf84de1c7f32f09201f675e64067c0cb0d330e486be852181073557cee1c406",
+    )
+    per_m = [
+        r
+        for k in range(2, 11)
+        for M in range(k + 1, 41)
+        for r in _each_check_in_report_order(check_small_degree_codim(k, M))
+    ]
+    per_m += [
+        r for M in range(5, 41) for r in _each_check_in_report_order(check_quadratic_margin(M))
+    ]
+    assert _records_digest(per_m) == (
+        684,
+        "773c190878c4f05e9f4f02cf26ab818df07288e45ba87d5717071a16c5635689",
+    )
