@@ -555,6 +555,12 @@ def restrict_to_graph(
     itself, so only the eliminated variables are composed, variable i with
     sum_j images[i][j] * survivors[j]: each term's survivor exponents go into
     the leaf (a polynomial in the survivors) of its eliminated exponents.
+
+    A variable whose image is zero kills every term that holds it, so those
+    terms are dropped first and the variable is not composed.  Where every
+    image is zero, as on the cut x_n = 0, the drop is the restriction: the
+    kept terms, read at the survivors, are already in grevlex order, since
+    the variables dropped from them are all 0.
     """
     if not images:  # the graph is the whole space
         return list(polys)
@@ -566,8 +572,28 @@ def restrict_to_graph(
     elim_images = [
         {unit: c for unit, c in zip(units, image) if c} for image in images.values()
     ]
-    leaf_key, elim_key = _picker(kept), _picker(tuple(images))
+    leaf_key, eliminated = _picker(kept), tuple(images)
     survivors = leaf_key(variables)
+    if not all(elim_images):
+        zero = _picker(tuple(i for i, image in zip(eliminated, elim_images) if not image))
+        if not any(elim_images):
+            return [
+                MultiPoly(
+                    fieldspec,
+                    survivors,
+                    {leaf_key(e): c for e, c in poly.terms.items() if not any(zero(e))},
+                )
+                for poly in polys
+            ]
+        polys = [
+            MultiPoly(
+                fieldspec, variables, {e: c for e, c in poly.terms.items() if not any(zero(e))}
+            )
+            for poly in polys
+        ]
+        eliminated = tuple(i for i, image in zip(eliminated, elim_images) if image)
+        elim_images = [image for image in elim_images if image]
+    elim_key = _picker(eliminated)
     restricted = []
     for poly in polys:
         leaves: Dict[Exponents, Dict[Exponents, Element]] = {}

@@ -27,9 +27,20 @@ M >= 3k+4 across the sweep box.
 
 Each check returns its ``CheckRecord``s in report order, by check name within
 a (k, M); the square sums come as ``SquareSumResult``, the optimum with its
-witnesses, whose ``records()`` is the one record.  The CLI writes each record
-as ``audit_records`` makes it, folding the summary as it goes
-(``AuditSummary``); ``audit_range`` collects the records instead.
+witnesses, whose ``records()`` is the one record.  The json and csv audits
+write each record as ``audit_records`` makes it, folding the summary as they
+go (``AuditSummary``); ``audit_range`` collects the records instead.
+
+The text audit only counts records, so ``audit_summary`` counts each (k, M)
+block of tail records whole: with SQ_s = sum_{l<k} d_l^2 + (d_k - s)^2, the
+m3 test reads 2*lhs = SQ_2 - M - k + 2 and the m4 test lhs = SQ_3 - M - k + 1,
+each against 2M, and every tuple's printed closed form exceeds its direct
+bound by 2 (m3) and 4 (m4).  So where the block's square-sum minima reach
+5M + k - 2 (shift 2) and 3M + k - 1 (shift 3), every tail record of the block
+passes with the same note key, and the two records of one witness, weighted
+by the block's tuple count p(M - k, <= k), fold into the same summary.  A
+block whose minima fall short is enumerated.  The records and the summary
+come from one walk of the box, ``_report_groups``.
 """
 
 from __future__ import annotations
@@ -478,16 +489,21 @@ class AuditSummary:
 
     def watch(self, records: Iterable[CheckRecord]) -> Iterator[CheckRecord]:
         """Yield each record unchanged, folding it into the summary."""
-        verdicts, tail_diffs, annotations = self.verdicts, self._tail_diffs, self._annotations
+        fold = self._fold
         for record in records:
-            verdicts[record.verdict] = verdicts.get(record.verdict, 0) + 1
-            if record.check.startswith("tail-bound") and "differs" in record.note:
-                # "printed closed form A differs from the direct bound B by D; ..."
-                key = (record.check, record.note.partition(" by ")[2].partition(";")[0])
-                tail_diffs[key] = tail_diffs.get(key, 0) + 1
-            elif "annotation" in record.check and record.lhs != record.rhs:
-                annotations.setdefault(record.check, [0, record])[0] += 1
+            fold(record, 1)
             yield record
+
+    def _fold(self, record: CheckRecord, weight: int) -> None:
+        """Count ``record`` as ``weight`` records of its verdict and note."""
+        verdicts = self.verdicts
+        verdicts[record.verdict] = verdicts.get(record.verdict, 0) + weight
+        if record.check.startswith("tail-bound") and "differs" in record.note:
+            # "printed closed form A differs from the direct bound B by D; ..."
+            key = (record.check, record.note.partition(" by ")[2].partition(";")[0])
+            self._tail_diffs[key] = self._tail_diffs.get(key, 0) + weight
+        elif "annotation" in record.check and record.lhs != record.rhs:
+            self._annotations.setdefault(record.check, [0, record])[0] += weight
 
     @property
     def discrepancy_notes(self) -> List[str]:
@@ -622,9 +638,36 @@ def audit_records(
     text.  The box is checked here, before any record is made; at most the
     tail records of one (k, M) are held at a time.
     """
-    if k_max < 2 or M_max < 1:
-        raise InputError(f"need k_max >= 2 and M_max >= 1, got ({k_max}, {M_max})")
-    return _report_records(k_max, M_max, tuple_k_max, tuple_M_max)
+    _check_box(k_max, M_max)
+    return _report_records(
+        _report_groups(k_max, M_max, tuple_k_max, tuple_M_max, whole_blocks=False)
+    )
+
+
+def audit_summary(
+    k_max: int,
+    M_max: int,
+    *,
+    tuple_k_max: int = 5,
+    tuple_M_max: int = 60,
+) -> AuditSummary:
+    """The summary that ``AuditSummary.watch`` folds over ``audit_records``.
+
+    It is the same summary, made without the records of a (k, M) tail block
+    whose square-sum minima show that all of them pass (module docstring):
+    the two records of the block's first shift-2 witness are folded instead,
+    each weighted by the block's tuple count.  The quadratic records are
+    folded once per M, weighted by their copies.
+    """
+    _check_box(k_max, M_max)
+    summary = AuditSummary()
+    fold = summary._fold
+    for records, weight in _report_groups(
+        k_max, M_max, tuple_k_max, tuple_M_max, whole_blocks=True
+    ):
+        for record in records:
+            fold(record, weight)
+    return summary
 
 
 def audit_range(k_max: int, M_max: int, **tuple_box: int) -> AuditReport:
@@ -634,35 +677,86 @@ def audit_range(k_max: int, M_max: int, **tuple_box: int) -> AuditReport:
     return AuditReport(tuple(list(audit_records(k_max, M_max, **tuple_box))))
 
 
-def _report_records(
-    k_max: int, M_max: int, tuple_k_max: int, tuple_M_max: int
-) -> Iterator[CheckRecord]:
-    """The records of ``audit_records``, for a box it has checked."""
+def _check_box(k_max: int, M_max: int) -> None:
+    if k_max < 2 or M_max < 1:
+        raise InputError(f"need k_max >= 2 and M_max >= 1, got ({k_max}, {M_max})")
+
+
+def _report_records(groups: Iterable[Tuple[List[CheckRecord], int]]) -> Iterator[CheckRecord]:
+    """The records of ``_report_groups``, each repeated as its group's weight."""
+    for records, copies in groups:
+        if copies == 1:
+            yield from records
+        else:
+            for record in records:
+                yield from repeat(record, copies)
+
+
+def _tail_block_passes(two: SquareSumResult, three: SquareSumResult) -> bool:
+    """Whether every tail record of a (k, M) block passes, read off the
+    block's square-sum minima at shifts 2 and 3.
+
+    As sum(d) = M + k, the test lhs of ``_tail_cases`` is (SQ_2 - M - k + 2)/2
+    for b = M-3 and SQ_3 - M - k + 1 for b = M-4, each against 2M.
+    """
+    k, M = two.k, two.M
+    return two.integer_min >= 5 * M + k - 2 and three.integer_min >= 3 * M + k - 1
+
+
+def _tuple_count(k: int, M: int) -> int:
+    """The number of degree tuples of a (k, M) block: p(M - k, <= k).
+
+    Less 2 each, the k degrees, which sum to M + k, are a partition of M - k
+    into at most k parts; p(n, <= j) = p(n, <= j-1) + p(n - j, <= j), row by
+    row in j, in place.
+    """
+    n = M - k
+    row = [1] + [0] * n  # p(m, <= 0)
+    for parts in range(1, k + 1):
+        for m in range(parts, n + 1):
+            row[m] += row[m - parts]
+    return row[n]
+
+
+def _report_groups(
+    k_max: int, M_max: int, tuple_k_max: int, tuple_M_max: int, *, whole_blocks: bool
+) -> Iterator[Tuple[List[CheckRecord], int]]:
+    """The records of ``audit_records``, for a box it has checked, in groups
+    (records, weight): in report order, each record of a group stands for
+    ``weight`` copies of itself.
+
+    With ``whole_blocks``, a (k, M) tail block that ``_tail_block_passes`` is
+    one group instead: the two records of its first shift-2 witness,
+    weighted by ``_tuple_count``.  They stand for the block's records in
+    verdict and note key, not in order, so such groups are for
+    ``AuditSummary`` alone.
+    """
     # the quadratic checks depend on M alone: one run per M, its records
     # repeated once per k in [2, k_max] with 3k+4 <= M
     for M in range(3 * 2 + 4, M_max + 1):
-        copies = min(k_max, (M - 4) // 3) - 1
-        for record in check_quadratic_margin(M):
-            yield from repeat(record, copies)
+        yield check_quadratic_margin(M), min(k_max, (M - 4) // 3) - 1
     for k in range(2, k_max + 1):
         lo = 3 * k + 4
         if lo > M_max:
             note = f"no M with 3k+4 = {lo} <= M <= {M_max} for k = {k}"
-            yield CheckRecord("sweep-range", {"k": k, "M": 0}, lo, M_max, VACUOUS, note)
+            yield [CheckRecord("sweep-range", {"k": k, "M": 0}, lo, M_max, VACUOUS, note)], 1
         for M in range(lo, M_max + 1):
-            yield from check_small_degree_codim(k, M)
+            yield check_small_degree_codim(k, M), 1
             if k <= tuple_k_max and M <= tuple_M_max:
-                for shift in (2, 3):
-                    yield from optimize_square_sum(k, M, shift).records()
-                # the tuples come valid and in range (M >= 3k+4), so their
-                # tail records are made as check_tail_bounds makes them, with
-                # no DegreeTuple and no refusal.  They go by the text of the
-                # degree list, "[2, 10, 11]" before "[2, 2, 19]"; a tuple's own
-                # text sorts alike, since its brackets would meet a digit only
-                # for two tuples that differ in the last degree alone, and all
-                # of these sum to M + k
-                tuples = nondecreasing_degree_tuples(k, M + k, 2, M + k)
-                tails = [_tail_records(d, k, M) for d in sorted(tuples, key=str)]
-                yield from (m3 for m3, _ in tails)
-                yield from (m4 for _, m4 in tails)
-            yield from check_threshold_equivalences(k, M)
+                two, three = (optimize_square_sum(k, M, shift) for shift in (2, 3))
+                yield two.records() + three.records(), 1
+                if whole_blocks and _tail_block_passes(two, three):
+                    yield _tail_records(two.witnesses[0].degrees, k, M), _tuple_count(k, M)
+                else:
+                    # the tuples come valid and in range (M >= 3k+4), so their
+                    # tail records are made as check_tail_bounds makes them,
+                    # with no DegreeTuple and no refusal.  They go by the text
+                    # of the degree list, "[2, 10, 11]" before "[2, 2, 19]"; a
+                    # tuple's own text sorts alike, since its brackets would
+                    # meet a digit only for two tuples that differ in the last
+                    # degree alone, and all of these sum to M + k
+                    tuples = nondecreasing_degree_tuples(k, M + k, 2, M + k)
+                    tails = [_tail_records(d, k, M) for d in sorted(tuples, key=str)]
+                    yield [m3 for m3, _ in tails], 1
+                    yield [m4 for _, m4 in tails], 1
+            yield check_threshold_equivalences(k, M), 1

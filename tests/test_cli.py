@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from fanoci.cli import build_parser, run
-from fanoci.families import DegreeTuple
+from fanoci.families import DegreeTuple, nondecreasing_degree_tuples
 from fanoci.fields import FieldSpec
 from fanoci.proof_audit import audit_range
 from fanoci.rationals import format_rational
@@ -225,6 +225,60 @@ def test_streamed_audit_equals_the_collected_report(box):
         code, output = invoke(["audit", *args, "--format", fmt])
         assert code == (0 if report.aggregate_pass else 1)
         assert output == _collected_output(report, fmt), fmt
+
+
+def _spy_tail_records(monkeypatch):
+    """Count the calls of ``_tail_records`` by (k, M)."""
+    import fanoci.proof_audit as proof_audit
+
+    calls, tail_records = Counter(), proof_audit._tail_records
+
+    def spy(d, k, M):
+        calls[k, M] += 1
+        return tail_records(d, k, M)
+
+    monkeypatch.setattr(proof_audit, "_tail_records", spy)
+    return calls
+
+
+def test_a_block_whose_minimum_falls_short_is_enumerated(monkeypatch):
+    # the shift-2 minimum of the (3, 20) block is lowered below 5M + k - 2, so
+    # the text audit cannot count that block whole; its square-sum record
+    # then fails as well, so the audit exits 1
+    import fanoci.proof_audit as proof_audit
+
+    box = ("--k-max", "4", "--m-max", "24", "--tuple-k-max", "4", "--tuple-m-max", "24")
+    optimize = proof_audit.optimize_square_sum
+
+    def lowered(k, M, shift):
+        result = optimize(k, M, shift)
+        if (k, M, shift) == (3, 20, 2):
+            return result._replace(integer_min=5 * M + k - 3)
+        return result
+
+    monkeypatch.setattr(proof_audit, "optimize_square_sum", lowered)
+    report = audit_range(4, 24, tuple_k_max=4, tuple_M_max=24)
+    calls = _spy_tail_records(monkeypatch)
+    code, output = invoke(["audit", *box, "--format", "text"])
+    assert (code, output) == (1, _collected_output(report, "text"))
+    assert calls[3, 20] == proof_audit._tuple_count(3, 20) > 1
+    assert all(count == 1 for block, count in calls.items() if block != (3, 20))
+
+
+def test_text_audit_makes_one_tail_pair_per_block_and_json_one_per_tuple(monkeypatch):
+    sizes, expected = _benchmark_audit_boxes()
+    argv = ["audit", *sizes["standard"]["audit_args"]]
+    calls = _spy_tail_records(monkeypatch)
+    code, output = invoke([*argv, "--format", "text"])
+    blocks = {(k, M) for k in range(2, 5) for M in range(3 * k + 4, 41)}
+    assert code == 0 and output.splitlines()[0] == f"records: {expected['standard']['records']}"
+    assert set(calls) == blocks and max(calls.values()) == 1
+    calls.clear()
+    invoke([*argv, "--format", "json"])
+    tuples = {
+        (k, M): len(list(nondecreasing_degree_tuples(k, M + k, 2, M + k))) for k, M in blocks
+    }
+    assert calls == tuples and sum(calls.values()) == 7151
 
 
 class _Discard:

@@ -435,6 +435,44 @@ def test_restriction_to_a_graph_edge_cases_match_substitution(field, graph):
         }
 
 
+@pytest.mark.parametrize("field", [FieldSpec.prime(2), F5, FieldSpec.prime(32003), Q])
+@pytest.mark.parametrize(
+    "rows, zero_images, live_images",
+    [
+        ([[0, 0, 0, 0, 1]], 1, 0),  # the cut z5 = 0
+        ([[0, 0, 0, 0, 1], [0, 3, 0, 0, 0]], 2, 0),  # only zero images, not all last
+        ([[0, 0, 0, 0, 1], [1, 0, 3, 0, 0], [0, 0, 0, 3, 0]], 2, 1),
+        ([[1, 1, 1, 1, 1]], 0, 1),
+    ],
+    ids=["cut", "all-zero", "mixed", "live"],
+)
+def test_zero_images_restrict_as_substitution(field, rows, zero_images, live_images):
+    V = tuple(f"z{i}" for i in range(1, 6))
+    forms = [MultiPoly.linear(field, V, row) for row in rows]
+    polys = [
+        random_poly(3, V, field, seed=11),
+        MultiPoly.zero(field, V),
+        random_poly(4, V, field, homogeneous=True, seed=12),
+        MultiPoly.constant(field, V, 3),
+    ]
+    kept, images = linear_graph([form.linear_row() for form in forms], field, 5)
+    zero = {i for i, image in images.items() if not any(image)}
+    assert (len(zero), len(images) - len(zero)) == (zero_images, live_images)
+    got = restrict_to_graph(polys, kept, images)
+
+    survivors, substitution = _solved_graph(field, V, forms)
+    expected = [_substitute_by_power_tables(f, substitution) for f in polys]
+    assert [g.variables for g in got] == [survivors] * len(polys)
+    assert [list(g.terms.items()) for g in got] == [list(g.terms.items()) for g in expected]
+    if len(zero) == len(images):
+        # only zero images: the restriction drops the terms that hold them
+        assert [g.terms for g in got] == [
+            {tuple(e[j] for j in kept): c for e, c in f.terms.items()
+             if not any(e[i] for i in zero)}
+            for f in polys
+        ]
+
+
 @st.composite
 def _field_and_row(draw):
     """A field and a row of its elements, often with zeros, sometimes all zero."""

@@ -18,7 +18,9 @@ from fanoci.proof_audit import (
     CheckRecord,
     _printed_bracket_m3,
     _printed_bracket_m4,
+    _tail_block_passes,
     _tail_cases,
+    _tuple_count,
     audit_range,
     audit_records,
     check_quadratic_margin,
@@ -404,6 +406,61 @@ def test_tail_bounds_all_tuples_in_hypothesis_box():
         for M in range(3 * k + 4, 61):
             for degrees in nondecreasing_degree_tuples(k, M + k):
                 assert tail_bounds_hold(degrees)
+
+
+# ---------------------------------------------------------------------------
+# a (k, M) tail block as a whole: the identities that the text audit counts by
+# ---------------------------------------------------------------------------
+
+
+def _square_sum(degrees, shift):
+    """SQ_shift = sum_{l<k} d_l^2 + (d_k - shift)^2."""
+    return sum(d * d for d in degrees[:-1]) + (degrees[-1] - shift) ** 2
+
+
+def test_tail_block_identities_by_brute_force():
+    # every tuple of every block with k <= 5, 4 <= M <= 40, inside the
+    # hypothesis range and outside it, where blocks fail
+    failing_blocks = 0
+    for k in range(2, 6):
+        for M in range(max(k, 4), 41):
+            block = list(nondecreasing_degree_tuples(k, M + k, 2, M + k))
+            assert _tuple_count(k, M) == len(block), (k, M)
+            two, three = (optimize_square_sum(k, M, shift) for shift in (2, 3))
+            passes = True
+            for degrees in block:
+                m3, m4 = tail_cases(degrees)
+                assert 2 * m3.test_lhs == _square_sum(degrees, 2) - M - k + 2, degrees
+                assert m4.test_lhs == _square_sum(degrees, 3) - M - k + 1, degrees
+                assert m3.test_rhs == m4.test_rhs == 2 * M
+                assert m3.printed_closed_form - m3.paper_bound == 2
+                assert m4.printed_closed_form - m4.paper_bound == 4
+                passes = passes and m3.holds and m4.holds
+                # the block test, read at this tuple's square sums, one case at a time
+                at_tuple = [
+                    result._replace(integer_min=_square_sum(degrees, result.shift))
+                    for result in (two, three)
+                ]
+                assert _tail_block_passes(at_tuple[0], three._replace(integer_min=10**9)) == (
+                    m3.holds
+                )
+                assert _tail_block_passes(two._replace(integer_min=10**9), at_tuple[1]) == (
+                    m4.holds
+                )
+            assert two.integer_min == min(_square_sum(d, 2) for d in block)
+            assert three.integer_min == min(_square_sum(d, 3) for d in block)
+            assert _tail_block_passes(two, three) == passes, (k, M)
+            failing_blocks += not passes
+    assert failing_blocks > 0  # so both sides of the equivalence are seen
+
+
+def test_tuple_count_is_the_partition_count():
+    # p(n, <= k) for small n and k, and the tuple counts of the default box's
+    # discrepancy notes: 99,442 tuples with k <= 5, 3k+4 <= M <= 60
+    assert [_tuple_count(k, k + n) for k, n in ((2, 0), (2, 5), (3, 6), (4, 8))] == [
+        1, 3, 7, 15
+    ]
+    assert sum(_tuple_count(k, M) for k in range(2, 6) for M in range(3 * k + 4, 61)) == 99442
 
 
 # ---------------------------------------------------------------------------
