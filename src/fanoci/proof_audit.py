@@ -41,6 +41,15 @@ passes with the same note key, and the two records of one witness, weighted
 by the block's tuple count p(M - k, <= k), fold into the same summary.  A
 block whose minima fall short is enumerated.  The records and the summary
 come from one walk of the box, ``_report_groups``.
+
+The per-(k, M) checks share what depends on M alone.  For the thresholds
+that is the claimed bounds (M-2)^2/(3M-2) and (M-3)^2/M, the derived caps
+and the largest integers on the claimed bounds; per k come only the two
+printed brackets, and each comparison is made in integers, k <= num/den as
+k*den <= num and a bracket B/2k >= 2M as B >= 2M*2k.  For the small-degree
+chain, min over j <= k of C(M-j+1, 2) is a running minimum over k, so each
+binomial is computed once per (j, M).  The walk makes the parts of each M
+once; a public check called alone makes those of its own M.
 """
 
 from __future__ import annotations
@@ -166,27 +175,34 @@ def check_small_degree_codim(k: int, M: int) -> List[CheckRecord]:
     """The chain C(M-j+1, 2) >= C(M-k+1, 2), j <= k, then C(M-k+1, 2) >= 2M+1."""
     if k < 2:
         raise InputError(f"need k >= 2, got {k}")
-    in_hyp = M >= 3 * k + 4
     target = binomial(M - k + 1, 2)
     chain_lhs = min(binomial(M - j + 1, 2) for j in range(1, k + 1))
-    chain = _record(
-        "small-degree-chain",
-        {"k": k, "M": M},
-        chain_lhs,
-        target,
-        chain_lhs >= target,
-        in_hypothesis=in_hyp,
-        note="min over j = 1..k of C(M-j+1, 2) against C(M-k+1, 2)",
-    )
-    codim = _record(
-        "small-degree-codim",
-        {"k": k, "M": M},
-        target,
-        2 * M + 1,
-        target >= 2 * M + 1,
-        in_hypothesis=in_hyp,
-    )
-    return [chain, codim]
+    return _small_degree_records(k, M, chain_lhs, target)
+
+
+def _small_degree_records(k: int, M: int, chain_lhs: int, target: int) -> List[CheckRecord]:
+    """The records of ``check_small_degree_codim``, given the chain's minimum
+    and its target C(M-k+1, 2)."""
+    params, in_hyp = {"k": k, "M": M}, M >= 3 * k + 4
+    return [
+        _record(
+            "small-degree-chain",
+            params,
+            chain_lhs,
+            target,
+            chain_lhs >= target,
+            in_hypothesis=in_hyp,
+            note="min over j = 1..k of C(M-j+1, 2) against C(M-k+1, 2)",
+        ),
+        _record(
+            "small-degree-codim",
+            params,
+            target,
+            2 * M + 1,
+            target >= 2 * M + 1,
+            in_hypothesis=in_hyp,
+        ),
+    ]
 
 
 def check_quadratic_margin(M: int) -> List[CheckRecord]:
@@ -393,16 +409,67 @@ def _exact(num: int, den: int) -> Exact:
     return Fraction(num, den) if remainder else quotient
 
 
-def _printed_bracket_m4(k: int, M: int) -> Exact:
-    # [(M-3+k)^2/2k + (M-3+k)/2 - k - M + 6] * 2, over the denominator 2k
+def _bracket_m4(k: int, M: int) -> int:
+    # [(M-3+k)^2/2k + (M-3+k)/2 - k - M + 6] * 2, times the denominator 2k
     s = M - 3 + k
-    return _exact((s * s + k * s + 2 * k * (6 - k - M)) * 2, 2 * k)
+    return (s * s + k * s + 2 * k * (6 - k - M)) * 2
+
+
+def _bracket_m3(k: int, M: int) -> int:
+    # [(M-2+k)^2/2k + (M-2+k)/2 - k - M + 3] * 1, times the denominator 2k
+    s = M - 2 + k
+    return s * s + k * s + 2 * k * (3 - k - M)
+
+
+def _printed_bracket_m4(k: int, M: int) -> Exact:
+    return _exact(_bracket_m4(k, M), 2 * k)
 
 
 def _printed_bracket_m3(k: int, M: int) -> Exact:
-    # [(M-2+k)^2/2k + (M-2+k)/2 - k - M + 3] * 1, over the denominator 2k
-    s = M - 2 + k
-    return _exact(s * s + k * s + 2 * k * (3 - k - M), 2 * k)
+    return _exact(_bracket_m3(k, M), 2 * k)
+
+
+# per case of the threshold checks: the check names of its annotation,
+# claimed and printed records, then their notes
+_THRESHOLD_CASES = tuple(
+    (
+        f"threshold-{case}-annotation",
+        f"threshold-{case}-claimed",
+        f"threshold-{case}-printed",
+        f"largest k satisfying the printed {case} bracket vs the claimed"
+        " equivalent; a difference means the printed inequality and"
+        " its claimed simplification are not equivalent"
+        " (recorded, not adjudicated)",
+        claimed_note,
+        printed_note,
+    )
+    for case, claimed_note, printed_note in (
+        (
+            "m3",
+            "claimed equivalent k <= (M-2)^2/(3M-2)",
+            "[(M-2+k)^2/2k + (M-2+k)/2 - k - M + 3] * 1 >= 2M as printed",
+        ),
+        (
+            "m4",
+            "claimed equivalent k <= (M-3)^2/M",
+            "[(M-3+k)^2/2k + (M-3+k)/2 - k - M + 6] * 2 >= 2M as printed",
+        ),
+    )
+)
+_ANNOTATION_CHECKS = tuple(case[0] for case in _THRESHOLD_CASES)
+
+
+def _threshold_parts(M: int) -> Tuple[Tuple[int, int, Exact, int, int], ...]:
+    """What the threshold checks of one M share across its k, by case: the
+    derived cap, the largest integer on the claimed bound num/den, that
+    bound exact, num and den."""
+    return tuple(
+        (cap, num // den, _exact(num, den), num, den)
+        for cap, num, den in (
+            ((M - 2) ** 2 // (3 * M), (M - 2) ** 2, 3 * M - 2),
+            (M - 3, (M - 3) ** 2, M),
+        )
+    )
 
 
 def check_threshold_equivalences(k: int, M: int) -> List[CheckRecord]:
@@ -420,53 +487,37 @@ def check_threshold_equivalences(k: int, M: int) -> List[CheckRecord]:
     """
     if k < 2 or M < 7:
         raise InputError(f"need k >= 2 and M >= 7, got ({k}, {M})")
-    params, in_hyp = {"k": k, "M": M}, M >= 3 * k + 4
+    return _threshold_records(k, M, _threshold_parts(M))
+
+
+def _threshold_records(
+    k: int, M: int, parts: Tuple[Tuple[int, int, Exact, int, int], ...]
+) -> List[CheckRecord]:
+    """The records of ``check_threshold_equivalences``, given the
+    ``_threshold_parts`` of M.  Each side is compared in integers: k <= num/den
+    as k*den <= num, and a bracket, B/2k, against 2M as B >= 2M*2k."""
+    params, in_hyp, two_m = {"k": k, "M": M}, M >= 3 * k + 4, 2 * M
     records = []
-    for case, printed, derived_cap, num, den, printed_note, claimed_note in (
-        (
-            "m3",
-            _printed_bracket_m3(k, M),
-            (M - 2) ** 2 // (3 * M),
-            (M - 2) ** 2,
-            3 * M - 2,
-            "[(M-2+k)^2/2k + (M-2+k)/2 - k - M + 3] * 1 >= 2M as printed",
-            "claimed equivalent k <= (M-2)^2/(3M-2)",
-        ),
-        (
-            "m4",
-            _printed_bracket_m4(k, M),
-            M - 3,
-            (M - 3) ** 2,
-            M,
-            "[(M-3+k)^2/2k + (M-3+k)/2 - k - M + 6] * 2 >= 2M as printed",
-            "claimed equivalent k <= (M-3)^2/M",
-        ),
-    ):
-        claimed = _exact(num, den)
-        note = (
-            f"largest k satisfying the printed {case} bracket vs the claimed"
-            " equivalent; a difference means the printed inequality and"
-            " its claimed simplification are not equivalent"
-            " (recorded, not adjudicated)"
-        )
-        name = f"threshold-{case}-"
+    for (annotation, claimed_check, printed_check, note, claimed_note, printed_note), (
+        cap, cap_claimed, claimed, num, den
+    ), bracket in zip(_THRESHOLD_CASES, parts, (_bracket_m3(k, M), _bracket_m4(k, M))):
         records += (
-            _record(name + "annotation", params, derived_cap, num // den, True, note=note),
+            _record(annotation, params, cap, cap_claimed, True, note=note),
             _record(
-                name + "claimed",
+                claimed_check,
                 params,
                 k,
                 claimed,
-                k <= claimed,
+                k * den <= num,
                 in_hypothesis=in_hyp,
                 note=claimed_note,
             ),
             _record(
-                name + "printed",
+                printed_check,
                 params,
-                printed,
-                2 * M,
-                printed >= 2 * M,
+                _exact(bracket, 2 * k),
+                two_m,
+                bracket >= two_m * 2 * k,
                 in_hypothesis=in_hyp,
                 note=printed_note,
             ),
@@ -498,12 +549,14 @@ class AuditSummary:
         """Count ``record`` as ``weight`` records of its verdict and note."""
         verdicts = self.verdicts
         verdicts[record.verdict] = verdicts.get(record.verdict, 0) + weight
-        if record.check.startswith("tail-bound") and "differs" in record.note:
-            # "printed closed form A differs from the direct bound B by D; ..."
-            key = (record.check, record.note.partition(" by ")[2].partition(";")[0])
-            self._tail_diffs[key] = self._tail_diffs.get(key, 0) + weight
-        elif "annotation" in record.check and record.lhs != record.rhs:
-            self._annotations.setdefault(record.check, [0, record])[0] += weight
+        check = record.check
+        if check in _TAIL_CHECKS:
+            if "differs" in record.note:
+                # "printed closed form A differs from the direct bound B by D; ..."
+                key = (check, record.note.partition(" by ")[2].partition(";")[0])
+                self._tail_diffs[key] = self._tail_diffs.get(key, 0) + weight
+        elif check in _ANNOTATION_CHECKS and record.lhs != record.rhs:
+            self._annotations.setdefault(check, [0, record])[0] += weight
 
     @property
     def discrepancy_notes(self) -> List[str]:
@@ -735,13 +788,21 @@ def _report_groups(
     # repeated once per k in [2, k_max] with 3k+4 <= M
     for M in range(3 * 2 + 4, M_max + 1):
         yield check_quadratic_margin(M), min(k_max, (M - 4) // 3) - 1
+    # what depends on M alone is made once per M: the threshold parts, and
+    # the small-degree chain's minimum over j <= k, kept running over k (an M
+    # of the walk at k is in it at every smaller k); C(M, 2) is its j = 1 term
+    per_m = range(3 * 2 + 4, M_max + 1)
+    thresholds = {M: _threshold_parts(M) for M in per_m}
+    chain_min = {M: binomial(M, 2) for M in per_m}
     for k in range(2, k_max + 1):
         lo = 3 * k + 4
         if lo > M_max:
             note = f"no M with 3k+4 = {lo} <= M <= {M_max} for k = {k}"
             yield [CheckRecord("sweep-range", {"k": k, "M": 0}, lo, M_max, VACUOUS, note)], 1
         for M in range(lo, M_max + 1):
-            yield check_small_degree_codim(k, M), 1
+            target = binomial(M - k + 1, 2)
+            chain_min[M] = low = min(chain_min[M], target)
+            yield _small_degree_records(k, M, low, target), 1
             if k <= tuple_k_max and M <= tuple_M_max:
                 two, three = (optimize_square_sum(k, M, shift) for shift in (2, 3))
                 yield two.records() + three.records(), 1
@@ -759,4 +820,4 @@ def _report_groups(
                     tails = [_tail_records(d, k, M) for d in sorted(tuples, key=str)]
                     yield [m3 for m3, _ in tails], 1
                     yield [m4 for _, m4 in tails], 1
-            yield check_threshold_equivalences(k, M), 1
+            yield _threshold_records(k, M, thresholds[M]), 1

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 from collections import Counter
 from fractions import Fraction
 from typing import Dict, NamedTuple, Tuple
@@ -585,6 +586,169 @@ def test_threshold_monotonicity_in_m():
 
 
 # ---------------------------------------------------------------------------
+# the per-(k, M) checks against a Fraction-only oracle
+# ---------------------------------------------------------------------------
+
+
+def _oracle_side(value):
+    # a side is written as an int where it is one
+    return value.numerator if value.denominator == 1 else value
+
+
+def _oracle_record(check, params, lhs, rhs, ok, in_hyp, note):
+    if in_hyp:
+        return CheckRecord(check, params, lhs, rhs, PASS if ok else FAIL, note)
+    outside = f"evaluates to {PASS if ok else FAIL} outside the hypothesis range"
+    note = (note + "; " if note else "") + outside
+    return CheckRecord(check, params, lhs, rhs, OUT_OF_HYPOTHESIS, note)
+
+
+def oracle_small_degree_codim(k, M):
+    """``check_small_degree_codim``: every binomial of the chain, per (k, M)."""
+    if k < 2:
+        raise InputError(f"need k >= 2, got {k}")
+    params, in_hyp = {"k": k, "M": M}, M >= 3 * k + 4
+    target = binomial(M - k + 1, 2)
+    chain_lhs = min(binomial(M - j + 1, 2) for j in range(1, k + 1))
+    note = "min over j = 1..k of C(M-j+1, 2) against C(M-k+1, 2)"
+    return [
+        _oracle_record(
+            "small-degree-chain", params, chain_lhs, target, chain_lhs >= target, in_hyp, note
+        ),
+        _oracle_record(
+            "small-degree-codim", params, target, 2 * M + 1, target >= 2 * M + 1, in_hyp, ""
+        ),
+    ]
+
+
+def oracle_threshold_equivalences(k, M):
+    """``check_threshold_equivalences`` with every side a Fraction, compared as one."""
+    if k < 2 or M < 7:
+        raise InputError(f"need k >= 2 and M >= 7, got ({k}, {M})")
+    params, in_hyp = {"k": k, "M": M}, M >= 3 * k + 4
+    records = []
+    for case, s, constant, factor, cap, claimed, claimed_note, printed_note in (
+        (
+            "m3", M - 2 + k, 3, 1,
+            Fraction((M - 2) ** 2, 3 * M),
+            Fraction((M - 2) ** 2, 3 * M - 2),
+            "claimed equivalent k <= (M-2)^2/(3M-2)",
+            "[(M-2+k)^2/2k + (M-2+k)/2 - k - M + 3] * 1 >= 2M as printed",
+        ),
+        (
+            "m4", M - 3 + k, 6, 2,
+            Fraction(M - 3),
+            Fraction((M - 3) ** 2, M),
+            "claimed equivalent k <= (M-3)^2/M",
+            "[(M-3+k)^2/2k + (M-3+k)/2 - k - M + 6] * 2 >= 2M as printed",
+        ),
+    ):
+        printed = (Fraction(s * s, 2 * k) + Fraction(s, 2) - k - M + constant) * factor
+        note = (
+            f"largest k satisfying the printed {case} bracket vs the claimed"
+            " equivalent; a difference means the printed inequality and"
+            " its claimed simplification are not equivalent"
+            " (recorded, not adjudicated)"
+        )
+        name = f"threshold-{case}-"
+        records += [
+            _oracle_record(
+                name + "annotation", params, math.floor(cap), math.floor(claimed), True, True, note
+            ),
+            _oracle_record(
+                name + "claimed", params, k, _oracle_side(claimed), k <= claimed, in_hyp,
+                claimed_note,
+            ),
+            _oracle_record(
+                name + "printed", params, _oracle_side(printed), 2 * M, printed >= 2 * M,
+                in_hyp, printed_note,
+            ),
+        ]
+    return records
+
+
+def _fields(records):
+    # NamedTuple equality would take 2 == Fraction(2): compare the types too
+    return [
+        (r.check, r.params, r.lhs, type(r.lhs), r.rhs, type(r.rhs), r.verdict, r.note)
+        for r in records
+    ]
+
+
+def _outcome(check, k, M):
+    try:
+        return _fields(check(k, M))
+    except InputError as exc:
+        return f"InputError: {exc}"
+
+
+_PER_KM_CHECKS = (
+    (check_small_degree_codim, oracle_small_degree_codim),
+    (check_threshold_equivalences, oracle_threshold_equivalences),
+)
+
+
+@pytest.mark.parametrize("descending", [False, True], ids=["ascending-M", "descending-M"])
+def test_per_km_checks_match_the_fraction_oracle(descending):
+    # k 2..30 and M 7..200, inside and outside the hypothesis M >= 3k+4
+    # (and, for the small-degree chain, where C(M-k+1, 2) is refused)
+    Ms = range(200, 6, -1) if descending else range(7, 201)
+    verdicts = Counter()
+    for M in Ms:
+        for k in range(2, 31):
+            for check, oracle in _PER_KM_CHECKS:
+                expected = _outcome(oracle, k, M)
+                assert _outcome(check, k, M) == expected, (check.__name__, k, M)
+                if not isinstance(expected, str):
+                    verdicts.update(field[6] for field in expected)
+    assert verdicts[PASS] and verdicts[OUT_OF_HYPOTHESIS]
+
+
+def test_audit_per_km_records_match_the_fraction_oracle():
+    per_km = {"small-degree-chain", "small-degree-codim"}
+    per_km |= {f"threshold-{case}-{kind}" for case in ("m3", "m4")
+               for kind in ("annotation", "claimed", "printed")}
+    audited = [r for r in audit_records(30, 200, tuple_k_max=1) if r.check in per_km]
+    expected = [
+        r
+        for k in range(2, 31)
+        for M in range(3 * k + 4, 201)
+        for _, oracle in _PER_KM_CHECKS
+        for r in oracle(k, M)
+    ]
+    assert len(audited) == 8 * 4321
+    assert _fields(audited) == _fields(expected)
+
+
+def test_threshold_comparisons_at_their_equality_points():
+    # k <= num/den is compared as k*den <= num, and a bracket B/2k >= 2M as
+    # B >= 2M*2k; where the two sides are equal, each must still hold
+    equal = {}
+    for k in range(2, 31):
+        for M in range(7, 201):
+            for r in check_threshold_equivalences(k, M):
+                if r.lhs == r.rhs and not r.check.endswith("annotation"):
+                    equal.setdefault(r.check, set()).add((k, M))
+                    assert r.verdict == PASS or r.note.endswith(
+                        "evaluates to pass outside the hypothesis range"
+                    )
+    # the m4 bracket is 2M at k = M-3, the claimed m4 bound is k at (4, 9),
+    # and the m3 comparisons have no equality point in the box
+    assert equal == {
+        "threshold-m4-printed": {(M - 3, M) for M in range(7, 34)},
+        "threshold-m4-claimed": {(4, 9)},
+    }
+    for k, M in ((4, 7), (7, 10), (9, 12)):
+        printed = threshold_sides(k, M)["threshold-m4-printed"]
+        assert printed == (2 * M, 2 * M) and type(printed[0]) is int
+    claimed = [r for r in check_threshold_equivalences(4, 9) if r.check == "threshold-m4-claimed"]
+    assert _fields(claimed) == [(
+        "threshold-m4-claimed", {"k": 4, "M": 9}, 4, int, 4, int, OUT_OF_HYPOTHESIS,
+        "claimed equivalent k <= (M-3)^2/M; evaluates to pass outside the hypothesis range",
+    )]
+
+
+# ---------------------------------------------------------------------------
 # audit_range
 # ---------------------------------------------------------------------------
 
@@ -780,6 +944,25 @@ def test_tail_differences_are_ordered_by_value():
         "-3 (1 tuples)",
         "9 (1 tuples)",
         "10 (2 tuples)",
+    ]
+
+
+def test_summary_picks_records_by_check_name():
+    # a difference note counts only on a tail check, a cap only on an annotation check
+    note = "printed closed form 1 differs from the direct bound 0 by 1"
+    records = [
+        CheckRecord("tail-bound-m3", {}, 0, 0, PASS, note),
+        CheckRecord("tail-bound-m5", {}, 0, 0, PASS, note),
+        CheckRecord("square-sum", {}, 0, 0, PASS, note),
+        CheckRecord("threshold-m4-claimed", {"k": 2, "M": 10}, 2, 3, PASS, note),
+        CheckRecord("threshold-m5-annotation", {"k": 2, "M": 10}, 7, 4, PASS),
+        CheckRecord("annotation", {"k": 2, "M": 10}, 7, 4, PASS),
+    ]
+    summary = AuditSummary()
+    list(summary.watch(records))
+    assert summary.verdicts == {PASS: 6}
+    assert summary.discrepancy_notes == [
+        "tail-bound-m3: printed closed-form constant exceeds the direct bound by 1 (1 tuples)"
     ]
 
 
