@@ -23,11 +23,10 @@ _PUBLIC = {
         "is_regular_sequence",
         "projective_codim",
     ),
-    "errors": ("InputError", "ResourceBudgetError", "UnsupportedModeError"),
+    "errors": ("InputError", "ResourceBudgetError"),
     "families": (
         "DegreeTuple",
         "FamilyCertificate",
-        "degree_tuple",
         "enumerate_families",
         "hypertangent_ratio",
         "max_M_for_bound",
@@ -47,7 +46,7 @@ _PUBLIC = {
         "optimize_square_sum",
         "reduction_constants",
     ),
-    "rationals": ("Rational", "binomial", "format_rational", "parse_rational"),
+    "rationals": ("binomial", "format_rational", "parse_rational"),
     "regularity": (
         "IndexSet",
         "PointedCI",

@@ -17,16 +17,15 @@ import functools
 import json
 import os
 import sys
-import warnings
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from .dimension import EXACT, PROBABILISTIC
 from .errors import InputError, ResourceBudgetError
 from .families import (
+    GENERICITY_CAVEAT,
     DegreeTuple,
     FamilyCertificate,
-    degree_tuple,
     enumerate_families,
     remark_families,
     theorem_applicability,
@@ -57,12 +56,11 @@ def _parse_degrees(text: str) -> DegreeTuple:
         values = [int(part) for part in text.split(",") if part.strip() != ""]
     except ValueError as exc:
         raise InputError(f"bad degree list {text!r}") from exc
-    # the sorting notice is one stderr line per call, whatever the filters
-    with warnings.catch_warnings(record=True) as notices:
-        warnings.simplefilter("always")
-        degrees = degree_tuple(values)
-    for notice in notices:
-        print(f"notice: {notice.message}", file=sys.stderr)
+    ordered = sorted(values)
+    degrees = DegreeTuple(tuple(ordered))
+    if ordered != values:
+        notice = f"degrees {values} were not nondecreasing; sorted to {ordered}"
+        print(f"notice: {notice}", file=sys.stderr)
     return degrees
 
 
@@ -90,7 +88,7 @@ def _emit_certificates(certs: List[FamilyCertificate], fmt: str, out) -> None:
                 f" ke={cert.ke_metric} direct_factor={cert.direct_factor}",
                 file=out,
             )
-            print(f"  note: {cert.genericity_caveat}", file=out)
+            print(f"  note: {GENERICITY_CAVEAT}", file=out)
 
 
 def _cmd_classify(args, out) -> int:
@@ -153,7 +151,9 @@ def _cmd_regcheck(args, out) -> int:
     try:
         with open(args.input, "r", encoding="utf-8") as handle:
             data = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # bytes that are not UTF-8, bad JSON, an integer past the digit
+        # limit, or JSON nested past the recursion limit
         raise InputError(f"cannot read {args.input}: {exc}") from exc
     ci = PointedCI.from_json(data)
     report = sampled_regularity_check(

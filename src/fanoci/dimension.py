@@ -76,7 +76,7 @@ It takes the ``trials``, ``seed``, ``extension_degree`` and
 kernel calls it for each unforced prefix j with 5 trials, seed j and the
 default budget, so a prefix's draws do not depend on which other prefixes
 are forced.  Over a field that is not prime the probabilistic kernel
-refuses the sequence before the loop (``UnsupportedModeError``), even when
+refuses the sequence before the loop with an ``InputError``, even when
 every prefix is forced, unless its first form is zero, which ends the loop
 at once.  The linear members are intersected exactly: their coefficient
 rows join the random slicing rows, whose common zeros are one graph over
@@ -95,7 +95,7 @@ from itertools import product
 from random import Random
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import InputError, ResourceBudgetError, UnsupportedModeError
+from .errors import InputError, ResourceBudgetError
 from .fields import Element, FieldSpec, rref
 from .groebner import GroebnerEngine
 from .polynomials import MultiPoly, hyperplane_graph, linear_graph, restrict_to_graph
@@ -223,7 +223,7 @@ def is_regular_sequence(
     elif not fieldspec.is_prime_field and not generators[0].is_zero():
         # the oracle's refusal, made here since a forced prefix never calls
         # the oracle; a zero first form ends the loop before any prefix does
-        raise UnsupportedModeError("probabilistic codimension requires a prime field")
+        raise InputError("probabilistic codimension requires a prime field")
     return _prefix_trace(generators, variables, kernel)
 
 
@@ -407,7 +407,7 @@ def codim_probabilistic(
         )
     fieldspec, variables = _common_ring(generators)
     if not fieldspec.is_prime_field:
-        raise UnsupportedModeError("probabilistic codimension requires a prime field")
+        raise InputError("probabilistic codimension requires a prime field")
     if extension_degree not in (1, 2):
         raise InputError("extension_degree must be 1 or 2")
     n = len(variables)

@@ -10,10 +10,6 @@ class InputError(ValueError):
     """Malformed or out-of-contract input (bad degrees, wrong field, ...)."""
 
 
-class UnsupportedModeError(InputError):
-    """A mode that exists but is not available for the given field."""
-
-
 class ResourceBudgetError(RuntimeError):
     """A computation refused to start or continue because it would exceed
     a configured size budget (Groebner input size, enumeration size, retries).

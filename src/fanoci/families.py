@@ -16,9 +16,10 @@ t3/t4/t5/t6.  Writing dk = d_k and dk1 = d_{k-1}:
     case ii:  dk = 7, dk1 <= 6 and M <= 19
     case iii: k = 2, d = (6, 6), M = 10
 
-The conclusions hold for generic members of the family (carried as a fixed
-caveat on every certificate): ct = 1 yields a Kaehler-Einstein metric and
-direct-factor eligibility; ct > M/(M+1) yields the metric only.
+The conclusions hold for generic members of the family (the fixed
+``GENERICITY_CAVEAT``, printed under every certificate in text): ct = 1
+yields a Kaehler-Einstein metric and direct-factor eligibility;
+ct > M/(M+1) yields the metric only.
 
 The M-caps in cases (i) and (ii) are where the hypertangent ratio
     max(1, 3/4 * dk/(dk-1) * d+/(d+-1)),
@@ -41,9 +42,8 @@ Notes:
 
 from __future__ import annotations
 
-import warnings
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Callable, Iterator, List, NamedTuple, Optional, Tuple
 
 from ._value import Value
 from .errors import InputError
@@ -98,18 +98,6 @@ class DegreeTuple(Value):
         return "(" + ",".join(str(d) for d in self.degrees) + ")"
 
 
-def degree_tuple(values: Iterable[int]) -> DegreeTuple:
-    """Build a DegreeTuple, sorting (with a notice) if given out of order."""
-    values = list(values)
-    ordered = sorted(values)
-    if ordered != values:
-        warnings.warn(
-            f"degrees {values} were not nondecreasing; sorted to {ordered}",
-            stacklevel=2,
-        )
-    return DegreeTuple(tuple(ordered))
-
-
 def hypertangent_ratio(degrees: DegreeTuple) -> Fraction:
     """max(1, 3/4 * dk/(dk-1) * d+/(d+-1)), exactly."""
     dk = degrees.degrees[-1]
@@ -155,7 +143,6 @@ class FamilyCertificate(NamedTuple):
     hypertangent_ratio: Fraction
     ke_metric: str  # yes | unknown
     direct_factor: str  # yes | unknown
-    genericity_caveat: str = GENERICITY_CAVEAT
 
     def to_json(self) -> dict:
         return {

@@ -298,8 +298,14 @@ class _PrimeField(FieldSpec):
                 return [int(v) % p for v in values]
         except ValueError:
             pass
-        bad = next(v for v in values if not _DECIMAL.fullmatch(str(v)))
-        raise InputError(f"bad GF({p}) element: {bad!r}")
+        for v in values:
+            try:
+                if _DECIMAL.fullmatch(str(v)):
+                    int(v)
+                    continue
+            except ValueError:  # more digits than ``int`` converts
+                pass
+            raise InputError(f"bad GF({p}) element: {v!r}")
 
     @property
     def size(self) -> int:
@@ -309,19 +315,15 @@ class _PrimeField(FieldSpec):
         return list(range(self.characteristic))
 
     def random_element(self, rng: Random) -> Element:
-        """Uniform over GF(p), zero included: ``rng.randrange(p)``, inlined."""
-        p = self.characteristic
-        bits = p.bit_length()
-        r = rng.getrandbits(bits)
-        while r >= p:
-            r = rng.getrandbits(bits)
-        return r
+        """Uniform over GF(p), zero included."""
+        return rng.randrange(self.characteristic)
 
     def random_elements(self, rng: Random, count: int) -> List[Element]:
         """``count`` calls of ``random_element``, most of them in one pass.
 
-        Those calls keep the draws of ``getrandbits(p.bit_length())`` that
-        are below p, in stream order, and stop at the count-th one kept.
+        Those calls, ``rng.randrange(p)`` each, keep the draws of
+        ``getrandbits(p.bit_length())`` that are below p, in stream order,
+        and stop at the count-th one kept.
         Making ``count`` draws at once and keeping those below p, then
         drawing one at a time until none is missing, keeps the same draws
         and makes the same calls on ``rng``.

@@ -334,14 +334,6 @@ class MultiPoly(Value):
             e >>= 1
         return result
 
-    def scale(self, value) -> "MultiPoly":
-        value = self.field.coerce(value)
-        return MultiPoly.from_terms(
-            self.field,
-            self.variables,
-            {e: self.field.mul(c, value) for e, c in self.terms.items()},
-        )
-
     # -- the operations used by the dimension and regularity machinery ------
 
     def evaluate(self, point: Sequence[Element]) -> Element:
@@ -556,11 +548,13 @@ def restrict_to_graph(
     sum_j images[i][j] * survivors[j]: each term's survivor exponents go into
     the leaf (a polynomial in the survivors) of its eliminated exponents.
 
-    A variable whose image is zero kills every term that holds it, so those
-    terms are dropped first and the variable is not composed.  Where every
-    image is zero, as on the cut x_n = 0, the drop is the restriction: the
-    kept terms, read at the survivors, are already in grevlex order, since
-    the variables dropped from them are all 0.
+    A variable whose image is zero kills every term that holds it: the
+    groups of eliminated exponents that hold one are dropped, the rest are
+    keyed by the live eliminated variables, and only those are composed.
+    Where every image is zero, as on the cut x_n = 0, the drop is the
+    restriction, made term by term: the terms free of eliminated variables,
+    read at the survivors, are already in grevlex order, since the
+    variables dropped from them are all 0.
     """
     if not images:  # the graph is the whole space
         return list(polys)
@@ -572,35 +566,25 @@ def restrict_to_graph(
     elim_images = [
         {unit: c for unit, c in zip(units, image) if c} for image in images.values()
     ]
-    leaf_key, eliminated = _picker(kept), tuple(images)
+    leaf_key, elim_key = _picker(kept), _picker(tuple(images))
     survivors = leaf_key(variables)
-    if not all(elim_images):
-        zero = _picker(tuple(i for i, image in zip(eliminated, elim_images) if not image))
-        if not any(elim_images):
-            return [
-                MultiPoly(
-                    fieldspec,
-                    survivors,
-                    {leaf_key(e): c for e, c in poly.terms.items() if not any(zero(e))},
-                )
-                for poly in polys
-            ]
-        polys = [
-            MultiPoly(
-                fieldspec, variables, {e: c for e, c in poly.terms.items() if not any(zero(e))}
-            )
-            for poly in polys
-        ]
-        eliminated = tuple(i for i, image in zip(eliminated, elim_images) if image)
-        elim_images = [image for image in elim_images if image]
-    elim_key = _picker(eliminated)
+    live_images, some_dead = elim_images, not all(elim_images)
+    if some_dead:
+        live_images = [image for image in elim_images if image]
+        live_key = _picker(tuple(j for j, image in enumerate(elim_images) if image))
+        dead_key = _picker(tuple(j for j, image in enumerate(elim_images) if not image))
     restricted = []
     for poly in polys:
-        leaves: Dict[Exponents, Dict[Exponents, Element]] = {}
-        for exps, coeff in poly.terms.items():
-            leaves.setdefault(elim_key(exps), {})[leaf_key(exps)] = coeff
-        # the zeros that cancellation left are dropped here, once
-        total = _canonical(_compose(fieldspec, leaves, elim_images))
+        if not live_images:
+            total = {leaf_key(e): c for e, c in poly.terms.items() if not any(elim_key(e))}
+        else:
+            leaves: Dict[Exponents, Dict[Exponents, Element]] = {}
+            for exps, coeff in poly.terms.items():
+                leaves.setdefault(elim_key(exps), {})[leaf_key(exps)] = coeff
+            if some_dead:
+                leaves = {live_key(e): leaf for e, leaf in leaves.items() if not any(dead_key(e))}
+            # the zeros that cancellation left are dropped here, once
+            total = _canonical(_compose(fieldspec, leaves, live_images))
         restricted.append(MultiPoly(fieldspec, survivors, total))
     return restricted
 

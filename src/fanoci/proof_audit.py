@@ -421,14 +421,6 @@ def _bracket_m3(k: int, M: int) -> int:
     return s * s + k * s + 2 * k * (3 - k - M)
 
 
-def _printed_bracket_m4(k: int, M: int) -> Exact:
-    return _exact(_bracket_m4(k, M), 2 * k)
-
-
-def _printed_bracket_m3(k: int, M: int) -> Exact:
-    return _exact(_bracket_m3(k, M), 2 * k)
-
-
 # per case of the threshold checks: the check names of its annotation,
 # claimed and printed records, then their notes
 _THRESHOLD_CASES = tuple(

@@ -19,9 +19,6 @@ from fractions import Fraction
 
 from .errors import InputError
 
-# Canonical exact rational type used across the package.
-Rational = Fraction
-
 # The "num/den" grammar: ASCII digits only, the sign on the numerator.
 _LITERAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
@@ -48,5 +45,5 @@ def parse_rational(text: str) -> Fraction:
         raise InputError(f"not a rational literal: {text!r}")
     try:
         return Fraction(text)
-    except ZeroDivisionError as exc:
+    except (ZeroDivisionError, ValueError) as exc:  # a zero denominator, too many digits
         raise InputError(f"not a rational literal: {text!r}") from exc

@@ -56,9 +56,9 @@ restricted or drawn: its kernel sees M+k variables, or M-1 with
 that sequence.  ``fanoci randomci`` applies the same rule before it draws
 an instance.  The probabilistic kernel has no variable budget.
 
-A full check over all admissible l is impossible; ``sampled_regularity_check``
-draws a fixed number of random forms and reports the conjunction, labelled
-as sampled evidence.  Failure of regularity is a closed condition on the
+The check samples: ``sampled_regularity_check`` draws a fixed number of
+random admissible forms and reports the conjunction, labelled as sampled
+evidence.  Failure of regularity is a closed condition on the
 k-dimensional family of forms with a common restriction to T_oV, which is
 what makes random sampling meaningful.
 
@@ -410,7 +410,6 @@ def regularity_check(
     linear_form: MultiPoly,
     *,
     reduce: bool = False,
-    kernel: str = EXACT,
     max_variables: int = DEFAULT_MAX_VARIABLES,
 ) -> RegularityReport:
     """Decide regularity of ``ci`` at the origin for one linear form.
@@ -426,26 +425,22 @@ def regularity_check(
     of all k+1 forms.  The verdict is the same either way; the trace then
     refers to the shortened sequence.
 
-    The exact kernel first refuses a check beyond ``max_variables``
-    (``check_budget``).  Without ``reduce`` it then decides the reduced
-    sequence: forms of positive degree are regular iff their ideal has
-    height r, and the quotient by the k+1 independent linear members is a
-    polynomial ring with every height lower by k+1, so the two verdicts
-    agree.  A regular one gives the trace (1, ..., M + k - 1); an irregular
-    one runs ``is_regular_sequence`` on ``assemble_sequence(ci, l)`` for the
-    trace and the failing prefix.  The probabilistic kernel runs on the
-    unreduced sequence as it stands.
-
-    ``kernel`` picks the exact or the probabilistic kernel and
-    ``max_variables`` is the exact kernel's variable budget.
+    The exact kernel decides the check (``sampled_regularity_check`` also
+    runs the probabilistic one), and first refuses a check beyond
+    ``max_variables`` (``check_budget``).  Without ``reduce`` it then
+    decides the reduced sequence: forms of positive degree are regular iff
+    their ideal has height r, and the quotient by the k+1 independent
+    linear members is a polynomial ring with every height lower by k+1, so
+    the two verdicts agree.  A regular one gives the trace
+    (1, ..., M + k - 1); an irregular one runs ``is_regular_sequence`` on
+    ``assemble_sequence(ci, l)`` for the trace and the failing prefix.
     """
     tangent = ci.tangent()
     if tangent.is_singular:
         return _singular_report(ci, linear_form)
     tangent_row = _validate_linear_form(ci, linear_form, tangent)
-    if kernel == EXACT:
-        check_budget(ci.degrees, reduce, max_variables=max_variables)
-    return _checked_form_report(ci, linear_form, tangent_row, reduce, kernel, max_variables)
+    check_budget(ci.degrees, reduce, max_variables=max_variables)
+    return _checked_form_report(ci, linear_form, tangent_row, reduce, EXACT, max_variables)
 
 
 def _checked_form_report(

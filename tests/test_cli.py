@@ -565,6 +565,36 @@ def test_regcheck_malformed_input_exit_2(tmp_path):
     assert code == 2
 
 
+def _instance_with_a_long_coefficient(field):
+    # a coefficient string of 4,400 digits, past Python's integer digit limit
+    ci = random_complete_intersection(DegreeTuple((2, 3)), FieldSpec.prime(5), seed=0)
+    data = ci.to_json()
+    data["field"] = field
+    for equation in data["equations"]:
+        equation["field"] = field
+    data["equations"][0]["terms"][0]["coeff"] = "1" + "0" * 4400
+    return json.dumps(data).encode()
+
+
+BAD_INPUT_FILES = {
+    "not-utf-8": b'{"degrees": [2, 3], "field": "gf:5\xff"}',
+    "nested-past-the-recursion-limit": b"[" * 100_000 + b"]" * 100_000,
+    "integer-literal-past-the-digit-limit": b'{"degrees": [' + b"1" * 4400 + b", 3]}",
+    "rational-coefficient-past-the-digit-limit": _instance_with_a_long_coefficient("rational"),
+    "prime-field-coefficient-past-the-digit-limit": _instance_with_a_long_coefficient("gf:5"),
+}
+
+
+@pytest.mark.parametrize("content", BAD_INPUT_FILES.values(), ids=BAD_INPUT_FILES.keys())
+def test_regcheck_unreadable_input_is_an_input_error(tmp_path, capsys, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    code, output = invoke(["regcheck", "--input", str(path)])
+    err = capsys.readouterr().err
+    assert (code, output) == (2, "")
+    assert err.startswith("input error:") and "Traceback" not in err
+
+
 def test_randomci_statistics_schema():
     code, output = invoke(
         [

@@ -19,7 +19,7 @@ from fanoci.dimension import (
     is_regular_sequence,
     projective_codim,
 )
-from fanoci.errors import InputError, ResourceBudgetError, UnsupportedModeError
+from fanoci.errors import InputError, ResourceBudgetError
 from fanoci.fields import FieldSpec
 from fanoci.families import DegreeTuple
 from fanoci.groebner import (
@@ -551,7 +551,7 @@ def test_lone_form_builds_no_engine(engine_sizes):
 )
 def test_probabilistic_kernel_refuses_the_rationals_even_when_forced(make):
     x, y, z = fv(field=Q)
-    with pytest.raises(UnsupportedModeError, match="requires a prime field"):
+    with pytest.raises(InputError, match="requires a prime field"):
         is_regular_sequence(make(x, y), kernel=PROBABILISTIC)
 
 
@@ -583,7 +583,7 @@ def test_probabilistic_empty_list():
 
 def test_probabilistic_rejects_rationals():
     x = MultiPoly.variable(Q, V3, "x")
-    with pytest.raises(UnsupportedModeError):
+    with pytest.raises(InputError, match="requires a prime field"):
         codim_probabilistic([x], trials=2, seed=0)
 
 

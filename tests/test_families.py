@@ -1,4 +1,3 @@
-import warnings
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -10,7 +9,6 @@ from fanoci.families import (
     CT_EXCEEDS,
     CT_NONE,
     DegreeTuple,
-    degree_tuple,
     enumerate_families,
     hypertangent_ratio,
     max_M_for_bound,
@@ -49,14 +47,6 @@ def test_degree_tuple_validation():
         DegreeTuple((1, 2))
     with pytest.raises(InputError):
         DegreeTuple((3, 2))
-
-
-def test_degree_tuple_sorts_with_notice():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        dt = degree_tuple([7, 2, 5])
-    assert dt.degrees == (2, 5, 7)
-    assert len(caught) == 1 and "sorted" in str(caught[0].message)
 
 
 def test_fano_dimension_examples():

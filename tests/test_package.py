@@ -45,11 +45,10 @@ PUBLIC = {
         "is_regular_sequence",
         "projective_codim",
     ),
-    "errors": ("InputError", "ResourceBudgetError", "UnsupportedModeError"),
+    "errors": ("InputError", "ResourceBudgetError"),
     "families": (
         "DegreeTuple",
         "FamilyCertificate",
-        "degree_tuple",
         "enumerate_families",
         "hypertangent_ratio",
         "max_M_for_bound",
@@ -69,7 +68,7 @@ PUBLIC = {
         "optimize_square_sum",
         "reduction_constants",
     ),
-    "rationals": ("Rational", "binomial", "format_rational", "parse_rational"),
+    "rationals": ("binomial", "format_rational", "parse_rational"),
     "regularity": (
         "IndexSet",
         "PointedCI",
@@ -195,9 +194,7 @@ VALUE_TYPES = [
         True,
         "FamilyCertificate(degrees=DegreeTuple(degrees=(2, 3)), t3=False, t4_case='none',"
         " t5=False, t6_case='none', ct_conclusion='none', hypertangent_ratio=Fraction(9, 4),"
-        " ke_metric='unknown', direct_factor='unknown', genericity_caveat='conclusions hold"
-        " for generic members of the family (regularity in the sense of the genericity"
-        " condition)')",
+        " ke_metric='unknown', direct_factor='unknown')",
     ),
     (
         "CodimResult",

@@ -216,7 +216,7 @@ def _substitute_by_power_tables(f, images):
     powers = [[one] for _ in images]  # powers[i][e] = images[i]^e
     total = MultiPoly.zero(field, variables)
     for exps, coeff in f.terms.items():
-        term = one.scale(coeff)
+        term = one * coeff
         for image, table, e in zip(images, powers, exps):
             while len(table) <= e:
                 table.append(table[-1] * image)

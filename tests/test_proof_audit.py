@@ -17,8 +17,9 @@ from fanoci.proof_audit import (
     AuditReport,
     AuditSummary,
     CheckRecord,
-    _printed_bracket_m3,
-    _printed_bracket_m4,
+    _bracket_m3,
+    _bracket_m4,
+    _exact,
     _tail_block_passes,
     _tail_cases,
     _tuple_count,
@@ -553,12 +554,12 @@ def test_threshold_derived_caps_are_the_largest_k_on_the_printed_brackets():
     for M in range(7, 301):
         sides = threshold_sides(2, M)
         for bracket, (cap, _) in (
-            (_printed_bracket_m4, sides["threshold-m4-annotation"]),
-            (_printed_bracket_m3, sides["threshold-m3-annotation"]),
+            (_bracket_m4, sides["threshold-m4-annotation"]),
+            (_bracket_m3, sides["threshold-m3-annotation"]),
         ):
             assert cap >= 1
-            assert bracket(cap, M) >= 2 * M
-            assert bracket(cap + 1, M) < 2 * M
+            assert _exact(bracket(cap, M), 2 * cap) >= 2 * M
+            assert _exact(bracket(cap + 1, M), 2 * (cap + 1)) < 2 * M
 
 
 def test_printed_brackets_are_the_printed_expressions():
@@ -569,8 +570,8 @@ def test_printed_brackets_are_the_printed_expressions():
             m4 = (Fraction(s4 * s4, 2 * k) + Fraction(s4, 2) - k - M + 6) * 2
             m3 = Fraction(s3 * s3, 2 * k) + Fraction(s3, 2) - k - M + 3
             for value, expected in (
-                (_printed_bracket_m4(k, M), m4),
-                (_printed_bracket_m3(k, M), m3),
+                (_exact(_bracket_m4(k, M), 2 * k), m4),
+                (_exact(_bracket_m3(k, M), 2 * k), m3),
             ):
                 assert value == expected
                 assert type(value) is (int if expected.denominator == 1 else Fraction)

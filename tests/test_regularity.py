@@ -403,7 +403,7 @@ def test_tangent_shift_preserves_regular_verdict():
     parts = [ci.part(1, 1), ci.part(2, 1)]
     rng = Random(0)
     for _ in range(4):
-        shift = parts[0].scale(rng.randrange(1, 7)) + parts[1].scale(rng.randrange(7))
+        shift = parts[0] * rng.randrange(1, 7) + parts[1] * rng.randrange(7)
         report = regularity_check(ci, ell + shift)
         assert report.is_regular
 
