@@ -65,7 +65,7 @@ form, or linear forms only) skips it, since the uncut loop builds no
 engine for it.  (``regularity`` eliminates the linear members of a
 regularity check itself and decides an unreduced check by its reduced
 sequence; only an irregular unreduced check brings its linear members
-here, for its trace, and then the cut cannot certify it.)
+here, to ``_prefix_trace`` alone, for its trace.)
 
 The probabilistic oracle, ``codim_probabilistic``, estimates the cone
 dimension by slicing with random linear subspaces over GF(p^e), e <= 2,

@@ -72,7 +72,6 @@ class DegreeTuple(Value):
             raise InputError(f"degrees must be integers >= 2, got {d}")
         if any(d[i] > d[i + 1] for i in range(len(d) - 1)):
             raise InputError(f"degrees must be nondecreasing, got {d}")
-        assert self.M == sum(d) - self.k and self.ambient == sum(d)
 
     @property
     def k(self) -> int:
@@ -90,9 +89,6 @@ class DegreeTuple(Value):
     def d_plus(self) -> int:
         d = self.degrees
         return d[-1] if d[-2] == d[-1] else d[-1] - 1
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.degrees)
 
     def __str__(self) -> str:
         return "(" + ",".join(str(d) for d in self.degrees) + ")"

@@ -39,7 +39,7 @@ from typing import List, Sequence, Tuple, Union
 
 from ._value import Value
 from .errors import InputError
-from .rationals import format_rational, parse_rational
+from .rationals import parse_rational
 
 Element = Union[Fraction, int]
 
@@ -224,8 +224,8 @@ class _Rationals(FieldSpec):
         return Fraction(1)
 
     def coerce(self, value) -> Element:
-        """Normalize an int/Fraction into a canonical field element."""
-        if isinstance(value, (int, Fraction)):
+        """Normalize an int/Fraction, not a bool, into a canonical field element."""
+        if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
             return Fraction(value)
         raise InputError(f"cannot coerce {value!r} into the rational field")
 
@@ -245,9 +245,6 @@ class _Rationals(FieldSpec):
         if not a:
             raise ZeroDivisionError("inverse of zero field element")
         return 1 / Fraction(a)
-
-    def format_element(self, a: Element) -> str:
-        return format_rational(a)
 
     def _parse(self, values: Sequence) -> List[Element]:
         return [parse_rational(v) if isinstance(v, str) else Fraction(v) for v in values]
@@ -401,18 +398,9 @@ class _QuadraticField(FieldSpec):
         return [a + b * p for a in range(p) for b in range(p)]
 
     def random_element(self, rng: Random) -> Element:
-        """Uniform: the real part is drawn first, then the t-coefficient, each
-        as ``rng.randrange(p)`` (inlined) would draw it."""
+        """Uniform: the real part is drawn first, then the t-coefficient."""
         p = self.characteristic
-        bits = p.bit_length()
-        getrandbits = rng.getrandbits
-        a = getrandbits(bits)
-        while a >= p:
-            a = getrandbits(bits)
-        b = getrandbits(bits)
-        while b >= p:
-            b = getrandbits(bits)
-        return a + b * p
+        return rng.randrange(p) + rng.randrange(p) * p
 
 
 # ---------------------------------------------------------------------------

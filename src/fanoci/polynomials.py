@@ -58,39 +58,45 @@ def _descending(exponents: Iterable[Exponents]) -> List[Exponents]:
     return order
 
 
-def _normalize(
-    fieldspec: FieldSpec, variables: Tuple[str, ...], terms: Mapping[Exponents, Element]
-) -> Dict[Exponents, Element]:
-    n = len(variables)
-    coerce, add = fieldspec.coerce, fieldspec.add
-    out: Dict[Exponents, Element] = {}
-    for exps, coeff in terms.items():
-        exps = tuple(exps)
+def _check_variables(variables: Sequence[str]) -> Tuple[str, ...]:
+    """``variables`` as a tuple; raise ``InputError`` unless each is a string
+    and no two are alike."""
+    names = tuple(variables)
+    try:
+        # a TypeError unless each name is a string; one C loop, since
+        # ``linear`` runs this once per sampled form
+        "".join(names)
+    except TypeError as exc:
+        raise InputError(f"variables must be a list of names, got {variables!r}") from exc
+    if len(set(names)) != len(names):
+        raise InputError(f"duplicate variable names in {names}")
+    return names
+
+
+def _check_exponents(exponents: Sequence, n: int) -> None:
+    """Raise ``InputError`` unless each of ``exponents`` is an exponent vector
+    of length n: a list (decoded JSON) or a tuple of nonnegative integers.
+
+    The vectors are checked all at once, the entries' types and signs in one
+    walk; when that fails, the first offending vector is named.
+    """
+    if (
+        all(map(isinstance, exponents, repeat((list, tuple))))
+        and not {*map(len, exponents)} - {n}
+        # the offending entries, as a list: ``any`` would miss a False.  bool
+        # is a subclass of int, and JSON true is no exponent
+        and not [e for exps in exponents for e in exps if type(e) is not int or e < 0]
+    ):
+        return
+    for exps in exponents:
+        if not isinstance(exps, (list, tuple)) or not all(type(e) is int for e in exps):
+            raise InputError(f"exponents must be a list of integers, got {exps!r}")
         if len(exps) != n:
             raise InputError(
-                f"exponent vector {exps} has length {len(exps)}, expected {n}"
+                f"exponent vector {tuple(exps)} has length {len(exps)}, expected {n}"
             )
-        if exps and min(exps) < 0:
-            raise InputError(f"negative exponent in {exps}")
-        value = coerce(coeff)
-        out[exps] = add(out[exps], value) if exps in out else value
-    return _canonical(out)
-
-
-def _check_exponents(exps, n: int) -> None:
-    """Raise ``InputError`` unless ``exps`` is an exponent vector of length n.
-
-    A vector is a list (decoded JSON) or a tuple (a ``to_json`` value).
-    """
-    # bool is a subclass of int, and JSON true is no exponent
-    if not isinstance(exps, (list, tuple)) or not all(type(e) is int for e in exps):
-        raise InputError(f"exponents must be a list of integers, got {exps!r}")
-    if len(exps) != n:
-        raise InputError(
-            f"exponent vector {tuple(exps)} has length {len(exps)}, expected {n}"
-        )
-    if min(exps, default=0) < 0:
-        raise InputError(f"negative exponent in {tuple(exps)}")
+        if min(exps, default=0) < 0:
+            raise InputError(f"negative exponent in {tuple(exps)}")
 
 
 def _canonical(terms: Mapping[Exponents, Element]) -> Dict[Exponents, Element]:
@@ -207,12 +213,14 @@ class MultiPoly(Value):
         variables: Sequence[str],
         terms: Mapping[Exponents, Element] | Iterable[Tuple[Exponents, Element]],
     ) -> "MultiPoly":
-        variables = tuple(variables)
-        if len(set(variables)) != len(variables):
-            raise InputError(f"duplicate variable names in {variables}")
+        """The polynomial with ``terms``, made canonical; its variables and
+        exponent vectors are checked as ``from_json`` checks them."""
+        variables = _check_variables(variables)
         if not isinstance(terms, Mapping):
             terms = dict(terms)
-        return cls(fieldspec, variables, _normalize(fieldspec, variables, terms))
+        _check_exponents(list(terms), len(variables))
+        coerce = fieldspec.coerce
+        return cls(fieldspec, variables, _canonical({e: coerce(c) for e, c in terms.items()}))
 
     @classmethod
     def zero(cls, fieldspec: FieldSpec, variables: Sequence[str]) -> "MultiPoly":
@@ -240,10 +248,8 @@ class MultiPoly(Value):
         cls, fieldspec: FieldSpec, variables: Sequence[str], row: Sequence[Element]
     ) -> "MultiPoly":
         """The linear form sum_i row[i] * variables[i]."""
-        variables = tuple(variables)
+        variables = _check_variables(variables)
         n = len(variables)
-        if len(set(variables)) != n:
-            raise InputError(f"duplicate variable names in {variables}")
         if len(row) != n:
             raise InputError(f"coefficient row has length {len(row)}, expected {n}")
         # the unit monomials run grevlex-descending from the first variable to
@@ -279,9 +285,6 @@ class MultiPoly(Value):
 
     def __bool__(self) -> bool:
         return bool(self.terms)
-
-    def __iter__(self) -> Iterator[Tuple[Exponents, Element]]:
-        return iter(self.terms.items())
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -384,11 +387,10 @@ class MultiPoly(Value):
         The eliminated variable is the highest-index variable carried by
         ``linear``; the result lives in the remaining variables.
         """
-        linear = self._coerce_operand(linear)
-        if linear.is_zero() or not linear.is_homogeneous() or linear.total_degree() != 1:
+        row = self._coerce_operand(linear).linear_row()
+        if not any(row):
             raise InputError("restriction requires a nonzero homogeneous linear form")
-        graph = hyperplane_graph(linear.linear_row(), self.field)
-        return restrict_to_graph([self], *graph)[0]
+        return restrict_to_graph([self], *hyperplane_graph(row, self.field))[0]
 
     # -- serialization -------------------------------------------------------
 
@@ -412,13 +414,9 @@ class MultiPoly(Value):
             raw_terms = data["terms"]
         except (KeyError, TypeError) as exc:
             raise InputError(f"malformed polynomial JSON: {exc}") from exc
-        if not isinstance(variables, list) or not all(
-            isinstance(v, str) for v in variables
-        ):
+        if not isinstance(variables, list):
             raise InputError(f"variables must be a list of names, got {variables!r}")
-        variables = tuple(variables)
-        if len(set(variables)) != len(variables):
-            raise InputError(f"duplicate variable names in {variables}")
+        variables = _check_variables(variables)
         try:
             entries = list(raw_terms)
         except TypeError as exc:
@@ -435,18 +433,7 @@ class MultiPoly(Value):
                     raise InputError(f"malformed polynomial term: {entry!r}") from exc
             raise
         coeffs = fieldspec.parse_elements(coeffs)
-        # each check looks at every term at once, the entries' types and
-        # signs in one walk; when one fails, the first offending term is
-        # looked up to name it
-        n = len(variables)
-        if (
-            not all(map(isinstance, exponents, repeat((list, tuple))))
-            or {*map(len, exponents)} - {n}
-            # the offending entries, as a list: ``any`` would miss a False
-            or [e for exps in exponents for e in exps if type(e) is not int or e < 0]
-        ):
-            for exps in exponents:
-                _check_exponents(exps, n)
+        _check_exponents(exponents, len(variables))
         keys = list(map(tuple, exponents))
         terms = dict(zip(keys, coeffs))
         if len(terms) != len(keys):
@@ -643,9 +630,7 @@ def random_poly(
     """
     if degree < 0:
         raise InputError("degree must be nonnegative")
-    variables = tuple(variables)
-    if len(set(variables)) != len(variables):
-        raise InputError(f"duplicate variable names in {variables}")
+    variables = _check_variables(variables)
     n = len(variables)
     if homogeneous:
         monomials = list(monomials_of_degree(n, degree))

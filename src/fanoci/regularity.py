@@ -45,9 +45,9 @@ quotient by r' independent linear forms is a polynomial ring with every
 height lower by r' (Matsumura, *Commutative Ring Theory*, Thm 16.3;
 Bruns-Herzog, Prop. 1.5.12).  So the unreduced sequence is regular, with
 trace (1, ..., M+k-1), exactly when the reduced one is; when it is not,
-``dimension.is_regular_sequence`` on the unreduced sequence gives the
-trace and the failing prefix (its certificate on the cut is one-sided and
-cannot pass, so that is the uncut loop's result).  The probabilistic
+the uncut prefix loop (``dimension._prefix_trace``) traces the unreduced
+sequence for its trace and failing prefix, with no certificate on the cut
+first: that one is one-sided, so it cannot pass.  The probabilistic
 kernel checks the unreduced sequence as it stands.
 
 An exact check is refused once, by ``check_budget``, before anything is
@@ -82,6 +82,7 @@ from .dimension import (
     DEFAULT_MAX_VARIABLES,
     EXACT,
     RegularSequenceResult,
+    _prefix_trace,
     check_exact_budget,
     is_regular_sequence,
 )
@@ -254,7 +255,7 @@ class PointedCI(Value):
         return tuple(f.homogeneous_components() for f in self.equations)
 
     @cached_property
-    def _tangent(self) -> TangentSpace:
+    def tangent(self) -> TangentSpace:
         return tangent_space([self.part(i, 1) for i in range(1, self.degrees.k + 1)])
 
     @cached_property
@@ -266,7 +267,7 @@ class PointedCI(Value):
     def _tail_on_tangent(self) -> Tuple[MultiPoly, ...]:
         # the members q_{i,j}, j >= 2, in (i, j) order, on the graph of T_oV,
         # up to and including the first zero one: the prefix loop stops there
-        tangent = self.tangent()
+        tangent = self.tangent
         tail = [self.part(i, j) for i, j in self.index_pairs if j >= 2]
         zero = next((t for t, g in enumerate(tail) if g.is_zero()), len(tail))
         return tuple(restrict_to_graph(tail[: zero + 1], tangent.kept, tangent.images))
@@ -275,9 +276,6 @@ class PointedCI(Value):
         """Homogeneous degree-j part of f_i (1-based i); may be zero."""
         parts = self._parts[i - 1]
         return parts[j] if j in parts else MultiPoly(self.field, self.variables)
-
-    def tangent(self) -> TangentSpace:
-        return self._tangent
 
     def reduced_sequence(self, tangent_row: Sequence[Element]) -> List[MultiPoly]:
         """The members of degree >= 2 restricted to T_oV ∩ {l = 0}, up to
@@ -302,7 +300,7 @@ class PointedCI(Value):
 
     @property
     def is_smooth_at_origin(self) -> bool:
-        return not self.tangent().is_singular
+        return not self.tangent.is_singular
 
     def to_json(self) -> dict:
         return {
@@ -379,11 +377,10 @@ def _validate_linear_form(
     """Check l and return its row on the tangent space."""
     if linear_form.field != ci.field or linear_form.variables != ci.variables:
         raise InputError("linear form must live in the ambient ring")
-    if linear_form.is_zero() or linear_form.total_degree() != 1 or not linear_form.is_homogeneous():
+    row = linear_form.linear_row()
+    if not any(row):
         raise InputError("l must be a nonzero homogeneous linear form")
-    tangent_row = restrict_row(
-        linear_form.linear_row(), tangent.kept, tangent.images, ci.field
-    )
+    tangent_row = restrict_row(row, tangent.kept, tangent.images, ci.field)
     if not any(tangent_row):
         raise InputError(
             "l vanishes identically on the tangent space at the origin; "
@@ -432,10 +429,11 @@ def regularity_check(
     their ideal has height r, and the quotient by the k+1 independent
     linear members is a polynomial ring with every height lower by k+1, so
     the two verdicts agree.  A regular one gives the trace
-    (1, ..., M + k - 1); an irregular one runs ``is_regular_sequence`` on
-    ``assemble_sequence(ci, l)`` for the trace and the failing prefix.
+    (1, ..., M + k - 1); an irregular one is traced by the uncut prefix
+    loop on ``assemble_sequence(ci, l)`` for the trace and the failing
+    prefix, since the cut certificate cannot pass on it.
     """
-    tangent = ci.tangent()
+    tangent = ci.tangent
     if tangent.is_singular:
         return _singular_report(ci, linear_form)
     tangent_row = _validate_linear_form(ci, linear_form, tangent)
@@ -459,17 +457,19 @@ def _checked_form_report(
         result = is_regular_sequence(
             ci.reduced_sequence(tangent_row), kernel=kernel, max_variables=max_variables
         )
-    elif kernel == EXACT and is_regular_sequence(
+    elif kernel != EXACT:
+        result = is_regular_sequence(
+            assemble_sequence(ci, linear_form), kernel=kernel, max_variables=max_variables
+        )
+    elif is_regular_sequence(
         ci.reduced_sequence(tangent_row), max_variables=max_variables
     ).is_regular:
         # the reduced sequence decides the unreduced one (module docstring)
         result = RegularSequenceResult(True, tuple(range(1, length + 1)))
     else:
-        # the probabilistic kernel's sequence, or an irregular exact one,
-        # which the cut cannot certify, for its trace
-        result = is_regular_sequence(
-            assemble_sequence(ci, linear_form), kernel=kernel, max_variables=max_variables
-        )
+        # an irregular one, for its trace: the cut cannot certify it, so the
+        # uncut loop runs on it directly
+        result = _prefix_trace(assemble_sequence(ci, linear_form), ci.variables, EXACT)
     return RegularityReport(
         REGULAR if result.is_regular else IRREGULAR,
         result.trace,
@@ -551,7 +551,7 @@ def sampled_regularity_check(
     """
     if samples < 1:
         raise InputError("samples must be >= 1")
-    tangent = ci.tangent()
+    tangent = ci.tangent
     if tangent.is_singular:
         return SampledRegularityReport((_singular_report(ci, None),), samples)
     if kernel == EXACT:

@@ -554,6 +554,66 @@ def test_regcheck_irregular_exit_1(tmp_path):
     assert code == 1
 
 
+def _singular_instance(tmp_path):
+    # a (2,3) instance over GF(3) whose linear parts z1 + z2 and 2*z1 + 2*z2
+    # are dependent, so it is singular at the origin
+    from fanoci.polynomials import MultiPoly
+    from fanoci.regularity import PointedCI, ambient_variables
+
+    field = FieldSpec.prime(3)
+    names = ambient_variables(5)
+    z = [MultiPoly.variable(field, names, n) for n in names]
+    f1 = z[0] + z[1] + z[2] ** 2
+    f2 = 2 * z[0] + 2 * z[1] + z[3] ** 3 + z[0] * z[4]
+    path = tmp_path / "singular.json"
+    path.write_text(json.dumps(PointedCI(DegreeTuple((2, 3)), field, (f1, f2)).to_json()))
+    return path
+
+
+# the stdout of every regcheck of the singular instance: one report, however
+# many forms were asked for, and "reduced": false with --reduce too
+SINGULAR_OUTPUTS = {
+    "json": """{
+  "note": "sampled evidence: the conjunction over randomly drawn linear forms, not a proof over all of them",
+  "reports": [
+    {
+      "note": "dependent linear parts: the intersection is singular at the origin",
+      "reduced": false,
+      "target_codim": 4,
+      "trace": [],
+      "verdict": "singular-at-point"
+    }
+  ],
+  "samples": 8,
+  "verdict": "singular-at-point"
+}
+""",
+    "text": """verdict: singular-at-point (over 8 sampled forms)
+  sample 0: singular-at-point trace=[]
+""",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(SINGULAR_OUTPUTS))
+@pytest.mark.parametrize(
+    "extra",
+    [[], ["--reduce"], ["--mode", "probabilistic"]],
+    ids=["exact", "reduce", "probabilistic"],
+)
+def test_regcheck_singular_instance_exit_1(tmp_path, capsys, fmt, extra):
+    path = _singular_instance(tmp_path)
+    code, output = invoke(["regcheck", "--input", str(path), "--format", fmt, *extra])
+    assert (code, output) == (1, SINGULAR_OUTPUTS[fmt])
+    assert capsys.readouterr().err == ""
+
+
+def test_regcheck_zero_samples_exit_2(tmp_path, capsys):
+    path = _singular_instance(tmp_path)
+    code, output = invoke(["regcheck", "--input", str(path), "--samples", "0"])
+    assert (code, output) == (2, "")
+    assert capsys.readouterr().err == "input error: samples must be >= 1\n"
+
+
 def test_regcheck_malformed_input_exit_2(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

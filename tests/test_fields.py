@@ -84,8 +84,8 @@ def test_prime_field_tags_are_accepted(p):
 @pytest.mark.parametrize("p", [2, 3, 5, 101, 32003])
 @pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3])
 def test_random_elements_are_the_randrange_draws(p, seed):
-    # the draws are inlined, so they must stay those of ``randrange(p)`` for
-    # every seeded instance, sampled form and slice to keep its value
+    # every seeded instance, sampled form and slice keeps its value only
+    # while the draws are those of ``randrange(p)``
     expected, ours = Random(seed), Random(seed)
     prime, quadratic = FieldSpec.prime(p), FieldSpec.quadratic(p)
     for _ in range(200):

@@ -310,7 +310,7 @@ def test_numerator_counts_and_dimension_match_the_references(case):
 def reduced_m6_sequence():
     """The forms a reduced regularity check feeds the kernel: (4,4), M = 6."""
     ci = random_complete_intersection(DegreeTuple((4, 4)), FieldSpec.prime(32003), seed=0)
-    form, _ = _random_admissible_form(ci, Random(0), ci.tangent())
+    form, _ = _random_admissible_form(ci, Random(0), ci.tangent)
     tail = [ci.part(i, j) for i, j in sorted(index_set(ci.degrees).pairs) if j >= 2]
     rows = [g.linear_row() for g in (form, ci.part(1, 1), ci.part(2, 1))]
     return restrict_to_graph(tail, *linear_graph(rows, ci.field, len(ci.variables)))
@@ -336,7 +336,7 @@ def rung_m7_cut_sequence():
         DegreeTuple(degrees), FieldSpec.prime(32003),
         seed=Random(f"1/{degrees}").getrandbits(32),
     )
-    _, row = _random_admissible_form(ci, Random(0), ci.tangent())
+    _, row = _random_admissible_form(ci, Random(0), ci.tangent)
     forms = ci.reduced_sequence(row)
     unit_row = [0] * (len(forms[0].variables) - 1) + [1]
     cut = restrict_to_graph(forms, *hyperplane_graph(unit_row, ci.field))
@@ -423,7 +423,7 @@ def seeded_reduced_sequences():
     for p, degrees, seed in boxes:
         ci = random_complete_intersection(DegreeTuple(degrees), FieldSpec.prime(p), seed=seed)
         if ci.is_smooth_at_origin:
-            _, row = _random_admissible_form(ci, Random(seed), ci.tangent())
+            _, row = _random_admissible_form(ci, Random(seed), ci.tangent)
             name = f"seeded-gf{p}-{'-'.join(map(str, degrees))}-{seed}"
             yield pytest.param(ci.reduced_sequence(row), id=name)
 

@@ -682,6 +682,66 @@ def test_json_names_the_offending_term(entry, message, tag):
         MultiPoly.from_json(data)
 
 
+# --- one input contract: the in-memory constructors check what from_json does
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda names: MultiPoly.from_terms(F5, names, {}),
+        lambda names: MultiPoly.linear(F5, names, [1, 2]),
+        lambda names: random_poly(2, names, F5),
+    ],
+    ids=["from_terms", "linear", "random_poly"],
+)
+def test_constructors_refuse_a_name_that_is_not_a_string(build):
+    with pytest.raises(InputError, match="variables must be a list of names"):
+        build(("x", 1))
+    with pytest.raises(InputError, match="duplicate variable names"):
+        build(("x", "x"))
+
+
+@pytest.mark.parametrize("exps", [(1.5,), (1.0,), (True,)])
+def test_from_terms_refuses_an_exponent_that_is_not_an_integer(exps):
+    with pytest.raises(InputError, match="list of integers"):
+        MultiPoly.from_terms(F5, ("x",), {exps: 1})
+
+
+def test_the_rationals_refuse_a_bool():
+    with pytest.raises(InputError):
+        FieldSpec.rationals().coerce(True)
+    with pytest.raises(InputError):
+        MultiPoly.constant(Q, ("x",), False)
+
+
+@st.composite
+def _from_terms_input(draw):
+    n = draw(st.integers(min_value=0, max_value=3))
+    name = st.one_of(st.text(max_size=2), st.integers(0, 2))
+    names = draw(st.lists(name, min_size=n, max_size=n))
+    entry = st.one_of(st.integers(-1, 3), st.booleans(), st.sampled_from([1.5, 2.0]))
+    field = draw(st.sampled_from([F5, Q]))
+    coeff = st.one_of(st.integers(-7, 7), st.booleans(), st.fractions(max_denominator=5))
+    terms = draw(
+        st.dictionaries(st.lists(entry, min_size=n, max_size=n + 1).map(tuple), coeff, max_size=4)
+    )
+    return field, names, terms
+
+
+@given(_from_terms_input())
+@example((F5, ["x", 1], {}))
+@example((F5, ["x"], {(1.5,): 1}))
+@example((Q, ["x"], {(True,): 1}))
+@settings(max_examples=150, deadline=None)
+def test_what_from_terms_accepts_survives_the_json_round_trip(case):
+    field, names, terms = case
+    try:
+        p = MultiPoly.from_terms(field, names, terms)
+    except InputError:
+        return
+    assert MultiPoly.from_json(json.loads(json.dumps(p.to_json()))) == p
+
+
 def test_json_tuple_exponents_load_as_their_list_form():
     # a ``to_json`` value holds tuples, decoded JSON holds lists: both load
     as_lists = {

@@ -4,6 +4,7 @@ from random import Random
 
 import pytest
 
+import fanoci.dimension as dimension
 import fanoci.polynomials as polynomials
 from fanoci.dimension import PROBABILISTIC, is_regular_sequence
 from fanoci.errors import InputError, ResourceBudgetError
@@ -229,7 +230,7 @@ def test_reduced_mode_equivalence_random_instances():
 
 def _admissible_forms(ci, count, seed):
     """``count`` random linear forms that do not vanish on T_oV, with their rows there."""
-    rng, tangent, forms = Random(seed), ci.tangent(), []
+    rng, tangent, forms = Random(seed), ci.tangent, []
     while len(forms) < count:
         coeffs = [ci.field.random_element(rng) for _ in ci.variables]
         row = restrict_row(coeffs, tangent.kept, tangent.images, ci.field)
@@ -307,6 +308,26 @@ def test_unreduced_exact_report_equals_the_uncut_decision():
     ci, ell, _ = _instance_2()  # over Q, irregular at prefix 3
     assert regularity_check(ci, ell) == _uncut_report(ci, ell)
     assert verdicts.count("regular") >= 5 and verdicts.count("irregular") >= 5
+
+
+def test_an_irregular_unreduced_report_is_traced_without_the_cut(monkeypatch):
+    # the cut cannot certify an irregular sequence, so none is tried in the
+    # M + k ambient variables: only the reduced sequences, in M - 1, are cut,
+    # and the reports are those of ``is_regular_sequence`` on the sequence
+    ci = random_complete_intersection(DegreeTuple((2, 4)), FieldSpec.prime(2), seed=0)
+    forms = [form for form, _ in _admissible_forms(ci, 4, seed=1)]
+    expected = [_uncut_report(ci, form) for form in forms]
+    certified_on_cut, cut_sizes = dimension._certified_on_cut, []
+
+    def spy(generators):
+        cut_sizes.append(len(generators[0].variables))
+        return certified_on_cut(generators)
+
+    monkeypatch.setattr(dimension, "_certified_on_cut", spy)
+    reports = [regularity_check(ci, form) for form in forms]
+    assert reports == expected
+    assert {r.verdict for r in reports} == {"regular", "irregular"}
+    assert set(cut_sizes) == {ci.degrees.M - 1}
 
 
 @pytest.mark.parametrize(
